@@ -111,7 +111,7 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
                 EmbeddingTable(arrays["hardness.adv_item"]),
             )
         elif hmeta["kind"] == "mlp":
-            hardness = MlpHardness(
+            hardness = MlpHardness.from_arrays(
                 arrays["hardness.w_user"], arrays["hardness.b_user"],
                 arrays["hardness.w_item"], arrays["hardness.b_item"],
             )

@@ -71,29 +71,21 @@ def _coerce(field_type, raw: str):
     return raw
 
 
-def _resolve_dataclass(cls, file_cfg: dict, flag_ns, skip=()):
+def _resolve_dataclass(cls, file_cfg: dict, flag_ns):
     """Defaults <- config file <- explicit flags, typed by the dataclass."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
     values = {}
-    for name, f in fields.items():
-        if name in skip:
-            continue
-        if name in file_cfg:
-            values[name] = _coerce(type(f.default), file_cfg[name])
-        flag = getattr(flag_ns, name, None)
+    for f in dataclasses.fields(cls):
+        if f.name in file_cfg:
+            values[f.name] = _coerce(type(f.default), file_cfg[f.name])
+        flag = getattr(flag_ns, f.name, None)
         if flag is not None:
-            values[name] = flag
+            values[f.name] = flag
     return cls(**values)
 
 
-def _add_dataclass_flags(parser, cls, skip=()):
+def _add_dataclass_flags(parser, cls):
     for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        if isinstance(f.default, bool):
-            continue
-        arg_type = type(f.default) if f.default is not None else str
-        parser.add_argument(f"--{f.name}", type=arg_type, default=None,
+        parser.add_argument(f"--{f.name}", type=type(f.default), default=None,
                             help=f"{f.name} (default {f.default})")
 
 
@@ -286,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on one split")
     p_eval.add_argument("--checkpoint", required=True)
     add_dataset_flags(p_eval)
-    p_eval.add_argument("--split", default="test", choices=["train", "valid", "test"])
+    p_eval.add_argument("--split", default="test", choices=["valid", "test"])
     p_eval.add_argument("--k_eval", type=int, default=20)
     p_eval.add_argument("--per_user_csv", default=None,
                         help="also dump per-user metrics to this CSV")

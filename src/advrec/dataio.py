@@ -46,19 +46,21 @@ class InteractionSet:
                     raise BadParam(f"{name}: user id out of range")
                 if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.n_items:
                     raise BadParam(f"{name}: item id out of range")
-                if len({(int(u), int(i)) for u, i in pairs}) != len(pairs):
-                    raise BadParam(f"{name}: duplicate (user, item) pair")
-        # Per-user positive sets and train popularity, built once.
+        # Per-user positive sets and train popularity, built once. The sets
+        # also reject a repeated pair, and a valid or test pair that is also
+        # a train pair: train positives are never ranking candidates, so
+        # recall would silently drop it.
         self._pos = {}
         for name in SPLITS:
             sets = [set() for _ in range(self.n_users)]
-            for u, i in getattr(self, f"{name}_pairs"):
+            for u, i in self.pairs(name):
                 sets[u].add(int(i))
+            if sum(map(len, sets)) != len(self.pairs(name)):
+                raise BadParam(f"{name}: duplicate (user, item) pair")
+            if name != "train" and any(not s.isdisjoint(t) for s, t in zip(sets, self._pos["train"])):
+                raise BadParam(f"{name}: (user, item) pair is also a train pair")
             self._pos[name] = sets
-        pop = np.zeros(self.n_items, dtype=np.int64)
-        if len(self.train_pairs):
-            np.add.at(pop, self.train_pairs[:, 1], 1)
-        self.item_popularity = pop
+        self.item_popularity = np.bincount(self.train_pairs[:, 1], minlength=self.n_items)
 
         # original-id -> dense-id maps; None when ids are already native
         self.user_remap: dict[int, int] | None = None
@@ -91,10 +93,9 @@ class InteractionSet:
 
 @dataclass
 class NegativeSample:
-    """One observed anchor pair plus n sampled negative item ids (uniform
-    with replacement over the user's non-train items)."""
+    """n sampled negative item ids (uniform with replacement over the
+    user's non-train items)."""
 
-    anchor: tuple[int, int]
     negatives: np.ndarray
 
 
@@ -166,7 +167,6 @@ def sample_negatives(
     u: int,
     n: int,
     rng: np.random.Generator,
-    anchor_item: int = -1,
 ) -> NegativeSample:
     """Draw n items uniformly with replacement from the user's non-train
     items. Deterministic given the rng state."""
@@ -189,7 +189,17 @@ def sample_negatives(
             out[filled:filled + take] = ok[:take]
             filled += take
         negs = out
-    return NegativeSample(anchor=(u, anchor_item), negatives=negs)
+    return NegativeSample(negatives=negs)
+
+
+def popularity_groups(pop: np.ndarray, groups: int) -> np.ndarray:
+    """Group index (0-based) per item: items sorted by descending popularity
+    (ties by ascending id) into `groups` near-equal-size groups."""
+    order = np.lexsort((np.arange(len(pop)), -pop))
+    item_group = np.zeros(len(pop), dtype=np.int64)
+    for g, chunk in enumerate(np.array_split(order, groups)):
+        item_group[chunk] = g
+    return item_group
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -238,15 +248,8 @@ def gamma_split(
     """
     quotas = gamma_quotas(n0, gamma, groups)
     pool = np.asarray(pool_pairs, dtype=np.int64).reshape(-1, 2)
-    pop = np.zeros(n_items, dtype=np.int64)
-    if len(pool):
-        np.add.at(pop, pool[:, 1], 1)
-    order = np.lexsort((np.arange(n_items), -pop))  # desc popularity, asc id
-    item_group = np.zeros(n_items, dtype=np.int64)
-    for g, chunk in enumerate(np.array_split(order, groups)):
-        item_group[chunk] = g
-
-    pair_group = item_group[pool[:, 1]] if len(pool) else np.zeros(0, dtype=np.int64)
+    item_group = popularity_groups(np.bincount(pool[:, 1], minlength=n_items), groups)
+    pair_group = item_group[pool[:, 1]]
     is_test = np.zeros(len(pool), dtype=bool)
     drawn = np.zeros(groups, dtype=np.int64)
     for g in range(groups):

@@ -7,7 +7,7 @@ built from train positives only and averages layers 0..L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .numkit import (
     NormAdjacency,
     propagate,
     propagate_backward,
+    scatter_rows,
 )
 from .rng import substream
 
@@ -54,8 +55,10 @@ class Encoder:
     def dim(self) -> int:
         return self.user_table.dim
 
-    def copy_params(self) -> tuple[EmbeddingTable, EmbeddingTable]:
-        return self.user_table.copy(), self.item_table.copy()
+    def copy(self) -> "Encoder":
+        """Independent copy of the parameter tables; the adjacency is shared."""
+        return replace(self, user_table=self.user_table.copy(),
+                       item_table=self.item_table.copy())
 
 
 def build_norm_adjacency(n_users: int, n_items: int, train_pairs) -> NormAdjacency:
@@ -91,11 +94,9 @@ def build_encoder(
 
 def representations(enc: Encoder) -> tuple[np.ndarray, np.ndarray]:
     """Final user/item representations (propagated for the graph backbone,
-    raw table rows for MF). Recomputed per call; callers cache per batch."""
+    raw table rows for MF). Recomputed per call; a caller that holds the
+    encoder fixed over many batches computes them once and passes them on."""
     if enc.kind == MF or enc.layers == 0:
-        if enc.kind == MF:
-            return enc.user_table.values, enc.item_table.values
-        # layers=0 graph backbone is identical to MF by construction
         return enc.user_table.values, enc.item_table.values
     stacked = np.concatenate([enc.user_table.values, enc.item_table.values], axis=0)
     out = propagate(stacked, enc.adj, enc.layers)
@@ -161,14 +162,7 @@ def batch_backward(
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
 
     if enc.kind == MF or enc.layers == 0:
-        u_ids, u_inv = np.unique(c.users, return_inverse=True)
-        u_grads = np.zeros((len(u_ids), enc.dim))
-        np.add.at(u_grads, u_inv, d_u)
-        flat_items = c.items.ravel()
-        i_ids, i_inv = np.unique(flat_items, return_inverse=True)
-        i_grads = np.zeros((len(i_ids), enc.dim))
-        np.add.at(i_grads, i_inv, d_i.reshape(-1, enc.dim))
-        return (u_ids, u_grads), (i_ids, i_grads)
+        return scatter_rows(c.users, d_u), scatter_rows(c.items, d_i)
 
     # Graph backbone: scatter onto node representations, then one linear
     # backward pass through the propagation.

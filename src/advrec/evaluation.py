@@ -4,13 +4,18 @@ diagnostics (popularity profile, false-negative identification rate)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .dataio import InteractionSet, sample_negatives
+from .dataio import InteractionSet, popularity_groups, sample_negatives
 from .encoder import Encoder, representations
-from .errors import EmptyEval, EmptyFnList, EmptySample, NoCandidates
-from .loss import advinfonce_forward, hardness_forward, softmax_hardness
+from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates
+from .loss import advinfonce_forward, softmax_hardness
+
+# Hardness diagnostics score at most this many sampled rows at once, which
+# bounds their memory whatever the number of planted pairs or anchors.
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -82,7 +87,7 @@ def _ideal_dcg(n: int) -> float:
     return float(np.sum(1.0 / np.log2(np.arange(2, n + 2))))
 
 
-def topk_metrics(results: list[RankResult], k_eval: int = 20) -> MetricReport:
+def topk_metrics(results: Iterable[RankResult], k_eval: int = 20) -> MetricReport:
     """Macro-averaged hit ratio, recall and NDCG at k over users that have at
     least one positive in the evaluated split. Binary gains; ideal DCG over
     min(k, #positives)."""
@@ -115,13 +120,17 @@ def evaluate_split(
     k_eval: int = 20,
     candidate_items: np.ndarray | None = None,
 ) -> MetricReport:
-    """Rank and score every user that has positives in the split."""
+    """Rank and score every user that has positives in the split. Each
+    user's ranking is freed once scored. The train split is rejected: train
+    positives are never ranking candidates."""
+    if split == "train":
+        raise BadParam("train positives are never ranking candidates; evaluate valid or test")
     reps = representations(enc)
-    results = [
+    results = (
         rank_all(enc, int(u), dataset, split=split, reps=reps,
                  candidate_items=candidate_items)
         for u in dataset.users_with_positives(split)
-    ]
+    )
     return topk_metrics(results, k_eval)
 
 
@@ -171,6 +180,21 @@ def alignment_uniformity(
     return align, uniform
 
 
+def _block_hardness(model, enc: Encoder, dataset: InteractionSet, users: np.ndarray,
+                    n: int, rng: np.random.Generator, first=None):
+    """Learned sampling probabilities and deltas of (len(users), n) sampled
+    negatives, drawn row by row in order. Rows are scored in blocks of
+    BLOCK_ROWS, which bounds memory. first, if given, is a per-row item put
+    in front of the n draws. Yields (negatives, probs, deltas) per block."""
+    for start in range(0, len(users), BLOCK_ROWS):
+        block = users[start:start + BLOCK_ROWS]
+        negs = np.stack([sample_negatives(dataset, int(u), n, rng).negatives for u in block])
+        if first is not None:
+            negs = np.concatenate([first[start:start + BLOCK_ROWS, None], negs], axis=1)
+        probs, deltas = softmax_hardness(model.raw_scores_batch(block, negs, enc))
+        yield negs, probs, deltas
+
+
 def fn_identification_rate(
     model,
     planted_fn: np.ndarray,
@@ -186,17 +210,10 @@ def fn_identification_rate(
     planted_fn = np.asarray(planted_fn, dtype=np.int64).reshape(-1, 2)
     if len(planted_fn) == 0:
         raise EmptyFnList("dataset has no planted false negatives")
-    hits = 0
-    total = 0
-    for _ in range(n_resamples):
-        for u, j in planted_fn:
-            u, j = int(u), int(j)
-            others = sample_negatives(dataset, u, max(n_negatives - 1, 1), rng).negatives
-            negatives = np.concatenate([[j], others])
-            batch = hardness_forward(model, u, -1, negatives, enc)
-            hits += bool(batch.deltas[0] < 0.0)
-            total += 1
-    return hits / total
+    rows = np.tile(planted_fn, (n_resamples, 1))
+    hits = sum(int(np.sum(deltas[:, 0] < 0.0)) for _, _, deltas in _block_hardness(
+        model, enc, dataset, rows[:, 0], max(n_negatives - 1, 1), rng, first=rows[:, 1]))
+    return hits / len(rows)
 
 
 def hardness_popularity_profile(
@@ -216,24 +233,16 @@ def hardness_popularity_profile(
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    pop = dataset.item_popularity
-    order = np.lexsort((np.arange(dataset.n_items), -pop))
-    item_bin = np.zeros(dataset.n_items, dtype=np.int64)
-    for b, chunk in enumerate(np.array_split(order, bins)):
-        item_bin[chunk] = b
-
+    item_bin = popularity_groups(dataset.item_popularity, bins)
     train = dataset.train_pairs
     if len(train) == 0:
         raise EmptySample("no train pairs to sample anchors from")
     anchors = train[rng.integers(0, len(train), size=min(n_anchor_samples, len(train)))]
     sums = np.zeros(bins)
     counts = np.zeros(bins, dtype=np.int64)
-    for u, i in anchors:
-        negs = sample_negatives(dataset, int(u), n_negatives, rng).negatives
-        g = model.raw_scores_batch(np.array([int(u)]), negs[None, :], enc)[0]
-        probs, _ = softmax_hardness(g)
-        np.add.at(sums, item_bin[negs], probs)
-        np.add.at(counts, item_bin[negs], 1)
+    for negs, probs, _ in _block_hardness(model, enc, dataset, anchors[:, 0], n_negatives, rng):
+        np.add.at(sums, item_bin[negs].ravel(), probs.ravel())
+        np.add.at(counts, item_bin[negs].ravel(), 1)
     return [
         (b, float(sums[b] / counts[b]) if counts[b] else float("nan"), int(counts[b]))
         for b in range(bins)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDistribution, DimMismatch, NonFinite
-from .numkit import AdamHyper, EmbeddingTable, _adam_update, adam_step
+from .numkit import AdamHyper, EmbeddingTable, adam_step, scatter_rows
 from .rng import substream
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,21 @@ def hardness_grad_from_delta(probs: np.ndarray, d_delta: np.ndarray) -> np.ndarr
     return d_delta - probs * total
 
 
-class EmbedHardness:
+class _TableHardness:
+    """Hardness parameters kept as EmbeddingTables in `tables` (constructor
+    order), so that both models share one sparse Adam update and one copy.
+    `_row_grads` turns a model's gradients into one (ids, grads) per table."""
+
+    def apply_grads(self, grads, hyper: AdamHyper, maximize: bool) -> None:
+        sign = -1.0 if maximize else 1.0
+        for table, (ids, g) in zip(self.tables, self._row_grads(grads)):
+            adam_step(table, (ids, sign * g), hyper)
+
+    def copy(self):
+        return type(self)(*(t.copy() for t in self.tables))
+
+
+class EmbedHardness(_TableHardness):
     """Index-based hardness: g(u, j) = <adv_user[u], adv_item[j]>.
 
     The user side starts at zero so g is constant (deltas exactly 0) until
@@ -212,6 +226,7 @@ class EmbedHardness:
             raise DimMismatch("hardness tables must share dimension")
         self.user_table = user_table
         self.item_table = item_table
+        self.tables = (user_table, item_table)
 
     @classmethod
     def init(cls, n_users: int, n_items: int, dim: int, seed: int) -> "EmbedHardness":
@@ -230,50 +245,44 @@ class EmbedHardness:
         v = self.item_table.values[negatives]
         d_user = np.einsum("bn,bnd->bd", d_g, v)
         d_item = d_g[..., None] * u[:, None, :]
-        u_ids, u_inv = np.unique(users, return_inverse=True)
-        u_grads = np.zeros((len(u_ids), self.user_table.dim))
-        np.add.at(u_grads, u_inv, d_user)
-        flat = np.asarray(negatives).ravel()
-        i_ids, i_inv = np.unique(flat, return_inverse=True)
-        i_grads = np.zeros((len(i_ids), self.item_table.dim))
-        np.add.at(i_grads, i_inv, d_item.reshape(-1, self.item_table.dim))
-        return (u_ids, u_grads), (i_ids, i_grads)
+        return scatter_rows(users, d_user), scatter_rows(negatives, d_item)
 
-    def apply_grads(self, grads, hyper: AdamHyper, maximize: bool) -> None:
-        (u_ids, u_g), (i_ids, i_g) = grads
-        sign = -1.0 if maximize else 1.0
-        adam_step(self.user_table, (u_ids, sign * u_g), hyper)
-        adam_step(self.item_table, (i_ids, sign * i_g), hyper)
-
-    def copy(self) -> "EmbedHardness":
-        return EmbedHardness(self.user_table.copy(), self.item_table.copy())
+    def _row_grads(self, grads):
+        return grads
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"adv_user": self.user_table.values, "adv_item": self.item_table.values}
 
 
-class MlpHardness:
+class MlpHardness(_TableHardness):
     """Projection-based hardness: one linear layer per side maps the frozen
     encoder embeddings into a small latent space, g = <proj_u(x_u), proj_v(x_j)>.
     Encoder embeddings are constants here; no gradient reaches them."""
 
     kind = "mlp"
+    NAMES = ("w_user", "b_user", "w_item", "b_item")
 
-    def __init__(self, w_user, b_user, w_item, b_item):
-        self.w_user = np.asarray(w_user, dtype=np.float64)
-        self.b_user = np.asarray(b_user, dtype=np.float64)
-        self.w_item = np.asarray(w_item, dtype=np.float64)
-        self.b_item = np.asarray(b_item, dtype=np.float64)
-        self._m = {k: np.zeros_like(v) for k, v in self.param_arrays().items()}
-        self._v = {k: np.zeros_like(v) for k, v in self.param_arrays().items()}
-        self.step_count = 0
+    def __init__(self, w_user: EmbeddingTable, b_user: EmbeddingTable,
+                 w_item: EmbeddingTable, b_item: EmbeddingTable):
+        self.tables = (w_user, b_user, w_item, b_item)
+
+    w_user = property(lambda self: self.tables[0].values)
+    b_user = property(lambda self: self.tables[1].values[0])
+    w_item = property(lambda self: self.tables[2].values)
+    b_item = property(lambda self: self.tables[3].values[0])
+
+    @classmethod
+    def from_arrays(cls, w_user, b_user, w_item, b_item) -> "MlpHardness":
+        """Weights (latent, dim) and biases (latent,); each bias is stored as
+        a 1 x latent table."""
+        return cls(*(EmbeddingTable(np.atleast_2d(a)) for a in (w_user, b_user, w_item, b_item)))
 
     @classmethod
     def init(cls, encoder_dim: int, seed: int, latent: int = 4) -> "MlpHardness":
         bound = 0.5 / np.sqrt(encoder_dim)
         rng_u = substream(seed, "init-mlp-user")
         rng_i = substream(seed, "init-mlp-item")
-        return cls(
+        return cls.from_arrays(
             w_user=rng_u.uniform(-bound, bound, size=(latent, encoder_dim)),
             b_user=np.zeros(latent),
             w_item=rng_i.uniform(-bound, bound, size=(latent, encoder_dim)),
@@ -306,21 +315,10 @@ class MlpHardness:
             "b_item": d_zi.sum(axis=(0, 1)),
         }
 
-    def apply_grads(self, grads: dict[str, np.ndarray], hyper: AdamHyper, maximize: bool) -> None:
-        sign = -1.0 if maximize else 1.0
-        self.step_count += 1
-        params = self.param_arrays()
-        for name, g in grads.items():
-            _adam_update(params[name], self._m[name], self._v[name],
-                         sign * np.asarray(g, dtype=np.float64), hyper, self.step_count)
-
-    def copy(self) -> "MlpHardness":
-        clone = MlpHardness(self.w_user.copy(), self.b_user.copy(),
-                            self.w_item.copy(), self.b_item.copy())
-        clone._m = {k: v.copy() for k, v in self._m.items()}
-        clone._v = {k: v.copy() for k, v in self._v.items()}
-        clone.step_count = self.step_count
-        return clone
+    def _row_grads(self, grads):
+        """Dense gradients update every row of every table."""
+        return [(np.arange(t.rows), np.reshape(grads[name], t.values.shape))
+                for name, t in zip(self.NAMES, self.tables)]
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"w_user": self.w_user, "b_user": self.b_user,

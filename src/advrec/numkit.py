@@ -7,7 +7,7 @@ Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -126,18 +126,6 @@ def cosine_score_grad(u_vec, i_vec, tau) -> tuple[np.ndarray, np.ndarray]:
     return grad_u, grad_v
 
 
-def _adam_update(values, m, v, grads, hyper: AdamHyper, t: int) -> None:
-    """In-place Adam with bias correction at step t. Shared by sparse and
-    dense paths so both produce identical arithmetic."""
-    m *= hyper.beta1
-    m += (1.0 - hyper.beta1) * grads
-    v *= hyper.beta2
-    v += (1.0 - hyper.beta2) * (grads * grads)
-    m_hat = m / (1.0 - hyper.beta1**t)
-    v_hat = v / (1.0 - hyper.beta2**t)
-    values -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-
-
 def adam_step(
     table: EmbeddingTable,
     row_grads: Mapping[int, np.ndarray] | tuple[np.ndarray, np.ndarray],
@@ -170,14 +158,27 @@ def adam_step(
         raise DimMismatch(f"gradient block shape {grads.shape} != ({ids.size}, {table.dim})")
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("gradient contains NaN or Inf")
-    m = table.adam_m[ids]
-    v = table.adam_v[ids]
-    w = table.values[ids]
-    _adam_update(w, m, v, grads, hyper, table.step_count)
+    t = table.step_count
+    m = hyper.beta1 * table.adam_m[ids]
+    m += (1.0 - hyper.beta1) * grads
+    v = hyper.beta2 * table.adam_v[ids]
+    v += (1.0 - hyper.beta2) * (grads * grads)
+    m_hat = m / (1.0 - hyper.beta1**t)
+    v_hat = v / (1.0 - hyper.beta2**t)
+    table.values[ids] -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
     table.adam_m[ids] = m
     table.adam_v[ids] = v
-    table.values[ids] = w
     return table
+
+
+def scatter_rows(ids, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the gradient rows that share an id: (ascending unique ids, summed
+    rows). ids of any shape; grads has one row per id."""
+    ids = np.asarray(ids).ravel()
+    unique, inverse = np.unique(ids, return_inverse=True)
+    sums = np.zeros((len(unique), grads.shape[-1]))
+    np.add.at(sums, inverse, grads.reshape(len(ids), -1))
+    return unique, sums
 
 
 @dataclass
@@ -192,14 +193,10 @@ class NormAdjacency:
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
 
     @classmethod
-    def from_undirected_edges(
-        cls, node_count: int, edges: Iterable[tuple[int, int]]
-    ) -> "NormAdjacency":
-        """Build from unique undirected (a, b) pairs."""
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        deg = np.zeros(node_count, dtype=np.int64)
-        np.add.at(deg, pairs[:, 0], 1)
-        np.add.at(deg, pairs[:, 1], 1)
+    def from_undirected_edges(cls, node_count: int, edges) -> "NormAdjacency":
+        """Build from unique undirected (a, b) pairs (an (E, 2) array-like)."""
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        deg = np.bincount(pairs.ravel(), minlength=node_count)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         weights = 1.0 / np.sqrt(deg[rows].astype(np.float64) * deg[cols].astype(np.float64))

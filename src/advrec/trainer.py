@@ -151,8 +151,7 @@ def _batch_deltas(state: TrainState, batch: Batch, delta_rng=None):
     cfg = state.cfg
     if cfg.hardness_strategy in ("adv", "reverse"):
         g = state.hardness.raw_scores_batch(batch.users, batch.negatives, state.encoder)
-        probs, deltas = softmax_hardness(g)
-        return probs, deltas
+        return softmax_hardness(g)
     if cfg.hardness_strategy == "rand":
         if delta_rng is None:
             raise ValueError("rand strategy needs a delta rng")
@@ -160,48 +159,48 @@ def _batch_deltas(state: TrainState, batch: Batch, delta_rng=None):
     return None, np.zeros(batch.negatives.shape)
 
 
+def _batch_loss(state: TrainState, batch: Batch, delta_rng=None, reps=None):
+    """The one AdvInfoNCE evaluation of a batch, shared by the min step, the
+    adversarial step and the loss probe. reps are the encoder's precomputed
+    representations, if any. Returns (loss (B,), d_pos, d_neg, d_delta,
+    probs, score cache)."""
+    items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
+    scores, cache = batch_forward(state.encoder, batch.users, items, reps)
+    probs, deltas = _batch_deltas(state, batch, delta_rng)
+    loss_vec, d_pos, d_neg, d_delta = advinfonce_backward_batch(
+        scores[:, 0], scores[:, 1:], deltas, state.cfg.k_weight
+    )
+    if not np.all(np.isfinite(loss_vec)):
+        raise NonFinite("non-finite contrastive loss")
+    return loss_vec, d_pos, d_neg, d_delta, probs, cache
+
+
 def min_step(state: TrainState, batch: Batch, delta_rng=None) -> float:
     """One encoder update (mean-loss gradient over the batch); hardness
     parameters are read-only here. Returns the batch mean loss."""
     cfg = state.cfg
-    enc = state.encoder
-    items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-    scores, cache = batch_forward(enc, batch.users, items)
-    _, deltas = _batch_deltas(state, batch, delta_rng)
-    loss_vec, d_pos, d_neg, _ = advinfonce_backward_batch(
-        scores[:, 0], scores[:, 1:], deltas, cfg.k_weight
-    )
-    if not np.all(np.isfinite(loss_vec)):
-        raise NonFinite("non-finite loss in minimization step")
-    n = len(batch.users)
-    upstream = np.concatenate([d_pos[:, None], d_neg], axis=1) / n
-    u_grads, i_grads = batch_backward(enc, cache, upstream)
+    loss_vec, d_pos, d_neg, _, _, cache = _batch_loss(state, batch, delta_rng)
+    upstream = np.concatenate([d_pos[:, None], d_neg], axis=1) / len(batch.users)
+    u_grads, i_grads = batch_backward(state.encoder, cache, upstream)
     hyper = AdamHyper(lr=cfg.lr)
-    adam_step(enc.user_table, u_grads, hyper)
-    adam_step(enc.item_table, i_grads, hyper)
+    adam_step(state.encoder.user_table, u_grads, hyper)
+    adam_step(state.encoder.item_table, i_grads, hyper)
     return float(loss_vec.mean())
 
 
-def adv_step(state: TrainState, batch: Batch) -> float:
+def adv_step(state: TrainState, batch: Batch, reps=None) -> float:
     """One hardness update on a frozen encoder: gradient ascent for the
-    adversarial strategy, descent for the reversed ablation. Returns the
-    batch mean loss evaluated before the update."""
+    adversarial strategy, descent for the reversed ablation. reps are the
+    frozen encoder's representations, computed once per adversarial pass.
+    Returns the batch mean loss evaluated before the update."""
     cfg = state.cfg
     if state.hardness is None:
         raise SkippedAdvStep("strategy has no trainable hardness")
     if state.e_adv >= cfg.e_adv_max:
         raise SkippedAdvStep("adversarial epoch budget exhausted")
-    enc = state.encoder
-    items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-    scores, _ = batch_forward(enc, batch.users, items)
-    probs, deltas = _batch_deltas(state, batch)
-    loss_vec, _, _, d_delta = advinfonce_backward_batch(
-        scores[:, 0], scores[:, 1:], deltas, cfg.k_weight
-    )
-    if not np.all(np.isfinite(loss_vec)):
-        raise NonFinite("non-finite loss in adversarial step")
+    loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch, reps=reps)
     d_g = hardness_grad_from_delta(probs, d_delta / len(batch.users))
-    grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, enc)
+    grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, state.encoder)
     state.hardness.apply_grads(grads, AdamHyper(lr=cfg.lr_adv),
                                maximize=(cfg.hardness_strategy == "adv"))
     return float(loss_vec.mean())
@@ -210,15 +209,10 @@ def adv_step(state: TrainState, batch: Batch) -> float:
 def mean_batch_loss(state: TrainState, batches: list[Batch]) -> float:
     """Mean loss over fixed batches without touching any parameter (learned
     and zero-hardness strategies only; random hardness has no fixed loss)."""
-    cfg = state.cfg
+    reps = representations(state.encoder)
     total, count = 0.0, 0
     for batch in batches:
-        items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-        scores, _ = batch_forward(state.encoder, batch.users, items)
-        _, deltas = _batch_deltas(state, batch)
-        loss_vec, *_ = advinfonce_backward_batch(
-            scores[:, 0], scores[:, 1:], deltas, cfg.k_weight
-        )
+        loss_vec = _batch_loss(state, batch, reps=reps)[0]
         total += float(loss_vec.sum())
         count += len(loss_vec)
     return total / max(count, 1)
@@ -239,8 +233,7 @@ def hardness_divergence(state: TrainState, dataset: InteractionSet, epoch: int,
         sample_negatives(dataset, int(u), cfg.n_negatives, rng).negatives
         for u in anchors[:, 0]
     ])
-    g = state.hardness.raw_scores_batch(anchors[:, 0], negs, state.encoder)
-    probs, deltas = softmax_hardness(g)
+    probs, deltas = _batch_deltas(state, Batch(anchors[:, 0], anchors[:, 1], negs))
     kl_mean = float(np.mean(-deltas.mean(axis=1)))
     eps_proxy = float(np.max(np.abs(probs - 1.0 / cfg.n_negatives)))
     return kl_mean, eps_proxy
@@ -265,8 +258,9 @@ def run_training(dataset: InteractionSet, cfg: TrainConfig, log_fn=None) -> Trai
 
         if (state.hardness is not None and epoch % cfg.t_adv_interval == 0
                 and state.e_adv < cfg.e_adv_max):
+            reps = representations(state.encoder)
             for batch in iter_batches(dataset, cfg, epoch, "adv"):
-                adv_step(state, batch)
+                adv_step(state, batch, reps)
             state.e_adv += 1
 
         if epoch % cfg.eval_every == 0 and has_valid:
@@ -290,14 +284,7 @@ def run_training(dataset: InteractionSet, cfg: TrainConfig, log_fn=None) -> Trai
                 state.best_metric = report.recall
                 state.best_epoch = epoch
                 state.evals_since_improve = 0
-                state.best_encoder = Encoder(
-                    kind=state.encoder.kind,
-                    user_table=state.encoder.user_table.copy(),
-                    item_table=state.encoder.item_table.copy(),
-                    tau=state.encoder.tau,
-                    layers=state.encoder.layers,
-                    adj=state.encoder.adj,
-                )
+                state.best_encoder = state.encoder.copy()
                 state.best_hardness = (
                     state.hardness.copy() if state.hardness is not None else None
                 )

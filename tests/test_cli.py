@@ -79,6 +79,17 @@ class TestTrain:
         assert code == 2
         assert "absent.tsv" in capsys.readouterr().err
 
+    def test_test_pair_also_in_train_exits_2(self, tmp_path, capsys):
+        (tmp_path / "train.tsv").write_text("0\t0\n1\t1\n")
+        (tmp_path / "valid.tsv").write_text("")
+        (tmp_path / "test.tsv").write_text("1\t1\n")
+        code = main(["train", "--train_file", str(tmp_path / "train.tsv"),
+                     "--valid_file", str(tmp_path / "valid.tsv"),
+                     "--test_file", str(tmp_path / "test.tsv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "also a train pair" in capsys.readouterr().err
+
     def test_toy_run_writes_all_artifacts(self, tmp_path):
         data = generate(tmp_path)
         run = train(tmp_path, data)
@@ -150,6 +161,11 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["recall@1"] == 1.0
+
+    def test_train_split_is_not_a_choice(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--checkpoint", str(tmp_path / "any.ckpt"), "--split", "train"])
+        assert exc.value.code == 2
 
     def test_mismatched_dataset_exits_2(self, tmp_path):
         data = generate(tmp_path)
@@ -228,3 +244,21 @@ class TestDiagnose:
         lines = out.read_text().splitlines()
         assert lines[0] == "align,uniform"
         assert len(lines) == 2
+
+
+class TestGraphBackboneMlpHardness:
+    def test_adversarial_run_is_byte_identical_and_usable(self, tmp_path):
+        data = generate(tmp_path)
+        extra = ("--backbone", "lightgcn", "--hardness_kind", "mlp",
+                 "--hardness_strategy", "adv")
+        r1 = train(tmp_path, data, "r1", extra=extra)
+        r2 = train(tmp_path, data, "r2", extra=extra)
+        for name in ("metrics.jsonl", "final.ckpt"):
+            assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
+        files = ["--train_file", str(data / "train.tsv"),
+                 "--valid_file", str(data / "valid.tsv"),
+                 "--test_file", str(data / "test.tsv")]
+        assert main(["evaluate", "--checkpoint", str(r1 / "final.ckpt"), *files]) == 0
+        assert main(["diagnose", "--checkpoint", str(r1 / "final.ckpt"), *files,
+                     "--which", "profile", "--out", str(tmp_path / "profile.csv"),
+                     "--bins", "4", "--n_negatives", "8"]) == 0

@@ -82,6 +82,27 @@ class TestLoadInteractions:
         # popularity counts train only
         assert ds.item_popularity.sum() == len(ds.train_pairs)
 
+    def test_test_pair_also_in_train_raises(self, tmp_path):
+        train = write(tmp_path, "train.tsv", "0\t0\n1\t1\n")
+        valid = write(tmp_path, "valid.tsv", "")
+        test = write(tmp_path, "test.tsv", "0\t5\n0\t0\n")
+        with pytest.raises(BadParam, match="test"):
+            load_interactions(train, valid, test)
+
+
+class TestInteractionSet:
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_pair_also_in_train_raises(self, split):
+        pairs = {"valid_pairs": np.zeros((0, 2)), "test_pairs": np.zeros((0, 2))}
+        pairs[f"{split}_pairs"] = np.array([[1, 2], [0, 1]])
+        with pytest.raises(BadParam, match=split):
+            InteractionSet(2, 3, np.array([[0, 0], [0, 1]]), **pairs)
+
+    def test_duplicate_within_split_raises(self):
+        with pytest.raises(BadParam, match="duplicate"):
+            InteractionSet(2, 3, np.array([[0, 0], [1, 2], [0, 0]]),
+                           np.zeros((0, 2)), np.zeros((0, 2)))
+
 
 class TestSampleNegatives:
     def test_single_candidate(self):

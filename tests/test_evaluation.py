@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from advrec.dataio import InteractionSet
+from advrec.dataio import InteractionSet, sample_negatives
 from advrec.encoder import build_encoder, representations, score
-from advrec.errors import EmptyEval, EmptyFnList, NoCandidates
+from advrec.errors import BadParam, EmptyEval, EmptyFnList, NoCandidates
 from advrec.evaluation import (
+    BLOCK_ROWS,
     RankResult,
     alignment_uniformity,
     dcg_bound_check,
@@ -16,7 +17,7 @@ from advrec.evaluation import (
     rank_all,
     topk_metrics,
 )
-from advrec.loss import EmbedHardness
+from advrec.loss import EmbedHardness, hardness_forward
 
 from conftest import tiny_dataset
 
@@ -265,6 +266,26 @@ class TestFnIdentificationRate:
                                       n_negatives=6, rng=np.random.default_rng(14))
         assert rate == 1.0
 
+    def test_blocked_rate_equals_per_row_recomputation(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=24)
+        model = EmbedHardness.init(small_dataset.n_users, small_dataset.n_items, 3, 24)
+        rng = np.random.default_rng(25)
+        model.user_table.values[:] = rng.normal(size=model.user_table.values.shape)
+        planted = small_dataset.test_pairs
+        n_resamples = BLOCK_ROWS // len(planted) + 2   # more than one block
+        assert len(planted) * n_resamples > BLOCK_ROWS
+        rate = fn_identification_rate(model, planted, enc, small_dataset, n_negatives=5,
+                                      rng=np.random.default_rng(26), n_resamples=n_resamples)
+        ref_rng = np.random.default_rng(26)
+        hits = 0
+        for _ in range(n_resamples):
+            for u, j in planted:
+                others = sample_negatives(small_dataset, int(u), 4, ref_rng).negatives
+                batch = hardness_forward(model, int(u), -1, np.concatenate([[j], others]), enc)
+                hits += bool(batch.deltas[0] < 0.0)
+        assert rate == hits / (len(planted) * n_resamples)
+        assert 0.0 < rate < 1.0
+
     def test_empty_list_raises(self, small_dataset):
         enc = make_encoder(small_dataset, seed=15)
         model = EmbedHardness.init(small_dataset.n_users, small_dataset.n_items, 2, 15)
@@ -316,3 +337,8 @@ class TestEvaluateSplit:
         report = evaluate_split(enc, small_dataset, "valid", k_eval=5)
         assert 0.0 <= report.recall <= 1.0
         assert report.n_users == len(small_dataset.users_with_positives("valid"))
+
+    def test_train_split_rejected(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=27)
+        with pytest.raises(BadParam, match="never ranking candidates"):
+            evaluate_split(enc, small_dataset, "train")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from advrec.encoder import representations
 from advrec.errors import SkippedAdvStep
 from advrec.trainer import (
     Batch,
@@ -140,6 +141,19 @@ class TestAdvStep:
         state = init_state(small_dataset, cfg)
         with pytest.raises(SkippedAdvStep):
             adv_step(state, first_batch(small_dataset, cfg))
+
+    @pytest.mark.parametrize("kind", ["embed", "mlp"])
+    def test_graph_precomputed_reps_match_per_batch_propagation(self, small_dataset, kind):
+        cfg = small_cfg(backbone="lightgcn", hardness_kind=kind)
+        batches = list(iter_batches(small_dataset, cfg, 1, "adv"))
+        s1 = init_state(small_dataset, cfg)
+        s2 = init_state(small_dataset, cfg)
+        reps = representations(s2.encoder)
+        for batch in batches:
+            adv_step(s1, batch)
+            adv_step(s2, batch, reps)
+        assert hardness_bytes(s1) == hardness_bytes(s2) != hardness_bytes(
+            init_state(small_dataset, cfg))
 
 
 class TestRunTraining:
