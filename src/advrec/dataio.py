@@ -28,7 +28,11 @@ SPLITS = ("train", "valid", "test")
 class InteractionSet:
     """Remapped user/item id space plus observed positive pairs per split.
 
-    Immutable after construction; safe for concurrent readers.
+    Each split has one read-only CSR positives index: an indptr over users
+    and every user's item ids in ascending order. Rejects a repeated pair,
+    and a valid or test pair that is also a train pair (train positives are
+    never ranking candidates, so recall would silently drop it). Immutable
+    after construction; safe for concurrent readers.
     """
 
     n_users: int
@@ -38,6 +42,7 @@ class InteractionSet:
     test_pairs: np.ndarray
 
     def __post_init__(self):
+        self._index = {}
         for name in SPLITS:
             pairs = np.asarray(getattr(self, f"{name}_pairs"), dtype=np.int64).reshape(-1, 2)
             setattr(self, f"{name}_pairs", pairs)
@@ -46,28 +51,28 @@ class InteractionSet:
                     raise BadParam(f"{name}: user id out of range")
                 if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.n_items:
                     raise BadParam(f"{name}: item id out of range")
-        # Per-user positive sets and train popularity, built once. The sets
-        # also reject a repeated pair, and a valid or test pair that is also
-        # a train pair: train positives are never ranking candidates, so
-        # recall would silently drop it.
-        self._pos = {}
-        for name in SPLITS:
-            sets = [set() for _ in range(self.n_users)]
-            for u, i in self.pairs(name):
-                sets[u].add(int(i))
-            if sum(map(len, sets)) != len(self.pairs(name)):
+            keys = np.sort(pairs[:, 0] * self.n_items + pairs[:, 1])
+            if np.any(keys[1:] == keys[:-1]):
                 raise BadParam(f"{name}: duplicate (user, item) pair")
-            if name != "train" and any(not s.isdisjoint(t) for s, t in zip(sets, self._pos["train"])):
+            if name == "train":
+                train_keys = keys
+            elif np.any(np.isin(keys, train_keys, assume_unique=True)):
                 raise BadParam(f"{name}: (user, item) pair is also a train pair")
-            self._pos[name] = sets
+            indptr = np.zeros(self.n_users + 1, dtype=np.int64)
+            np.cumsum(np.bincount(pairs[:, 0], minlength=self.n_users), out=indptr[1:])
+            items = keys % self.n_items
+            items.flags.writeable = False
+            self._index[name] = (indptr, items)
         self.item_popularity = np.bincount(self.train_pairs[:, 1], minlength=self.n_items)
 
         # original-id -> dense-id maps; None when ids are already native
         self.user_remap: dict[int, int] | None = None
         self.item_remap: dict[int, int] | None = None
 
-    def positives(self, u: int, split: str = "train") -> set[int]:
-        return self._pos[split][u]
+    def positives(self, u: int, split: str = "train") -> np.ndarray:
+        """The user's item ids in the split, ascending; a read-only view."""
+        indptr, items = self._index[split]
+        return items[indptr[u]:indptr[u + 1]]
 
     def remap_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Translate original-id pairs into this set's dense id space.
@@ -87,8 +92,7 @@ class InteractionSet:
         return getattr(self, f"{split}_pairs")
 
     def users_with_positives(self, split: str) -> np.ndarray:
-        pairs = self.pairs(split)
-        return np.unique(pairs[:, 0]) if len(pairs) else np.zeros(0, dtype=np.int64)
+        return np.flatnonzero(np.diff(self._index[split][0]))
 
 
 @dataclass
@@ -176,15 +180,18 @@ def sample_negatives(
         raise NoNegativesError(f"user {u} has interacted with every item")
     if len(pos) > n_items // 2:
         # Dense user: enumerate the complement once and index into it.
-        cand = np.setdiff1d(np.arange(n_items, dtype=np.int64),
-                            np.fromiter(pos, dtype=np.int64, count=len(pos)))
+        cand = np.setdiff1d(np.arange(n_items, dtype=np.int64), pos, assume_unique=True)
         negs = cand[rng.integers(0, len(cand), size=n)]
     else:
         out = np.empty(n, dtype=np.int64)
         filled = 0
         while filled < n:
             draws = rng.integers(0, n_items, size=max(8, int(1.3 * (n - filled)) + 4))
-            ok = draws[[int(d) not in pos for d in draws]]
+            if len(pos):
+                at = np.minimum(np.searchsorted(pos, draws), len(pos) - 1)
+                ok = draws[pos[at] != draws]
+            else:
+                ok = draws
             take = min(len(ok), n - filled)
             out[filled:filled + take] = ok[:take]
             filled += take
@@ -317,9 +324,11 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     """
     users = substream(spec.seed, "latent-user").normal(size=(spec.n_users, spec.latent_dim))
     items = substream(spec.seed, "latent-item").normal(size=(spec.n_items, spec.latent_dim))
-    affinity = users @ items.T
-    cutoff = np.quantile(affinity, 1.0 - spec.relevance_quantile)
-    rel_u, rel_i = np.nonzero(affinity > cutoff)
+    # The users x items affinity matrix is the generator's largest array.
+    # The quantile partitions it in place and the mask recomputes it, so at
+    # most one copy is alive at a time and none once the dataset is built.
+    cutoff = np.quantile(users @ items.T, 1.0 - spec.relevance_quantile, overwrite_input=True)
+    rel_u, rel_i = np.nonzero(users @ items.T > cutoff)
     if rel_u.size == 0:
         raise DegenerateSpec("no relevant pair at the requested quantile")
 

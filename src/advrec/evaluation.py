@@ -12,6 +12,7 @@ from .dataio import InteractionSet, popularity_groups, sample_negatives
 from .encoder import Encoder, representations
 from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates
 from .loss import advinfonce_forward, softmax_hardness
+from .numkit import cosine_scores
 
 # Hardness diagnostics score at most this many sampled rows at once, which
 # bounds their memory whatever the number of planted pairs or anchors.
@@ -46,40 +47,22 @@ def rank_all(
     dataset: InteractionSet,
     split: str = "test",
     reps: tuple[np.ndarray, np.ndarray] | None = None,
-    candidate_items: np.ndarray | None = None,
 ) -> RankResult:
-    """Rank every candidate item for one user.
-
-    Candidates default to all items minus the user's train positives;
-    candidate_items restricts the pool (for datasets whose unbiased feedback
-    covers only a fully-exposed subset). Deterministic: equal scores order
-    by ascending item id.
-    """
+    """Rank every item except the user's train positives. Deterministic:
+    equal scores order by ascending item id."""
     if reps is None:
         reps = representations(enc)
     user_reps, item_reps = reps
-    train_pos = dataset.positives(user, "train")
-    pool = np.arange(dataset.n_items) if candidate_items is None \
-        else np.unique(np.asarray(candidate_items, dtype=np.int64))
-    mask = np.ones(len(pool), dtype=bool)
-    if train_pos:
-        mask &= ~np.isin(pool, np.fromiter(train_pos, dtype=np.int64, count=len(train_pos)))
-    candidates = pool[mask]
+    mask = np.ones(dataset.n_items, dtype=bool)
+    mask[dataset.positives(user, "train")] = False
+    candidates = np.flatnonzero(mask)
     if candidates.size == 0:
         raise NoCandidates(f"user {user} has no candidate items")
-    u = user_reps[user]
-    cand_reps = item_reps[candidates]
-    scores = (cand_reps @ u) / (
-        np.linalg.norm(u) * np.linalg.norm(cand_reps, axis=1) * enc.tau
-    )
+    scores = cosine_scores(user_reps[user], item_reps[candidates], enc.tau)
     # candidates are in ascending id order; a stable sort keeps that order
     # within tied scores.
-    order = np.argsort(-scores, kind="stable")
-    ranking = candidates[order]
-    rank_of = {int(item): pos + 1 for pos, item in enumerate(ranking)}
-    positives = dataset.positives(user, split)
-    positions = np.array(sorted(rank_of[i] for i in positives if i in rank_of),
-                         dtype=np.int64)
+    ranking = candidates[np.argsort(-scores, kind="stable")]
+    positions = np.flatnonzero(np.isin(ranking, dataset.positives(user, split))) + 1
     return RankResult(user=user, ranking=ranking, positions=positions)
 
 
@@ -118,17 +101,16 @@ def evaluate_split(
     dataset: InteractionSet,
     split: str,
     k_eval: int = 20,
-    candidate_items: np.ndarray | None = None,
 ) -> MetricReport:
     """Rank and score every user that has positives in the split. Each
     user's ranking is freed once scored. The train split is rejected: train
-    positives are never ranking candidates."""
+    positives are never ranking candidates. A split positive is never a
+    train positive, so every evaluated user has a candidate."""
     if split == "train":
         raise BadParam("train positives are never ranking candidates; evaluate valid or test")
     reps = representations(enc)
     results = (
-        rank_all(enc, int(u), dataset, split=split, reps=reps,
-                 candidate_items=candidate_items)
+        rank_all(enc, int(u), dataset, split=split, reps=reps)
         for u in dataset.users_with_positives(split)
     )
     return topk_metrics(results, k_eval)
@@ -207,6 +189,8 @@ def fn_identification_rate(
     """Fraction of planted false negatives receiving strictly negative
     hardness when dropped into a sampled negative context (the planted item
     plus n_negatives - 1 uniform draws), averaged over resamplings."""
+    if n_negatives < 1 or n_resamples < 1:
+        raise BadParam("n_negatives and n_resamples must be >= 1")
     planted_fn = np.asarray(planted_fn, dtype=np.int64).reshape(-1, 2)
     if len(planted_fn) == 0:
         raise EmptyFnList("dataset has no planted false negatives")
@@ -233,6 +217,8 @@ def hardness_popularity_profile(
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    if n_negatives < 1:
+        raise BadParam("n_negatives must be >= 1")
     item_bin = popularity_groups(dataset.item_popularity, bins)
     train = dataset.train_pairs
     if len(train) == 0:

@@ -214,6 +214,20 @@ class TestDiagnose:
         assert code == 2
         assert "planted_fn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which,flag", [("fnrate", "--n_resamples"),
+                                            ("profile", "--n_negatives")])
+    def test_zero_count_exits_2(self, tmp_path, capsys, which, flag):
+        data = generate(tmp_path)
+        run = train(tmp_path, data)
+        code = main(["diagnose", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--which", which, "--out", str(tmp_path / "out.csv"),
+                     "--planted_fn", str(data / "planted_fn.tsv"), flag, "0"])
+        assert code == 2
+        assert flag[2:] in capsys.readouterr().err
+
     def test_fnrate_with_planted_file(self, tmp_path):
         data = generate(tmp_path)
         run = train(tmp_path, data)

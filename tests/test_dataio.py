@@ -22,6 +22,24 @@ from advrec.errors import (
 )
 
 
+def reference_sample_negatives(pos: set, n_items, n, rng):
+    """Set-based sampler the array positives index replaced; makes the same
+    rng calls, so it must return the same negatives."""
+    if len(pos) > n_items // 2:
+        cand = np.setdiff1d(np.arange(n_items, dtype=np.int64),
+                            np.fromiter(pos, dtype=np.int64, count=len(pos)))
+        return cand[rng.integers(0, len(cand), size=n)]
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        draws = rng.integers(0, n_items, size=max(8, int(1.3 * (n - filled)) + 4))
+        ok = draws[[int(d) not in pos for d in draws]]
+        take = min(len(ok), n - filled)
+        out[filled:filled + take] = ok[:take]
+        filled += take
+    return out
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -103,6 +121,24 @@ class TestInteractionSet:
             InteractionSet(2, 3, np.array([[0, 0], [1, 2], [0, 0]]),
                            np.zeros((0, 2)), np.zeros((0, 2)))
 
+    def test_positives_are_each_users_pairs_ascending(self):
+        rng = np.random.default_rng(5)
+        n_users, n_items = 9, 13
+        pool = rng.permutation(n_users * n_items)[:60]
+        pool = pool[pool // n_items != 4]  # user 4 has no pair in any split
+        pairs = np.stack([pool // n_items, pool % n_items], axis=1)
+        ds = InteractionSet(n_users, n_items, pairs[:40], pairs[40:48], pairs[48:])
+        for split in ("train", "valid", "test"):
+            split_pairs = ds.pairs(split)
+            for u in range(n_users):
+                want = sorted(int(i) for v, i in split_pairs if v == u)
+                assert ds.positives(u, split).tolist() == want
+        assert len(ds.positives(4, "train")) == 0
+
+    def test_positives_are_read_only(self, small_dataset):
+        with pytest.raises(ValueError):
+            small_dataset.positives(0, "train")[0] = 1
+
 
 class TestSampleNegatives:
     def test_single_candidate(self):
@@ -128,7 +164,7 @@ class TestSampleNegatives:
         rng = np.random.default_rng(2)
         for u in range(small_dataset.n_users):
             negs = sample_negatives(small_dataset, u, 64, rng).negatives
-            assert not (set(negs.tolist()) & small_dataset.positives(u, "train"))
+            assert not (set(negs.tolist()) & set(small_dataset.positives(u, "train")))
 
     def test_exhausted_user_raises(self):
         ds = InteractionSet(1, 2, np.array([[0, 0], [0, 1]]),
@@ -142,6 +178,22 @@ class TestSampleNegatives:
                             np.zeros((0, 2)), np.zeros((0, 2)))
         negs = sample_negatives(ds, 0, 50, np.random.default_rng(4)).negatives
         assert np.all(negs == 3)
+
+    def test_matches_set_based_reference(self):
+        # 40 items: user 0 has no train positive, user 1 a few (the lowest and
+        # highest ids among them), user 2 exactly half (the rejection path's
+        # limit) and user 3 more than half (the complement path).
+        n_items = 40
+        train = {0: [], 1: [0, 17, 39], 2: list(range(0, 40, 2)),
+                 3: [i for i in range(n_items) if i % 4]}
+        pairs = np.array([(u, i) for u, items in train.items() for i in items])
+        ds = InteractionSet(4, n_items, pairs, np.zeros((0, 2)), np.zeros((0, 2)))
+        for u, items in train.items():
+            for seed, n in ((0, 1), (1, 7), (2, 100)):
+                got = sample_negatives(ds, u, n, np.random.default_rng(seed)).negatives
+                want = reference_sample_negatives(set(items), n_items, n,
+                                                  np.random.default_rng(seed))
+                np.testing.assert_array_equal(got, want)
 
     def test_deterministic_given_seed(self, small_dataset):
         a = sample_negatives(small_dataset, 0, 32, np.random.default_rng(9)).negatives

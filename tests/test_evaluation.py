@@ -62,7 +62,7 @@ class TestRankAll:
         enc = make_encoder(small_dataset, seed=1)
         for u in range(small_dataset.n_users):
             result = rank_all(enc, u, small_dataset)
-            train_pos = small_dataset.positives(u, "train")
+            train_pos = set(small_dataset.positives(u, "train"))
             expected = sorted(set(range(small_dataset.n_items)) - train_pos)
             assert sorted(result.ranking.tolist()) == expected
             assert len(set(result.ranking.tolist())) == len(result.ranking)
@@ -72,16 +72,30 @@ class TestRankAll:
         for u in range(small_dataset.n_users):
             result = rank_all(enc, u, small_dataset)
             cand = sorted(set(range(small_dataset.n_items))
-                          - small_dataset.positives(u, "train"))
+                          - set(small_dataset.positives(u, "train")))
             scores = {i: score(enc, u, [i])[0] for i in cand}
             oracle = sorted(cand, key=lambda i: (-scores[i], i))
             np.testing.assert_array_equal(result.ranking, oracle)
 
-    def test_candidate_filter(self, small_dataset):
-        enc = make_encoder(small_dataset, seed=3)
-        allowed = np.array([0, 1, 2])
-        result = rank_all(enc, 0, small_dataset, candidate_items=allowed)
-        assert set(result.ranking.tolist()) <= {0, 1, 2}
+    def test_positions_under_forced_ties(self):
+        # Item vectors from a palette of three small-integer rows tie exactly;
+        # a positive's position is 1 + #higher + #tied with a smaller id.
+        rng = np.random.default_rng(11)
+        palette = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 3.0]])
+        n_users, n_items = 5, 30
+        cells = rng.permutation(n_users * n_items)
+        pairs = np.stack([cells // n_items, cells % n_items], axis=1)
+        ds = InteractionSet(n_users, n_items, pairs[:40], np.zeros((0, 2)), pairs[40:70])
+        enc = make_encoder(ds, dim=3, tau=0.5)
+        enc.item_table.values[:] = palette[rng.integers(0, 3, size=n_items)]
+        enc.user_table.values[:] = rng.integers(-3, 4, size=(n_users, 3))
+        enc.user_table.values[:, 0] = 1.0  # no zero-norm user
+        for u in range(n_users):
+            s = score(enc, u, np.arange(n_items))
+            cand = np.setdiff1d(np.arange(n_items), ds.positives(u, "train"))
+            want = [1 + int(np.sum(s[cand] > s[p])) + int(np.sum((s[cand] == s[p]) & (cand < p)))
+                    for p in ds.positives(u, "test")]
+            np.testing.assert_array_equal(rank_all(enc, u, ds).positions, sorted(want))
 
     def test_no_candidates_raises(self):
         ds = InteractionSet(1, 2, np.array([[0, 0], [0, 1]]),
