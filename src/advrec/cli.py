@@ -1,9 +1,10 @@
 """Command-line entry point: train, evaluate, generate, diagnose.
 
 Configuration is a flat key=value file; every key is also exposed as a long
-flag of the same name (flags beat file values, file values beat defaults).
-Each run directory receives a resolved-config snapshot so that the snapshot
-plus the seed reproduce the run bit-for-bit.
+flag of the same name (flags beat file values, file values beat defaults),
+and a file key that names no flag is rejected. Each run directory receives a
+resolved-config snapshot so that the snapshot plus the seed reproduce the run
+bit-for-bit.
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure. Progress
 goes to stderr; stdout carries machine-readable JSON only for `evaluate`.
@@ -48,8 +49,10 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def load_kv_config(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments ignored."""
+def load_kv_config(path, cls, extra=()) -> dict[str, str]:
+    """Flat key=value file; blank lines and '#' comments ignored. A key must
+    be a field of the dataclass cls or one of extra."""
+    allowed = {f.name for f in dataclasses.fields(cls)} | set(extra)
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -59,7 +62,10 @@ def load_kv_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise EngineError(f"{path}:{line_no}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in allowed:
+                raise EngineError(f"{path}:{line_no}: unknown config key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -114,8 +120,9 @@ def _load_dataset(ns):
 
 
 def cmd_train(ns) -> int:
-    file_cfg = load_kv_config(ns.config) if ns.config else {}
-    for key in ("train_file", "valid_file", "test_file", "out"):
+    paths = ("train_file", "valid_file", "test_file", "out")
+    file_cfg = load_kv_config(ns.config, TrainConfig, paths) if ns.config else {}
+    for key in paths:
         if getattr(ns, key) is None and key in file_cfg:
             setattr(ns, key, file_cfg[key])
     cfg = _resolve_dataclass(TrainConfig, file_cfg, ns)
@@ -169,7 +176,7 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_generate(ns) -> int:
-    file_cfg = load_kv_config(ns.config) if ns.config else {}
+    file_cfg = load_kv_config(ns.config, SyntheticSpec) if ns.config else {}
     spec = _resolve_dataclass(SyntheticSpec, file_cfg, ns)
     out = Path(ns.out or "dataset")
     out.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,9 @@ class InteractionSet:
     """Remapped user/item id space plus observed positive pairs per split.
 
     Each split has one read-only CSR positives index: an indptr over users
-    and every user's item ids in ascending order. Rejects a repeated pair,
+    and every user's item ids in ascending order. train_keys holds the
+    sorted, read-only train keys user * n_items + item, which negative
+    sampling tests its draws against. Rejects a repeated pair,
     and a valid or test pair that is also a train pair (train positives are
     never ranking candidates, so recall would silently drop it). Immutable
     after construction; safe for concurrent readers.
@@ -55,8 +57,9 @@ class InteractionSet:
             if np.any(keys[1:] == keys[:-1]):
                 raise BadParam(f"{name}: duplicate (user, item) pair")
             if name == "train":
-                train_keys = keys
-            elif np.any(np.isin(keys, train_keys, assume_unique=True)):
+                keys.flags.writeable = False
+                self.train_keys = keys
+            elif np.any(np.isin(keys, self.train_keys, assume_unique=True)):
                 raise BadParam(f"{name}: (user, item) pair is also a train pair")
             indptr = np.zeros(self.n_users + 1, dtype=np.int64)
             np.cumsum(np.bincount(pairs[:, 0], minlength=self.n_users), out=indptr[1:])
@@ -97,8 +100,9 @@ class InteractionSet:
 
 @dataclass
 class NegativeSample:
-    """n sampled negative item ids (uniform with replacement over the
-    user's non-train items)."""
+    """Sampled negative item ids, uniform with replacement over each user's
+    non-train items: shape (n,) for one user, (len(users), n) for an array
+    of users, one row per user."""
 
     negatives: np.ndarray
 
@@ -166,37 +170,94 @@ def read_pairs(path) -> np.ndarray:
     return np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
 
 
+def _sample_row(pos: np.ndarray, n_items: int, n: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """n negatives for one user with ascending train positives pos (at
+    least one, not every item), drawn by rejection, or from the enumerated
+    complement when pos covers more than half of the items."""
+    if len(pos) > n_items // 2:
+        cand = np.setdiff1d(np.arange(n_items, dtype=np.int64), pos, assume_unique=True)
+        return cand[rng.integers(0, len(cand), size=n)]
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        draws = rng.integers(0, n_items, size=max(8, int(1.3 * (n - filled)) + 4))
+        at = np.minimum(np.searchsorted(pos, draws), len(pos) - 1)
+        ok = draws[pos[at] != draws]
+        take = min(len(ok), n - filled)
+        out[filled:filled + take] = ok[:take]
+        filled += take
+    return out
+
+
 def sample_negatives(
     dataset: InteractionSet,
-    u: int,
+    users,
     n: int,
     rng: np.random.Generator,
 ) -> NegativeSample:
-    """Draw n items uniformly with replacement from the user's non-train
-    items. Deterministic given the rng state."""
-    pos = dataset.positives(u, "train")
-    n_items = dataset.n_items
-    if len(pos) >= n_items:
-        raise NoNegativesError(f"user {u} has interacted with every item")
-    if len(pos) > n_items // 2:
-        # Dense user: enumerate the complement once and index into it.
-        cand = np.setdiff1d(np.arange(n_items, dtype=np.int64), pos, assume_unique=True)
-        negs = cand[rng.integers(0, len(cand), size=n)]
-    else:
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            draws = rng.integers(0, n_items, size=max(8, int(1.3 * (n - filled)) + 4))
-            if len(pos):
-                at = np.minimum(np.searchsorted(pos, draws), len(pos) - 1)
-                ok = draws[pos[at] != draws]
-            else:
-                ok = draws
-            take = min(len(ok), n - filled)
-            out[filled:filled + take] = ok[:take]
-            filled += take
-        negs = out
-    return NegativeSample(negatives=negs)
+    """Draw n items uniformly with replacement from each user's non-train
+    items: negatives of shape (n,) for one user id, (len(users), n) for a
+    1-D array of ids.
+
+    The result and the final rng state equal those of the per-row rule of
+    _sample_row applied to each user in order (a user with no positives
+    rejects nothing). That rule's first draw is
+    rng.integers(0, n_items, size=width), and numpy's integers() gives the
+    same values and leaves the same state whether a run of equal-range
+    draws is made in one call or split over several. So the first draws of
+    consecutive rows are made in one (rows, width) call and tested against
+    train_keys. A row keeps its first n survivors.
+
+    Three kinds of row take the per-row path. Two are known up front: a
+    dense row (more than n_items // 2 positives, drawn over the complement)
+    and a row expected to keep fewer than n of its draws (it would refill
+    more often than not). The third is found after drawing: a row that kept
+    fewer than n (it refills). Before such a row the rng is restored and the
+    rows before it in the block are drawn again.
+
+    Raises NoNegativesError up front if any user's positives cover every
+    item, and BadParam if n < 1.
+    """
+    if n < 1:
+        raise BadParam("n must be >= 1")
+    rows = np.atleast_1d(np.asarray(users, dtype=np.int64))
+    indptr, _ = dataset._index["train"]
+    n_items, keys = dataset.n_items, dataset.train_keys
+    n_pos = indptr[rows + 1] - indptr[rows]
+    if np.any(n_pos >= n_items):
+        raise NoNegativesError(
+            f"user {rows[np.argmax(n_pos >= n_items)]} has interacted with every item")
+    width = max(8, int(1.3 * n) + 4)
+    per_row = (n_pos > n_items // 2) | ((n_items - n_pos) * width < n * n_items)
+    cuts = np.append(np.flatnonzero(per_row), len(rows))
+    out = np.empty((len(rows), n), dtype=np.int64)
+    r, span = 0, len(rows)
+    while r < len(rows):
+        stop = min(int(cuts[np.searchsorted(cuts, r)]), r + span)
+        k = stop - r
+        if k:
+            state = rng.bit_generator.state
+            draws = rng.integers(0, n_items, size=(k, width))
+            q = rows[r:stop, None] * n_items + draws
+            ok = (keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] != q
+                  if len(keys) else np.ones(q.shape, dtype=bool))
+            short = np.count_nonzero(ok, axis=1) < n
+            if short.any():
+                k = int(np.argmax(short))
+                rng.bit_generator.state = state
+                rng.integers(0, n_items, size=(k, width))
+            keep = ok[:k] & (np.cumsum(ok[:k], axis=1) <= n)
+            out[r:r + k] = draws[:k][keep].reshape(k, n)
+            # A refill row discards the draws of the rows after it in its
+            # block. Capping the next block at about twice the rows this one
+            # kept keeps that waste in proportion to the rows kept.
+            span = 2 * k + 64
+        r += k
+        if r < len(rows) and (per_row[r] or r < stop):
+            out[r] = _sample_row(dataset.positives(int(rows[r])), n_items, n, rng)
+            r += 1
+    return NegativeSample(negatives=out[0] if np.ndim(users) == 0 else out)
 
 
 def popularity_groups(pop: np.ndarray, groups: int) -> np.ndarray:

@@ -165,12 +165,13 @@ def alignment_uniformity(
 def _block_hardness(model, enc: Encoder, dataset: InteractionSet, users: np.ndarray,
                     n: int, rng: np.random.Generator, first=None):
     """Learned sampling probabilities and deltas of (len(users), n) sampled
-    negatives, drawn row by row in order. Rows are scored in blocks of
-    BLOCK_ROWS, which bounds memory. first, if given, is a per-row item put
-    in front of the n draws. Yields (negatives, probs, deltas) per block."""
+    negatives. Each block of BLOCK_ROWS rows, which bounds memory, is drawn
+    by one sample_negatives call, so the rng is consumed as by one call per
+    row in order. first, if given, is a per-row item put in front of the n
+    draws. Yields (negatives, probs, deltas) per block."""
     for start in range(0, len(users), BLOCK_ROWS):
         block = users[start:start + BLOCK_ROWS]
-        negs = np.stack([sample_negatives(dataset, int(u), n, rng).negatives for u in block])
+        negs = sample_negatives(dataset, block, n, rng).negatives
         if first is not None:
             negs = np.concatenate([first[start:start + BLOCK_ROWS, None], negs], axis=1)
         probs, deltas = softmax_hardness(model.raw_scores_batch(block, negs, enc))

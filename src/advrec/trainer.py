@@ -8,6 +8,7 @@ parameters and an adversarial step never touches the encoder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,16 +63,16 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "lr_adv", "tau", "k_weight"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("batch_size", "n_negatives", "max_epochs", "eval_every",
-                     "t_adv_interval", "embed_dim", "k_eval"):
+                     "t_adv_interval", "embed_dim", "k_eval", "patience", "mlp_latent"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.e_adv_max < 0:
-            raise ValueError("e_adv_max must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("e_adv_max", "gcn_layers", "adv_dim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.hardness_strategy not in STRATEGIES:
             raise ValueError(f"hardness_strategy must be one of {STRATEGIES}")
         if self.backbone not in ("mf", "lightgcn"):
@@ -138,10 +139,7 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     for b, start in enumerate(range(0, len(pairs), cfg.batch_size)):
         chunk = pairs[perm[start:start + cfg.batch_size]]
         rng = substream(cfg.seed, f"{phase}-neg", epoch, b)
-        negs = np.stack([
-            sample_negatives(dataset, int(u), cfg.n_negatives, rng).negatives
-            for u in chunk[:, 0]
-        ])
+        negs = sample_negatives(dataset, chunk[:, 0], cfg.n_negatives, rng).negatives
         yield Batch(chunk[:, 0], chunk[:, 1], negs)
 
 
@@ -229,10 +227,7 @@ def hardness_divergence(state: TrainState, dataset: InteractionSet, epoch: int,
     train = dataset.train_pairs
     take = min(n_anchors, len(train))
     anchors = train[rng.integers(0, len(train), size=take)]
-    negs = np.stack([
-        sample_negatives(dataset, int(u), cfg.n_negatives, rng).negatives
-        for u in anchors[:, 0]
-    ])
+    negs = sample_negatives(dataset, anchors[:, 0], cfg.n_negatives, rng).negatives
     probs, deltas = _batch_deltas(state, Batch(anchors[:, 0], anchors[:, 1], negs))
     kl_mean = float(np.mean(-deltas.mean(axis=1)))
     eps_proxy = float(np.max(np.abs(probs - 1.0 / cfg.n_negatives)))

@@ -70,6 +70,14 @@ class TestGenerate:
                      "--train_fraction", "0"])
         assert code == 2
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("n_users=40\nn_item=30\n")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "n_item" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestTrain:
     def test_missing_train_file_exits_2(self, tmp_path, capsys):
@@ -89,6 +97,32 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "also a train pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gcn_layers", "-2"), ("--gcn_layers", "-1"), ("--mlp_latent", "0"),
+        ("--adv_dim", "-3"), ("--k_weight", "1e400"), ("--lr", "nan"),
+    ])
+    def test_bad_config_value_exits_2_before_loading(self, tmp_path, capsys, flag, value):
+        # The dataset files do not exist: the config is rejected before they load.
+        absent = str(tmp_path / "absent.tsv")
+        code = main(["train", "--train_file", absent, "--valid_file", absent,
+                     "--test_file", absent, "--out", str(tmp_path / "run"),
+                     "--backbone", "lightgcn", "--hardness_kind", "mlp", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag[2:] in err and "absent.tsv" not in err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        data = generate(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"train_file={data / 'train.tsv'}\nmax_epoch=3\n")
+        code = main(["train", "--config", str(cfg),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "max_epoch" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_toy_run_writes_all_artifacts(self, tmp_path):
         data = generate(tmp_path)

@@ -13,6 +13,8 @@ from advrec.dataio import (
     sample_negatives,
     write_synthetic,
 )
+from advrec.rng import substream
+from advrec.trainer import TrainConfig, iter_batches
 from advrec.errors import (
     BadParam,
     DegenerateSpec,
@@ -199,6 +201,98 @@ class TestSampleNegatives:
         a = sample_negatives(small_dataset, 0, 32, np.random.default_rng(9)).negatives
         b = sample_negatives(small_dataset, 0, 32, np.random.default_rng(9)).negatives
         np.testing.assert_array_equal(a, b)
+
+
+def test_numpy_split_draws_equal_one_draw():
+    """The batched sampler relies on this numpy property: integers() draws of
+    one range give the same values and leave the same bit-generator state
+    whether made in one call or split over several. Ranges include ones
+    where Lemire rejection is frequent (just above a power of two)."""
+    for seed in range(20):
+        for high in (3, 40, 1000, 2**31 + 1, 2**62 + 1):
+            split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+            values = np.concatenate([split.integers(0, high, size=a) for a in (1, 7, 0, 30)])
+            assert np.array_equal(values, whole.integers(0, high, size=38)), (
+                f"numpy changed how integers() consumes the stream (high={high}); "
+                "dataio.sample_negatives no longer replays the per-row sampler")
+            assert split.bit_generator.state == whole.bit_generator.state, (
+                f"numpy changed the state integers() leaves (high={high}); "
+                "dataio.sample_negatives no longer replays the per-row sampler")
+
+
+class TestSampleNegativesBatch:
+    """An array of users gives the per-row sampler's rows, stacked, and
+    leaves the rng where one call per row in order would."""
+
+    # 40 items: no positive, a few (the lowest and highest ids), exactly half
+    # (the rejection path's limit; sent to the per-row path up front, since
+    # it is expected to refill at n = 16 and 100), more than half (the
+    # complement path), and a third (expected to keep just over 16 of its
+    # first 24 draws, so it is found to refill after drawing about half the
+    # time).
+    N_ITEMS = 40
+    TRAIN = {0: [], 1: [0, 17, 39], 2: list(range(0, 40, 2)),
+             3: [i for i in range(40) if i % 4], 4: list(range(1, 40, 3))}
+
+    def dataset(self, train=None, n_items=N_ITEMS):
+        train = self.TRAIN if train is None else train
+        pairs = np.array([(u, i) for u, items in train.items() for i in items])
+        return InteractionSet(len(train), n_items, pairs.reshape(-1, 2),
+                              np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def reference(self, users, n, rng):
+        return np.stack([reference_sample_negatives(set(self.TRAIN[int(u)]), self.N_ITEMS,
+                                                    n, rng) for u in users])
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 100])
+    @pytest.mark.parametrize("users", [
+        [1, 0, 1, 3, 1, 0],            # a dense row mid-batch
+        [0, 1, 2, 1, 0, 2, 3, 3, 1],   # half-dense rows, two dense rows in a row
+        [3, 1, 0],                     # dense first
+        [1, 0, 3],                     # dense last
+        [4, 0, 4, 4, 1, 4, 0, 4, 4],   # rows found to refill after drawing
+        [4] * 4 + [1, 0] * 50 + [4],   # refill rows, then more rows than the next block
+    ])
+    def test_matches_per_row_reference_on_one_rng(self, users, n):
+        ds = self.dataset()
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives(ds, np.array(users), n, got_rng).negatives
+            np.testing.assert_array_equal(got, self.reference(users, n, want_rng))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_shapes(self):
+        ds = self.dataset()
+        assert sample_negatives(ds, 1, 5, np.random.default_rng(0)).negatives.shape == (5,)
+        assert sample_negatives(ds, np.int64(1), 5,
+                                np.random.default_rng(0)).negatives.shape == (5,)
+        assert sample_negatives(ds, np.array([1]), 5,
+                                np.random.default_rng(0)).negatives.shape == (1, 5)
+        assert sample_negatives(ds, np.array([], dtype=np.int64), 5,
+                                np.random.default_rng(0)).negatives.shape == (0, 5)
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_exhausted_user_anywhere_raises(self, at):
+        train = dict(self.TRAIN)
+        train[5] = list(range(self.N_ITEMS))
+        users = np.array([0, 1, 3, 2])
+        with pytest.raises(NoNegativesError, match="user 5"):
+            sample_negatives(self.dataset(train), np.insert(users, at, 5), 3,
+                             np.random.default_rng(0))
+
+    def test_rejects_non_positive_n(self):
+        with pytest.raises(BadParam):
+            sample_negatives(self.dataset(), np.array([0, 1]), 0, np.random.default_rng(0))
+
+    def test_iter_batches_equals_per_row_stack(self, small_dataset):
+        cfg = TrainConfig(batch_size=7, n_negatives=5, seed=3)
+        for b, batch in enumerate(iter_batches(small_dataset, cfg, 2, "min")):
+            rng = substream(cfg.seed, "min-neg", 2, b)
+            want = np.stack([reference_sample_negatives(
+                set(small_dataset.positives(int(u)).tolist()), small_dataset.n_items, 5, rng)
+                for u in batch.users])
+            np.testing.assert_array_equal(batch.negatives, want)
+        assert b >= 1
 
 
 class TestGammaQuotas:

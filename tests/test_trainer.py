@@ -231,3 +231,10 @@ class TestTrainConfigValidation:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(backbone="transformer")
+        for field, value in (("gcn_layers", -1), ("gcn_layers", -2), ("mlp_latent", 0),
+                             ("adv_dim", -3), ("k_weight", float("inf")),
+                             ("lr", float("nan")), ("lr_adv", float("inf")),
+                             ("tau", float("inf"))):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value})
+        TrainConfig(backbone="lightgcn", gcn_layers=0, adv_dim=0)
