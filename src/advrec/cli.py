@@ -23,6 +23,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .dataio import (
     SyntheticSpec,
+    gamma_quotas,
     gamma_split,
     generate_synthetic,
     load_interactions,
@@ -178,9 +179,11 @@ def cmd_evaluate(ns) -> int:
 def cmd_generate(ns) -> int:
     file_cfg = load_kv_config(ns.config, SyntheticSpec) if ns.config else {}
     spec = _resolve_dataclass(SyntheticSpec, file_cfg, ns)
+    if ns.gamma is not None:
+        gamma_quotas(ns.n0, ns.gamma, ns.groups)  # rejects bad split flags up front
+    result = generate_synthetic(spec)
     out = Path(ns.out or "dataset")
     out.mkdir(parents=True, exist_ok=True)
-    result = generate_synthetic(spec)
 
     manifest = {"mode": "biased-exposure", "spec": dataclasses.asdict(spec)}
     if ns.gamma is not None:

@@ -279,14 +279,17 @@ def gamma_quotas(n0: int, gamma: float, groups: int) -> np.ndarray:
 
     Smaller gamma yields a flatter (more out-of-distribution) test split.
     """
-    if gamma <= 0:
-        raise BadParam("gamma must be > 0")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise BadParam(f"gamma must be finite and > 0, got {gamma}")
     if groups < 2:
         raise BadParam("groups must be >= 2")
-    if n0 < 1:
-        raise BadParam("n0 must be >= 1")
+    if not 1 <= n0 < 2**62:
+        raise BadParam(f"n0 must lie in [1, 2**62), got {n0}")
     i = np.arange(1, groups + 1, dtype=np.float64)
-    return _round_half_up(n0 * gamma ** (-(i - 1) / (groups - 1)))
+    quotas = n0 * gamma ** (-(i - 1) / (groups - 1))
+    if quotas.max() >= 2.0**62:
+        raise BadParam(f"gamma {gamma} and n0 {n0} give a quota beyond the int64 range")
+    return _round_half_up(quotas)
 
 
 @dataclass
@@ -360,8 +363,9 @@ class SyntheticSpec:
             raise BadParam("train_fraction must lie in (0, 1)")
         if not (0 <= self.fn_plant_rate < 1):
             raise BadParam("fn_plant_rate must lie in [0, 1)")
-        if self.exposure_bias_strength < 0:
-            raise BadParam("exposure_bias_strength must be >= 0")
+        if not (np.isfinite(self.exposure_bias_strength) and self.exposure_bias_strength >= 0):
+            raise BadParam("exposure_bias_strength must be finite and >= 0, "
+                           f"got {self.exposure_bias_strength}")
         if not (0 < self.relevance_quantile < 1):
             raise BadParam("relevance_quantile must lie in (0, 1)")
 

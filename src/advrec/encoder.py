@@ -19,6 +19,7 @@ from .numkit import (
     propagate,
     propagate_backward,
     scatter_rows,
+    segment_sum,
 )
 from .rng import substream
 
@@ -166,9 +167,9 @@ def batch_backward(
 
     # Graph backbone: scatter onto node representations, then one linear
     # backward pass through the propagation.
-    node_grad = np.zeros((enc.n_users + enc.n_items, enc.dim))
-    np.add.at(node_grad, c.users, d_u)
-    np.add.at(node_grad, enc.n_users + c.items.ravel(), d_i.reshape(-1, enc.dim))
+    node_grad = segment_sum(np.concatenate([c.users, enc.n_users + c.items.ravel()]),
+                            np.concatenate([d_u, d_i.reshape(-1, enc.dim)]),
+                            enc.n_users + enc.n_items)
     layer0_grad = propagate_backward(node_grad, enc.adj, enc.layers)
     nz = np.flatnonzero(np.any(layer0_grad != 0.0, axis=1))
     u_ids = nz[nz < enc.n_users]

@@ -225,11 +225,11 @@ def hardness_popularity_profile(
     if len(train) == 0:
         raise EmptySample("no train pairs to sample anchors from")
     anchors = train[rng.integers(0, len(train), size=min(n_anchor_samples, len(train)))]
-    sums = np.zeros(bins)
-    counts = np.zeros(bins, dtype=np.int64)
-    for negs, probs, _ in _block_hardness(model, enc, dataset, anchors[:, 0], n_negatives, rng):
-        np.add.at(sums, item_bin[negs].ravel(), probs.ravel())
-        np.add.at(counts, item_bin[negs].ravel(), 1)
+    neg_bins, probs = zip(*((item_bin[negs].ravel(), p.ravel()) for negs, p, _ in
+                            _block_hardness(model, enc, dataset, anchors[:, 0], n_negatives, rng)))
+    neg_bin = np.concatenate(neg_bins)
+    sums = np.bincount(neg_bin, weights=np.concatenate(probs), minlength=bins)
+    counts = np.bincount(neg_bin, minlength=bins)
     return [
         (b, float(sums[b] / counts[b]) if counts[b] else float("nan"), int(counts[b]))
         for b in range(bins)

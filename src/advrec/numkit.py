@@ -1,5 +1,6 @@
 """Dense/sparse numerical kernel: embedding tables, sparse-lazy Adam,
-temperature-scaled cosine scoring, and symmetric-normalized graph propagation.
+temperature-scaled cosine scoring, index scatter-add, and symmetric-normalized
+graph propagation.
 
 Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
 """
@@ -7,7 +8,6 @@ Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -128,29 +128,21 @@ def cosine_score_grad(u_vec, i_vec, tau) -> tuple[np.ndarray, np.ndarray]:
 
 def adam_step(
     table: EmbeddingTable,
-    row_grads: Mapping[int, np.ndarray] | tuple[np.ndarray, np.ndarray],
+    row_grads: tuple[np.ndarray, np.ndarray],
     hyper: AdamHyper,
 ) -> EmbeddingTable:
     """Sparse/lazy Adam: update only the rows present in row_grads.
 
     Moments of untouched rows are not decayed, matching common embedding
     training practice; this changes trajectories versus dense Adam.
-    step_count increments once per call, even for an empty gradient map.
+    step_count increments once per call, even for an empty gradient block.
 
-    row_grads is either a {row: grad_vector} map or a pre-stacked
-    (row_ids, grad_matrix) pair with unique ids.
+    row_grads is a (row_ids, grad_matrix) pair with unique ids, as
+    scatter_rows returns it.
     """
-    if isinstance(row_grads, tuple):
-        ids, grads = row_grads
-        ids = np.asarray(ids, dtype=np.int64)
-        grads = np.asarray(grads, dtype=np.float64)
-    else:
-        ids = np.fromiter(row_grads.keys(), dtype=np.int64, count=len(row_grads))
-        grads = (
-            np.stack([np.asarray(g, dtype=np.float64) for g in row_grads.values()])
-            if len(row_grads)
-            else np.zeros((0, table.dim))
-        )
+    ids, grads = row_grads
+    ids = np.asarray(ids, dtype=np.int64)
+    grads = np.asarray(grads, dtype=np.float64)
     table.step_count += 1
     if ids.size == 0:
         return table
@@ -171,14 +163,24 @@ def adam_step(
     return table
 
 
+def segment_sum(ids, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums of the rows that share an id: out[k] = sum of rows[j] over
+    ids[j] == k, zero for an absent k. ids are non-negative and below n, of
+    any shape; rows has one d-wide row per id. One bincount over the flat
+    index id * d + col adds each output cell's terms to 0.0 in input order,
+    as numpy.add.at does, so the sums are bit-identical to it."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    d = rows.shape[-1]
+    flat = (ids[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=rows.reshape(-1), minlength=n * d)
+    return sums.astype(np.float64, copy=False).reshape(n, d)  # an empty bincount is int
+
+
 def scatter_rows(ids, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the gradient rows that share an id: (ascending unique ids, summed
     rows). ids of any shape; grads has one row per id."""
-    ids = np.asarray(ids).ravel()
     unique, inverse = np.unique(ids, return_inverse=True)
-    sums = np.zeros((len(unique), grads.shape[-1]))
-    np.add.at(sums, inverse, grads.reshape(len(ids), -1))
-    return unique, sums
+    return unique, segment_sum(inverse, grads, len(unique))
 
 
 @dataclass
@@ -209,9 +211,7 @@ class NormAdjacency:
         """A @ x for the normalized adjacency A."""
         if x.shape[0] != self.node_count:
             raise DimMismatch(f"input rows {x.shape[0]} != node count {self.node_count}")
-        out = np.zeros_like(x)
-        np.add.at(out, self.rows, self.weights[:, None] * x[self.cols])
-        return out
+        return segment_sum(self.rows, self.weights[:, None] * x[self.cols], self.node_count)
 
 
 def propagate(layer0: np.ndarray, adj: NormAdjacency, layers: int) -> np.ndarray:

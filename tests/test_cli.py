@@ -70,6 +70,20 @@ class TestGenerate:
                      "--train_fraction", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "nan"), ("--gamma", "inf"), ("--gamma", "-1"), ("--n0", "0"),
+        ("--groups", "1"), ("--n0", str(10**400)), ("--exposure_bias_strength", "inf"),
+        ("--exposure_bias_strength", "nan"),
+    ])
+    def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        extra = [] if flag.startswith("--exposure") else ["--gamma", "2"]
+        code = main(["generate", "--out", str(out), "--n_users", "200", "--n_items", "100",
+                     *extra, flag, value])
+        assert code == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("n_users=40\nn_item=30\n")

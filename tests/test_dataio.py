@@ -319,6 +319,14 @@ class TestGammaQuotas:
             gamma_quotas(10, 2.0, 1)
         with pytest.raises(BadParam):
             gamma_quotas(0, 2.0, 50)
+        for gamma in (float("nan"), float("inf")):
+            with pytest.raises(BadParam, match="gamma"):
+                gamma_quotas(10, gamma, 50)
+        with pytest.raises(BadParam, match="n0"):
+            gamma_quotas(10**400, 2.0, 50)
+        for n0, gamma in ((2**61, 0.5), (10, 1e-300)):
+            with pytest.raises(BadParam, match="int64"):
+                gamma_quotas(n0, gamma, 50)
 
 
 class TestGammaSplit:
@@ -440,3 +448,8 @@ class TestSpecValidation:
             SyntheticSpec(fn_plant_rate=1.0)
         with pytest.raises(BadParam):
             SyntheticSpec(exposure_bias_strength=-1.0)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_exposure_bias(self, value):
+        with pytest.raises(BadParam, match="exposure_bias_strength"):
+            SyntheticSpec(exposure_bias_strength=value)

@@ -186,6 +186,58 @@ class TestBatchPath:
             np.testing.assert_allclose(g, ref_item[int(r)], atol=1e-12)
 
 
+def apply_reference(adj, x):
+    """NormAdjacency.apply as one np.add.at scatter."""
+    out = np.zeros_like(x)
+    np.add.at(out, adj.rows, adj.weights[:, None] * x[adj.cols])
+    return out
+
+
+def graph_backward_reference(enc, cache, upstream):
+    """The graph branch of batch_backward with its two np.add.at scatters and
+    np.add.at propagation."""
+    up = upstream / enc.tau
+    c = cache
+    coef_i = up / (c.u_norm[:, None] * c.i_norm)
+    d_i = coef_i[..., None] * c.u_rep[:, None, :] \
+        - (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
+    d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
+        - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
+    node_grad = np.zeros((enc.n_users + enc.n_items, enc.dim))
+    np.add.at(node_grad, c.users, d_u)
+    np.add.at(node_grad, enc.n_users + c.items.ravel(), d_i.reshape(-1, enc.dim))
+    acc = current = node_grad
+    for _ in range(enc.layers):  # propagate_backward, on apply_reference
+        current = apply_reference(enc.adj, current)
+        acc = acc + current
+    layer0_grad = acc / (enc.layers + 1)
+    nz = np.flatnonzero(np.any(layer0_grad != 0.0, axis=1))
+    u_ids = nz[nz < enc.n_users]
+    i_ids = nz[nz >= enc.n_users] - enc.n_users
+    return (u_ids, layer0_grad[u_ids]), (i_ids, layer0_grad[i_ids + enc.n_users])
+
+
+class TestGraphScatterBytes:
+    def test_apply_equals_add_at(self, small_dataset):
+        adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
+                                   small_dataset.train_pairs)
+        x = np.random.default_rng(40).normal(size=(adj.node_count, 5))
+        assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
+
+    def test_batch_backward_equals_add_at(self, small_dataset):
+        enc = gcn_encoder(small_dataset, dim=4, seed=41)
+        rng = np.random.default_rng(42)
+        users = rng.integers(0, small_dataset.n_users, size=12)
+        items = rng.integers(0, small_dataset.n_items, size=(12, 5))
+        upstream = rng.normal(size=(12, 5))
+        _, cache = batch_forward(enc, users, items)
+        got = batch_backward(enc, cache, upstream)
+        ref = graph_backward_reference(enc, cache, upstream)
+        for (ids, grads), (ref_ids, ref_grads) in zip(got, ref):
+            np.testing.assert_array_equal(ids, ref_ids)
+            assert grads.tobytes() == ref_grads.tobytes()
+
+
 class TestRepresentations:
     def test_graph_isolated_item_keeps_scaled_layer0(self):
         from advrec.dataio import InteractionSet

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from advrec.dataio import InteractionSet, sample_negatives
+from advrec.dataio import InteractionSet, popularity_groups, sample_negatives
 from advrec.encoder import build_encoder, representations, score
 from advrec.errors import BadParam, EmptyEval, EmptyFnList, NoCandidates
 from advrec.evaluation import (
     BLOCK_ROWS,
     RankResult,
+    _block_hardness,
     alignment_uniformity,
     dcg_bound_check,
     evaluate_split,
@@ -343,6 +344,28 @@ class TestHardnessPopularityProfile:
                                            n_anchor_samples=60)
         means = [m for _, m, c in rows if c]
         assert means == sorted(means, reverse=True)  # popular bin first
+
+
+    def test_equals_per_block_add_at(self):
+        dataset = tiny_dataset(n_users=400, n_items=50, seed=24)
+        assert len(dataset.train_pairs) > BLOCK_ROWS
+        enc = make_encoder(dataset, seed=25)
+        model = EmbedHardness.init(dataset.n_users, dataset.n_items, 3, 25)
+        model.user_table.values[:] = np.random.default_rng(26).normal(size=(400, 3))
+        bins, n_neg, n_anchor = 5, 7, len(dataset.train_pairs)
+        rows = hardness_popularity_profile(model, enc, dataset, bins, n_neg,
+                                           np.random.default_rng(27), n_anchor)
+        # reference: one np.add.at pair per block, in block order
+        rng = np.random.default_rng(27)
+        item_bin = popularity_groups(dataset.item_popularity, bins)
+        anchors = dataset.train_pairs[rng.integers(0, n_anchor, size=n_anchor)]
+        sums, counts = np.zeros(bins), np.zeros(bins, dtype=np.int64)
+        blocks = list(_block_hardness(model, enc, dataset, anchors[:, 0], n_neg, rng))
+        assert len(blocks) > 1
+        for negs, probs, _ in blocks:
+            np.add.at(sums, item_bin[negs].ravel(), probs.ravel())
+            np.add.at(counts, item_bin[negs].ravel(), 1)
+        assert rows == [(b, float(sums[b] / counts[b]), int(counts[b])) for b in range(bins)]
 
 
 class TestEvaluateSplit:

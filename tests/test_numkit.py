@@ -13,6 +13,8 @@ from advrec.numkit import (
     cosine_score_grad,
     propagate,
     propagate_backward,
+    scatter_rows,
+    segment_sum,
 )
 
 from conftest import central_difference, max_rel_error
@@ -101,7 +103,7 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         table = EmbeddingTable.uniform_init(4, 3, rng)
         before = table.values.copy()
-        adam_step(table, {}, AdamHyper())
+        adam_step(table, (np.zeros(0, dtype=np.int64), np.zeros((0, 3))), AdamHyper())
         np.testing.assert_array_equal(table.values, before)
         assert table.step_count == 1
 
@@ -110,7 +112,7 @@ class TestAdamStep:
         before = table.values[1].copy()
         g = np.array([0.5, -2.0, 1e3, -1e-2])
         hyper = AdamHyper(lr=0.01)
-        adam_step(table, {1: g}, hyper)
+        adam_step(table, ([1], g[None, :]), hyper)
         delta = table.values[1] - before
         np.testing.assert_allclose(delta, -hyper.lr * np.sign(g), rtol=1e-5)
 
@@ -120,8 +122,8 @@ class TestAdamStep:
         hyper = AdamHyper(lr=0.07)
         g1 = rng.normal(size=5)
         w0 = table.values[0].copy()
-        adam_step(table, {0: g1}, hyper)
-        adam_step(table, {0: g1}, hyper)
+        adam_step(table, ([0], g1[None, :]), hyper)
+        adam_step(table, ([0], g1[None, :]), hyper)
         expected = np.array([
             scalar_adam_reference(w0[d], [g1[d], g1[d]], hyper) for d in range(5)
         ])
@@ -130,7 +132,7 @@ class TestAdamStep:
     def test_lazy_rows_untouched(self):
         table = EmbeddingTable.uniform_init(5, 3, np.random.default_rng(4))
         before = table.values.copy()
-        adam_step(table, {2: np.ones(3)}, AdamHyper())
+        adam_step(table, ([2], np.ones((1, 3))), AdamHyper())
         mask = np.ones(5, dtype=bool)
         mask[2] = False
         np.testing.assert_array_equal(table.values[mask], before[mask])
@@ -141,7 +143,8 @@ class TestAdamStep:
             table = EmbeddingTable.uniform_init(4, 3, np.random.default_rng(9))
             rng = np.random.default_rng(10)
             for _ in range(5):
-                adam_step(table, {int(rng.integers(0, 4)): rng.normal(size=3)}, AdamHyper())
+                adam_step(table, ([int(rng.integers(0, 4))], rng.normal(size=(1, 3))),
+                          AdamHyper())
             return table.values.tobytes()
 
         assert run() == run()
@@ -149,7 +152,56 @@ class TestAdamStep:
     def test_nonfinite_gradient_raises(self):
         table = EmbeddingTable.uniform_init(2, 2, np.random.default_rng(5))
         with pytest.raises(NonFiniteGradient):
-            adam_step(table, {0: np.array([np.nan, 1.0])}, AdamHyper())
+            adam_step(table, ([0], np.array([[np.nan, 1.0]])), AdamHyper())
+
+
+def add_at_reference(ids, rows, n):
+    """The np.add.at scatter that segment_sum replaces."""
+    ids = np.asarray(ids).ravel()
+    out = np.zeros((n, rows.shape[-1]))
+    np.add.at(out, ids, rows.reshape(len(ids), rows.shape[-1]))
+    return out
+
+
+class TestSegmentSum:
+    def test_bytes_equal_add_at(self):
+        rng = np.random.default_rng(30)
+        for case in range(200):
+            n = int(rng.integers(1, 12))
+            d = 1 if case % 4 == 0 else int(rng.integers(1, 6))
+            count = int(rng.integers(0, 40))
+            # ids below n - case % 3: the top ids are often absent, so n exceeds the largest id
+            ids = rng.integers(0, max(1, n - case % 3), size=count)
+            mag = 10.0 ** rng.uniform(-300, 300, size=(count, d))
+            rows = rng.choice([-1.0, 1.0], size=(count, d)) * mag
+            rows[rng.random((count, d)) < 0.1] = -0.0
+            got = segment_sum(ids, rows, n)
+            assert got.shape == (n, d) and got.dtype == np.float64
+            assert got.tobytes() == add_at_reference(ids, rows, n).tobytes()
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        got = segment_sum([1, 1], np.array([[-0.0], [-0.0]]), 3)
+        assert got.tobytes() == add_at_reference([1, 1], np.array([[-0.0], [-0.0]]), 3).tobytes()
+        assert not np.signbit(got).any()
+
+    def test_block_ids_and_empty(self):
+        rng = np.random.default_rng(31)
+        ids = rng.integers(0, 5, size=(3, 4))
+        rows = rng.normal(size=(3, 4, 2))
+        assert segment_sum(ids, rows, 7).tobytes() == add_at_reference(ids, rows, 7).tobytes()
+        empty = segment_sum([], np.zeros((0, 3)), 2)
+        assert empty.dtype == np.float64 and empty.tobytes() == np.zeros((2, 3)).tobytes()
+        ids, sums = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        assert ids.size == 0 and sums.shape == (0, 3) and sums.dtype == np.float64
+
+    def test_scatter_rows_matches_unique_add_at(self):
+        rng = np.random.default_rng(32)
+        ids = rng.integers(0, 50, size=(16, 9))
+        grads = rng.normal(size=(16, 9, 5))
+        unique, sums = scatter_rows(ids, grads)
+        ref_ids, inverse = np.unique(ids, return_inverse=True)
+        np.testing.assert_array_equal(unique, ref_ids)
+        assert sums.tobytes() == add_at_reference(inverse, grads, len(ref_ids)).tobytes()
 
 
 def two_node_adjacency():

@@ -1,0 +1,98 @@
+"""Training and diagnostics hashes for the 16 backbone x strategy x hardness
+configurations.
+
+Trains the acceptance configuration of criteria 10/11 (synthetic dataset and
+training config of tests/test_acceptance.py, seed 0, 30 epochs) once per
+configuration and prints two hashes for each:
+
+- train: the history JSON, the final and best encoder tables and the final
+  hardness parameters;
+- diag: test HR/Recall/NDCG@20 of the final encoder, the false-negative
+  identification rate (n_resamples=1) and a 10-bin hardness-popularity
+  profile; the last two only where the strategy trains a hardness model.
+
+Two source trees whose tables are identical train and diagnose byte for byte
+alike on these configurations. The table goes to standard output and the
+seconds per configuration to standard error. Run from the repository root:
+
+    PYTHONPATH=src python tools/config_hashes.py
+    PYTHONPATH=path/to/other/src python tools/config_hashes.py   # to compare
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import sys
+import time
+
+from advrec.dataio import SyntheticSpec, generate_synthetic
+from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
+from advrec.rng import substream
+from advrec.trainer import TrainConfig, run_training
+
+SEED = 0
+SPEC = dict(n_users=2000, n_items=1000, latent_dim=32, exposure_bias_strength=1.0,
+            train_fraction=0.6, fn_plant_rate=0.2, relevance_quantile=0.02)
+CFG = dict(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16, k_weight=16.0, tau=0.2,
+           e_adv_max=6, t_adv_interval=3, max_epochs=30, eval_every=10, patience=50,
+           embed_dim=32, k_eval=20)
+BACKBONES = ("mf", "lightgcn")
+STRATEGIES = ("adv", "reverse", "rand", "none")
+HARDNESS = ("embed", "mlp")
+PROFILE_BINS = 10
+
+
+def _digest(h) -> str:
+    return h.hexdigest()[:16]
+
+
+def _add_encoder(h, enc) -> None:
+    h.update(enc.user_table.values.tobytes())
+    h.update(enc.item_table.values.tobytes())
+
+
+def _add_hardness(h, model) -> None:
+    if model is not None:
+        for name, arr in sorted(model.param_arrays().items()):
+            h.update(name.encode())
+            h.update(arr.tobytes())
+
+
+def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[str, str]:
+    cfg = TrainConfig(seed=SEED, backbone=backbone, hardness_strategy=strategy,
+                      hardness_kind=hardness, **CFG)
+    state = run_training(data.dataset, cfg).state
+
+    train = hashlib.sha256(json.dumps(state.history, sort_keys=True).encode())
+    _add_encoder(train, state.encoder)
+    _add_encoder(train, state.best_encoder)
+    _add_hardness(train, state.hardness)
+
+    report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
+    diag = [report.hr, report.recall, report.ndcg]
+    if state.hardness is not None:
+        diag.append(fn_identification_rate(
+            state.hardness, data.planted_fn, state.encoder, data.dataset,
+            cfg.n_negatives, substream(SEED, "fn-rate-eval"), n_resamples=1))
+        diag.append(hardness_popularity_profile(
+            state.hardness, state.encoder, data.dataset, PROFILE_BINS, cfg.n_negatives,
+            substream(SEED, "profile")))
+    return _digest(train), _digest(hashlib.sha256(repr(diag).encode()))
+
+
+def main() -> None:
+    data = generate_synthetic(SyntheticSpec(seed=SEED, **SPEC))
+    print("| backbone | strategy | hardness | train | diag |")
+    print("| --- | --- | --- | --- | --- |")
+    for backbone, strategy, hardness in itertools.product(BACKBONES, STRATEGIES, HARDNESS):
+        t0 = time.perf_counter()
+        train, diag = config_hashes(data, backbone, strategy, hardness)
+        print(f"| {backbone} | {strategy} | {hardness} | {train} | {diag} |", flush=True)
+        print(f"{backbone}/{strategy}/{hardness}: {time.perf_counter() - t0:.1f} s",
+              file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
