@@ -156,6 +156,11 @@ def cmd_train(ns) -> int:
 
 
 def cmd_evaluate(ns) -> int:
+    if ns.k_eval < 1:
+        raise EngineError(f"--k_eval must be >= 1, got {ns.k_eval}")
+    csv = Path(ns.per_user_csv) if ns.per_user_csv else None
+    if csv and (csv.is_dir() or not csv.parent.is_dir()):
+        raise EngineError(f"--per_user_csv {csv} is not a file path in an existing directory")
     dataset = _load_dataset(ns)
     enc, _ = ckpt.load_checkpoint(ns.checkpoint, dataset)
     report = evaluate_split(enc, dataset, ns.split, ns.k_eval)
@@ -166,8 +171,8 @@ def cmd_evaluate(ns) -> int:
         f"ndcg@{ns.k_eval}": report.ndcg,
         "n_users": report.n_users,
     }
-    if ns.per_user_csv:
-        with open(ns.per_user_csv, "w", encoding="utf-8") as fh:
+    if csv:
+        with open(csv, "w", encoding="utf-8") as fh:
             fh.write("user,hr,recall,ndcg\n")
             for user in sorted(report.per_user):
                 hr, recall, ndcg = report.per_user[user]

@@ -22,6 +22,7 @@ from .errors import (
 from .rng import substream
 
 SPLITS = ("train", "valid", "test")
+INT64_MAX = 2**63 - 1  # ids are held as int64
 
 
 @dataclass
@@ -77,19 +78,35 @@ class InteractionSet:
         indptr, items = self._index[split]
         return items[indptr[u]:indptr[u + 1]]
 
+    def positives_of(self, users, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
+        """The positives of an array of users in the split, user by user in
+        the order given and ascending within a user, and for each one the
+        index of its user in users."""
+        indptr, items = self._index[split]
+        users = np.asarray(users, dtype=np.int64)
+        counts = indptr[users + 1] - indptr[users]
+        owner = np.repeat(np.arange(len(users)), counts)
+        ends = np.cumsum(counts)
+        at = np.arange(len(owner)) + np.repeat(indptr[users] - (ends - counts), counts)
+        return items[at], owner
+
     def remap_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Translate original-id pairs into this set's dense id space.
-        Pairs referencing ids unseen at load time are dropped."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if self.user_remap is None and self.item_remap is None:
-            return pairs
-        out = []
-        for u, i in pairs:
-            mu = self.user_remap.get(int(u)) if self.user_remap else int(u)
-            mi = self.item_remap.get(int(i)) if self.item_remap else int(i)
-            if mu is not None and mi is not None:
-                out.append((mu, mi))
-        return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+        Pairs referencing ids unseen at load time are dropped; a column
+        whose map is None or empty keeps its ids."""
+        out = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        keep = np.ones(len(out), dtype=bool)
+        for col, remap in enumerate((self.user_remap, self.item_remap)):
+            if not remap:
+                continue
+            keys = np.fromiter(remap.keys(), dtype=np.int64, count=len(remap))
+            values = np.fromiter(remap.values(), dtype=np.int64, count=len(remap))
+            order = np.argsort(keys)
+            keys, values = keys[order], values[order]
+            at = np.minimum(np.searchsorted(keys, out[:, col]), len(keys) - 1)
+            keep &= keys[at] == out[:, col]
+            out[:, col] = values[at]
+        return out[keep]
 
     def pairs(self, split: str) -> np.ndarray:
         return getattr(self, f"{split}_pairs")
@@ -124,6 +141,8 @@ def _read_pairs(path) -> list[tuple[int, int]]:
                 raise ParseError(path, line_no, f"non-integer id in {fields!r}")
             if u < 0 or i < 0:
                 raise ParseError(path, line_no, "negative id")
+            if u > INT64_MAX or i > INT64_MAX:
+                raise ParseError(path, line_no, "id above 2**63 - 1")
             if (u, i) in seen:
                 raise ParseError(path, line_no, f"duplicate pair ({u}, {i})")
             seen.add((u, i))

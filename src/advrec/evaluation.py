@@ -10,13 +10,18 @@ import numpy as np
 
 from .dataio import InteractionSet, popularity_groups, sample_negatives
 from .encoder import Encoder, representations
-from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates
+from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates, ZeroNormError
 from .loss import advinfonce_forward, softmax_hardness
-from .numkit import cosine_scores
+from .numkit import NORM_FLOOR, cosine_scores
 
 # Hardness diagnostics score at most this many sampled rows at once, which
 # bounds their memory whatever the number of planted pairs or anchors.
 BLOCK_ROWS = 1024
+# evaluate_split holds at most this many float64 scores at once (2 MB) in its
+# user block, and as many again in the score rows it gathers for a chunk of
+# positives (a single row when n_items alone exceeds it), which bounds its
+# memory whatever the number of users.
+SCORE_CELLS = 1 << 18
 
 
 @dataclass
@@ -24,10 +29,11 @@ class RankResult:
     """Full candidate ranking for one user: every item except the user's
     train positives, sorted by descending score with ties broken by
     ascending item id. Positions of the evaluated split's positives are
-    1-based."""
+    1-based and ascending. evaluate_split counts the positions without
+    building the ranking, which it leaves None."""
 
     user: int
-    ranking: np.ndarray
+    ranking: np.ndarray | None
     positions: np.ndarray
 
 
@@ -46,13 +52,11 @@ def rank_all(
     user: int,
     dataset: InteractionSet,
     split: str = "test",
-    reps: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RankResult:
     """Rank every item except the user's train positives. Deterministic:
-    equal scores order by ascending item id."""
-    if reps is None:
-        reps = representations(enc)
-    user_reps, item_reps = reps
+    equal scores order by ascending item id. The reference that
+    evaluate_split's counted positions are tested against."""
+    user_reps, item_reps = representations(enc)
     mask = np.ones(dataset.n_items, dtype=bool)
     mask[dataset.positives(user, "train")] = False
     candidates = np.flatnonzero(mask)
@@ -96,24 +100,69 @@ def topk_metrics(results: Iterable[RankResult], k_eval: int = 20) -> MetricRepor
                         n_users=len(per_user), per_user=per_user)
 
 
+def _block_ranks(scores: np.ndarray, items: np.ndarray, owner: np.ndarray,
+                 step: int) -> np.ndarray:
+    """1-based rank of each positive items[j] in its score row
+    scores[owner[j]]: 1 + #(score > s) + #(score == s and id < items[j]),
+    rank_all's stable order. Gathers at most step score rows at a time."""
+    ids = np.arange(scores.shape[1])
+    ranks = np.empty(len(items), dtype=np.int64)
+    for c in range(0, len(items), step):
+        p, rows = items[c:c + step, None], scores[owner[c:c + step]]
+        s_p = np.take_along_axis(rows, p, axis=1)
+        ranks[c:c + step] = 1 + np.count_nonzero(rows > s_p, axis=1) \
+            + np.count_nonzero((rows == s_p) & (ids < p), axis=1)
+    return ranks
+
+
+def _ranked_positions(enc: Encoder, dataset: InteractionSet, split: str):
+    """Yield a RankResult, positions only, for every user with positives in
+    the split, in ascending user order. See evaluate_split."""
+    user_reps, item_reps = representations(enc)
+    users = dataset.users_with_positives(split)
+    u_norm = np.linalg.norm(user_reps[users], axis=1)
+    i_norm = np.linalg.norm(item_reps, axis=1)
+    if np.any(u_norm <= NORM_FLOOR) or np.any(i_norm <= NORM_FLOOR):
+        raise ZeroNormError("representation norm below 1e-12")
+    step = max(1, SCORE_CELLS // dataset.n_items)
+    for start in range(0, len(users), step):
+        block = users[start:start + step]
+        scores = user_reps[block] @ item_reps.T
+        scores /= u_norm[start:start + step, None] * i_norm * enc.tau
+        train_items, train_owner = dataset.positives_of(block, "train")
+        scores[train_owner, train_items] = -np.inf
+        items, owner = dataset.positives_of(block, split)
+        ranks = _block_ranks(scores, items, owner, step)
+        ranks = ranks[np.lexsort((ranks, owner))]
+        bounds = np.cumsum(np.bincount(owner, minlength=len(block)))[:-1]
+        for u, positions in zip(block, np.split(ranks, bounds)):
+            yield RankResult(user=int(u), ranking=None, positions=positions)
+
+
 def evaluate_split(
     enc: Encoder,
     dataset: InteractionSet,
     split: str,
     k_eval: int = 20,
 ) -> MetricReport:
-    """Rank and score every user that has positives in the split. Each
-    user's ranking is freed once scored. The train split is rejected: train
-    positives are never ranking candidates. A split positive is never a
-    train positive, so every evaluated user has a candidate."""
+    """Top-k metrics of an all-item ranking for every user that has
+    positives in the split, equal to topk_metrics over rank_all's results.
+
+    Users are scored in blocks of max(1, SCORE_CELLS // n_items) rows
+    against every item with one matmul, in cosine_scores' expression, and
+    each user's train positives are set to -inf. A split positive p scoring
+    s ranks 1 + #(score > s) + #(score == s and id < p): rank_all's stable
+    order, counted without a sort. The score rows of a block's positives
+    are gathered in chunks of the same number of rows.
+
+    Raises ZeroNormError if the representation of an evaluated user or of
+    any item (every item is scored) has norm <= 1e-12. The train split is
+    rejected: train positives are never ranking candidates. A split
+    positive is never a train positive, so every evaluated user has a
+    candidate."""
     if split == "train":
         raise BadParam("train positives are never ranking candidates; evaluate valid or test")
-    reps = representations(enc)
-    results = (
-        rank_all(enc, int(u), dataset, split=split, reps=reps)
-        for u in dataset.users_with_positives(split)
-    )
-    return topk_metrics(results, k_eval)
+    return topk_metrics(_ranked_positions(enc, dataset, split), k_eval)
 
 
 def dcg_bound_check(s_pos: float, s_negs, deltas) -> tuple[float, float, bool]:

@@ -205,15 +205,32 @@ class TestEvaluate:
                      "--train_file", str(tmp_path / "train.tsv"),
                      "--valid_file", str(tmp_path / "valid.tsv"),
                      "--test_file", str(tmp_path / "test.tsv"),
-                     "--split", "test", "--k_eval", "1"])
+                     "--split", "test", "--k_eval", "1",
+                     "--per_user_csv", str(tmp_path / "users.csv")])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["recall@1"] == 1.0
+        assert (tmp_path / "users.csv").read_text() == "user,hr,recall,ndcg\n0,1.0,1.0,1.0\n"
 
     def test_train_split_is_not_a_choice(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--checkpoint", str(tmp_path / "any.ckpt"), "--split", "train"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--k_eval", "0"), ("--k_eval", "-3"),
+                                            ("--per_user_csv", "missing/users.csv"),
+                                            ("--per_user_csv", ".")])
+    def test_bad_flag_exits_2_before_loading(self, tmp_path, capsys, flag, value):
+        # The checkpoint and dataset files do not exist: a flag checked
+        # before loading is the error reported.
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--train_file", str(tmp_path / "none.tsv"),
+                     "--valid_file", str(tmp_path / "none.tsv"),
+                     "--test_file", str(tmp_path / "none.tsv"),
+                     flag, str(tmp_path / value) if flag == "--per_user_csv" else value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and not captured.out
 
     def test_mismatched_dataset_exits_2(self, tmp_path):
         data = generate(tmp_path)

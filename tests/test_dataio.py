@@ -79,6 +79,13 @@ class TestLoadInteractions:
         with pytest.raises(ParseError, match=":2:"):
             load_interactions(train, valid, test)
 
+    def test_id_beyond_int64_reports_line(self, tmp_path):
+        train = write(tmp_path, "train.tsv", f"0\t0\n1\t{2**63}\n")
+        valid = write(tmp_path, "valid.tsv", "")
+        test = write(tmp_path, "test.tsv", "")
+        with pytest.raises(ParseError, match=":2:"):
+            load_interactions(train, valid, test)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         train = write(tmp_path, "train.tsv", "# header\n\n0\t1\n")
         valid = write(tmp_path, "valid.tsv", "")
@@ -130,16 +137,59 @@ class TestInteractionSet:
         pool = pool[pool // n_items != 4]  # user 4 has no pair in any split
         pairs = np.stack([pool // n_items, pool % n_items], axis=1)
         ds = InteractionSet(n_users, n_items, pairs[:40], pairs[40:48], pairs[48:])
+        users = np.array([7, 4, 0, 7, 8, 2])
         for split in ("train", "valid", "test"):
             split_pairs = ds.pairs(split)
             for u in range(n_users):
                 want = sorted(int(i) for v, i in split_pairs if v == u)
                 assert ds.positives(u, split).tolist() == want
+            items, owner = ds.positives_of(users, split)
+            assert items.tolist() == [int(i) for u in users for i in ds.positives(u, split)]
+            assert owner.tolist() == [k for k, u in enumerate(users)
+                                      for _ in ds.positives(u, split)]
         assert len(ds.positives(4, "train")) == 0
 
     def test_positives_are_read_only(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.positives(0, "train")[0] = 1
+
+
+def reference_remap_pairs(ds, pairs):
+    """The per-pair dict loop that remap_pairs replaced."""
+    out = []
+    for u, i in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
+        mu = ds.user_remap.get(int(u)) if ds.user_remap else int(u)
+        mi = ds.item_remap.get(int(i)) if ds.item_remap else int(i)
+        if mu is not None and mi is not None:
+            out.append((mu, mi))
+    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+
+
+class TestRemapPairs:
+    PAIRS = np.array([[905, 31], [17, 8], [4, 4], [905, 8], [-1, 31], [17, 2**40], [3, 31]])
+
+    @pytest.mark.parametrize("user_remap,item_remap", [
+        ({905: 0, 17: 2, 3: 1}, {8: 1, 31: 0, 4: 2}),   # both; unseen ids dropped
+        ({905: 1, 17: 0}, None),                        # user ids only
+        (None, {31: 1, 8: 0}),                          # item ids only
+        (None, None),                                   # native ids
+    ])
+    @pytest.mark.parametrize("n_pairs", [7, 0])
+    def test_equals_dict_loop(self, small_dataset, user_remap, item_remap, n_pairs):
+        small_dataset.user_remap, small_dataset.item_remap = user_remap, item_remap
+        pairs = self.PAIRS[:n_pairs]
+        got = small_dataset.remap_pairs(pairs)
+        want = reference_remap_pairs(small_dataset, pairs)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_loaded_ids_round_trip(self, tmp_path):
+        train = write(tmp_path, "train.tsv", "905\t31\n17\t8\n")
+        valid = write(tmp_path, "valid.tsv", "")
+        test = write(tmp_path, "test.tsv", "17\t31\n")
+        ds = load_interactions(train, valid, test)
+        np.testing.assert_array_equal(ds.remap_pairs([[17, 31], [905, 8], [5, 8]]),
+                                      [[1, 0], [0, 1]])
 
 
 class TestSampleNegatives:

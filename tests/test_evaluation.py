@@ -1,15 +1,26 @@
 """Ranking, metric, bound, and diagnostic tests with brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from advrec.dataio import InteractionSet, popularity_groups, sample_negatives
+from advrec import evaluation
+from advrec.dataio import (
+    InteractionSet,
+    SyntheticSpec,
+    generate_synthetic,
+    popularity_groups,
+    sample_negatives,
+)
 from advrec.encoder import build_encoder, representations, score
-from advrec.errors import BadParam, EmptyEval, EmptyFnList, NoCandidates
+from advrec.errors import BadParam, EmptyEval, EmptyFnList, NoCandidates, ZeroNormError
 from advrec.evaluation import (
     BLOCK_ROWS,
+    SCORE_CELLS,
     RankResult,
     _block_hardness,
+    _ranked_positions,
     alignment_uniformity,
     dcg_bound_check,
     evaluate_split,
@@ -36,6 +47,22 @@ def naive_metrics(ranking, positives, k):
     dcg = sum(1.0 / np.log2(1.0 + p) for p in in_top)
     idcg = sum(1.0 / np.log2(1.0 + r) for r in range(1, min(k, len(positives)) + 1))
     return hr, recall, dcg / idcg
+
+
+def forced_tie_case():
+    """Item vectors from a palette of three small-integer rows, so that
+    scores tie exactly."""
+    rng = np.random.default_rng(11)
+    palette = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 3.0]])
+    n_users, n_items = 5, 30
+    cells = rng.permutation(n_users * n_items)
+    pairs = np.stack([cells // n_items, cells % n_items], axis=1)
+    ds = InteractionSet(n_users, n_items, pairs[:40], np.zeros((0, 2)), pairs[40:70])
+    enc = make_encoder(ds, dim=3, tau=0.5)
+    enc.item_table.values[:] = palette[rng.integers(0, 3, size=n_items)]
+    enc.user_table.values[:] = rng.integers(-3, 4, size=(n_users, 3))
+    enc.user_table.values[:, 0] = 1.0  # no zero-norm user
+    return ds, enc
 
 
 class TestRankAll:
@@ -79,19 +106,10 @@ class TestRankAll:
             np.testing.assert_array_equal(result.ranking, oracle)
 
     def test_positions_under_forced_ties(self):
-        # Item vectors from a palette of three small-integer rows tie exactly;
         # a positive's position is 1 + #higher + #tied with a smaller id.
-        rng = np.random.default_rng(11)
-        palette = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 3.0]])
-        n_users, n_items = 5, 30
-        cells = rng.permutation(n_users * n_items)
-        pairs = np.stack([cells // n_items, cells % n_items], axis=1)
-        ds = InteractionSet(n_users, n_items, pairs[:40], np.zeros((0, 2)), pairs[40:70])
-        enc = make_encoder(ds, dim=3, tau=0.5)
-        enc.item_table.values[:] = palette[rng.integers(0, 3, size=n_items)]
-        enc.user_table.values[:] = rng.integers(-3, 4, size=(n_users, 3))
-        enc.user_table.values[:, 0] = 1.0  # no zero-norm user
-        for u in range(n_users):
+        ds, enc = forced_tie_case()
+        n_items = ds.n_items
+        for u in range(ds.n_users):
             s = score(enc, u, np.arange(n_items))
             cand = np.setdiff1d(np.arange(n_items), ds.positives(u, "train"))
             want = [1 + int(np.sum(s[cand] > s[p])) + int(np.sum((s[cand] == s[p]) & (cand < p)))
@@ -368,7 +386,97 @@ class TestHardnessPopularityProfile:
         assert rows == [(b, float(sums[b] / counts[b]), int(counts[b])) for b in range(bins)]
 
 
+def assert_equals_rank_all(enc, ds, split, k_eval=5):
+    """evaluate_split's positions and metrics equal, exactly, those of
+    topk_metrics over one rank_all per user."""
+    oracle = [rank_all(enc, int(u), ds, split) for u in ds.users_with_positives(split)]
+    got = list(_ranked_positions(enc, ds, split))
+    assert [r.user for r in got] == [r.user for r in oracle]
+    for r, want in zip(got, oracle):
+        assert r.positions.dtype == np.int64
+        np.testing.assert_array_equal(r.positions, want.positions)
+    assert evaluate_split(enc, ds, split, k_eval).per_user == topk_metrics(oracle, k_eval).per_user
+
+
 class TestEvaluateSplit:
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    @pytest.mark.parametrize("kind", ["mf", "lightgcn"])
+    def test_equals_rank_all(self, kind, split):
+        ds = tiny_dataset(n_users=80, n_items=40, seed=31)
+        enc = build_encoder(kind, ds.n_users, ds.n_items, 4, 0.5, 32, train_pairs=ds.train_pairs)
+        assert_equals_rank_all(enc, ds, split)
+
+    def test_equals_rank_all_under_forced_ties(self):
+        ds, enc = forced_tie_case()
+        assert_equals_rank_all(enc, ds, "test")
+
+    def test_single_candidate_user(self):
+        # user 0's train positives cover every item but its test item 4
+        train = np.array([[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [2, 4]])
+        ds = InteractionSet(3, 5, train, np.zeros((0, 2)), np.array([[0, 4], [1, 2], [1, 3]]))
+        enc = make_encoder(ds, seed=33)
+        assert_equals_rank_all(enc, ds, "test", k_eval=1)
+        assert evaluate_split(enc, ds, "test", 1).per_user[0] == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("block_users", [1, 2, 7])
+    def test_small_blocks_and_chunks(self, monkeypatch, block_users):
+        # Blocks and chunks of positives have block_users rows. Each user
+        # has three test positives, so a chunk ends inside a user's
+        # positives, and 20 users make several blocks.
+        rng = np.random.default_rng(34)
+        n_users, n_items = 20, 16
+        pairs = np.array([[(u, int(i)) for i in rng.choice(n_items, size=7, replace=False)]
+                          for u in range(n_users)])
+        ds = InteractionSet(n_users, n_items, pairs[:, :4].reshape(-1, 2),
+                            np.zeros((0, 2)), pairs[:, 4:].reshape(-1, 2))
+        enc = make_encoder(ds, seed=35)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", block_users * n_items)
+        assert_equals_rank_all(enc, ds, "test")
+
+    def test_zero_norm_evaluated_user_raises(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=36)
+        evaluated = small_dataset.users_with_positives("test")
+        idle = np.setdiff1d(np.arange(small_dataset.n_users), evaluated)
+        assert len(idle)
+        enc.user_table.values[idle] = 0.0  # not evaluated, so not checked
+        evaluate_split(enc, small_dataset, "test")
+        enc.user_table.values[evaluated[-1]] = 0.0
+        with pytest.raises(ZeroNormError):
+            evaluate_split(enc, small_dataset, "test")
+
+    def test_zero_norm_candidate_item_raises(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=37)
+        u = int(small_dataset.users_with_positives("valid")[0])
+        candidate = np.setdiff1d(np.arange(small_dataset.n_items),
+                                 small_dataset.positives(u, "train"))[0]
+        enc.item_table.values[candidate] = 0.0
+        with pytest.raises(ZeroNormError):
+            rank_all(enc, u, small_dataset, "valid")
+        with pytest.raises(ZeroNormError):
+            evaluate_split(enc, small_dataset, "valid")
+
+    def test_peak_memory_bounded_by_score_cells(self):
+        # The acceptance-sized dataset: a block of 262 users has about 880
+        # test positives, whose 7 MB of score rows must not be gathered at
+        # once. At the peak three arrays of SCORE_CELLS 8-byte cells are
+        # live (the score block, a chunk of gathered score rows and
+        # count_nonzero's intp copy of a chunk's mask), with the chunk's
+        # boolean masks and the index arrays. The bound allows one more.
+        # MF representations are views of the tables.
+        ds = generate_synthetic(SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
+                                              exposure_bias_strength=1.0, train_fraction=0.6,
+                                              fn_plant_rate=0.2, relevance_quantile=0.02,
+                                              seed=0)).dataset
+        enc = make_encoder(ds, dim=32, tau=0.2)
+        bound = 4 * SCORE_CELLS * 8
+        tracemalloc.start()
+        try:
+            evaluate_split(enc, ds, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
+
     def test_runs_over_valid_split(self, small_dataset):
         enc = make_encoder(small_dataset, seed=23)
         report = evaluate_split(enc, small_dataset, "valid", k_eval=5)
