@@ -10,10 +10,12 @@ parameters always serialize to identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
-from .encoder import Encoder, build_norm_adjacency
+from .encoder import LIGHTGCN, MF, Encoder, build_norm_adjacency
 from .errors import IncompatibleCheckpoint
 from .loss import EmbedHardness, MlpHardness
 from .numkit import EmbeddingTable
@@ -57,42 +59,89 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+# The array directory save_checkpoint writes, as (name, symbolic shape) in
+# file order. Sizes name encoder fields; "h" is the hardness model's own width,
+# which only has to agree across its arrays.
+ENCODER_ARRAYS = (("user_values", ("n_users", "dim")), ("item_values", ("n_items", "dim")))
+HARDNESS_ARRAYS = {
+    "embed": (("hardness.adv_item", ("n_items", "h")), ("hardness.adv_user", ("n_users", "h"))),
+    "mlp": (("hardness.b_item", ("h",)), ("hardness.b_user", ("h",)),
+            ("hardness.w_item", ("h", "dim")), ("hardness.w_user", ("h", "dim"))),
+}
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_header(path, fh) -> dict:
+    """The header after the magic line, checked against what save_checkpoint
+    writes: encoder metadata, hardness kind, and an array directory whose
+    names and shapes fit them."""
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise IncompatibleCheckpoint(f"{path}: bad magic")
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IncompatibleCheckpoint(f"{path}: bad header ({exc})")
+    if not isinstance(header, dict):
+        raise IncompatibleCheckpoint(f"{path}: header is not a JSON object")
+    if header.get("format") != FORMAT_VERSION:
+        raise IncompatibleCheckpoint(f"{path}: unknown format {header.get('format')}")
+    meta = header.get("encoder")
+    if not (isinstance(meta, dict) and meta.get("kind") in (MF, LIGHTGCN)
+            and all(_is_count(meta.get(key)) for key in ("n_users", "n_items", "dim", "layers"))
+            and isinstance(meta.get("tau"), (int, float)) and meta["tau"] > 0):
+        raise IncompatibleCheckpoint(f"{path}: bad encoder metadata {meta!r}")
+    hmeta = header.get("hardness")
+    if hmeta is not None and not (isinstance(hmeta, dict) and hmeta.get("kind") in ("embed", "mlp")):
+        raise IncompatibleCheckpoint(f"{path}: unknown hardness {hmeta!r}")
+    layout = ENCODER_ARRAYS + (HARDNESS_ARRAYS[hmeta["kind"]] if hmeta is not None else ())
+    entries = header.get("arrays")
+    if not (isinstance(entries, list) and len(entries) == len(layout)):
+        raise IncompatibleCheckpoint(f"{path}: array directory does not fit the metadata")
+    sizes = {key: meta[key] for key in ("n_users", "n_items", "dim")}
+    for entry, (name, dims) in zip(entries, layout):
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and entry.get("name") == name
+                and len(shape) == len(dims) and all(map(_is_count, shape))
+                and all(sizes.setdefault(dim, n) == n for dim, n in zip(dims, shape))):
+            raise IncompatibleCheckpoint(f"{path}: array {entry!r} does not fit the metadata")
+    return header
+
+
 def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
     """Load an encoder (and hardness model, if present).
 
     For the graph backbone the adjacency is rebuilt from the dataset's train
-    positives; dims are validated against the dataset when one is given.
+    positives; dims are validated against the dataset when one is given. A
+    file that is not exactly what save_checkpoint writes for some model
+    raises IncompatibleCheckpoint.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise IncompatibleCheckpoint(f"{path}: bad magic")
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IncompatibleCheckpoint(f"{path}: bad header ({exc})")
-        if header.get("format") != FORMAT_VERSION:
-            raise IncompatibleCheckpoint(f"{path}: unknown format {header.get('format')}")
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise IncompatibleCheckpoint(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        header = _read_header(path, fh)
+        counts = [math.prod(entry["shape"]) for entry in header["arrays"]]
+        data_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if data_bytes != 8 * sum(counts):
+            raise IncompatibleCheckpoint(
+                f"{path}: {data_bytes} bytes of array data, the directory needs {8 * sum(counts)}")
+        arrays = {
+            entry["name"]: np.frombuffer(fh.read(8 * count), dtype="<f8")
+            .reshape(entry["shape"]).copy()
+            for entry, count in zip(header["arrays"], counts)
+        }
 
     meta = header["encoder"]
     if dataset is not None:
         if meta["n_users"] != dataset.n_users or meta["n_items"] != dataset.n_items:
             raise IncompatibleCheckpoint(
-                f"checkpoint is for {meta['n_users']}x{meta['n_items']} "
+                f"{path}: checkpoint is for {meta['n_users']}x{meta['n_items']} "
                 f"but dataset has {dataset.n_users}x{dataset.n_items}"
             )
     adj = None
-    if meta["kind"] == "lightgcn":
+    if meta["kind"] == LIGHTGCN:
         if dataset is None:
-            raise IncompatibleCheckpoint("graph checkpoint needs a dataset to rebuild the adjacency")
+            raise IncompatibleCheckpoint(f"{path}: graph checkpoint needs a dataset to rebuild the adjacency")
         adj = build_norm_adjacency(meta["n_users"], meta["n_items"], dataset.train_pairs)
     enc = Encoder(
         kind=meta["kind"],
@@ -103,18 +152,16 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
         adj=adj,
     )
     hardness = None
-    hmeta = header.get("hardness")
+    hmeta = header["hardness"]
     if hmeta is not None:
         if hmeta["kind"] == "embed":
             hardness = EmbedHardness(
                 EmbeddingTable(arrays["hardness.adv_user"]),
                 EmbeddingTable(arrays["hardness.adv_item"]),
             )
-        elif hmeta["kind"] == "mlp":
+        else:
             hardness = MlpHardness.from_arrays(
                 arrays["hardness.w_user"], arrays["hardness.b_user"],
                 arrays["hardness.w_item"], arrays["hardness.b_item"],
             )
-        else:
-            raise IncompatibleCheckpoint(f"unknown hardness kind {hmeta['kind']!r}")
     return enc, hardness

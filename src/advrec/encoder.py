@@ -166,10 +166,10 @@ def batch_backward(
         return scatter_rows(c.users, d_u), scatter_rows(c.items, d_i)
 
     # Graph backbone: scatter onto node representations, then one linear
-    # backward pass through the propagation.
-    node_grad = segment_sum(np.concatenate([c.users, enc.n_users + c.items.ravel()]),
-                            np.concatenate([d_u, d_i.reshape(-1, enc.dim)]),
-                            enc.n_users + enc.n_items)
+    # backward pass through the propagation. User and item nodes are disjoint
+    # halves, so each half is summed on its own, its terms in input order.
+    node_grad = np.concatenate([segment_sum(c.users, d_u, enc.n_users),
+                                segment_sum(c.items, d_i, enc.n_items)])
     layer0_grad = propagate_backward(node_grad, enc.adj, enc.layers)
     nz = np.flatnonzero(np.any(layer0_grad != 0.0, axis=1))
     u_ids = nz[nz < enc.n_users]

@@ -81,6 +81,7 @@ def topk_metrics(results: Iterable[RankResult], k_eval: int = 20) -> MetricRepor
     if k_eval < 1:
         raise ValueError("k_eval must be >= 1")
     per_user = {}
+    ideal = {}  # _ideal_dcg(m) by m, for the m that occur; at most k_eval of them
     for r in results:
         n_pos = len(r.positions)
         if n_pos == 0:
@@ -89,7 +90,10 @@ def topk_metrics(results: Iterable[RankResult], k_eval: int = 20) -> MetricRepor
         hr = 1.0 if len(in_top) else 0.0
         recall = len(in_top) / n_pos
         dcg = float(np.sum(1.0 / np.log2(1.0 + in_top)))
-        ndcg = dcg / _ideal_dcg(min(k_eval, n_pos))
+        m = min(k_eval, n_pos)
+        if m not in ideal:
+            ideal[m] = _ideal_dcg(m)
+        ndcg = dcg / ideal[m]
         per_user[r.user] = (hr, recall, ndcg)
     if not per_user:
         raise EmptyEval("no user has positives in the evaluated split")

@@ -163,16 +163,25 @@ def adam_step(
     return table
 
 
-def segment_sum(ids, rows: np.ndarray, n: int) -> np.ndarray:
+def flat_index(ids, d: int) -> np.ndarray:
+    """segment_sum's bincount index for ids and row width d: id * d + col,
+    one entry per cell of the (len(ids), d) rows, in row-major order."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    return (ids[:, None] * d + np.arange(d)).ravel()
+
+
+def segment_sum(ids, rows: np.ndarray, n: int, index: np.ndarray | None = None) -> np.ndarray:
     """(n, d) sums of the rows that share an id: out[k] = sum of rows[j] over
     ids[j] == k, zero for an absent k. ids are non-negative and below n, of
     any shape; rows has one d-wide row per id. One bincount over the flat
     index id * d + col adds each output cell's terms to 0.0 in input order,
-    as numpy.add.at does, so the sums are bit-identical to it."""
-    ids = np.asarray(ids, dtype=np.int64).ravel()
+    as numpy.add.at does, so the sums are bit-identical to it. A caller that
+    sums over the same ids again passes flat_index(ids, d) as index, and ids
+    is then not read."""
     d = rows.shape[-1]
-    flat = (ids[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=rows.reshape(-1), minlength=n * d)
+    if index is None:
+        index = flat_index(ids, d)
+    sums = np.bincount(index, weights=rows.reshape(-1), minlength=n * d)
     return sums.astype(np.float64, copy=False).reshape(n, d)  # an empty bincount is int
 
 
@@ -186,13 +195,25 @@ def scatter_rows(ids, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class NormAdjacency:
     """Symmetric-normalized sparse adjacency: entry (r, c) carries weight
-    1/sqrt(deg(r) * deg(c)). Stored as parallel edge arrays, both directions
-    present. Degree-zero nodes have no entries."""
+    1/sqrt(deg(r) * deg(c)). Stored as parallel read-only edge arrays, both
+    directions present. Degree-zero nodes have no entries.
+
+    apply keeps the scatter index of the last row width it saw, so a graph
+    propagated at one width builds it once; the edge arrays are read-only so
+    that the kept index always matches them."""
 
     node_count: int
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
+    _index: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
+
+    def __post_init__(self):
+        for name, dtype in (("rows", np.int64), ("cols", np.int64), ("weights", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
 
     @classmethod
     def from_undirected_edges(cls, node_count: int, edges) -> "NormAdjacency":
@@ -208,10 +229,15 @@ class NormAdjacency:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for the normalized adjacency A."""
+        """A @ x for the normalized adjacency A and (node_count, d) x."""
         if x.shape[0] != self.node_count:
             raise DimMismatch(f"input rows {x.shape[0]} != node count {self.node_count}")
-        return segment_sum(self.rows, self.weights[:, None] * x[self.cols], self.node_count)
+        d = x.shape[1]
+        if self._index is None or self._index[0] != d:
+            self._index = (d, flat_index(self.rows, d))
+        gathered = np.asarray(x, dtype=np.float64)[self.cols]
+        gathered *= self.weights[:, None]
+        return segment_sum(self.rows, gathered, self.node_count, index=self._index[1])
 
 
 def propagate(layer0: np.ndarray, adj: NormAdjacency, layers: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Checkpoint format: bit-exact round-trips and compatibility errors."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from advrec.checkpoint import load_checkpoint, save_checkpoint
+from advrec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from advrec.encoder import build_encoder, score
 from advrec.errors import IncompatibleCheckpoint
 from advrec.loss import EmbedHardness, MlpHardness
@@ -85,4 +88,86 @@ class TestCompatibility:
         path = tmp_path / "gcn.ckpt"
         save_checkpoint(path, enc)
         with pytest.raises(IncompatibleCheckpoint):
+            load_checkpoint(path)
+
+
+def saved_parts(tmp_path, hardness=None):
+    """Save a 4-user, 5-item, dim-3 MF model; return its path, parsed header
+    and array bytes."""
+    enc = build_encoder("mf", 4, 5, 3, tau=0.5, seed=8)
+    model = {None: None,
+             "embed": lambda: EmbedHardness.init(4, 5, 2, seed=8),
+             "mlp": lambda: MlpHardness.init(encoder_dim=3, seed=8)}[hardness]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, enc, model and model())
+    header_line, data = path.read_bytes()[len(MAGIC):].split(b"\n", 1)
+    return path, json.loads(header_line), data
+
+
+def shapes(**by_name):
+    """Header edit that sets the shapes of the named arrays."""
+    def edit(header):
+        for entry in header["arrays"]:
+            entry["shape"] = by_name.get(entry["name"].replace(".", "_"), entry["shape"])
+        return header
+    return edit
+
+
+def field(section, key, value):
+    def edit(header):
+        header[section][key] = value
+        return header
+    return edit
+
+
+class TestMalformedFile:
+    """Every file that save_checkpoint could not have written is rejected
+    with IncompatibleCheckpoint naming the file."""
+
+    @pytest.mark.parametrize("hardness,edit", [
+        (None, lambda h: {"format": 1}),
+        (None, lambda h: [1, 2]),
+        (None, lambda h: 1),
+        (None, lambda h: {**h, "encoder": None}),
+        (None, lambda h: {**h, "arrays": h["arrays"][:1]}),
+        (None, lambda h: {**h, "arrays": [1, 2]}),
+        (None, field("encoder", "kind", "svd")),
+        (None, field("encoder", "tau", "0.5")),
+        (None, field("encoder", "n_users", -4)),
+        (None, shapes(user_values=[-4, -3])),
+        (None, shapes(user_values=[5, 3], item_values=[4, 3])),   # same byte count
+        (None, shapes(user_values=[4, 3, 1])),
+        (None, shapes(user_values=[4, 3.0])),
+        (None, field("encoder", "dim", 2)),
+        (None, lambda h: {**h, "hardness": "embed"}),
+        ("embed", shapes(hardness_adv_user=[4, 3])),
+        ("embed", shapes(hardness_adv_user=[5, 2], hardness_adv_item=[4, 2])),
+        ("embed", field("hardness", "kind", "mlp")),
+        ("mlp", shapes(hardness_w_user=[4, 2])),
+        ("mlp", shapes(hardness_b_user=[3])),
+        ("mlp", field("hardness", "kind", ["mlp"])),
+    ], ids=["format-only", "json-list", "json-number", "encoder-null", "directory-short",
+             "directory-not-objects", "unknown-kind", "tau-string", "negative-n-users",
+             "negative-shape", "shapes-swapped", "extra-axis", "float-axis",
+             "dim-mismatch", "hardness-string", "embed-width-mismatch",
+             "embed-users-items-swapped", "embed-labelled-mlp", "mlp-dim-mismatch",
+             "mlp-latent-mismatch", "mlp-kind-list"])
+    def test_bad_header_rejected(self, tmp_path, hardness, edit):
+        path, header, data = saved_parts(tmp_path, hardness)
+        path.write_bytes(MAGIC + json.dumps(edit(header)).encode() + b"\n" + data)
+        with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [slice(0, -1), slice(0, -8), slice(0, 0)])
+    def test_short_data_rejected(self, tmp_path, cut):
+        path, header, data = saved_parts(tmp_path)
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + data[cut])
+        with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\n", bytes(8)])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path, _, _ = saved_parts(tmp_path, "embed")
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
             load_checkpoint(path)

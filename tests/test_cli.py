@@ -212,6 +212,21 @@ class TestEvaluate:
         assert payload["recall@1"] == 1.0
         assert (tmp_path / "users.csv").read_text() == "user,hr,recall,ndcg\n0,1.0,1.0,1.0\n"
 
+    def test_checkpoint_with_trailing_bytes_exits_2(self, tmp_path, capsys):
+        (tmp_path / "train.tsv").write_text("0\t0\n1\t1\n")
+        (tmp_path / "valid.tsv").write_text("")
+        (tmp_path / "test.tsv").write_text("0\t2\n")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, build_encoder("mf", 2, 3, 2, tau=1.0, seed=0))
+        ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+        code = main(["evaluate", "--checkpoint", str(ckpt),
+                     "--train_file", str(tmp_path / "train.tsv"),
+                     "--valid_file", str(tmp_path / "valid.tsv"),
+                     "--test_file", str(tmp_path / "test.tsv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(ckpt) in captured.err and not captured.out
+
     def test_train_split_is_not_a_choice(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--checkpoint", str(tmp_path / "any.ckpt"), "--split", "train"])

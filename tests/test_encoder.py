@@ -224,6 +224,22 @@ class TestGraphScatterBytes:
         x = np.random.default_rng(40).normal(size=(adj.node_count, 5))
         assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
+    def test_apply_across_widths_equals_add_at(self, small_dataset):
+        # apply keeps a scatter index per width; switching width must not reuse it
+        adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
+                                   small_dataset.train_pairs)
+        rng = np.random.default_rng(43)
+        for d in (5, 1, 5):
+            x = rng.normal(size=(adj.node_count, d))
+            assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
+
+    @pytest.mark.parametrize("name", ["rows", "cols", "weights"])
+    def test_edge_arrays_are_read_only(self, small_dataset, name):
+        adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
+                                   small_dataset.train_pairs)
+        with pytest.raises(ValueError):
+            getattr(adj, name)[0] = 1
+
     def test_batch_backward_equals_add_at(self, small_dataset):
         enc = gcn_encoder(small_dataset, dim=4, seed=41)
         rng = np.random.default_rng(42)

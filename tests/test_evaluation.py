@@ -165,6 +165,24 @@ class TestTopkMetrics:
             top_filled = set(res.positions.tolist()) >= set(range(1, min(k, n_pos) + 1))
             assert (abs(report.ndcg - 1.0) < 1e-12) == top_filled
 
+    def test_ndcg_equals_per_user_ideal_dcg_exactly(self):
+        # Users with 1 .. k + 3 positives, some counts repeated, in one call;
+        # each NDCG must equal the one computed with its own ideal DCG. k is
+        # past 8, where np.sum stops adding strictly left to right.
+        k = 20
+        rng = np.random.default_rng(7)
+        results = []
+        for user, n_pos in enumerate([*range(1, k + 4), 3, 1, k + 2, k]):
+            ranking = rng.permutation(50)
+            positives = set(rng.choice(50, size=n_pos, replace=False).tolist())
+            results.append(self.result(user, ranking, positives))
+        report = topk_metrics(results, k)
+        for r in results:
+            in_top = r.positions[r.positions <= k]
+            dcg = float(np.sum(1.0 / np.log2(1.0 + in_top)))
+            ideal = float(np.sum(1.0 / np.log2(np.arange(2, min(k, len(r.positions)) + 2))))
+            assert report.per_user[r.user][2] == dcg / ideal
+
     def test_macro_average_skips_users_without_positives(self):
         with_pos = self.result(0, [1, 2], {1})
         without = self.result(1, [1, 2], set())
