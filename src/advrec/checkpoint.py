@@ -4,7 +4,9 @@ hardness-model section.
 Layout: a magic line, one JSON header line (sorted keys) describing metadata
 and the array directory, then the raw little-endian float64 bytes of each
 array in directory order. The writer is byte-deterministic: identical
-parameters always serialize to identical files.
+parameters always serialize to identical files. It writes a temporary file
+in the target's directory and renames it over the target, so a failed save
+leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
 from .encoder import LIGHTGCN, MF, Encoder, build_norm_adjacency
 from .errors import IncompatibleCheckpoint
-from .loss import EmbedHardness, MlpHardness
+from .loss import HARDNESS_MODELS
 from .numkit import EmbeddingTable
 
 MAGIC = b"ADVRECKPT1\n"
@@ -51,23 +54,28 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
         "hardness": hardness_meta,
         "arrays": [_array_entry(name, arr) for name, arr in arrays],
     }
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            fh.write(b"\n")
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # The array directory save_checkpoint writes, as (name, symbolic shape) in
-# file order. Sizes name encoder fields; "h" is the hardness model's own width,
-# which only has to agree across its arrays.
+# file order: these two, then the hardness model's LAYOUT sorted by name.
+# Sizes name encoder fields; "h" is the hardness model's own width, which
+# only has to agree across its arrays.
 ENCODER_ARRAYS = (("user_values", ("n_users", "dim")), ("item_values", ("n_items", "dim")))
-HARDNESS_ARRAYS = {
-    "embed": (("hardness.adv_item", ("n_items", "h")), ("hardness.adv_user", ("n_users", "h"))),
-    "mlp": (("hardness.b_item", ("h",)), ("hardness.b_user", ("h",)),
-            ("hardness.w_item", ("h", "dim")), ("hardness.w_user", ("h", "dim"))),
-}
 
 
 def _is_count(value) -> bool:
@@ -91,12 +99,18 @@ def _read_header(path, fh) -> dict:
     meta = header.get("encoder")
     if not (isinstance(meta, dict) and meta.get("kind") in (MF, LIGHTGCN)
             and all(_is_count(meta.get(key)) for key in ("n_users", "n_items", "dim", "layers"))
-            and isinstance(meta.get("tau"), (int, float)) and meta["tau"] > 0):
+            and isinstance(meta.get("tau"), (int, float))
+            and 0 < meta["tau"] <= sys.float_info.max):  # no nan, inf or int beyond float
         raise IncompatibleCheckpoint(f"{path}: bad encoder metadata {meta!r}")
     hmeta = header.get("hardness")
-    if hmeta is not None and not (isinstance(hmeta, dict) and hmeta.get("kind") in ("embed", "mlp")):
+    # A tuple: testing a dict for an unhashable kind would raise TypeError.
+    if hmeta is not None and not (isinstance(hmeta, dict)
+                                  and hmeta.get("kind") in tuple(HARDNESS_MODELS)):
         raise IncompatibleCheckpoint(f"{path}: unknown hardness {hmeta!r}")
-    layout = ENCODER_ARRAYS + (HARDNESS_ARRAYS[hmeta["kind"]] if hmeta is not None else ())
+    layout = ENCODER_ARRAYS
+    if hmeta is not None:
+        layout += tuple((f"hardness.{name}", dims)
+                        for name, dims in sorted(HARDNESS_MODELS[hmeta["kind"]].LAYOUT))
     entries = header.get("arrays")
     if not (isinstance(entries, list) and len(entries) == len(layout)):
         raise IncompatibleCheckpoint(f"{path}: array directory does not fit the metadata")
@@ -152,16 +166,7 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
         adj=adj,
     )
     hardness = None
-    hmeta = header["hardness"]
-    if hmeta is not None:
-        if hmeta["kind"] == "embed":
-            hardness = EmbedHardness(
-                EmbeddingTable(arrays["hardness.adv_user"]),
-                EmbeddingTable(arrays["hardness.adv_item"]),
-            )
-        else:
-            hardness = MlpHardness.from_arrays(
-                arrays["hardness.w_user"], arrays["hardness.b_user"],
-                arrays["hardness.w_item"], arrays["hardness.b_item"],
-            )
+    if header["hardness"] is not None:
+        model = HARDNESS_MODELS[header["hardness"]["kind"]]
+        hardness = model.from_arrays(**{name: arrays[f"hardness.{name}"] for name, _ in model.LAYOUT})
     return enc, hardness

@@ -110,6 +110,11 @@ def _require_files(*paths) -> None:
             raise EngineError(f"input file not found: {p}")
 
 
+def _require_out_file(flag: str, path: Path) -> None:
+    if path.is_dir() or not path.parent.is_dir():
+        raise EngineError(f"{flag} {path} is not a file path in an existing directory")
+
+
 def _load_dataset(ns):
     _require_files(ns.train_file, ns.valid_file, ns.test_file)
     return load_interactions(ns.train_file, ns.valid_file, ns.test_file)
@@ -159,8 +164,8 @@ def cmd_evaluate(ns) -> int:
     if ns.k_eval < 1:
         raise EngineError(f"--k_eval must be >= 1, got {ns.k_eval}")
     csv = Path(ns.per_user_csv) if ns.per_user_csv else None
-    if csv and (csv.is_dir() or not csv.parent.is_dir()):
-        raise EngineError(f"--per_user_csv {csv} is not a file path in an existing directory")
+    if csv:
+        _require_out_file("--per_user_csv", csv)
     dataset = _load_dataset(ns)
     enc, _ = ckpt.load_checkpoint(ns.checkpoint, dataset)
     report = evaluate_split(enc, dataset, ns.split, ns.k_eval)
@@ -221,9 +226,15 @@ def cmd_generate(ns) -> int:
 
 
 def cmd_diagnose(ns) -> int:
+    # fnrate's context is the planted item and n_negatives - 1 draws.
+    for flag, value, low in (("--bins", ns.bins, 2), ("--n_resamples", ns.n_resamples, 1),
+                             ("--n_negatives", ns.n_negatives, 2 if ns.which == "fnrate" else 1)):
+        if value < low:
+            raise EngineError(f"{flag} must be >= {low}, got {value}")
+    out = Path(ns.out or "diagnostics.csv")
+    _require_out_file("--out", out)
     dataset = _load_dataset(ns)
     enc, hardness = ckpt.load_checkpoint(ns.checkpoint, dataset)
-    out = Path(ns.out or "diagnostics.csv")
     rng = substream(ns.seed, "diagnose", ns.which)
 
     if ns.which == "profile":

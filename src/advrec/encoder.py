@@ -7,6 +7,7 @@ built from train positives only and averages layers 0..L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,8 +40,8 @@ class Encoder:
     def __post_init__(self):
         if self.kind not in (MF, LIGHTGCN):
             raise ValueError(f"unknown backbone {self.kind!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.user_table.dim != self.item_table.dim:
             raise DimMismatch("user and item tables must share dimension")
 

@@ -11,7 +11,7 @@ import numpy as np
 from .dataio import InteractionSet, popularity_groups, sample_negatives
 from .encoder import Encoder, representations
 from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates, ZeroNormError
-from .loss import advinfonce_forward, softmax_hardness
+from .loss import advinfonce_forward
 from .numkit import NORM_FLOOR, cosine_scores
 
 # Hardness diagnostics score at most this many sampled rows at once, which
@@ -227,8 +227,7 @@ def _block_hardness(model, enc: Encoder, dataset: InteractionSet, users: np.ndar
         negs = sample_negatives(dataset, block, n, rng).negatives
         if first is not None:
             negs = np.concatenate([first[start:start + BLOCK_ROWS, None], negs], axis=1)
-        probs, deltas = softmax_hardness(model.raw_scores_batch(block, negs, enc))
-        yield negs, probs, deltas
+        yield (negs, *model.hardness(block, negs, enc))
 
 
 def fn_identification_rate(
@@ -243,14 +242,14 @@ def fn_identification_rate(
     """Fraction of planted false negatives receiving strictly negative
     hardness when dropped into a sampled negative context (the planted item
     plus n_negatives - 1 uniform draws), averaged over resamplings."""
-    if n_negatives < 1 or n_resamples < 1:
-        raise BadParam("n_negatives and n_resamples must be >= 1")
+    if n_negatives < 2 or n_resamples < 1:
+        raise BadParam("n_negatives must be >= 2 and n_resamples >= 1")
     planted_fn = np.asarray(planted_fn, dtype=np.int64).reshape(-1, 2)
     if len(planted_fn) == 0:
         raise EmptyFnList("dataset has no planted false negatives")
     rows = np.tile(planted_fn, (n_resamples, 1))
     hits = sum(int(np.sum(deltas[:, 0] < 0.0)) for _, _, deltas in _block_hardness(
-        model, enc, dataset, rows[:, 0], max(n_negatives - 1, 1), rng, first=rows[:, 1]))
+        model, enc, dataset, rows[:, 0], n_negatives - 1, rng, first=rows[:, 1]))
     return hits / len(rows)
 
 

@@ -196,17 +196,47 @@ def hardness_grad_from_delta(probs: np.ndarray, d_delta: np.ndarray) -> np.ndarr
 
 
 class _TableHardness:
-    """Hardness parameters kept as EmbeddingTables in `tables` (constructor
-    order), so that both models share one sparse Adam update and one copy.
-    `_row_grads` turns a model's gradients into one (ids, grads) per table."""
+    """Hardness parameters kept as EmbeddingTables in `tables`, one per LAYOUT
+    entry and in LAYOUT order, so that both models share one sparse Adam
+    update, one copy and one parameter layout for training, diagnostics and
+    checkpoints.
 
-    def apply_grads(self, grads, hyper: AdamHyper, maximize: bool) -> None:
-        sign = -1.0 if maximize else 1.0
-        for table, (ids, g) in zip(self.tables, self._row_grads(grads)):
-            adam_step(table, (ids, sign * g), hyper)
+    LAYOUT gives each table's (name, symbolic shape). Sizes named after an
+    encoder field (n_users, n_items, dim) equal the encoder's; h is the
+    model's own width. A rank-1 entry is stored as a one-row table."""
+
+    kind: str
+    LAYOUT: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __init__(self, *tables: EmbeddingTable):
+        self.tables = tables
+        sizes = {}
+        for (name, dims), arr in zip(self.LAYOUT, self.param_arrays().values()):
+            if any(sizes.setdefault(dim, n) != n for dim, n in zip(dims, arr.shape)):
+                raise DimMismatch(f"hardness table {name} {arr.shape} does not fit {dims}")
+
+    @classmethod
+    def from_arrays(cls, **named: np.ndarray):
+        """A model from one array per LAYOUT name."""
+        return cls(*(EmbeddingTable(np.atleast_2d(named[name])) for name, _ in cls.LAYOUT))
+
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        """Views of the parameters by LAYOUT name, each of its LAYOUT rank."""
+        return {name: t.values.reshape(t.values.shape[2 - len(dims):])
+                for t, (name, dims) in zip(self.tables, self.LAYOUT, strict=True)}
 
     def copy(self):
         return type(self)(*(t.copy() for t in self.tables))
+
+    def hardness(self, users, negatives, encoder=None) -> tuple[np.ndarray, np.ndarray]:
+        """(probs, deltas) over each row's sampled negatives."""
+        return softmax_hardness(self.raw_scores_batch(users, negatives, encoder))
+
+    def apply_grads(self, grads, hyper: AdamHyper, maximize: bool) -> None:
+        """One Adam step per table from grad_batch's (ids, grads) per table."""
+        sign = -1.0 if maximize else 1.0
+        for table, (ids, g) in zip(self.tables, grads):
+            adam_step(table, (ids, sign * g), hyper)
 
 
 class EmbedHardness(_TableHardness):
@@ -220,13 +250,10 @@ class EmbedHardness(_TableHardness):
     """
 
     kind = "embed"
+    LAYOUT = (("adv_user", ("n_users", "h")), ("adv_item", ("n_items", "h")))
 
-    def __init__(self, user_table: EmbeddingTable, item_table: EmbeddingTable):
-        if user_table.dim != item_table.dim:
-            raise DimMismatch("hardness tables must share dimension")
-        self.user_table = user_table
-        self.item_table = item_table
-        self.tables = (user_table, item_table)
+    user_table = property(lambda self: self.tables[0])
+    item_table = property(lambda self: self.tables[1])
 
     @classmethod
     def init(cls, n_users: int, n_items: int, dim: int, seed: int) -> "EmbedHardness":
@@ -247,12 +274,6 @@ class EmbedHardness(_TableHardness):
         d_item = d_g[..., None] * u[:, None, :]
         return scatter_rows(users, d_user), scatter_rows(negatives, d_item)
 
-    def _row_grads(self, grads):
-        return grads
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {"adv_user": self.user_table.values, "adv_item": self.item_table.values}
-
 
 class MlpHardness(_TableHardness):
     """Projection-based hardness: one linear layer per side maps the frozen
@@ -260,22 +281,13 @@ class MlpHardness(_TableHardness):
     Encoder embeddings are constants here; no gradient reaches them."""
 
     kind = "mlp"
-    NAMES = ("w_user", "b_user", "w_item", "b_item")
-
-    def __init__(self, w_user: EmbeddingTable, b_user: EmbeddingTable,
-                 w_item: EmbeddingTable, b_item: EmbeddingTable):
-        self.tables = (w_user, b_user, w_item, b_item)
+    LAYOUT = (("w_user", ("h", "dim")), ("b_user", ("h",)),
+              ("w_item", ("h", "dim")), ("b_item", ("h",)))
 
     w_user = property(lambda self: self.tables[0].values)
     b_user = property(lambda self: self.tables[1].values[0])
     w_item = property(lambda self: self.tables[2].values)
     b_item = property(lambda self: self.tables[3].values[0])
-
-    @classmethod
-    def from_arrays(cls, w_user, b_user, w_item, b_item) -> "MlpHardness":
-        """Weights (latent, dim) and biases (latent,); each bias is stored as
-        a 1 x latent table."""
-        return cls(*(EmbeddingTable(np.atleast_2d(a)) for a in (w_user, b_user, w_item, b_item)))
 
     @classmethod
     def init(cls, encoder_dim: int, seed: int, latent: int = 4) -> "MlpHardness":
@@ -302,27 +314,19 @@ class MlpHardness(_TableHardness):
         zi = xi @ self.w_item.T + self.b_item
         return np.einsum("bl,bnl->bn", zu, zi)
 
-    def grad_batch(self, users, negatives, d_g, encoder=None) -> dict[str, np.ndarray]:
+    def grad_batch(self, users, negatives, d_g, encoder=None):
+        """Dense parameter gradients, one (arange ids, grads) per table."""
         xu, xi = self._inputs(users, negatives, encoder)
         zu = xu @ self.w_user.T + self.b_user
         zi = xi @ self.w_item.T + self.b_item
         d_zu = np.einsum("bn,bnl->bl", d_g, zi)
         d_zi = d_g[..., None] * zu[:, None, :]
-        return {
-            "w_user": np.einsum("bl,bd->ld", d_zu, xu),
-            "b_user": d_zu.sum(axis=0),
-            "w_item": np.einsum("bnl,bnd->ld", d_zi, xi),
-            "b_item": d_zi.sum(axis=(0, 1)),
-        }
+        grads = (np.einsum("bl,bd->ld", d_zu, xu), d_zu.sum(axis=0)[None],
+                 np.einsum("bnl,bnd->ld", d_zi, xi), d_zi.sum(axis=(0, 1))[None])
+        return tuple((np.arange(len(g)), g) for g in grads)
 
-    def _row_grads(self, grads):
-        """Dense gradients update every row of every table."""
-        return [(np.arange(t.rows), np.reshape(grads[name], t.values.shape))
-                for name, t in zip(self.NAMES, self.tables)]
 
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {"w_user": self.w_user, "b_user": self.b_user,
-                "w_item": self.w_item, "b_item": self.b_item}
+HARDNESS_MODELS = {model.kind: model for model in (EmbedHardness, MlpHardness)}
 
 
 def hardness_forward(model, u: int, i: int, negatives, encoder=None) -> HardnessBatch:
@@ -340,7 +344,8 @@ def hardness_forward(model, u: int, i: int, negatives, encoder=None) -> Hardness
 def hardness_backward(model, batch: HardnessBatch, d_delta, u: int, i: int,
                       negatives, encoder=None):
     """Gradients of the loss w.r.t. the hardness parameters, chained through
-    the softmax Jacobian. Returns the model's native gradient structure."""
+    the softmax Jacobian, as the model's grad_batch returns them: one
+    (ids, grads) per table."""
     d_delta = np.asarray(d_delta, dtype=np.float64)
     if d_delta.shape != batch.deltas.shape:
         raise DimMismatch("d_delta length must match the batch")

@@ -18,12 +18,12 @@ from .encoder import Encoder, batch_backward, batch_forward, build_encoder, repr
 from .errors import NonFinite, SkippedAdvStep
 from .evaluation import evaluate_split
 from .loss import (
+    HARDNESS_MODELS,
     AdamHyper,
     EmbedHardness,
     MlpHardness,
     advinfonce_backward_batch,
     hardness_grad_from_delta,
-    softmax_hardness,
 )
 from .numkit import adam_step
 from .rng import substream
@@ -56,7 +56,7 @@ class TrainConfig:
     backbone: str = "mf"            # "mf" | "lightgcn"
     embed_dim: int = 64
     gcn_layers: int = 2
-    hardness_kind: str = "embed"    # "embed" | "mlp"
+    hardness_kind: str = "embed"    # a key of loss.HARDNESS_MODELS
     adv_dim: int = 0                # 0 means: same as embed_dim
     mlp_latent: int = 4
     k_eval: int = 20
@@ -77,8 +77,8 @@ class TrainConfig:
             raise ValueError(f"hardness_strategy must be one of {STRATEGIES}")
         if self.backbone not in ("mf", "lightgcn"):
             raise ValueError("backbone must be 'mf' or 'lightgcn'")
-        if self.hardness_kind not in ("embed", "mlp"):
-            raise ValueError("hardness_kind must be 'embed' or 'mlp'")
+        if self.hardness_kind not in tuple(HARDNESS_MODELS):
+            raise ValueError(f"hardness_kind must be one of {tuple(HARDNESS_MODELS)}")
 
 
 @dataclass
@@ -115,7 +115,7 @@ class TrainResult:
 def build_hardness(cfg: TrainConfig, n_users: int, n_items: int):
     if cfg.hardness_strategy not in ("adv", "reverse"):
         return None
-    if cfg.hardness_kind == "mlp":
+    if cfg.hardness_kind == MlpHardness.kind:
         return MlpHardness.init(cfg.embed_dim, cfg.seed, latent=cfg.mlp_latent)
     dim = cfg.adv_dim or cfg.embed_dim
     return EmbedHardness.init(n_users, n_items, dim, cfg.seed)
@@ -148,8 +148,7 @@ def _batch_deltas(state: TrainState, batch: Batch, delta_rng=None):
     for the learned strategies."""
     cfg = state.cfg
     if cfg.hardness_strategy in ("adv", "reverse"):
-        g = state.hardness.raw_scores_batch(batch.users, batch.negatives, state.encoder)
-        return softmax_hardness(g)
+        return state.hardness.hardness(batch.users, batch.negatives, state.encoder)
     if cfg.hardness_strategy == "rand":
         if delta_rng is None:
             raise ValueError("rand strategy needs a delta rng")

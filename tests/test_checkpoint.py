@@ -165,9 +165,48 @@ class TestMalformedFile:
         with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("tau", [b"Infinity", b"-Infinity", b"NaN", b"1e400", b"1" + b"0" * 400],
+                             ids=["inf", "minus-inf", "nan", "1e400", "int-beyond-float"])
+    def test_non_finite_tau_rejected(self, tmp_path, tau):
+        path, _, _ = saved_parts(tmp_path)
+        raw = path.read_bytes()
+        assert raw.count(b'"tau":0.5}') == 1
+        path.write_bytes(raw.replace(b'"tau":0.5}', b'"tau":' + tau + b"}"))
+        with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("extra", [b"\0", b"\n", bytes(8)])
     def test_trailing_bytes_rejected(self, tmp_path, extra):
         path, _, _ = saved_parts(tmp_path, "embed")
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
             load_checkpoint(path)
+
+
+class HalfWritable:
+    """A hardness stand-in whose first array cannot be written as float64,
+    so a save fails after the header and the encoder arrays."""
+
+    kind = "embed"
+
+    def param_arrays(self):
+        return {"adv_item": np.full((5, 2), "x", dtype=object), "adv_user": np.zeros((4, 2))}
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_old_file(self, tmp_path):
+        path, _, _ = saved_parts(tmp_path, "embed")
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, build_encoder("mf", 4, 5, 3, tau=0.5, seed=9), HalfWritable())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_replaces_old_file(self, tmp_path):
+        path, _, _ = saved_parts(tmp_path, "mlp")
+        enc = build_encoder("mf", 4, 5, 3, tau=0.5, seed=10)
+        save_checkpoint(path, enc)
+        loaded, hardness = load_checkpoint(path)
+        assert hardness is None
+        assert loaded.user_table.values.tobytes() == enc.user_table.values.tobytes()
+        assert list(tmp_path.iterdir()) == [path]

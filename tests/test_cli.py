@@ -308,6 +308,24 @@ class TestDiagnose:
         assert code == 2
         assert flag[2:] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which,flag,value", [
+        ("profile", "--bins", "1"), ("profile", "--bins", "-2"),
+        ("profile", "--n_negatives", "0"), ("fnrate", "--n_negatives", "1"),
+        ("fnrate", "--n_resamples", "0"), ("fnrate", "--n_resamples", "-1"),
+        ("alignuniform", "--out", "missing/out.csv"), ("alignuniform", "--out", ".")])
+    def test_bad_flag_exits_2_before_loading(self, tmp_path, capsys, which, flag, value):
+        # The checkpoint and dataset files do not exist: a flag checked
+        # before loading is the error reported.
+        code = main(["diagnose", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--train_file", str(tmp_path / "none.tsv"),
+                     "--valid_file", str(tmp_path / "none.tsv"),
+                     "--test_file", str(tmp_path / "none.tsv"),
+                     "--which", which, "--planted_fn", str(tmp_path / "none.tsv"),
+                     flag, str(tmp_path / value) if flag == "--out" else value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and not captured.out
+
     def test_fnrate_with_planted_file(self, tmp_path):
         data = generate(tmp_path)
         run = train(tmp_path, data)

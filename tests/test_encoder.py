@@ -78,6 +78,12 @@ class TestScore:
             assert (r < n_users) != (c < n_users)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("inf"), float("nan")])
+def test_encoder_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        mf_encoder(tau=tau)
+
+
 class TestScoreBackward:
     def test_zero_upstream_gives_empty_maps(self):
         enc = mf_encoder(seed=6)

@@ -337,6 +337,13 @@ class TestFnIdentificationRate:
         assert rate == hits / (len(planted) * n_resamples)
         assert 0.0 < rate < 1.0
 
+    def test_context_without_a_draw_rejected(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=15)
+        model = EmbedHardness.init(small_dataset.n_users, small_dataset.n_items, 2, 15)
+        with pytest.raises(BadParam, match="n_negatives"):
+            fn_identification_rate(model, small_dataset.test_pairs, enc, small_dataset,
+                                   1, np.random.default_rng(16))
+
     def test_empty_list_raises(self, small_dataset):
         enc = make_encoder(small_dataset, seed=15)
         model = EmbedHardness.init(small_dataset.n_users, small_dataset.n_items, 2, 15)

@@ -6,7 +6,9 @@ from mpmath import mp, exp as mexp, log as mlog, mpf
 
 from advrec.encoder import build_encoder
 from advrec.errors import BadDistribution, DimMismatch, NonFinite
+from advrec.numkit import EmbeddingTable
 from advrec.loss import (
+    HARDNESS_MODELS,
     AdamHyper,
     EmbedHardness,
     MlpHardness,
@@ -406,7 +408,7 @@ class TestMlpHardness:
         h = 1e-6
         worst = 0.0
         for name, param in model.param_arrays().items():
-            analytic = grads[name]
+            _, analytic = grads[list(model.param_arrays()).index(name)]
             flat = param.reshape(-1)
             fd = np.zeros_like(flat)
             for idx in range(flat.size):
@@ -425,3 +427,66 @@ class TestMlpHardness:
         assert np.all(model.b_user == 0.0)
         assert np.all(model.b_item == 0.0)
         assert model.w_user.shape == (4, 8)
+
+
+def make_model(kind):
+    """A hardness model off its init, for an MF encoder of 4 users x 6
+    items x dim 5."""
+    rng = np.random.default_rng(30)
+    model = (EmbedHardness.init(4, 6, 3, seed=30) if kind == "embed"
+             else MlpHardness.init(encoder_dim=5, seed=31, latent=3))
+    for arr in model.param_arrays().values():
+        arr[...] = rng.normal(scale=0.5, size=arr.shape)
+    return model
+
+
+class TestHardnessInterface:
+    """Both models through the one interface of the shared base class."""
+
+    def test_registry_maps_each_kind_to_its_model(self):
+        assert HARDNESS_MODELS == {"embed": EmbedHardness, "mlp": MlpHardness}
+
+    @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
+    def test_param_arrays_are_views_of_layout_rank(self, kind):
+        model = make_model(kind)
+        arrays = model.param_arrays()
+        assert list(arrays) == [name for name, _ in model.LAYOUT]
+        for (name, dims), table in zip(model.LAYOUT, model.tables):
+            assert arrays[name].ndim == len(dims)
+            arrays[name][...] = 7.0
+            assert np.all(table.values == 7.0)
+
+    @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
+    def test_from_arrays_and_copy_keep_every_table(self, kind):
+        model = make_model(kind)
+        for other in (type(model).from_arrays(**model.param_arrays()), model.copy()):
+            assert [t.values.tobytes() for t in other.tables] == \
+                [t.values.tobytes() for t in model.tables]
+
+    @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
+    def test_hardness_and_grad_batch(self, kind):
+        enc = build_encoder("mf", 4, 6, 5, tau=0.5, seed=32)
+        model = make_model(kind)
+        rng = np.random.default_rng(33)
+        users = np.array([0, 2, 2])
+        negatives = rng.integers(0, 6, size=(3, 4))
+        probs, deltas = model.hardness(users, negatives, enc)
+        ref_probs, ref_deltas = softmax_hardness(model.raw_scores_batch(users, negatives, enc))
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert deltas.tobytes() == ref_deltas.tobytes()
+        grads = model.grad_batch(users, negatives, rng.normal(size=(3, 4)), enc)
+        assert len(grads) == len(model.tables)
+        for (ids, g), table in zip(grads, model.tables):
+            assert g.shape == (len(ids), table.dim)
+            assert np.all(np.diff(ids) > 0) and 0 <= ids[0] and ids[-1] < table.rows
+
+    @pytest.mark.parametrize("make", [
+        lambda: EmbedHardness(EmbeddingTable.zeros(4, 3), EmbeddingTable.zeros(6, 2)),
+        lambda: MlpHardness.from_arrays(w_user=np.zeros((3, 5)), b_user=np.zeros(2),
+                                        w_item=np.zeros((3, 5)), b_item=np.zeros(3)),
+        lambda: MlpHardness.from_arrays(w_user=np.zeros((3, 5)), b_user=np.zeros(3),
+                                        w_item=np.zeros((3, 4)), b_item=np.zeros(3)),
+    ], ids=["embed-widths", "mlp-latent", "mlp-dim"])
+    def test_tables_that_disagree_are_rejected(self, make):
+        with pytest.raises(DimMismatch):
+            make()

@@ -31,3 +31,11 @@ def test_hashes_are_repeatable(config_hashes, backbone, strategy, hardness):
     assert len(first) == 2
     for digest in first:
         assert len(digest) == 16 and int(digest, 16) >= 0
+
+
+def test_hashes_without_a_validation(config_hashes, monkeypatch):
+    # eval_every beyond max_epochs: no validation runs, so no best encoder
+    monkeypatch.setattr(config_hashes, "CFG", {**config_hashes.CFG, "eval_every": 5})
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    first = config_hashes.config_hashes(data, "mf", "adv", "embed")
+    assert first == config_hashes.config_hashes(data, "mf", "adv", "embed")
