@@ -2,7 +2,9 @@
 long-tail test-split construction, and synthetic biased-exposure data.
 
 External format: UTF-8 TSV, one "user<TAB>item" pair per line, lines starting
-with '#' ignored.
+with '#' ignored. A file that is exactly lines of "digits<TAB>digits\n" is
+parsed and checked as one array; any other file goes through the line parser,
+which accepts the same pairs and reports each error with its line number.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .rng import substream
 
 SPLITS = ("train", "valid", "test")
 INT64_MAX = 2**63 - 1  # ids are held as int64
+STRICT_DIGITS = 18  # a strict field is below 10**18, so it fits int64
 
 
 @dataclass
@@ -125,6 +128,8 @@ class NegativeSample:
 
 
 def _read_pairs(path) -> list[tuple[int, int]]:
+    """The line parser: every accepted form of the format, and every
+    ParseError with its line number."""
     pairs = []
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -150,30 +155,72 @@ def _read_pairs(path) -> list[tuple[int, int]]:
     return pairs
 
 
+def _parse_strict(data: bytes) -> np.ndarray | None:
+    """The pairs of a file that is exactly lines of "digits<TAB>digits\n"
+    (final newline optional, 1 to STRICT_DIGITS ASCII digits per field) as
+    (k, 2) int64, parsed without a Python loop over lines; None for any
+    other file."""
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b - ord("0") > 9)  # every non-digit byte; uint8 wraps below '0'
+    lens = np.diff(ends, prepend=-1) - 1
+    if not (len(ends) % 2 == 0 and np.all(b[ends[0::2]] == ord("\t"))
+            and np.all(b[ends[1::2]] == ord("\n"))
+            and np.all((lens >= 1) & (lens <= STRICT_DIGITS))):
+        return None
+    starts = ends - lens
+    values = np.zeros(len(ends), dtype=np.int64)
+    for k in range(int(lens.max(initial=0))):  # Horner's rule, one digit column at a time
+        digit = b[np.minimum(starts + k, ends)] - ord("0")
+        values = np.where(lens > k, values * 10 + digit, values)
+    return values.reshape(-1, 2)
+
+
+def _has_duplicate(pairs: np.ndarray) -> bool:
+    """Whether a pair repeats, tested on one int64 key per pair built from
+    the ranks of its user and item ids."""
+    users = np.unique(pairs[:, 0], return_inverse=True)[1]
+    item_ids, items = np.unique(pairs[:, 1], return_inverse=True)
+    keys = np.sort(users * len(item_ids) + items)
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
+def read_pairs(path) -> np.ndarray:
+    """Read a TSV pair file without remapping (raw ids as written), as
+    (k, 2) int64. A strict file is parsed as one array. Any other file, and
+    a strict file that repeats a pair, is read by the line parser, which
+    gives the same pairs or raises the ParseError with its line number."""
+    pairs = _parse_strict(Path(path).read_bytes())
+    if pairs is None or _has_duplicate(pairs):
+        pairs = np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
+    return pairs
+
+
 def load_interactions(train_path, valid_path, test_path) -> InteractionSet:
     """Load three TSV splits, remapping ids to dense 0-based ranges in
     first-seen order (train scanned first, then valid, then test)."""
-    raw = {name: _read_pairs(p) for name, p in
-           zip(SPLITS, (train_path, valid_path, test_path))}
-    if not raw["train"]:
+    raw = [read_pairs(p) for p in (train_path, valid_path, test_path)]
+    if not len(raw[0]):
         raise EmptySplitError(f"train split {train_path} has no interactions")
-    user_map, item_map = {}, {}
-    remapped = {}
-    for name in SPLITS:
-        out = []
-        for u, i in raw[name]:
-            out.append((user_map.setdefault(u, len(user_map)),
-                        item_map.setdefault(i, len(item_map))))
-        remapped[name] = np.asarray(out, dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate(raw)
+    remaps = []
+    for col in range(2):
+        ids, first, inverse = np.unique(pairs[:, col], return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct ids in first-seen order
+        dense = np.empty(len(ids), dtype=np.int64)
+        dense[order] = np.arange(len(ids))
+        pairs[:, col] = dense[inverse]
+        remaps.append(dict(zip(ids[order].tolist(), range(len(ids)))))
+    train, valid, test = np.split(pairs, np.cumsum([len(raw[0]), len(raw[1])]))
     dataset = InteractionSet(
-        n_users=len(user_map),
-        n_items=len(item_map),
-        train_pairs=remapped["train"],
-        valid_pairs=remapped["valid"],
-        test_pairs=remapped["test"],
+        n_users=len(remaps[0]),
+        n_items=len(remaps[1]),
+        train_pairs=train,
+        valid_pairs=valid,
+        test_pairs=test,
     )
-    dataset.user_remap = user_map
-    dataset.item_remap = item_map
+    dataset.user_remap, dataset.item_remap = remaps
     return dataset
 
 
@@ -182,11 +229,6 @@ def write_pairs(path, pairs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for u, i in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
             fh.write(f"{int(u)}\t{int(i)}\n")
-
-
-def read_pairs(path) -> np.ndarray:
-    """Read a TSV pair file without remapping (raw ids as written)."""
-    return np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
 
 
 def _sample_row(pos: np.ndarray, n_items: int, n: int,

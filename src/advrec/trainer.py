@@ -57,7 +57,7 @@ class TrainConfig:
     embed_dim: int = 64
     gcn_layers: int = 2
     hardness_kind: str = "embed"    # a key of loss.HARDNESS_MODELS
-    adv_dim: int = 0                # 0 means: same as embed_dim
+    adv_dim: int = 0                # embed hardness width; 0 means: same as embed_dim
     mlp_latent: int = 4
     k_eval: int = 20
 
@@ -79,6 +79,9 @@ class TrainConfig:
             raise ValueError("backbone must be 'mf' or 'lightgcn'")
         if self.hardness_kind not in tuple(HARDNESS_MODELS):
             raise ValueError(f"hardness_kind must be one of {tuple(HARDNESS_MODELS)}")
+        if self.adv_dim and self.hardness_kind == MlpHardness.kind:
+            raise ValueError(f"adv_dim {self.adv_dim} has no effect with hardness_kind "
+                             f"{MlpHardness.kind!r}; leave it 0")
 
 
 @dataclass

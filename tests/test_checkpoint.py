@@ -133,6 +133,8 @@ class TestMalformedFile:
         (None, lambda h: {**h, "arrays": [1, 2]}),
         (None, field("encoder", "kind", "svd")),
         (None, field("encoder", "tau", "0.5")),
+        (None, field("encoder", "tau", True)),
+        (None, field("encoder", "tau", False)),
         (None, field("encoder", "n_users", -4)),
         (None, shapes(user_values=[-4, -3])),
         (None, shapes(user_values=[5, 3], item_values=[4, 3])),   # same byte count
@@ -147,7 +149,8 @@ class TestMalformedFile:
         ("mlp", shapes(hardness_b_user=[3])),
         ("mlp", field("hardness", "kind", ["mlp"])),
     ], ids=["format-only", "json-list", "json-number", "encoder-null", "directory-short",
-             "directory-not-objects", "unknown-kind", "tau-string", "negative-n-users",
+             "directory-not-objects", "unknown-kind", "tau-string", "tau-true", "tau-false",
+             "negative-n-users",
              "negative-shape", "shapes-swapped", "extra-axis", "float-axis",
              "dim-mismatch", "hardness-string", "embed-width-mismatch",
              "embed-users-items-swapped", "embed-labelled-mlp", "mlp-dim-mismatch",

@@ -126,6 +126,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert flag[2:] in err and "absent.tsv" not in err
 
+    def test_adv_dim_with_mlp_hardness_exits_2_before_loading(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.tsv")
+        code = main(["train", "--train_file", absent, "--valid_file", absent,
+                     "--test_file", absent, "--out", str(tmp_path / "run"),
+                     "--hardness_kind", "mlp", "--adv_dim", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "adv_dim" in err and "hardness_kind" in err and "absent.tsv" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         data = generate(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -219,6 +229,24 @@ class TestEvaluate:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, build_encoder("mf", 2, 3, 2, tau=1.0, seed=0))
         ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+        code = main(["evaluate", "--checkpoint", str(ckpt),
+                     "--train_file", str(tmp_path / "train.tsv"),
+                     "--valid_file", str(tmp_path / "valid.tsv"),
+                     "--test_file", str(tmp_path / "test.tsv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(ckpt) in captured.err and not captured.out
+
+    @pytest.mark.parametrize("tau", [b"true", b"false"])
+    def test_checkpoint_with_boolean_tau_exits_2(self, tmp_path, capsys, tau):
+        (tmp_path / "train.tsv").write_text("0\t0\n1\t1\n")
+        (tmp_path / "valid.tsv").write_text("")
+        (tmp_path / "test.tsv").write_text("0\t2\n")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, build_encoder("mf", 2, 3, 2, tau=1.0, seed=0))
+        raw = ckpt.read_bytes()
+        assert raw.count(b'"tau":1.0}') == 1
+        ckpt.write_bytes(raw.replace(b'"tau":1.0}', b'"tau":' + tau + b"}"))
         code = main(["evaluate", "--checkpoint", str(ckpt),
                      "--train_file", str(tmp_path / "train.tsv"),
                      "--valid_file", str(tmp_path / "valid.tsv"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from advrec import dataio
 from advrec.dataio import (
     InteractionSet,
     SyntheticSpec,
@@ -10,6 +11,7 @@ from advrec.dataio import (
     gamma_split,
     generate_synthetic,
     load_interactions,
+    read_pairs,
     sample_negatives,
     write_synthetic,
 )
@@ -19,6 +21,7 @@ from advrec.errors import (
     BadParam,
     DegenerateSpec,
     EmptySplitError,
+    EngineError,
     NoNegativesError,
     ParseError,
 )
@@ -115,6 +118,208 @@ class TestLoadInteractions:
         test = write(tmp_path, "test.tsv", "0\t5\n0\t0\n")
         with pytest.raises(BadParam, match="test"):
             load_interactions(train, valid, test)
+
+
+def reference_read_pairs(path):
+    """A line-by-line parser of the TSV format: the reference for every
+    accepted pair and every ParseError with its line number."""
+    pairs = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(path, line_no, "expected 'user<TAB>item'")
+            try:
+                u, i = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(path, line_no, f"non-integer id in {fields!r}")
+            if u < 0 or i < 0:
+                raise ParseError(path, line_no, "negative id")
+            if u > 2**63 - 1 or i > 2**63 - 1:
+                raise ParseError(path, line_no, "id above 2**63 - 1")
+            if (u, i) in seen:
+                raise ParseError(path, line_no, f"duplicate pair ({u}, {i})")
+            seen.add((u, i))
+            pairs.append((u, i))
+    return pairs
+
+
+def reference_load(paths):
+    """load_interactions on the line parser, remapping with one
+    dict.setdefault per id."""
+    raw = [reference_read_pairs(p) for p in paths]
+    if not raw[0]:
+        raise EmptySplitError(f"train split {paths[0]} has no interactions")
+    user_map, item_map = {}, {}
+    splits = [np.asarray([(user_map.setdefault(u, len(user_map)),
+                           item_map.setdefault(i, len(item_map))) for u, i in pairs],
+                         dtype=np.int64).reshape(-1, 2) for pairs in raw]
+    dataset = InteractionSet(len(user_map), len(item_map), *splits)
+    dataset.user_remap, dataset.item_remap = user_map, item_map
+    return dataset
+
+
+def outcome(load, *args):
+    """What load(*args) returns, or the type and message of what it raises."""
+    try:
+        return load(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def assert_loads_like_reference(paths):
+    """load_interactions and read_pairs give the reference's arrays, sizes
+    and remap dicts in order, or raise its exception with its message."""
+    want = outcome(reference_load, paths)
+    got = outcome(load_interactions, *paths)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.n_users, got.n_items) == (want.n_users, want.n_items)
+        assert list(got.user_remap.items()) == list(want.user_remap.items())
+        assert list(got.item_remap.items()) == list(want.item_remap.items())
+        for name in ("train", "valid", "test"):
+            assert got.pairs(name).dtype == np.int64
+            np.testing.assert_array_equal(got.pairs(name), want.pairs(name))
+    for path in paths:
+        want = outcome(reference_read_pairs, path)
+        got = outcome(read_pairs, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == np.int64 and got.shape == (len(want), 2)
+            assert got.tolist() == [list(p) for p in want]
+
+
+def random_ids(rng, n):
+    """n distinct ids of 1 to 18 digits in random order, 0 and 10**18 - 1
+    among them."""
+    ids = {0, 10**18 - 1}
+    while len(ids) < n:
+        digits = int(rng.integers(1, 19))
+        ids.add(int(rng.integers(10 ** (digits - 1), 10**digits)))
+    return rng.permutation(sorted(ids))
+
+
+def write_strict(path, pairs, rng, final_newline=True):
+    """Pairs as "digits<TAB>digits" lines, some ids with leading zeros
+    (never beyond 18 digits)."""
+    def field(v):
+        pad = int(rng.integers(0, 19 - len(str(v)))) if rng.random() < 0.2 else 0
+        return "0" * pad + str(v)
+    text = "\n".join(f"{field(u)}\t{field(i)}" for u, i in pairs)
+    path.write_bytes((text + ("\n" if final_newline and pairs else "")).encode())
+    return path
+
+
+class TestStrictFiles:
+    """Files of exactly "digits<TAB>digits" lines load as the line parser
+    loads them."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_file_sets_equal_line_parser(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        users = rng.permutation(random_ids(rng, 40))
+        items = rng.permutation(random_ids(rng, 30))
+        keys = rng.choice(len(users) * len(items), size=int(rng.integers(1, 300)), replace=False)
+        pool = [(int(users[k // len(items)]), int(items[k % len(items)])) for k in keys]
+        cut_valid, cut_test = sorted(rng.integers(1, len(pool) + 1, size=2))
+        splits = pool[:cut_valid], pool[cut_valid:cut_test], pool[cut_test:]
+        paths = [write_strict(tmp_path / f"{name}.tsv", pairs, rng,
+                              final_newline=bool(rng.random() < 0.5))
+                 for name, pairs in zip(("train", "valid", "test"), splits)]
+        assert_loads_like_reference(paths)
+
+    def test_edge_ids_and_empty_splits(self, tmp_path):
+        train = write(tmp_path, "train.tsv",
+                      f"999999999999999999\t0\n000000000000000007\t{10**17}\n7\t00\n5\t3")
+        valid = write(tmp_path, "valid.tsv", "")
+        test = write(tmp_path, "test.tsv", "")
+        assert_loads_like_reference([train, valid, test])
+        ds = load_interactions(train, valid, test)
+        assert list(ds.user_remap) == [10**18 - 1, 7, 5]
+        assert list(ds.item_remap) == [0, 10**17, 3]
+
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
+        def line_parser(path):
+            raise AssertionError(f"{path} went through the line parser")
+        monkeypatch.setattr(dataio, "_read_pairs", line_parser)
+
+    def test_files_the_engine_writes_skip_the_line_parser(self, tmp_path, no_line_parser):
+        files = write_synthetic(tmp_path, generate_synthetic(
+            SyntheticSpec(n_users=60, n_items=40, seed=7)))
+        ds = load_interactions(files["train"], files["valid"], files["test"])
+        assert len(ds.train_pairs) and len(read_pairs(files["planted_fn"]))
+
+    @pytest.mark.parametrize("text", ["", "1\t2", f"{10**18 - 1}\t000000000000000001\n3\t4\n"])
+    def test_strict_file_skips_the_line_parser(self, tmp_path, no_line_parser, text):
+        assert len(read_pairs(write(tmp_path, "pairs.tsv", text))) == text.count("\t")
+
+    def test_empty_train_file_raises(self, tmp_path):
+        train = write(tmp_path, "train.tsv", "")
+        valid = write(tmp_path, "valid.tsv", "0\t0\n")
+        test = write(tmp_path, "test.tsv", "")
+        with pytest.raises(EmptySplitError):
+            load_interactions(train, valid, test)
+
+    def test_valid_pair_also_in_train_raises(self, tmp_path):
+        train = write(tmp_path, "train.tsv", "10\t20\n11\t21\n")
+        valid = write(tmp_path, "valid.tsv", "11\t20\n11\t21\n")
+        test = write(tmp_path, "test.tsv", "")
+        with pytest.raises(BadParam, match="valid"):
+            load_interactions(train, valid, test)
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_duplicate_reports_line(self, tmp_path, split):
+        text = {"train": "1\t2\n3\t4\n", "valid": "5\t6\n", "test": "7\t8\n"}
+        text[split] += "9\t9\n" + text[split].splitlines()[0]
+        paths = [write(tmp_path, f"{name}.tsv", text[name]) for name in text]
+        assert_loads_like_reference(paths)
+        line_no = len(text[split].splitlines())
+        with pytest.raises(ParseError, match=f"{split}.tsv:{line_no}: duplicate"):
+            load_interactions(*paths)
+
+
+FALLBACK_FORMS = {
+    "comment": "# written by hand\n{a}\n",
+    "blank-line": "{a}\n\n",
+    "crlf": "{a}\r\n77777\t88888\r\n",
+    "padded-id": "{a}\n 77777\t88888 \n",
+    "plus-sign": "{a}\n+77777\t88888\n",
+    "underscore": "{a}\n77_777\t88888\n",
+    "19-digit-id": "{a}\n1234567890123456789\t88888\n",
+    "19-digit-leading-zero": "{a}\n0000000000000077777\t88888\n",
+    "int64-max": f"{{a}}\n{2**63 - 1}\t88888\n",
+    "int64-max-plus-1": f"{{a}}\n{2**63}\t88888\n",
+    "negative-id": "{a}\n-77777\t88888\n",
+    "utf8-bom": "\ufeff{a}\n",
+    "three-fields": "{a}\n77777\t88888\t1\n",
+    "one-field": "{a}\n77777\n",
+    "empty-field": "{a}\n\t88888\n",
+    "non-ascii-digit": "{a}\n\u0667\t88888\n",
+    "duplicate-in-other-form": "{a}\n {a}\n",
+}
+
+
+@pytest.mark.parametrize("split", ["train", "valid", "test"])
+@pytest.mark.parametrize("form", FALLBACK_FORMS)
+def test_fallback_form_equals_line_parser(tmp_path, form, split):
+    """Each file that is not strict gives the line parser's pairs, or its
+    exact ParseError with its line number; the other splits stay strict."""
+    base = {"train": "1\t2\n3\t4", "valid": "5\t6", "test": "7\t8"}
+    text = {name: line + "\n" for name, line in base.items()}
+    text[split] = FALLBACK_FORMS[form].format(a=base[split])
+    paths = []
+    for name, body in text.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(body.encode("utf-8"))
+        paths.append(path)
+    assert_loads_like_reference(paths)
 
 
 class TestInteractionSet:

@@ -2,6 +2,7 @@
 claims between two source trees rest on."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,14 @@ def test_hashes_without_a_validation(config_hashes, monkeypatch):
     data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
     first = config_hashes.config_hashes(data, "mf", "adv", "embed")
     assert first == config_hashes.config_hashes(data, "mf", "adv", "embed")
+
+
+def test_ingest_row(config_hashes, monkeypatch, capsys):
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    digest = config_hashes.ingest_hash(data)
+    assert re.fullmatch("[0-9a-f]{16}", digest)
+    assert config_hashes.ingest_hash(data) == digest
+    # the row main prints, here without the training rows
+    monkeypatch.setattr(config_hashes, "BACKBONES", ())
+    config_hashes.main()
+    assert f"| ingest | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()

@@ -238,3 +238,10 @@ class TestTrainConfigValidation:
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**{field: value})
         TrainConfig(backbone="lightgcn", gcn_layers=0, adv_dim=0)
+
+    def test_rejects_adv_dim_with_mlp_hardness(self):
+        # adv_dim sizes the embed hardness tables; the MLP model would ignore it
+        with pytest.raises(ValueError, match="adv_dim.*hardness_kind"):
+            TrainConfig(hardness_kind="mlp", adv_dim=8)
+        TrainConfig(hardness_kind="mlp", adv_dim=0)
+        TrainConfig(hardness_kind="embed", adv_dim=8)

@@ -11,8 +11,13 @@ configuration and prints two hashes for each:
   identification rate (n_resamples=1) and a 10-bin hardness-popularity
   profile; the last two only where the strategy trains a hardness model.
 
-Two source trees whose tables are identical train and diagnose byte for byte
-alike on these configurations. The table goes to standard output and the
+One more row, ingest, hashes the same dataset written with write_pairs
+under seeded distinct 9-digit external ids and read back: the three splits
+and both remap dicts (in order) from load_interactions, and the planted false
+negatives from read_pairs + remap_pairs.
+
+Two source trees whose tables are identical ingest, train and diagnose byte
+for byte alike on these configurations. The table goes to standard output and the
 seconds per configuration to standard error. Run from the repository root:
 
     PYTHONPATH=src python tools/config_hashes.py
@@ -25,9 +30,14 @@ import hashlib
 import itertools
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-from advrec.dataio import SyntheticSpec, generate_synthetic
+import numpy as np
+
+from advrec.dataio import (SPLITS, SyntheticSpec, generate_synthetic, load_interactions,
+                           read_pairs, write_pairs)
 from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
 from advrec.rng import substream
 from advrec.trainer import TrainConfig, run_training
@@ -83,10 +93,32 @@ def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[st
     return _digest(train), _digest(hashlib.sha256(repr(diag).encode()))
 
 
+def ingest_hash(data) -> str:
+    rng = substream(SEED, "ingest-ids")
+    user_ids = 10**8 + rng.choice(9 * 10**8, size=data.dataset.n_users, replace=False)
+    item_ids = 10**8 + rng.choice(9 * 10**8, size=data.dataset.n_items, replace=False)
+    arrays = {name: data.dataset.pairs(name) for name in SPLITS}
+    arrays["planted_fn"] = data.planted_fn
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: Path(tmp) / f"{name}.tsv" for name in arrays}
+        for name, pairs in arrays.items():
+            write_pairs(files[name], np.stack([user_ids[pairs[:, 0]], item_ids[pairs[:, 1]]], 1))
+        dataset = load_interactions(*(files[name] for name in SPLITS))
+        planted = dataset.remap_pairs(read_pairs(files["planted_fn"]))
+    h = hashlib.sha256()
+    for name in SPLITS:
+        h.update(dataset.pairs(name).tobytes())
+    h.update(repr(list(dataset.user_remap.items())).encode())
+    h.update(repr(list(dataset.item_remap.items())).encode())
+    h.update(planted.tobytes())
+    return _digest(h)
+
+
 def main() -> None:
     data = generate_synthetic(SyntheticSpec(seed=SEED, **SPEC))
     print("| backbone | strategy | hardness | train | diag |")
     print("| --- | --- | --- | --- | --- |")
+    print(f"| ingest | - | - | {ingest_hash(data)} | - |", flush=True)
     for backbone, strategy, hardness in itertools.product(BACKBONES, STRATEGIES, HARDNESS):
         t0 = time.perf_counter()
         train, diag = config_hashes(data, backbone, strategy, hardness)
