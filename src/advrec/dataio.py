@@ -9,6 +9,7 @@ which accepts the same pairs and reports each error with its line number.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .rng import substream
 SPLITS = ("train", "valid", "test")
 INT64_MAX = 2**63 - 1  # ids are held as int64
 STRICT_DIGITS = 18  # a strict field is below 10**18, so it fits int64
+ID_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")  # what int() reads, less "_" and non-ASCII digits
 
 
 @dataclass
@@ -140,10 +142,9 @@ def _read_pairs(path) -> list[tuple[int, int]]:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ParseError(path, line_no, "expected 'user<TAB>item'")
-            try:
-                u, i = int(fields[0]), int(fields[1])
-            except ValueError:
+            if not all(ID_FIELD.fullmatch(field) for field in fields):
                 raise ParseError(path, line_no, f"non-integer id in {fields!r}")
+            u, i = int(fields[0]), int(fields[1])
             if u < 0 or i < 0:
                 raise ParseError(path, line_no, "negative id")
             if u > INT64_MAX or i > INT64_MAX:

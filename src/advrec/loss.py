@@ -203,7 +203,8 @@ class _TableHardness:
 
     LAYOUT gives each table's (name, symbolic shape). Sizes named after an
     encoder field (n_users, n_items, dim) equal the encoder's; h is the
-    model's own width. A rank-1 entry is stored as a one-row table."""
+    model's own width, init(n_users, n_items, dim, seed, h)'s last argument,
+    where 0 gives the model's default. A rank-1 entry is a one-row table."""
 
     kind: str
     LAYOUT: tuple[tuple[str, tuple[str, ...]], ...]
@@ -256,9 +257,10 @@ class EmbedHardness(_TableHardness):
     item_table = property(lambda self: self.tables[1])
 
     @classmethod
-    def init(cls, n_users: int, n_items: int, dim: int, seed: int) -> "EmbedHardness":
-        user_table = EmbeddingTable.zeros(n_users, dim)
-        item_table = EmbeddingTable.uniform_init(n_items, dim, substream(seed, "init-adv-item"))
+    def init(cls, n_users: int, n_items: int, dim: int, seed: int, h: int = 0) -> "EmbedHardness":
+        h = h or dim
+        user_table = EmbeddingTable.zeros(n_users, h)
+        item_table = EmbeddingTable.uniform_init(n_items, h, substream(seed, "init-adv-item"))
         return cls(user_table, item_table)
 
     def raw_scores_batch(self, users: np.ndarray, negatives: np.ndarray, encoder=None) -> np.ndarray:
@@ -290,15 +292,16 @@ class MlpHardness(_TableHardness):
     b_item = property(lambda self: self.tables[3].values[0])
 
     @classmethod
-    def init(cls, encoder_dim: int, seed: int, latent: int = 4) -> "MlpHardness":
-        bound = 0.5 / np.sqrt(encoder_dim)
+    def init(cls, n_users: int, n_items: int, dim: int, seed: int, h: int = 0) -> "MlpHardness":
+        h = h or 4
+        bound = 0.5 / np.sqrt(dim)
         rng_u = substream(seed, "init-mlp-user")
         rng_i = substream(seed, "init-mlp-item")
         return cls.from_arrays(
-            w_user=rng_u.uniform(-bound, bound, size=(latent, encoder_dim)),
-            b_user=np.zeros(latent),
-            w_item=rng_i.uniform(-bound, bound, size=(latent, encoder_dim)),
-            b_item=np.zeros(latent),
+            w_user=rng_u.uniform(-bound, bound, size=(h, dim)),
+            b_user=np.zeros(h),
+            w_item=rng_i.uniform(-bound, bound, size=(h, dim)),
+            b_item=np.zeros(h),
         )
 
     def _inputs(self, users, negatives, encoder):

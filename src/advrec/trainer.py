@@ -20,8 +20,6 @@ from .evaluation import evaluate_split
 from .loss import (
     HARDNESS_MODELS,
     AdamHyper,
-    EmbedHardness,
-    MlpHardness,
     advinfonce_backward_batch,
     hardness_grad_from_delta,
 )
@@ -57,8 +55,7 @@ class TrainConfig:
     embed_dim: int = 64
     gcn_layers: int = 2
     hardness_kind: str = "embed"    # a key of loss.HARDNESS_MODELS
-    adv_dim: int = 0                # embed hardness width; 0 means: same as embed_dim
-    mlp_latent: int = 4
+    hardness_dim: int = 0           # hardness width h; 0: the model's default
     k_eval: int = 20
 
     def __post_init__(self):
@@ -67,10 +64,10 @@ class TrainConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("batch_size", "n_negatives", "max_epochs", "eval_every",
-                     "t_adv_interval", "embed_dim", "k_eval", "patience", "mlp_latent"):
+                     "t_adv_interval", "embed_dim", "k_eval", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("e_adv_max", "gcn_layers", "adv_dim"):
+        for name in ("e_adv_max", "gcn_layers", "hardness_dim"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.hardness_strategy not in STRATEGIES:
@@ -79,9 +76,6 @@ class TrainConfig:
             raise ValueError("backbone must be 'mf' or 'lightgcn'")
         if self.hardness_kind not in tuple(HARDNESS_MODELS):
             raise ValueError(f"hardness_kind must be one of {tuple(HARDNESS_MODELS)}")
-        if self.adv_dim and self.hardness_kind == MlpHardness.kind:
-            raise ValueError(f"adv_dim {self.adv_dim} has no effect with hardness_kind "
-                             f"{MlpHardness.kind!r}; leave it 0")
 
 
 @dataclass
@@ -118,10 +112,8 @@ class TrainResult:
 def build_hardness(cfg: TrainConfig, n_users: int, n_items: int):
     if cfg.hardness_strategy not in ("adv", "reverse"):
         return None
-    if cfg.hardness_kind == MlpHardness.kind:
-        return MlpHardness.init(cfg.embed_dim, cfg.seed, latent=cfg.mlp_latent)
-    dim = cfg.adv_dim or cfg.embed_dim
-    return EmbedHardness.init(n_users, n_items, dim, cfg.seed)
+    return HARDNESS_MODELS[cfg.hardness_kind].init(n_users, n_items, cfg.embed_dim, cfg.seed,
+                                                   h=cfg.hardness_dim)
 
 
 def init_state(dataset: InteractionSet, cfg: TrainConfig) -> TrainState:

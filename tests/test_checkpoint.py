@@ -57,7 +57,7 @@ class TestRoundTrip:
 
     def test_mlp_hardness_round_trip(self, tmp_path):
         enc = build_encoder("mf", 4, 5, 6, tau=0.5, seed=5)
-        hardness = MlpHardness.init(encoder_dim=6, seed=5)
+        hardness = MlpHardness.init(4, 5, 6, seed=5)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, enc, hardness)
         _, loaded = load_checkpoint(path)
@@ -97,7 +97,7 @@ def saved_parts(tmp_path, hardness=None):
     enc = build_encoder("mf", 4, 5, 3, tau=0.5, seed=8)
     model = {None: None,
              "embed": lambda: EmbedHardness.init(4, 5, 2, seed=8),
-             "mlp": lambda: MlpHardness.init(encoder_dim=3, seed=8)}[hardness]
+             "mlp": lambda: MlpHardness.init(4, 5, 3, seed=8)}[hardness]
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, enc, model and model())
     header_line, data = path.read_bytes()[len(MAGIC):].split(b"\n", 1)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from advrec.checkpoint import save_checkpoint
+from advrec.checkpoint import load_checkpoint, save_checkpoint
 from advrec.cli import main
-from advrec.dataio import gamma_quotas
+from advrec.dataio import gamma_quotas, load_interactions
 from advrec.encoder import build_encoder
 
 
@@ -113,8 +113,8 @@ class TestTrain:
         assert "also a train pair" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--gcn_layers", "-2"), ("--gcn_layers", "-1"), ("--mlp_latent", "0"),
-        ("--adv_dim", "-3"), ("--k_weight", "1e400"), ("--lr", "nan"),
+        ("--gcn_layers", "-2"), ("--gcn_layers", "-1"), ("--hardness_dim", "-1"),
+        ("--k_weight", "1e400"), ("--lr", "nan"),
     ])
     def test_bad_config_value_exits_2_before_loading(self, tmp_path, capsys, flag, value):
         # The dataset files do not exist: the config is rejected before they load.
@@ -126,27 +126,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert flag[2:] in err and "absent.tsv" not in err
 
-    def test_adv_dim_with_mlp_hardness_exits_2_before_loading(self, tmp_path, capsys):
-        absent = str(tmp_path / "absent.tsv")
-        code = main(["train", "--train_file", absent, "--valid_file", absent,
-                     "--test_file", absent, "--out", str(tmp_path / "run"),
-                     "--hardness_kind", "mlp", "--adv_dim", "8"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "adv_dim" in err and "hardness_kind" in err and "absent.tsv" not in err
-        assert not (tmp_path / "run").exists()
-
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         data = generate(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"train_file={data / 'train.tsv'}\nmax_epoch=3\n")
-        code = main(["train", "--config", str(cfg),
-                     "--valid_file", str(data / "valid.tsv"),
-                     "--test_file", str(data / "test.tsv"),
-                     "--out", str(tmp_path / "run")])
-        assert code == 2
-        assert "max_epoch" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        # adv_dim and mlp_latent: the two hardness widths that hardness_dim replaced
+        for key, value in (("max_epoch", 3), ("adv_dim", 8), ("mlp_latent", 4)):
+            cfg.write_text(f"train_file={data / 'train.tsv'}\n{key}={value}\n")
+            code = main(["train", "--config", str(cfg),
+                         "--valid_file", str(data / "valid.tsv"),
+                         "--test_file", str(data / "test.tsv"),
+                         "--out", str(tmp_path / "run")])
+            assert code == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
     def test_toy_run_writes_all_artifacts(self, tmp_path):
         data = generate(tmp_path)
@@ -390,11 +382,18 @@ class TestGraphBackboneMlpHardness:
     def test_adversarial_run_is_byte_identical_and_usable(self, tmp_path):
         data = generate(tmp_path)
         extra = ("--backbone", "lightgcn", "--hardness_kind", "mlp",
-                 "--hardness_strategy", "adv")
+                 "--hardness_strategy", "adv", "--hardness_dim", "3")
         r1 = train(tmp_path, data, "r1", extra=extra)
-        r2 = train(tmp_path, data, "r2", extra=extra)
-        for name in ("metrics.jsonl", "final.ckpt"):
+        # the resolved-config snapshot plus its seed replay the run bit for bit
+        r2 = tmp_path / "r2"
+        assert main(["train", "--config", str(r1 / "config.resolved"), "--out", str(r2)]) == 0
+        for name in ("metrics.jsonl", "best.ckpt", "final.ckpt"):
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
+        _, hardness = load_checkpoint(r1 / "final.ckpt", load_interactions(
+            data / "train.tsv", data / "valid.tsv", data / "test.tsv"))
+        assert hardness.kind == "mlp"
+        assert {name: arr.shape for name, arr in hardness.param_arrays().items()} == {
+            "w_user": (3, 8), "b_user": (3,), "w_item": (3, 8), "b_item": (3,)}
         files = ["--train_file", str(data / "train.tsv"),
                  "--valid_file", str(data / "valid.tsv"),
                  "--test_file", str(data / "test.tsv")]

@@ -134,6 +134,9 @@ def reference_read_pairs(path):
             if len(fields) != 2:
                 raise ParseError(path, line_no, "expected 'user<TAB>item'")
             try:
+                if any("_" in f or not all(c.isascii() or c.isspace() for c in f)
+                       for f in fields):
+                    raise ValueError("int() also reads '_' and non-ASCII digits")
                 u, i = int(fields[0]), int(fields[1])
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer id in {fields!r}")
@@ -292,6 +295,7 @@ FALLBACK_FORMS = {
     "padded-id": "{a}\n 77777\t88888 \n",
     "plus-sign": "{a}\n+77777\t88888\n",
     "underscore": "{a}\n77_777\t88888\n",
+    "underscore-collision": "{a}\n77777\t88888\n77_777\t88888\n",
     "19-digit-id": "{a}\n1234567890123456789\t88888\n",
     "19-digit-leading-zero": "{a}\n0000000000000077777\t88888\n",
     "int64-max": f"{{a}}\n{2**63 - 1}\t88888\n",
@@ -304,6 +308,7 @@ FALLBACK_FORMS = {
     "non-ascii-digit": "{a}\n\u0667\t88888\n",
     "duplicate-in-other-form": "{a}\n {a}\n",
 }
+NON_INTEGER_FORMS = ("underscore", "underscore-collision", "non-ascii-digit")
 
 
 @pytest.mark.parametrize("split", ["train", "valid", "test"])
@@ -320,6 +325,9 @@ def test_fallback_form_equals_line_parser(tmp_path, form, split):
         path.write_bytes(body.encode("utf-8"))
         paths.append(path)
     assert_loads_like_reference(paths)
+    if form in NON_INTEGER_FORMS:
+        with pytest.raises(ParseError, match="non-integer id"):
+            load_interactions(*paths)
 
 
 class TestInteractionSet:

@@ -390,7 +390,7 @@ class TestMlpHardness:
     def test_finite_difference_through_full_loss(self):
         rng = np.random.default_rng(21)
         enc = build_encoder("mf", n_users=5, n_items=7, dim=6, tau=0.5, seed=3)
-        model = MlpHardness.init(encoder_dim=6, seed=4, latent=4)
+        model = MlpHardness.init(5, 7, 6, seed=4, h=4)
         u, i = 2, 1
         negatives = np.array([0, 4, 4])
         s_pos = -0.2
@@ -423,7 +423,7 @@ class TestMlpHardness:
         assert worst < 1e-5
 
     def test_bias_starts_at_zero(self):
-        model = MlpHardness.init(encoder_dim=8, seed=5)
+        model = MlpHardness.init(5, 7, 8, seed=5)
         assert np.all(model.b_user == 0.0)
         assert np.all(model.b_item == 0.0)
         assert model.w_user.shape == (4, 8)
@@ -434,7 +434,7 @@ def make_model(kind):
     items x dim 5."""
     rng = np.random.default_rng(30)
     model = (EmbedHardness.init(4, 6, 3, seed=30) if kind == "embed"
-             else MlpHardness.init(encoder_dim=5, seed=31, latent=3))
+             else MlpHardness.init(4, 6, 5, seed=31, h=3))
     for arr in model.param_arrays().values():
         arr[...] = rng.normal(scale=0.5, size=arr.shape)
     return model

@@ -7,10 +7,13 @@ import pytest
 
 from advrec.encoder import representations
 from advrec.errors import SkippedAdvStep
+from advrec.numkit import EmbeddingTable
+from advrec.rng import substream
 from advrec.trainer import (
     Batch,
     TrainConfig,
     adv_step,
+    build_hardness,
     hardness_divergence,
     init_state,
     iter_batches,
@@ -231,17 +234,40 @@ class TestTrainConfigValidation:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(backbone="transformer")
-        for field, value in (("gcn_layers", -1), ("gcn_layers", -2), ("mlp_latent", 0),
-                             ("adv_dim", -3), ("k_weight", float("inf")),
+        for field, value in (("gcn_layers", -1), ("gcn_layers", -2), ("hardness_dim", -1),
+                             ("k_weight", float("inf")),
                              ("lr", float("nan")), ("lr_adv", float("inf")),
                              ("tau", float("inf"))):
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**{field: value})
-        TrainConfig(backbone="lightgcn", gcn_layers=0, adv_dim=0)
+        TrainConfig(backbone="lightgcn", gcn_layers=0, hardness_dim=0)
 
-    def test_rejects_adv_dim_with_mlp_hardness(self):
-        # adv_dim sizes the embed hardness tables; the MLP model would ignore it
-        with pytest.raises(ValueError, match="adv_dim.*hardness_kind"):
-            TrainConfig(hardness_kind="mlp", adv_dim=8)
-        TrainConfig(hardness_kind="mlp", adv_dim=0)
-        TrainConfig(hardness_kind="embed", adv_dim=8)
+
+def reference_hardness_arrays(kind, n_users, n_items, dim, seed, h):
+    """Each model's initial parameters of width h, drawn from its named rng
+    streams as written out here."""
+    if kind == "embed":
+        item = EmbeddingTable.uniform_init(n_items, h, substream(seed, "init-adv-item"))
+        return {"adv_user": np.zeros((n_users, h)), "adv_item": item.values}
+    bound = 0.5 / np.sqrt(dim)
+    return {"w_user": substream(seed, "init-mlp-user").uniform(-bound, bound, size=(h, dim)),
+            "b_user": np.zeros(h),
+            "w_item": substream(seed, "init-mlp-item").uniform(-bound, bound, size=(h, dim)),
+            "b_item": np.zeros(h)}
+
+
+class TestBuildHardness:
+    @pytest.mark.parametrize("kind,default_width", [("embed", 6), ("mlp", 4)])
+    @pytest.mark.parametrize("hardness_dim", [0, 5])
+    def test_width_and_initial_bytes(self, small_dataset, kind, default_width, hardness_dim):
+        """hardness_dim 0 gives embed tables (n, embed_dim) and MLP weights
+        (4, embed_dim); any other value is the width of either kind."""
+        cfg = small_cfg(hardness_kind=kind, hardness_dim=hardness_dim, embed_dim=6, seed=3)
+        model = build_hardness(cfg, small_dataset.n_users, small_dataset.n_items)
+        h = hardness_dim or default_width
+        want = reference_hardness_arrays(kind, small_dataset.n_users, small_dataset.n_items,
+                                         6, 3, h)
+        got = model.param_arrays()
+        assert model.kind == kind and list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
