@@ -132,11 +132,15 @@ def cmd_train(ns) -> int:
         if getattr(ns, key) is None and key in file_cfg:
             setattr(ns, key, file_cfg[key])
     cfg = _resolve_dataclass(TrainConfig, file_cfg, ns)
+    if cfg.backbone == "mf" and (ns.gcn_layers is not None or "gcn_layers" in file_cfg):
+        raise EngineError("gcn_layers applies only to backbone lightgcn")
     dataset = _load_dataset(ns)
     out = Path(ns.out or "run")
     out.mkdir(parents=True, exist_ok=True)
 
     snapshot = dataclasses.asdict(cfg)
+    if cfg.backbone == "mf":
+        del snapshot["gcn_layers"]  # so that the snapshot replays
     snapshot.update(train_file=ns.train_file, valid_file=ns.valid_file,
                     test_file=ns.test_file, out=str(out))
     _write_snapshot(out / "config.resolved", snapshot)

@@ -17,6 +17,7 @@ from .numkit import (
     NORM_FLOOR,
     EmbeddingTable,
     NormAdjacency,
+    compact_ids,
     propagate,
     propagate_backward,
     scatter_rows,
@@ -114,6 +115,7 @@ class _ScoreCache:
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
     cos: np.ndarray        # (B, M)
+    item_ids: tuple[np.ndarray, np.ndarray]  # compact_ids(items, n_items)
 
 
 def _check_ids(enc: Encoder, users, items) -> None:
@@ -129,7 +131,9 @@ def batch_forward(
     items: np.ndarray,
     reps: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, _ScoreCache]:
-    """Scores (B, M) for item block items of shape (B, M) against users (B,)."""
+    """Scores (B, M) for item block items of shape (B, M) against users (B,).
+    Each distinct item's norm is computed once; the cache keeps the items'
+    compaction for the backward pass."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     _check_ids(enc, users, items)
@@ -137,12 +141,14 @@ def batch_forward(
     u_rep = user_reps[users]
     i_rep = item_reps[items]
     u_norm = np.linalg.norm(u_rep, axis=-1)
-    i_norm = np.linalg.norm(i_rep, axis=-1)
-    if np.any(u_norm <= NORM_FLOOR) or np.any(i_norm <= NORM_FLOOR):
+    item_ids = compact_ids(items, enc.n_items)
+    unique_norm = np.linalg.norm(item_reps[item_ids[0]], axis=-1)
+    if np.any(u_norm <= NORM_FLOOR) or np.any(unique_norm <= NORM_FLOOR):
         raise ZeroNormError("representation norm below 1e-12")
+    i_norm = unique_norm[item_ids[1]]
     cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
-    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos)
+    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, item_ids)
 
 
 def batch_backward(
@@ -158,13 +164,14 @@ def batch_backward(
     c = cache
     # d cos / d i_rep and d cos / d u_rep, scaled by upstream.
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
-    d_i = coef_i[..., None] * c.u_rep[:, None, :] \
-        - (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
+    d_i = coef_i[..., None] * c.u_rep[:, None, :]
+    d_i -= (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
 
     if enc.kind == MF or enc.layers == 0:
-        return scatter_rows(c.users, d_u), scatter_rows(c.items, d_i)
+        return (scatter_rows(c.users, d_u, enc.n_users),
+                scatter_rows(c.items, d_i, enc.n_items, c.item_ids))
 
     # Graph backbone: scatter onto node representations, then one linear
     # backward pass through the propagation. User and item nodes are disjoint

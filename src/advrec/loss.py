@@ -274,7 +274,8 @@ class EmbedHardness(_TableHardness):
         v = self.item_table.values[negatives]
         d_user = np.einsum("bn,bnd->bd", d_g, v)
         d_item = d_g[..., None] * u[:, None, :]
-        return scatter_rows(users, d_user), scatter_rows(negatives, d_item)
+        return (scatter_rows(users, d_user, self.user_table.rows),
+                scatter_rows(negatives, d_item, self.item_table.rows))
 
 
 class MlpHardness(_TableHardness):

@@ -126,6 +126,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert flag[2:] in err and "absent.tsv" not in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_gcn_layers_with_mf_exits_2_before_loading(self, tmp_path, capsys, source):
+        # gcn_layers is read only by the graph backbone; MF would ignore it
+        absent = str(tmp_path / "absent.tsv")
+        given = ["--backbone", "mf", "--gcn_layers", "5"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("backbone=mf\ngcn_layers=2\n")
+            given = ["--config", str(cfg)]
+        code = main(["train", "--train_file", absent, "--valid_file", absent,
+                     "--test_file", absent, "--out", str(tmp_path / "run"), *given])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gcn_layers" in err and "absent.tsv" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_mf_snapshot_omits_gcn_layers_and_replays(self, tmp_path):
+        data = generate(tmp_path)
+        r1 = train(tmp_path, data, "r1")
+        assert "gcn_layers" not in (r1 / "config.resolved").read_text()
+        r2 = tmp_path / "r2"
+        assert main(["train", "--config", str(r1 / "config.resolved"), "--out", str(r2)]) == 0
+        for name in ("metrics.jsonl", "best.ckpt", "final.ckpt"):
+            assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         data = generate(tmp_path)
         cfg = tmp_path / "run.cfg"

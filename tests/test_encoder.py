@@ -223,6 +223,51 @@ def graph_backward_reference(enc, cache, upstream):
     return (u_ids, layer0_grad[u_ids]), (i_ids, layer0_grad[i_ids + enc.n_users])
 
 
+def mf_backward_reference(enc, cache, upstream):
+    """The MF branch of batch_backward as it was written with np.unique and
+    np.add.at, and with the item gradient built by one subtraction."""
+    up = upstream / enc.tau
+    c = cache
+    coef_i = up / (c.u_norm[:, None] * c.i_norm)
+    d_i = coef_i[..., None] * c.u_rep[:, None, :] \
+        - (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
+    d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
+        - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
+    out = []
+    for ids, grads in ((c.users, d_u), (c.items, d_i)):
+        unique, inverse = np.unique(ids, return_inverse=True)
+        sums = np.zeros((len(unique), enc.dim))
+        np.add.at(sums, inverse.ravel(), grads.reshape(-1, enc.dim))
+        out.append((unique, sums))
+    return tuple(out)
+
+
+class TestItemNormsOncePerItem:
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_i_norm_bytes_equal_norm_of_gather(self, small_dataset, backbone):
+        enc = (mf_encoder(small_dataset.n_users, small_dataset.n_items, dim=5, seed=44)
+               if backbone == "mf" else gcn_encoder(small_dataset, dim=5, seed=44))
+        rng = np.random.default_rng(45)
+        users = rng.integers(0, small_dataset.n_users, size=9)
+        items = rng.integers(0, small_dataset.n_items, size=(9, 6))
+        items[3] = items[0, 0]  # one item repeated across a row and between rows
+        _, cache = batch_forward(enc, users, items)
+        assert cache.i_norm.tobytes() == np.linalg.norm(cache.i_rep, axis=-1).tobytes()
+
+    def test_mf_backward_equals_unique_add_at(self):
+        enc = mf_encoder(n_users=7, n_items=9, dim=4, seed=46)
+        rng = np.random.default_rng(47)
+        users = rng.integers(0, 7, size=15)
+        items = rng.integers(0, 9, size=(15, 4))
+        upstream = rng.normal(size=(15, 4))
+        _, cache = batch_forward(enc, users, items)
+        got = batch_backward(enc, cache, upstream)
+        ref = mf_backward_reference(enc, cache, upstream)
+        for (ids, grads), (ref_ids, ref_grads) in zip(got, ref):
+            assert ids.tobytes() == ref_ids.tobytes()
+            assert grads.tobytes() == ref_grads.tobytes()
+
+
 class TestGraphScatterBytes:
     def test_apply_equals_add_at(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,

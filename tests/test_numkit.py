@@ -9,6 +9,7 @@ from advrec.numkit import (
     EmbeddingTable,
     NormAdjacency,
     adam_step,
+    compact_ids,
     cosine_score,
     cosine_score_grad,
     propagate,
@@ -98,6 +99,26 @@ def scalar_adam_reference(w0, grads, hyper):
     return w
 
 
+def adam_reference(table, ids, grads, hyper):
+    """The expression form of adam_step that the in-place update replaced."""
+    table.step_count += 1
+    t = table.step_count
+    m = hyper.beta1 * table.adam_m[ids]
+    m += (1.0 - hyper.beta1) * grads
+    v = hyper.beta2 * table.adam_v[ids]
+    v += (1.0 - hyper.beta2) * (grads * grads)
+    m_hat = m / (1.0 - hyper.beta1**t)
+    v_hat = v / (1.0 - hyper.beta2**t)
+    table.values[ids] -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    table.adam_m[ids] = m
+    table.adam_v[ids] = v
+
+
+def table_bytes(table):
+    return (table.values.tobytes(), table.adam_m.tobytes(), table.adam_v.tobytes(),
+            table.step_count)
+
+
 class TestAdamStep:
     def test_empty_grads_noop_but_counts(self):
         rng = np.random.default_rng(0)
@@ -154,6 +175,42 @@ class TestAdamStep:
         with pytest.raises(NonFiniteGradient):
             adam_step(table, ([0], np.array([[np.nan, 1.0]])), AdamHyper())
 
+    @pytest.mark.parametrize("ids,grads,error", [
+        ([0, 1], np.ones((1, 3)), DimMismatch),
+        ([1], np.ones((1, 2)), DimMismatch),
+        (np.zeros(0, dtype=np.int64), np.zeros((0, 2)), DimMismatch),
+        ([0, 2], np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 0.0]]), NonFiniteGradient),
+        ([1], np.array([[np.nan, 0.0, 0.0]]), NonFiniteGradient),
+    ])
+    def test_rejected_call_leaves_table_unchanged(self, ids, grads, error):
+        table = EmbeddingTable.uniform_init(4, 3, np.random.default_rng(6))
+        adam_step(table, ([1, 3], np.full((2, 3), 0.25)), AdamHyper())
+        before = table_bytes(table)
+        with pytest.raises(error):
+            adam_step(table, (ids, grads), AdamHyper())
+        assert table_bytes(table) == before
+        assert table.step_count == 1
+
+    def test_bytes_equal_expression_form(self):
+        rng = np.random.default_rng(7)
+        table = EmbeddingTable.uniform_init(10, 4, rng)
+        ref = table.copy()
+        hyper = AdamHyper(lr=0.03)
+        for step in range(12):
+            # overlapping row sets, one of them empty, gradients over a wide range
+            ids = np.flatnonzero(rng.random(10) < (0.0 if step == 5 else 0.6))
+            grads = rng.normal(size=(ids.size, 4)) * 10.0 ** rng.uniform(-8, 4, size=(ids.size, 4))
+            adam_step(table, (ids, grads), hyper)
+            adam_reference(ref, ids, grads, hyper)
+            assert table_bytes(table) == table_bytes(ref), step
+
+    def test_does_not_mutate_grads(self):
+        table = EmbeddingTable.uniform_init(5, 3, np.random.default_rng(8))
+        grads = np.random.default_rng(9).normal(size=(3, 3))
+        before = grads.tobytes()
+        adam_step(table, (np.array([0, 2, 4]), grads), AdamHyper(lr=0.1))
+        assert grads.tobytes() == before
+
 
 def add_at_reference(ids, rows, n):
     """The np.add.at scatter that segment_sum replaces."""
@@ -191,17 +248,58 @@ class TestSegmentSum:
         assert segment_sum(ids, rows, 7).tobytes() == add_at_reference(ids, rows, 7).tobytes()
         empty = segment_sum([], np.zeros((0, 3)), 2)
         assert empty.dtype == np.float64 and empty.tobytes() == np.zeros((2, 3)).tobytes()
-        ids, sums = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        ids, sums = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
         assert ids.size == 0 and sums.shape == (0, 3) and sums.dtype == np.float64
 
     def test_scatter_rows_matches_unique_add_at(self):
         rng = np.random.default_rng(32)
         ids = rng.integers(0, 50, size=(16, 9))
         grads = rng.normal(size=(16, 9, 5))
-        unique, sums = scatter_rows(ids, grads)
+        unique, sums = scatter_rows(ids, grads, 50)
         ref_ids, inverse = np.unique(ids, return_inverse=True)
         np.testing.assert_array_equal(unique, ref_ids)
         assert sums.tobytes() == add_at_reference(inverse, grads, len(ref_ids)).tobytes()
+
+    def test_scatter_rows_with_passed_compaction(self):
+        rng = np.random.default_rng(33)
+        ids = rng.integers(0, 30, size=(8, 6))
+        grads = rng.normal(size=(8, 6, 3))
+        unique, sums = scatter_rows(ids, grads, 40)
+        passed_ids, passed_sums = scatter_rows(ids, grads, 40, compact_ids(ids, 40))
+        assert passed_ids.tobytes() == unique.tobytes()
+        assert passed_sums.tobytes() == sums.tobytes()
+
+
+COMPACT_CASES = {
+    "empty": (np.zeros(0, dtype=np.int64), 5),
+    "empty-n0": (np.zeros(0, dtype=np.int64), 0),
+    "one": (np.array([3]), 4),
+    "ends": (np.array([9, 0, 9, 0]), 10),
+    "repeated": (np.array([2, 2, 2, 5, 2]), 6),
+    "2d": (np.random.default_rng(34).integers(0, 50, size=(16, 9)), 64),
+    "2d-all": (np.random.default_rng(35).permutation(12).reshape(3, 4), 12),
+}
+
+
+class TestCompactIds:
+    @pytest.mark.parametrize("case", list(COMPACT_CASES))
+    def test_equals_unique_with_inverse(self, case):
+        ids, n = COMPACT_CASES[case]
+        unique, inverse = compact_ids(ids, n)
+        ref_unique, ref_inverse = np.unique(ids, return_inverse=True)
+        for got, ref in ((unique, ref_unique), (inverse, ref_inverse)):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    def test_random_blocks_equal_unique(self):
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            ids = rng.integers(0, n, size=tuple(rng.integers(0, 6, size=2)))
+            got = compact_ids(ids, n)
+            ref = np.unique(ids, return_inverse=True)
+            assert all(a.tobytes() == b.tobytes() and a.shape == b.shape
+                       for a, b in zip(got, ref))
 
 
 def two_node_adjacency():
