@@ -100,7 +100,8 @@ def _read_header(path, fh) -> dict:
     if not (isinstance(meta, dict) and meta.get("kind") in (MF, LIGHTGCN)
             and all(_is_count(meta.get(key)) for key in ("n_users", "n_items", "dim", "layers"))
             and isinstance(meta.get("tau"), (int, float)) and not isinstance(meta["tau"], bool)
-            and 0 < meta["tau"] <= sys.float_info.max):  # no nan, inf or int beyond float
+            and 0 < meta["tau"] <= sys.float_info.max  # no nan, inf or int beyond float
+            and (meta["kind"] == LIGHTGCN or meta["layers"] == 0)):
         raise IncompatibleCheckpoint(f"{path}: bad encoder metadata {meta!r}")
     hmeta = header.get("hardness")
     # A tuple: testing a dict for an unhashable kind would raise TypeError.

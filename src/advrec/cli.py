@@ -6,7 +6,7 @@ and a file key that names no flag is rejected. Each run directory receives a
 resolved-config snapshot so that the snapshot plus the seed reproduce the run
 bit-for-bit.
 
-Exit codes: 0 success, 2 usage/config error, 3 numeric failure. Progress
+Exit codes: 0 success, 2 usage, config or path error, 3 numeric failure. Progress
 goes to stderr; stdout carries machine-readable JSON only for `evaluate`.
 """
 
@@ -155,12 +155,10 @@ def cmd_train(ns) -> int:
                  f"{record[f'recall@{cfg.k_eval}']:.4f} loss={record['loss']:.4f}")
         result = run_training(dataset, cfg, log_fn=log_record)
 
-    best_enc = result.state.best_encoder or result.state.encoder
-    best_hard = result.state.best_hardness if result.state.best_encoder else result.state.hardness
-    ckpt.save_checkpoint(out / "best.ckpt", best_enc, best_hard)
+    ckpt.save_checkpoint(out / "best.ckpt", *result.best)
     ckpt.save_checkpoint(out / "final.ckpt", result.state.encoder, result.state.hardness)
-    _log(f"done: best recall@{cfg.k_eval}={result.best_metric:.4f} "
-         f"at epoch {result.best_epoch}; artifacts in {out}")
+    _log(f"done: best recall@{cfg.k_eval}={result.state.best_metric:.4f} "
+         f"at epoch {result.state.best_epoch}; artifacts in {out}")
     return EXIT_OK
 
 
@@ -173,13 +171,7 @@ def cmd_evaluate(ns) -> int:
     dataset = _load_dataset(ns)
     enc, _ = ckpt.load_checkpoint(ns.checkpoint, dataset)
     report = evaluate_split(enc, dataset, ns.split, ns.k_eval)
-    payload = {
-        "split": ns.split,
-        f"hr@{ns.k_eval}": report.hr,
-        f"recall@{ns.k_eval}": report.recall,
-        f"ndcg@{ns.k_eval}": report.ndcg,
-        "n_users": report.n_users,
-    }
+    payload = {**report.record(ns.split), "n_users": report.n_users}
     if csv:
         with open(csv, "w", encoding="utf-8") as fh:
             fh.write("user,hr,recall,ndcg\n")
@@ -346,7 +338,7 @@ def main(argv=None) -> int:
     except (NonFinite, NonFiniteGradient) as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
-    except (EngineError, FileNotFoundError, ValueError) as exc:
+    except (EngineError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_CONFIG
 

@@ -41,6 +41,8 @@ class Encoder:
     def __post_init__(self):
         if self.kind not in (MF, LIGHTGCN):
             raise ValueError(f"unknown backbone {self.kind!r}")
+        if self.kind == MF and self.layers != 0:
+            raise ValueError(f"the MF backbone has no graph layers, got layers={self.layers}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.user_table.dim != self.item_table.dim:
@@ -99,7 +101,7 @@ def representations(enc: Encoder) -> tuple[np.ndarray, np.ndarray]:
     """Final user/item representations (propagated for the graph backbone,
     raw table rows for MF). Recomputed per call; a caller that holds the
     encoder fixed over many batches computes them once and passes them on."""
-    if enc.kind == MF or enc.layers == 0:
+    if enc.layers == 0:
         return enc.user_table.values, enc.item_table.values
     stacked = np.concatenate([enc.user_table.values, enc.item_table.values], axis=0)
     out = propagate(stacked, enc.adj, enc.layers)
@@ -169,7 +171,7 @@ def batch_backward(
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
 
-    if enc.kind == MF or enc.layers == 0:
+    if enc.layers == 0:
         return (scatter_rows(c.users, d_u, enc.n_users),
                 scatter_rows(c.items, d_i, enc.n_items, c.item_ids))
 

@@ -46,6 +46,12 @@ class MetricReport:
     n_users: int
     per_user: dict[int, tuple[float, float, float]]
 
+    def record(self, split: str) -> dict:
+        """The metrics as metrics.jsonl and `advrec evaluate` write them."""
+        k = self.k_eval
+        return {"split": split, f"hr@{k}": self.hr, f"recall@{k}": self.recall,
+                f"ndcg@{k}": self.ndcg}
+
 
 def rank_all(
     enc: Encoder,

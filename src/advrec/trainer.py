@@ -96,17 +96,18 @@ class TrainState:
     best_epoch: int = -1
     evals_since_improve: int = 0
     history: list = field(default_factory=list)
-    best_encoder: Encoder | None = None
-    best_hardness: object | None = None
+    best: tuple[Encoder, object | None] | None = None  # (encoder, hardness) at best_epoch
 
 
 @dataclass
 class TrainResult:
     state: TrainState
     history: list
-    best_metric: float
-    best_epoch: int
-    stopped_epoch: int
+
+    @property
+    def best(self) -> tuple[Encoder, object | None]:
+        """The model of the best validation, or the final one if none ran."""
+        return self.state.best or (self.state.encoder, self.state.hardness)
 
 
 def build_hardness(cfg: TrainConfig, n_users: int, n_items: int):
@@ -222,66 +223,64 @@ def hardness_divergence(state: TrainState, dataset: InteractionSet, epoch: int,
     take = min(n_anchors, len(train))
     anchors = train[rng.integers(0, len(train), size=take)]
     negs = sample_negatives(dataset, anchors[:, 0], cfg.n_negatives, rng).negatives
-    probs, deltas = _batch_deltas(state, Batch(anchors[:, 0], anchors[:, 1], negs))
+    probs, deltas = state.hardness.hardness(anchors[:, 0], negs, state.encoder)
     kl_mean = float(np.mean(-deltas.mean(axis=1)))
     eps_proxy = float(np.max(np.abs(probs - 1.0 / cfg.n_negatives)))
     return kl_mean, eps_proxy
 
 
+def train_epoch(state: TrainState, dataset: InteractionSet) -> dict | None:
+    """One epoch on state: a pass of minimization steps; every t_adv_interval
+    epochs (while budget remains) a full adversarial pass; every eval_every
+    epochs, given validation pairs, an evaluation that updates the best
+    snapshot and the patience count. Returns its record, or None."""
+    cfg = state.cfg
+    state.epoch += 1
+    epoch = state.epoch
+    epoch_loss, n_batches = 0.0, 0
+    for b, batch in enumerate(iter_batches(dataset, cfg, epoch, "min")):
+        delta_rng = substream(cfg.seed, "rand-delta", epoch, b)
+        epoch_loss += min_step(state, batch, delta_rng)
+        n_batches += 1
+
+    if (state.hardness is not None and epoch % cfg.t_adv_interval == 0
+            and state.e_adv < cfg.e_adv_max):
+        reps = representations(state.encoder)
+        for batch in iter_batches(dataset, cfg, epoch, "adv"):
+            adv_step(state, batch, reps)
+        state.e_adv += 1
+
+    if epoch % cfg.eval_every or len(dataset.valid_pairs) == 0:
+        return None
+    report = evaluate_split(state.encoder, dataset, "valid", cfg.k_eval)
+    kl_mean, eps_proxy = hardness_divergence(state, dataset, epoch)
+    record = {
+        "epoch": epoch,
+        **report.record("valid"),
+        "loss": epoch_loss / max(n_batches, 1),
+        "kl_mean": kl_mean,
+        "eps_proxy": eps_proxy,
+        "e_adv": state.e_adv,
+    }
+    state.history.append(record)
+    if report.recall > state.best_metric:
+        state.best_metric = report.recall
+        state.best_epoch = epoch
+        state.evals_since_improve = 0
+        state.best = (state.encoder.copy(),
+                      state.hardness.copy() if state.hardness is not None else None)
+    else:
+        state.evals_since_improve += 1
+    return record
+
+
 def run_training(dataset: InteractionSet, cfg: TrainConfig, log_fn=None) -> TrainResult:
-    """Full training: per epoch one pass of minimization steps; every
-    t_adv_interval epochs (while budget remains) one full adversarial pass;
-    every eval_every epochs a validation evaluation with early stopping
-    after `patience` evaluations without Recall improvement."""
+    """Full training: train_epoch from init_state until max_epochs, or until
+    `patience` evaluations in a row bring no Recall improvement. Each
+    evaluation's record also goes to log_fn."""
     state = init_state(dataset, cfg)
-    has_valid = len(dataset.users_with_positives("valid")) > 0
-    stopped_epoch = cfg.max_epochs
-    for epoch in range(1, cfg.max_epochs + 1):
-        state.epoch = epoch
-        epoch_loss, n_batches = 0.0, 0
-        for b, batch in enumerate(iter_batches(dataset, cfg, epoch, "min")):
-            delta_rng = substream(cfg.seed, "rand-delta", epoch, b)
-            epoch_loss += min_step(state, batch, delta_rng)
-            n_batches += 1
-        epoch_loss /= max(n_batches, 1)
-
-        if (state.hardness is not None and epoch % cfg.t_adv_interval == 0
-                and state.e_adv < cfg.e_adv_max):
-            reps = representations(state.encoder)
-            for batch in iter_batches(dataset, cfg, epoch, "adv"):
-                adv_step(state, batch, reps)
-            state.e_adv += 1
-
-        if epoch % cfg.eval_every == 0 and has_valid:
-            report = evaluate_split(state.encoder, dataset, "valid", cfg.k_eval)
-            kl_mean, eps_proxy = hardness_divergence(state, dataset, epoch)
-            record = {
-                "epoch": epoch,
-                "split": "valid",
-                f"hr@{cfg.k_eval}": report.hr,
-                f"recall@{cfg.k_eval}": report.recall,
-                f"ndcg@{cfg.k_eval}": report.ndcg,
-                "loss": epoch_loss,
-                "kl_mean": kl_mean,
-                "eps_proxy": eps_proxy,
-                "e_adv": state.e_adv,
-            }
-            state.history.append(record)
-            if log_fn is not None:
-                log_fn(record)
-            if report.recall > state.best_metric:
-                state.best_metric = report.recall
-                state.best_epoch = epoch
-                state.evals_since_improve = 0
-                state.best_encoder = state.encoder.copy()
-                state.best_hardness = (
-                    state.hardness.copy() if state.hardness is not None else None
-                )
-            else:
-                state.evals_since_improve += 1
-                if state.evals_since_improve >= cfg.patience:
-                    stopped_epoch = epoch
-                    break
-    return TrainResult(state=state, history=state.history,
-                       best_metric=state.best_metric, best_epoch=state.best_epoch,
-                       stopped_epoch=stopped_epoch)
+    while state.epoch < cfg.max_epochs and state.evals_since_improve < cfg.patience:
+        record = train_epoch(state, dataset)
+        if record is not None and log_fn is not None:
+            log_fn(record)
+    return TrainResult(state=state, history=state.history)

@@ -141,6 +141,7 @@ class TestMalformedFile:
         (None, shapes(user_values=[4, 3, 1])),
         (None, shapes(user_values=[4, 3.0])),
         (None, field("encoder", "dim", 2)),
+        (None, field("encoder", "layers", 2)),
         (None, lambda h: {**h, "hardness": "embed"}),
         ("embed", shapes(hardness_adv_user=[4, 3])),
         ("embed", shapes(hardness_adv_user=[5, 2], hardness_adv_item=[4, 2])),
@@ -152,7 +153,7 @@ class TestMalformedFile:
              "directory-not-objects", "unknown-kind", "tau-string", "tau-true", "tau-false",
              "negative-n-users",
              "negative-shape", "shapes-swapped", "extra-axis", "float-axis",
-             "dim-mismatch", "hardness-string", "embed-width-mismatch",
+             "dim-mismatch", "mf-layers", "hardness-string", "embed-width-mismatch",
              "embed-users-items-swapped", "embed-labelled-mlp", "mlp-dim-mismatch",
              "mlp-latent-mismatch", "mlp-kind-list"])
     def test_bad_header_rejected(self, tmp_path, hardness, edit):

@@ -174,6 +174,12 @@ class TestTrain:
         assert len(records) == 3
         assert all("recall@20" in r for r in records)
 
+    def test_no_validation_saves_the_final_model_as_best(self, tmp_path):
+        data = generate(tmp_path)
+        run = train(tmp_path, data, extra=["--eval_every", "4"])  # beyond --max_epochs 3
+        assert (run / "metrics.jsonl").read_bytes() == b""
+        assert (run / "best.ckpt").read_bytes() == (run / "final.ckpt").read_bytes()
+
     def test_same_seed_byte_identical(self, tmp_path):
         data = generate(tmp_path)
         r1 = train(tmp_path, data, "r1")
@@ -200,6 +206,27 @@ class TestTrain:
                         for line in (out / "config.resolved").read_text().splitlines())
         assert float(resolved["lr"]) == 0.001   # flag wins
         assert int(resolved["max_epochs"]) == 2  # file beats default
+
+
+@pytest.mark.parametrize("command,flag,kind", [
+    ("train", "--out", "file"), ("generate", "--out", "file"),
+    ("evaluate", "--checkpoint", "dir"), ("diagnose", "--checkpoint", "dir"),
+    ("train", "--config", "dir"),
+])
+def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, flag, kind):
+    data = generate(tmp_path)
+    path = tmp_path / kind
+    if kind == "file":
+        path.write_text("")
+    else:
+        path.mkdir()
+    files = ["--train_file", str(data / "train.tsv"), "--valid_file", str(data / "valid.tsv"),
+             "--test_file", str(data / "test.tsv")]
+    extra = {"train": files, "generate": GEN_ARGS, "evaluate": files,
+             "diagnose": [*files, "--which", "alignuniform", "--out", str(tmp_path / "d.csv")]}
+    capsys.readouterr()
+    assert main([command, flag, str(path), *extra[command]]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 """Backbone scoring and backward tests, including the full graph chain."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,12 @@ class TestScore:
 def test_encoder_rejects_bad_tau(tau):
     with pytest.raises(ValueError, match="tau"):
         mf_encoder(tau=tau)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_mf_encoder_rejects_graph_layers(layers):
+    with pytest.raises(ValueError, match="layers"):
+        replace(mf_encoder(), layers=layers)
 
 
 class TestScoreBackward:

@@ -20,6 +20,7 @@ from advrec.trainer import (
     mean_batch_loss,
     min_step,
     run_training,
+    train_epoch,
 )
 
 from conftest import tiny_dataset
@@ -41,6 +42,14 @@ def first_batch(dataset, cfg, epoch=1):
 def encoder_bytes(state):
     return (state.encoder.user_table.values.tobytes()
             + state.encoder.item_table.values.tobytes())
+
+
+def model_bytes(encoder, hardness):
+    """Parameter bytes of an (encoder, hardness) pair, such as a best snapshot."""
+    arrays = [encoder.user_table.values, encoder.item_table.values]
+    if hardness is not None:
+        arrays += [arr for _, arr in sorted(hardness.param_arrays().items())]
+    return b"".join(arr.tobytes() for arr in arrays)
 
 
 def hardness_bytes(state):
@@ -180,8 +189,8 @@ class TestRunTraining:
         cfg = small_cfg(lr=1e-300, lr_adv=1e-300, patience=4, max_epochs=50,
                         eval_every=1, hardness_strategy="none")
         result = run_training(small_dataset, cfg)
-        assert result.best_epoch == 1
-        assert result.stopped_epoch == result.best_epoch + cfg.patience
+        assert result.state.best_epoch == 1
+        assert result.state.epoch == result.state.best_epoch + cfg.patience
 
     def test_zero_adv_budget_matches_plain_training(self, small_dataset):
         cfg_adv = small_cfg(e_adv_max=0, hardness_strategy="adv", max_epochs=4)
@@ -205,7 +214,7 @@ class TestRunTraining:
         key = f"recall@{cfg.k_eval}"
         for rec in result.history:
             best_so_far = max(best_so_far, rec[key])
-        assert result.best_metric == best_so_far
+        assert result.state.best_metric == best_so_far
 
     def test_kl_does_not_decrease_over_adversarial_epoch(self, small_dataset):
         cfg = small_cfg(t_adv_interval=1, e_adv_max=5, lr_adv=1e-3, max_epochs=1)
@@ -222,6 +231,25 @@ class TestRunTraining:
         kl, eps = hardness_divergence(state, small_dataset, epoch=0)
         assert kl == 0.0
         assert eps == pytest.approx(0.0, abs=1e-15)
+
+
+class TestTrainEpoch:
+    @pytest.mark.parametrize("backbone,hardness_kind", [("mf", "embed"), ("lightgcn", "mlp")])
+    def test_epochs_replay_run_training(self, small_dataset, backbone, hardness_kind):
+        # five epochs: adversarial passes and evaluations after epochs 2 and 4
+        cfg = small_cfg(backbone=backbone, hardness_kind=hardness_kind, max_epochs=5,
+                        eval_every=2)
+        state = init_state(small_dataset, cfg)
+        records = [train_epoch(state, small_dataset) for _ in range(cfg.max_epochs)]
+        result = run_training(small_dataset, cfg)
+        assert [r is not None for r in records] == [False, True, False, True, False]
+        assert json.dumps(state.history, sort_keys=True) \
+            == json.dumps(result.history, sort_keys=True) \
+            == json.dumps([r for r in records if r is not None], sort_keys=True)
+        assert model_bytes(state.encoder, state.hardness) \
+            == model_bytes(result.state.encoder, result.state.hardness)
+        assert model_bytes(*state.best) == model_bytes(*result.state.best)
+        assert state.e_adv == result.state.e_adv == 2
 
 
 class TestTrainConfigValidation:

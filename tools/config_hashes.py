@@ -77,8 +77,8 @@ def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[st
 
     train = hashlib.sha256(json.dumps(state.history, sort_keys=True).encode())
     _add_encoder(train, state.encoder)
-    if state.best_encoder is not None:  # None when no validation ran
-        _add_encoder(train, state.best_encoder)
+    if state.best is not None:  # None when no validation ran
+        _add_encoder(train, state.best[0])
     _add_hardness(train, state.hardness)
 
     report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
