@@ -157,8 +157,13 @@ def cmd_train(ns) -> int:
 
     ckpt.save_checkpoint(out / "best.ckpt", *result.best)
     ckpt.save_checkpoint(out / "final.ckpt", result.state.encoder, result.state.hardness)
-    _log(f"done: best recall@{cfg.k_eval}={result.state.best_metric:.4f} "
-         f"at epoch {result.state.best_epoch}; artifacts in {out}")
+    state = result.state
+    if state.best is None:
+        _log(f"done: no validation ran; best.ckpt holds the final model (epoch {state.epoch}); "
+             f"artifacts in {out}")
+    else:
+        _log(f"done: best recall@{cfg.k_eval}={state.best_metric:.4f} "
+             f"at epoch {state.best_epoch}; artifacts in {out}")
     return EXIT_OK
 
 

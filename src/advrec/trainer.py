@@ -9,6 +9,7 @@ parameters and an adversarial step never touches the encoder.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,14 +130,37 @@ def init_state(dataset: InteractionSet, cfg: TrainConfig) -> TrainState:
 
 def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: str):
     """Deterministic epoch iterator: seeded shuffle of the train pairs and
-    fresh per-step negative samples."""
+    fresh per-step negative samples.
+
+    Batch b + 1 is gathered and its negatives drawn on one worker thread
+    while the caller runs step b; the first batch of a pass is drawn in the
+    calling thread. The bytes equal those of drawing each batch in turn,
+    because batch b draws only from its own substream(seed, phase-neg,
+    epoch, b), and the worker reads nothing a step writes: only the config,
+    the dataset, its train pairs and the pass's permutation. InteractionSet
+    is immutable after construction and safe for concurrent readers.
+
+    An error raised on the worker surfaces when its batch is requested. The
+    worker is shut down, after the batch in flight, when the pass ends, when
+    the iterator is closed early (as the interpreter does when a caller's
+    exception drops it) and when an exception unwinds through it.
+    """
     pairs = dataset.train_pairs
     perm = substream(cfg.seed, f"{phase}-shuffle", epoch).permutation(len(pairs))
-    for b, start in enumerate(range(0, len(pairs), cfg.batch_size)):
-        chunk = pairs[perm[start:start + cfg.batch_size]]
+    starts = range(0, len(pairs), cfg.batch_size)
+
+    def prepare(b: int) -> Batch:
+        chunk = pairs[perm[starts[b]:starts[b] + cfg.batch_size]]
         rng = substream(cfg.seed, f"{phase}-neg", epoch, b)
         negs = sample_negatives(dataset, chunk[:, 0], cfg.n_negatives, rng).negatives
-        yield Batch(chunk[:, 0], chunk[:, 1], negs)
+        return Batch(chunk[:, 0], chunk[:, 1], negs)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for b in range(len(starts)):
+            batch = ahead.result() if b else prepare(0)
+            if b + 1 < len(starts):
+                ahead = worker.submit(prepare, b + 1)
+            yield batch
 
 
 def _batch_deltas(state: TrainState, batch: Batch, delta_rng=None):

@@ -174,11 +174,22 @@ class TestTrain:
         assert len(records) == 3
         assert all("recall@20" in r for r in records)
 
-    def test_no_validation_saves_the_final_model_as_best(self, tmp_path):
+    def test_no_validation_saves_the_final_model_as_best(self, tmp_path, capsys):
         data = generate(tmp_path)
         run = train(tmp_path, data, extra=["--eval_every", "4"])  # beyond --max_epochs 3
         assert (run / "metrics.jsonl").read_bytes() == b""
         assert (run / "best.ckpt").read_bytes() == (run / "final.ckpt").read_bytes()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == ("done: no validation ran; best.ckpt holds the final model (epoch 3); "
+                        f"artifacts in {run}")
+
+    def test_done_line_names_the_best_validation(self, tmp_path, capsys):
+        data = generate(tmp_path)
+        run = train(tmp_path, data)
+        best = max(json.loads(line)["recall@20"]
+                   for line in (run / "metrics.jsonl").read_text().splitlines())
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"done: best recall@20={best:.4f} at epoch ")
 
     def test_same_seed_byte_identical(self, tmp_path):
         data = generate(tmp_path)

@@ -548,14 +548,22 @@ class TestSampleNegativesBatch:
             sample_negatives(self.dataset(), np.array([0, 1]), 0, np.random.default_rng(0))
 
     def test_iter_batches_equals_per_row_stack(self, small_dataset):
-        cfg = TrainConfig(batch_size=7, n_negatives=5, seed=3)
-        for b, batch in enumerate(iter_batches(small_dataset, cfg, 2, "min")):
-            rng = substream(cfg.seed, "min-neg", 2, b)
-            want = np.stack([reference_sample_negatives(
-                set(small_dataset.positives(int(u)).tolist()), small_dataset.n_items, 5, rng)
-                for u in batch.users])
-            np.testing.assert_array_equal(batch.negatives, want)
-        assert b >= 1
+        pairs = small_dataset.train_pairs
+        assert len(pairs) == 16
+        for batch_size, sizes in ((7, [7, 7, 2]), (16, [16]), (100, [16])):
+            cfg = TrainConfig(batch_size=batch_size, n_negatives=5, seed=3)
+            perm = substream(cfg.seed, "min-shuffle", 2).permutation(len(pairs))
+            batches = list(iter_batches(small_dataset, cfg, 2, "min"))
+            assert [len(batch.users) for batch in batches] == sizes
+            for b, batch in enumerate(batches):
+                chunk = pairs[perm[b * batch_size:(b + 1) * batch_size]]
+                np.testing.assert_array_equal(batch.users, chunk[:, 0])
+                np.testing.assert_array_equal(batch.pos_items, chunk[:, 1])
+                rng = substream(cfg.seed, "min-neg", 2, b)
+                want = np.stack([reference_sample_negatives(
+                    set(small_dataset.positives(int(u)).tolist()), small_dataset.n_items, 5, rng)
+                    for u in batch.users])
+                np.testing.assert_array_equal(batch.negatives, want)
 
 
 class TestGammaQuotas:

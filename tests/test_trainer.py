@@ -1,12 +1,14 @@
 """Min-max loop tests: freeze contracts, descent/ascent, schedule, replay."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from advrec import trainer
 from advrec.encoder import representations
-from advrec.errors import SkippedAdvStep
+from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep
 from advrec.numkit import EmbeddingTable
 from advrec.rng import substream
 from advrec.trainer import (
@@ -250,6 +252,68 @@ class TestTrainEpoch:
             == model_bytes(result.state.encoder, result.state.hardness)
         assert model_bytes(*state.best) == model_bytes(*result.state.best)
         assert state.e_adv == result.state.e_adv == 2
+
+
+class TestBatchPrefetch:
+    """iter_batches draws batch b + 1 on one worker thread during step b."""
+
+    def test_worker_error_surfaces_at_its_batch(self, small_dataset, monkeypatch):
+        cfg = small_cfg(batch_size=3)  # 16 train pairs: 6 batches
+        want = list(iter_batches(small_dataset, cfg, 1, "min"))
+        real, threads = trainer.sample_negatives, []
+
+        def fail_on_call_4(*args):
+            threads.append(threading.current_thread())
+            if len(threads) == 4:
+                raise NoNegativesError("call 4")
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "sample_negatives", fail_on_call_4)
+        before, got = threading.active_count(), []
+        with pytest.raises(NoNegativesError, match="call 4"):
+            for batch in iter_batches(small_dataset, cfg, 1, "min"):
+                got.append(batch)
+        assert len(got) == 3
+        assert threading.active_count() == before
+        for g, w in zip(got, want):
+            for name in ("users", "pos_items", "negatives"):
+                np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
+        assert threads[0] is threading.main_thread()
+        assert all(t is not threading.main_thread() for t in threads[1:])
+
+    def test_no_thread_outlives_a_pass(self, small_dataset):
+        cfg = small_cfg(batch_size=3)
+        before = threading.active_count()
+        during = [threading.active_count() for _ in iter_batches(small_dataset, cfg, 1, "min")]
+        assert during == [before + 1] * 6
+        assert threading.active_count() == before
+
+        batches = iter_batches(small_dataset, cfg, 1, "adv")
+        for _ in batches:
+            break
+        assert threading.active_count() == before + 1
+        batches.close()
+        assert threading.active_count() == before
+
+        one_batch = small_cfg(batch_size=16)
+        during = [threading.active_count() for _ in iter_batches(small_dataset, one_batch, 1, "min")]
+        assert during == [before]
+
+    def test_no_thread_outlives_a_failed_run(self, small_dataset, monkeypatch):
+        before = threading.active_count()
+        real, during = trainer.min_step, []
+
+        def fail_on_call_2(state, batch, delta_rng=None):
+            during.append(threading.active_count())
+            if len(during) == 2:
+                raise NonFinite("step 2")
+            return real(state, batch, delta_rng)
+
+        monkeypatch.setattr(trainer, "min_step", fail_on_call_2)
+        with pytest.raises(NonFinite, match="step 2"):
+            run_training(small_dataset, small_cfg(batch_size=3))
+        assert during == [before + 1] * 2
+        assert threading.active_count() == before
 
 
 class TestTrainConfigValidation:
