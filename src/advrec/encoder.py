@@ -140,11 +140,11 @@ def batch_forward(
     items = np.asarray(items, dtype=np.int64)
     _check_ids(enc, users, items)
     user_reps, item_reps = reps if reps is not None else representations(enc)
-    u_rep = user_reps[users]
-    i_rep = item_reps[items]
+    u_rep = user_reps.take(users, axis=0)
+    i_rep = item_reps.take(items, axis=0)
     u_norm = np.linalg.norm(u_rep, axis=-1)
     item_ids = compact_ids(items, enc.n_items)
-    unique_norm = np.linalg.norm(item_reps[item_ids[0]], axis=-1)
+    unique_norm = np.linalg.norm(item_reps.take(item_ids[0], axis=0), axis=-1)
     if np.any(u_norm <= NORM_FLOOR) or np.any(unique_norm <= NORM_FLOOR):
         raise ZeroNormError("representation norm below 1e-12")
     i_norm = unique_norm[item_ids[1]]

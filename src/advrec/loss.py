@@ -208,6 +208,7 @@ class _TableHardness:
 
     kind: str
     LAYOUT: tuple[tuple[str, tuple[str, ...]], ...]
+    reads_encoder: bool  # whether scores read the encoder tables, which min steps write
 
     def __init__(self, *tables: EmbeddingTable):
         self.tables = tables
@@ -252,6 +253,7 @@ class EmbedHardness(_TableHardness):
 
     kind = "embed"
     LAYOUT = (("adv_user", ("n_users", "h")), ("adv_item", ("n_items", "h")))
+    reads_encoder = False
 
     user_table = property(lambda self: self.tables[0])
     item_table = property(lambda self: self.tables[1])
@@ -264,14 +266,14 @@ class EmbedHardness(_TableHardness):
         return cls(user_table, item_table)
 
     def raw_scores_batch(self, users: np.ndarray, negatives: np.ndarray, encoder=None) -> np.ndarray:
-        u = self.user_table.values[users]
-        v = self.item_table.values[negatives]
+        u = self.user_table.values.take(users, axis=0)
+        v = self.item_table.values.take(negatives, axis=0)
         return np.einsum("bd,bnd->bn", u, v)
 
     def grad_batch(self, users, negatives, d_g, encoder=None):
         """Parameter gradients as ((user_ids, grads), (item_ids, grads))."""
-        u = self.user_table.values[users]
-        v = self.item_table.values[negatives]
+        u = self.user_table.values.take(users, axis=0)
+        v = self.item_table.values.take(negatives, axis=0)
         d_user = np.einsum("bn,bnd->bd", d_g, v)
         d_item = d_g[..., None] * u[:, None, :]
         return (scatter_rows(users, d_user, self.user_table.rows),
@@ -286,6 +288,7 @@ class MlpHardness(_TableHardness):
     kind = "mlp"
     LAYOUT = (("w_user", ("h", "dim")), ("b_user", ("h",)),
               ("w_item", ("h", "dim")), ("b_item", ("h",)))
+    reads_encoder = True
 
     w_user = property(lambda self: self.tables[0].values)
     b_user = property(lambda self: self.tables[1].values[0])
@@ -308,8 +311,8 @@ class MlpHardness(_TableHardness):
     def _inputs(self, users, negatives, encoder):
         if encoder is None:
             raise ValueError("projection hardness needs the encoder's tables")
-        xu = encoder.user_table.values[users]
-        xi = encoder.item_table.values[negatives]
+        xu = encoder.user_table.values.take(users, axis=0)
+        xi = encoder.item_table.values.take(negatives, axis=0)
         return xu, xi
 
     def raw_scores_batch(self, users, negatives, encoder=None) -> np.ndarray:

@@ -3,6 +3,8 @@ temperature-scaled cosine scoring, index scatter-add, and symmetric-normalized
 graph propagation.
 
 Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
+Row gathers use ndarray.take(ids, axis=0), which returns the same bytes as
+fancy indexing table[ids] and, for narrow rows, takes about half the time.
 """
 
 from __future__ import annotations
@@ -155,11 +157,11 @@ def adam_step(
     if ids.size == 0:
         return table
     t = table.step_count
-    m = table.adam_m[ids]
+    m = table.adam_m.take(ids, axis=0)
     m *= hyper.beta1
     scratch = (1.0 - hyper.beta1) * grads
     m += scratch
-    v = table.adam_v[ids]
+    v = table.adam_v.take(ids, axis=0)
     v *= hyper.beta2
     np.multiply(grads, grads, out=scratch)
     scratch *= 1.0 - hyper.beta2
@@ -172,7 +174,7 @@ def adam_step(
     np.sqrt(v, out=v)
     v += hyper.eps
     m /= v
-    table.values[ids] -= m
+    table.values[ids] = np.subtract(table.values.take(ids, axis=0), m, out=m)
     return table
 
 
@@ -268,7 +270,7 @@ class NormAdjacency:
         d = x.shape[1]
         if self._index is None or self._index[0] != d:
             self._index = (d, flat_index(self.rows, d))
-        gathered = np.asarray(x, dtype=np.float64)[self.cols]
+        gathered = np.asarray(x, dtype=np.float64).take(self.cols, axis=0)
         gathered *= self.weights[:, None]
         return segment_sum(self.rows, gathered, self.node_count, index=self._index[1])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class Batch:
     users: np.ndarray       # (B,)
     pos_items: np.ndarray   # (B,)
     negatives: np.ndarray   # (B, N)
+    # A pass's frozen half, where iter_batches' worker computed it; valid
+    # only within that pass. Min pass: the strategy's (probs, deltas).
+    # Adversarial pass: the frozen encoder's (B, 1 + N) scores.
+    hardness: tuple[np.ndarray | None, np.ndarray] | None = None
+    scores: np.ndarray | None = None
 
 
 @dataclass
@@ -128,17 +133,27 @@ def init_state(dataset: InteractionSet, cfg: TrainConfig) -> TrainState:
                       cfg=cfg)
 
 
-def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: str):
+def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: str,
+                 frozen=None):
     """Deterministic epoch iterator: seeded shuffle of the train pairs and
-    fresh per-step negative samples.
+    fresh per-step negative samples. frozen(b, batch), if given, returns
+    batch b with its pass's frozen half attached (_min_half, _adv_half).
 
-    Batch b + 1 is gathered and its negatives drawn on one worker thread
-    while the caller runs step b; the first batch of a pass is drawn in the
-    calling thread. The bytes equal those of drawing each batch in turn,
-    because batch b draws only from its own substream(seed, phase-neg,
-    epoch, b), and the worker reads nothing a step writes: only the config,
-    the dataset, its train pairs and the pass's permutation. InteractionSet
-    is immutable after construction and safe for concurrent readers.
+    Batch b + 1 is gathered, its negatives drawn and frozen run on it on one
+    worker thread while the caller runs step b; the first batch of a pass is
+    prepared in the calling thread. The bytes equal those of preparing each
+    batch in turn inside its step, because batch b draws only from its own
+    substream(seed, phase-neg, epoch, b) (and, for rand deltas,
+    substream(seed, rand-delta, epoch, b)), and the worker reads nothing a
+    step of the same pass writes: the config, the dataset, its train pairs
+    and the pass's permutation, and in the min pass the hardness tables
+    (which only adversarial steps write), in the adversarial pass the
+    encoder's representations computed before the pass (which only min
+    steps change). A hardness model that reads the encoder (MLP) computes
+    its min-pass deltas in the step instead. The worker never calls
+    representations or propagate: NormAdjacency builds its scatter index on
+    first use, unguarded against a concurrent first use. InteractionSet is
+    immutable after construction and safe for concurrent readers.
 
     An error raised on the worker surfaces when its batch is requested. The
     worker is shut down, after the batch in flight, when the pass ends, when
@@ -153,7 +168,8 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
         chunk = pairs[perm[starts[b]:starts[b] + cfg.batch_size]]
         rng = substream(cfg.seed, f"{phase}-neg", epoch, b)
         negs = sample_negatives(dataset, chunk[:, 0], cfg.n_negatives, rng).negatives
-        return Batch(chunk[:, 0], chunk[:, 1], negs)
+        batch = Batch(chunk[:, 0], chunk[:, 1], negs)
+        return batch if frozen is None else frozen(b, batch)
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         for b in range(len(starts)):
@@ -176,14 +192,56 @@ def _batch_deltas(state: TrainState, batch: Batch, delta_rng=None):
     return None, np.zeros(batch.negatives.shape)
 
 
+def _batch_scores(state: TrainState, batch: Batch, reps=None):
+    """The encoder's (scores, cache) of each user against its positive and
+    negatives."""
+    items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
+    return batch_forward(state.encoder, batch.users, items, reps)
+
+
+def _delta_rng(cfg: TrainConfig, epoch: int, b: int):
+    """The random deltas' stream for min-pass batch b; None for the other
+    strategies."""
+    if cfg.hardness_strategy != "rand":
+        return None
+    return substream(cfg.seed, "rand-delta", epoch, b)
+
+
+def _min_half(state: TrainState, epoch: int):
+    """iter_batches' frozen for a min pass: attaches each batch's (probs,
+    deltas). None where the hardness model reads the encoder tables that
+    the min steps write."""
+    if state.hardness is not None and state.hardness.reads_encoder:
+        return None
+
+    def half(b: int, batch: Batch) -> Batch:
+        deltas = _batch_deltas(state, batch, _delta_rng(state.cfg, epoch, b))
+        return replace(batch, hardness=deltas)
+    return half
+
+
+def _adv_half(state: TrainState, reps):
+    """iter_batches' frozen for an adversarial pass: attaches each batch's
+    scores under the frozen encoder, from the pass's representations reps."""
+    def half(b: int, batch: Batch) -> Batch:
+        return replace(batch, scores=_batch_scores(state, batch, reps)[0])
+    return half
+
+
 def _batch_loss(state: TrainState, batch: Batch, delta_rng=None, reps=None):
     """The one AdvInfoNCE evaluation of a batch, shared by the min step, the
-    adversarial step and the loss probe. reps are the encoder's precomputed
+    adversarial step and the loss probe. A half the batch carries is used as
+    it is; the rest is computed here. reps are the encoder's precomputed
     representations, if any. Returns (loss (B,), d_pos, d_neg, d_delta,
-    probs, score cache)."""
-    items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-    scores, cache = batch_forward(state.encoder, batch.users, items, reps)
-    probs, deltas = _batch_deltas(state, batch, delta_rng)
+    probs, score cache); the cache is None for carried scores."""
+    if batch.scores is None:
+        scores, cache = _batch_scores(state, batch, reps)
+    else:
+        scores, cache = batch.scores, None
+    if batch.hardness is None:
+        probs, deltas = _batch_deltas(state, batch, delta_rng)
+    else:
+        probs, deltas = batch.hardness
     loss_vec, d_pos, d_neg, d_delta = advinfonce_backward_batch(
         scores[:, 0], scores[:, 1:], deltas, state.cfg.k_weight
     )
@@ -262,15 +320,14 @@ def train_epoch(state: TrainState, dataset: InteractionSet) -> dict | None:
     state.epoch += 1
     epoch = state.epoch
     epoch_loss, n_batches = 0.0, 0
-    for b, batch in enumerate(iter_batches(dataset, cfg, epoch, "min")):
-        delta_rng = substream(cfg.seed, "rand-delta", epoch, b)
-        epoch_loss += min_step(state, batch, delta_rng)
+    for b, batch in enumerate(iter_batches(dataset, cfg, epoch, "min", _min_half(state, epoch))):
+        epoch_loss += min_step(state, batch, _delta_rng(cfg, epoch, b))
         n_batches += 1
 
     if (state.hardness is not None and epoch % cfg.t_adv_interval == 0
             and state.e_adv < cfg.e_adv_max):
         reps = representations(state.encoder)
-        for batch in iter_batches(dataset, cfg, epoch, "adv"):
+        for batch in iter_batches(dataset, cfg, epoch, "adv", _adv_half(state, reps)):
             adv_step(state, batch, reps)
         state.e_adv += 1
 

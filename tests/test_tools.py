@@ -51,3 +51,20 @@ def test_ingest_row(config_hashes, monkeypatch, capsys):
     monkeypatch.setattr(config_hashes, "BACKBONES", ())
     config_hashes.main()
     assert f"| ingest | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("hardness", ["embed", "mlp"])
+def test_train_hash_covers_the_best_hardness(config_hashes, monkeypatch, hardness):
+    # best.ckpt's hardness half is a copy: nudging it leaves the final model as it was
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    first = config_hashes.config_hashes(data, "mf", "adv", hardness)
+    real = config_hashes.run_training
+
+    def nudge_best_hardness(dataset, cfg):
+        result = real(dataset, cfg)
+        result.state.best[1].tables[0].values[0, 0] += 1.0
+        return result
+
+    monkeypatch.setattr(config_hashes, "run_training", nudge_best_hardness)
+    train, diag = config_hashes.config_hashes(data, "mf", "adv", hardness)
+    assert train != first[0] and diag == first[1]

@@ -8,7 +8,8 @@ import pytest
 
 from advrec import trainer
 from advrec.encoder import representations
-from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep
+from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep, ZeroNormError
+from advrec.loss import MlpHardness
 from advrec.numkit import EmbeddingTable
 from advrec.rng import substream
 from advrec.trainer import (
@@ -58,6 +59,27 @@ def hardness_bytes(state):
     if state.hardness is None:
         return b""
     return b"".join(arr.tobytes() for _, arr in sorted(state.hardness.param_arrays().items()))
+
+
+def same_arrays(got, want):
+    """Whether two sequences of arrays (or Nones) hold the same bytes."""
+    return all((g is None) == (w is None)
+               and (g is None or (g.shape == w.shape and g.tobytes() == w.tobytes()))
+               for g, w in zip(got, want, strict=True))
+
+
+def plain(batch):
+    """The batch without a frozen half."""
+    return Batch(batch.users, batch.pos_items, batch.negatives)
+
+
+def trained_state(dataset, cfg):
+    """init_state with its hardness, if any, moved off the uniform start."""
+    state = init_state(dataset, cfg)
+    if state.hardness is not None:
+        for batch in iter_batches(dataset, cfg, 9, "adv"):
+            adv_step(state, batch)
+    return state
 
 
 class TestMinStep:
@@ -254,6 +276,59 @@ class TestTrainEpoch:
         assert state.e_adv == result.state.e_adv == 2
 
 
+STRATEGY_KINDS = [(s, k) for s in trainer.STRATEGIES for k in ("embed", "mlp")]
+
+
+class TestFrozenHalf:
+    """iter_batches' worker computes each pass's frozen half, and
+    _batch_loss gives the same bytes with it as without it."""
+
+    @pytest.mark.parametrize("strategy,kind", STRATEGY_KINDS)
+    def test_min_pass(self, small_dataset, strategy, kind):
+        cfg = small_cfg(batch_size=3, hardness_strategy=strategy, hardness_kind=kind)
+        state = trained_state(small_dataset, cfg)
+        half = trainer._min_half(state, 2)
+        # MLP hardness reads the encoder tables that min steps write
+        assert (half is None) == (kind == "mlp" and strategy in ("adv", "reverse"))
+        for b, batch in enumerate(iter_batches(small_dataset, cfg, 2, "min", half)):
+            assert batch.scores is None and (batch.hardness is None) == (half is None)
+            rng = None if half else trainer._delta_rng(cfg, 2, b)
+            got = trainer._batch_loss(state, batch, rng)
+            want = trainer._batch_loss(state, plain(batch), trainer._delta_rng(cfg, 2, b))
+            assert same_arrays(got[:5], want[:5])
+            # batch b + 1's half was prepared before this step wrote the encoder
+            min_step(state, batch, trainer._delta_rng(cfg, 2, b))
+
+    @pytest.mark.parametrize("strategy,kind", STRATEGY_KINDS)
+    def test_adversarial_pass(self, small_dataset, strategy, kind):
+        cfg = small_cfg(batch_size=3, hardness_strategy=strategy, hardness_kind=kind)
+        state = trained_state(small_dataset, cfg)
+        reps = representations(state.encoder)
+        half = trainer._adv_half(state, reps)
+        for b, batch in enumerate(iter_batches(small_dataset, cfg, 2, "adv", half)):
+            assert batch.hardness is None and batch.scores is not None
+            got = trainer._batch_loss(state, batch, trainer._delta_rng(cfg, 2, b), reps)
+            want = trainer._batch_loss(state, plain(batch), trainer._delta_rng(cfg, 2, b))
+            assert got[5] is None and same_arrays(got[:5], want[:5])
+            if state.hardness is not None:
+                adv_step(state, batch, reps)
+
+    def test_mlp_hardness_runs_on_the_main_thread(self, small_dataset, monkeypatch):
+        real, threads = MlpHardness.hardness, []
+
+        def record(self, *args):
+            threads.append(threading.current_thread())
+            return real(self, *args)
+
+        monkeypatch.setattr(MlpHardness, "hardness", record)
+        cfg = small_cfg(batch_size=3, hardness_kind="mlp", t_adv_interval=1)
+        state = init_state(small_dataset, cfg)
+        assert train_epoch(state, small_dataset) is not None
+        # 6 min steps, 6 adversarial steps and the divergence diagnostic
+        assert len(threads) == 13
+        assert all(t is threading.main_thread() for t in threads)
+
+
 class TestBatchPrefetch:
     """iter_batches draws batch b + 1 on one worker thread during step b."""
 
@@ -298,6 +373,80 @@ class TestBatchPrefetch:
         one_batch = small_cfg(batch_size=16)
         during = [threading.active_count() for _ in iter_batches(small_dataset, one_batch, 1, "min")]
         assert during == [before]
+
+    def test_min_half_error_surfaces_at_its_batch(self, small_dataset, monkeypatch):
+        cfg = small_cfg(batch_size=3)  # 16 train pairs: 6 batches
+        state = trained_state(small_dataset, cfg)
+        want = list(iter_batches(small_dataset, cfg, 1, "min", trainer._min_half(state, 1)))
+        real, threads = trainer._batch_deltas, []
+
+        def fail_on_call_4(*args):
+            threads.append(threading.current_thread())
+            if len(threads) == 4:
+                raise NonFinite("call 4")
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "_batch_deltas", fail_on_call_4)
+        before, got = threading.active_count(), []
+        with pytest.raises(NonFinite, match="call 4"):
+            for batch in iter_batches(small_dataset, cfg, 1, "min", trainer._min_half(state, 1)):
+                got.append(batch)
+        assert len(got) == 3
+        assert threading.active_count() == before
+        for g, w in zip(got, want):
+            assert same_arrays([g.users, g.pos_items, g.negatives, *g.hardness],
+                               [w.users, w.pos_items, w.negatives, *w.hardness])
+        assert threads[0] is threading.main_thread()
+        assert all(t is not threading.main_thread() for t in threads[1:])
+
+    def test_adv_half_error_surfaces_at_its_batch(self):
+        dataset = tiny_dataset(n_users=30, n_items=40)
+        cfg = small_cfg(batch_size=3)
+        state = init_state(dataset, cfg)
+        want = list(iter_batches(dataset, cfg, 1, "adv"))
+        # zero an item that first appears in batch k >= 2
+        seen = set()
+        for k, batch in enumerate(want):
+            items = set(batch.pos_items.tolist()) | set(batch.negatives.ravel().tolist())
+            if k >= 2 and items - seen:
+                break
+            seen |= items
+        else:
+            pytest.fail("no item first appears after batch 1")
+        state.encoder.item_table.values[min(items - seen)] = 0.0
+        reps = representations(state.encoder)
+        before, got = threading.active_count(), []
+        with pytest.raises(ZeroNormError):
+            for batch in iter_batches(dataset, cfg, 1, "adv", trainer._adv_half(state, reps)):
+                got.append(batch)
+        assert len(got) == k
+        assert threading.active_count() == before
+        for g, w in zip(got, want):
+            assert same_arrays([g.users, g.pos_items, g.negatives, g.scores],
+                               [w.users, w.pos_items, w.negatives,
+                                trainer._batch_scores(state, w, reps)[0]])
+
+    @pytest.mark.parametrize("backbone,strategy", [("mf", "adv"), ("lightgcn", "rand")])
+    def test_run_equals_a_run_without_frozen_halves(self, small_dataset, monkeypatch,
+                                                     backbone, strategy):
+        # five epochs: adversarial passes (adv) and evaluations after epochs 2 and 4
+        cfg = small_cfg(backbone=backbone, hardness_strategy=strategy, batch_size=3,
+                        max_epochs=5, eval_every=2)
+        prepared = run_training(small_dataset, cfg)
+        real, dropped = trainer.iter_batches, []
+
+        def prepare_nothing(dataset, cfg, epoch, phase, frozen=None):
+            dropped.append(frozen is not None)
+            return real(dataset, cfg, epoch, phase)
+
+        monkeypatch.setattr(trainer, "iter_batches", prepare_nothing)
+        unprepared = run_training(small_dataset, cfg)
+        assert dropped == [True] * (7 if strategy == "adv" else 5)
+        assert json.dumps(prepared.history, sort_keys=True) \
+            == json.dumps(unprepared.history, sort_keys=True)
+        assert model_bytes(prepared.state.encoder, prepared.state.hardness) \
+            == model_bytes(unprepared.state.encoder, unprepared.state.hardness)
+        assert model_bytes(*prepared.state.best) == model_bytes(*unprepared.state.best)
 
     def test_no_thread_outlives_a_failed_run(self, small_dataset, monkeypatch):
         before = threading.active_count()

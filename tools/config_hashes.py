@@ -5,8 +5,8 @@ Trains the acceptance configuration of criteria 10/11 (synthetic dataset and
 training config of tests/test_acceptance.py, seed 0, 30 epochs) once per
 configuration and prints two hashes for each:
 
-- train: the history JSON, the final and (if a validation ran) best encoder
-  tables and the final hardness parameters;
+- train: the history JSON, the final encoder tables and hardness parameters,
+  and (if a validation ran) the best snapshot's, the model best.ckpt holds;
 - diag: test HR/Recall/NDCG@20 of the final encoder, the false-negative
   identification rate (n_resamples=1) and a 10-bin hardness-popularity
   profile; the last two only where the strategy trains a hardness model.
@@ -79,6 +79,7 @@ def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[st
     _add_encoder(train, state.encoder)
     if state.best is not None:  # None when no validation ran
         _add_encoder(train, state.best[0])
+        _add_hardness(train, state.best[1])
     _add_hardness(train, state.hardness)
 
     report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
