@@ -43,7 +43,6 @@ from .loss import (
     ranking_max_bound,
 )
 from .numkit import (
-    AdamHyper,
     EmbeddingTable,
     NormAdjacency,
     adam_step,

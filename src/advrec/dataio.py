@@ -48,6 +48,9 @@ class InteractionSet:
     train_pairs: np.ndarray  # (k, 2) int64, deduplicated
     valid_pairs: np.ndarray
     test_pairs: np.ndarray
+    # original-id -> dense-id maps; None when ids are already native
+    user_remap: dict[int, int] | None = None
+    item_remap: dict[int, int] | None = None
 
     def __post_init__(self):
         self._index = {}
@@ -73,10 +76,6 @@ class InteractionSet:
             items.flags.writeable = False
             self._index[name] = (indptr, items)
         self.item_popularity = np.bincount(self.train_pairs[:, 1], minlength=self.n_items)
-
-        # original-id -> dense-id maps; None when ids are already native
-        self.user_remap: dict[int, int] | None = None
-        self.item_remap: dict[int, int] | None = None
 
     def positives(self, u: int, split: str = "train") -> np.ndarray:
         """The user's item ids in the split, ascending; a read-only view."""
@@ -214,15 +213,15 @@ def load_interactions(train_path, valid_path, test_path) -> InteractionSet:
         pairs[:, col] = dense[inverse]
         remaps.append(dict(zip(ids[order].tolist(), range(len(ids)))))
     train, valid, test = np.split(pairs, np.cumsum([len(raw[0]), len(raw[1])]))
-    dataset = InteractionSet(
+    return InteractionSet(
         n_users=len(remaps[0]),
         n_items=len(remaps[1]),
         train_pairs=train,
         valid_pairs=valid,
         test_pairs=test,
+        user_remap=remaps[0],
+        item_remap=remaps[1],
     )
-    dataset.user_remap, dataset.item_remap = remaps
-    return dataset
 
 
 def write_pairs(path, pairs) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDistribution, DimMismatch, NonFinite
-from .numkit import AdamHyper, EmbeddingTable, adam_step, scatter_rows
+from .numkit import EmbeddingTable, adam_step, scatter_rows
 from .rng import substream
 
 # ---------------------------------------------------------------------------
@@ -234,11 +234,12 @@ class _TableHardness:
         """(probs, deltas) over each row's sampled negatives."""
         return softmax_hardness(self.raw_scores_batch(users, negatives, encoder))
 
-    def apply_grads(self, grads, hyper: AdamHyper, maximize: bool) -> None:
-        """One Adam step per table from grad_batch's (ids, grads) per table."""
+    def apply_grads(self, grads, lr: float, maximize: bool) -> None:
+        """One Adam step of learning rate lr per table from grad_batch's
+        (ids, grads) per table."""
         sign = -1.0 if maximize else 1.0
         for table, (ids, g) in zip(self.tables, grads):
-            adam_step(table, (ids, sign * g), hyper)
+            adam_step(table, (ids, sign * g), lr)
 
 
 class EmbedHardness(_TableHardness):

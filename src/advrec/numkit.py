@@ -16,24 +16,10 @@ import numpy as np
 from .errors import DimMismatch, NonFiniteGradient, ZeroNormError
 
 NORM_FLOOR = 1e-12
-
-
-@dataclass
-class AdamHyper:
-    """Adam hyperparameters. Defaults follow common practice."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+# Adam's moment decay rates and the floor added to its denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -131,9 +117,10 @@ def cosine_score_grad(u_vec, i_vec, tau) -> tuple[np.ndarray, np.ndarray]:
 def adam_step(
     table: EmbeddingTable,
     row_grads: tuple[np.ndarray, np.ndarray],
-    hyper: AdamHyper,
+    lr: float,
 ) -> EmbeddingTable:
-    """Sparse/lazy Adam: update only the rows present in row_grads.
+    """Sparse/lazy Adam with learning rate lr and the module's ADAM_*
+    constants: update only the rows present in row_grads.
 
     Moments of untouched rows are not decayed, matching common embedding
     training practice; this changes trajectories versus dense Adam.
@@ -158,21 +145,21 @@ def adam_step(
         return table
     t = table.step_count
     m = table.adam_m.take(ids, axis=0)
-    m *= hyper.beta1
-    scratch = (1.0 - hyper.beta1) * grads
+    m *= ADAM_BETA1
+    scratch = (1.0 - ADAM_BETA1) * grads
     m += scratch
     v = table.adam_v.take(ids, axis=0)
-    v *= hyper.beta2
+    v *= ADAM_BETA2
     np.multiply(grads, grads, out=scratch)
-    scratch *= 1.0 - hyper.beta2
+    scratch *= 1.0 - ADAM_BETA2
     v += scratch
     table.adam_m[ids] = m
     table.adam_v[ids] = v
-    m /= 1.0 - hyper.beta1**t      # m_hat
-    m *= hyper.lr
-    v /= 1.0 - hyper.beta2**t      # v_hat
+    m /= 1.0 - ADAM_BETA1**t      # m_hat
+    m *= lr
+    v /= 1.0 - ADAM_BETA2**t      # v_hat
     np.sqrt(v, out=v)
-    v += hyper.eps
+    v += ADAM_EPS
     m /= v
     table.values[ids] = np.subtract(table.values.take(ids, axis=0), m, out=m)
     return table
@@ -233,32 +220,33 @@ class NormAdjacency:
     1/sqrt(deg(r) * deg(c)). Stored as parallel read-only edge arrays, both
     directions present. Degree-zero nodes have no entries.
 
-    apply keeps the scatter index of the last row width it saw, so a graph
-    propagated at one width builds it once; the edge arrays are read-only so
-    that the kept index always matches them."""
+    width is the row width the graph is propagated at. Construction builds
+    apply's scatter index for it, so apply assigns nothing; an apply at any
+    other width builds its own index and does not keep it. The index stays
+    writeable because np.bincount copies a read-only index on every call."""
 
     node_count: int
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
-    _index: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False,
-                                                  compare=False)
+    width: int = 0
 
     def __post_init__(self):
         for name, dtype in (("rows", np.int64), ("cols", np.int64), ("weights", np.float64)):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             setattr(self, name, arr)
+        self.index = flat_index(self.rows, self.width)
 
     @classmethod
-    def from_undirected_edges(cls, node_count: int, edges) -> "NormAdjacency":
+    def from_undirected_edges(cls, node_count: int, edges, width: int = 0) -> "NormAdjacency":
         """Build from unique undirected (a, b) pairs (an (E, 2) array-like)."""
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         deg = np.bincount(pairs.ravel(), minlength=node_count)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         weights = 1.0 / np.sqrt(deg[rows].astype(np.float64) * deg[cols].astype(np.float64))
-        return cls(node_count, rows, cols, weights)
+        return cls(node_count, rows, cols, weights, width)
 
     def edges(self) -> list[tuple[int, int, float]]:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
@@ -268,11 +256,10 @@ class NormAdjacency:
         if x.shape[0] != self.node_count:
             raise DimMismatch(f"input rows {x.shape[0]} != node count {self.node_count}")
         d = x.shape[1]
-        if self._index is None or self._index[0] != d:
-            self._index = (d, flat_index(self.rows, d))
+        index = self.index if d == self.width else flat_index(self.rows, d)
         gathered = np.asarray(x, dtype=np.float64).take(self.cols, axis=0)
         gathered *= self.weights[:, None]
-        return segment_sum(self.rows, gathered, self.node_count, index=self._index[1])
+        return segment_sum(self.rows, gathered, self.node_count, index=index)
 
 
 def propagate(layer0: np.ndarray, adj: NormAdjacency, layers: int) -> np.ndarray:

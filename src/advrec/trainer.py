@@ -18,12 +18,7 @@ from .dataio import InteractionSet, sample_negatives
 from .encoder import Encoder, batch_backward, batch_forward, build_encoder, representations
 from .errors import NonFinite, SkippedAdvStep
 from .evaluation import evaluate_split
-from .loss import (
-    HARDNESS_MODELS,
-    AdamHyper,
-    advinfonce_backward_batch,
-    hardness_grad_from_delta,
-)
+from .loss import HARDNESS_MODELS, advinfonce_backward_batch, hardness_grad_from_delta
 from .numkit import adam_step
 from .rng import substream
 
@@ -84,9 +79,10 @@ class Batch:
     users: np.ndarray       # (B,)
     pos_items: np.ndarray   # (B,)
     negatives: np.ndarray   # (B, N)
-    # A pass's frozen half, where iter_batches' worker computed it; valid
-    # only within that pass. Min pass: the strategy's (probs, deltas).
-    # Adversarial pass: the frozen encoder's (B, 1 + N) scores.
+    # A pass's frozen half, where iter_batches attached it; valid only
+    # within that pass. Min pass: the strategy's (probs, deltas), for rand
+    # (None, random deltas). Adversarial pass: the frozen encoder's
+    # (B, 1 + N) scores.
     hardness: tuple[np.ndarray | None, np.ndarray] | None = None
     scores: np.ndarray | None = None
 
@@ -135,25 +131,17 @@ def init_state(dataset: InteractionSet, cfg: TrainConfig) -> TrainState:
 
 def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: str,
                  frozen=None):
-    """Deterministic epoch iterator: seeded shuffle of the train pairs and
-    fresh per-step negative samples. frozen(b, batch), if given, returns
-    batch b with its pass's frozen half attached (_min_half, _adv_half).
+    """Deterministic epoch iterator: a seeded shuffle of the train pairs,
+    and for batch b negatives from substream(seed, phase-neg, epoch, b)
+    and, in a rand min pass, deltas from substream(seed, rand-delta, epoch,
+    b). frozen(batch), if given, returns the batch with its pass's frozen
+    half attached (_min_half, _adv_half).
 
-    Batch b + 1 is gathered, its negatives drawn and frozen run on it on one
-    worker thread while the caller runs step b; the first batch of a pass is
-    prepared in the calling thread. The bytes equal those of preparing each
-    batch in turn inside its step, because batch b draws only from its own
-    substream(seed, phase-neg, epoch, b) (and, for rand deltas,
-    substream(seed, rand-delta, epoch, b)), and the worker reads nothing a
-    step of the same pass writes: the config, the dataset, its train pairs
-    and the pass's permutation, and in the min pass the hardness tables
-    (which only adversarial steps write), in the adversarial pass the
-    encoder's representations computed before the pass (which only min
-    steps change). A hardness model that reads the encoder (MLP) computes
-    its min-pass deltas in the step instead. The worker never calls
-    representations or propagate: NormAdjacency builds its scatter index on
-    first use, unguarded against a concurrent first use. InteractionSet is
-    immutable after construction and safe for concurrent readers.
+    Batch b + 1 is prepared on one worker thread while the caller runs step
+    b; the first batch of a pass is prepared in the calling thread. Each
+    batch draws only from its own substreams and frozen reads nothing a
+    step of the same pass writes, so the bytes equal those of preparing
+    each batch in turn inside its step.
 
     An error raised on the worker surfaces when its batch is requested. The
     worker is shut down, after the batch in flight, when the pass ends, when
@@ -163,13 +151,17 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     pairs = dataset.train_pairs
     perm = substream(cfg.seed, f"{phase}-shuffle", epoch).permutation(len(pairs))
     starts = range(0, len(pairs), cfg.batch_size)
+    rand_deltas = phase == "min" and cfg.hardness_strategy == "rand"
 
     def prepare(b: int) -> Batch:
         chunk = pairs[perm[starts[b]:starts[b] + cfg.batch_size]]
         rng = substream(cfg.seed, f"{phase}-neg", epoch, b)
         negs = sample_negatives(dataset, chunk[:, 0], cfg.n_negatives, rng).negatives
         batch = Batch(chunk[:, 0], chunk[:, 1], negs)
-        return batch if frozen is None else frozen(b, batch)
+        if rand_deltas:
+            rng = substream(cfg.seed, "rand-delta", epoch, b)
+            batch.hardness = (None, rng.uniform(-0.5, 0.5, size=negs.shape))
+        return batch if frozen is None else frozen(batch)
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         for b in range(len(starts)):
@@ -179,67 +171,54 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
             yield batch
 
 
-def _batch_deltas(state: TrainState, batch: Batch, delta_rng=None):
-    """Per-negative hardness for the configured strategy; probs only exist
-    for the learned strategies."""
-    cfg = state.cfg
-    if cfg.hardness_strategy in ("adv", "reverse"):
+def _batch_deltas(state: TrainState, batch: Batch):
+    """Per-negative (probs, deltas) for the configured strategy; probs only
+    exist for the learned strategies. Random deltas come only with the
+    batch."""
+    strategy = state.cfg.hardness_strategy
+    if strategy in ("adv", "reverse"):
         return state.hardness.hardness(batch.users, batch.negatives, state.encoder)
-    if cfg.hardness_strategy == "rand":
-        if delta_rng is None:
-            raise ValueError("rand strategy needs a delta rng")
-        return None, delta_rng.uniform(-0.5, 0.5, size=batch.negatives.shape)
+    if strategy == "rand":
+        raise ValueError("a rand batch carries its deltas, as iter_batches draws them")
     return None, np.zeros(batch.negatives.shape)
 
 
 def _batch_scores(state: TrainState, batch: Batch, reps=None):
     """The encoder's (scores, cache) of each user against its positive and
-    negatives."""
+    negatives, from its representations reps if given."""
     items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
     return batch_forward(state.encoder, batch.users, items, reps)
 
 
-def _delta_rng(cfg: TrainConfig, epoch: int, b: int):
-    """The random deltas' stream for min-pass batch b; None for the other
-    strategies."""
-    if cfg.hardness_strategy != "rand":
-        return None
-    return substream(cfg.seed, "rand-delta", epoch, b)
-
-
-def _min_half(state: TrainState, epoch: int):
+def _min_half(state: TrainState):
     """iter_batches' frozen for a min pass: attaches each batch's (probs,
-    deltas). None where the hardness model reads the encoder tables that
+    deltas) from the hardness tables, which only adversarial steps write.
+    None without a hardness model (a rand batch carries its deltas, and
+    zeros cost nothing) and where the model reads the encoder tables that
     the min steps write."""
-    if state.hardness is not None and state.hardness.reads_encoder:
+    if state.hardness is None or state.hardness.reads_encoder:
         return None
-
-    def half(b: int, batch: Batch) -> Batch:
-        deltas = _batch_deltas(state, batch, _delta_rng(state.cfg, epoch, b))
-        return replace(batch, hardness=deltas)
-    return half
+    return lambda batch: replace(batch, hardness=_batch_deltas(state, batch))
 
 
 def _adv_half(state: TrainState, reps):
-    """iter_batches' frozen for an adversarial pass: attaches each batch's
-    scores under the frozen encoder, from the pass's representations reps."""
-    def half(b: int, batch: Batch) -> Batch:
-        return replace(batch, scores=_batch_scores(state, batch, reps)[0])
-    return half
+    """iter_batches' frozen for an adversarial pass, and mean_batch_loss's:
+    attaches each batch's scores under the frozen encoder, from its
+    representations reps computed before the pass."""
+    return lambda batch: replace(batch, scores=_batch_scores(state, batch, reps)[0])
 
 
-def _batch_loss(state: TrainState, batch: Batch, delta_rng=None, reps=None):
+def _batch_loss(state: TrainState, batch: Batch):
     """The one AdvInfoNCE evaluation of a batch, shared by the min step, the
     adversarial step and the loss probe. A half the batch carries is used as
-    it is; the rest is computed here. reps are the encoder's precomputed
-    representations, if any. Returns (loss (B,), d_pos, d_neg, d_delta,
-    probs, score cache); the cache is None for carried scores."""
+    it is; the rest is computed here. Returns (loss (B,), d_pos, d_neg,
+    d_delta, probs, score cache); the cache is None for carried scores."""
     if batch.scores is None:
-        scores, cache = _batch_scores(state, batch, reps)
+        scores, cache = _batch_scores(state, batch)
     else:
         scores, cache = batch.scores, None
     if batch.hardness is None:
-        probs, deltas = _batch_deltas(state, batch, delta_rng)
+        probs, deltas = _batch_deltas(state, batch)
     else:
         probs, deltas = batch.hardness
     loss_vec, d_pos, d_neg, d_delta = advinfonce_backward_batch(
@@ -250,44 +229,39 @@ def _batch_loss(state: TrainState, batch: Batch, delta_rng=None, reps=None):
     return loss_vec, d_pos, d_neg, d_delta, probs, cache
 
 
-def min_step(state: TrainState, batch: Batch, delta_rng=None) -> float:
+def min_step(state: TrainState, batch: Batch) -> float:
     """One encoder update (mean-loss gradient over the batch); hardness
     parameters are read-only here. Returns the batch mean loss."""
-    cfg = state.cfg
-    loss_vec, d_pos, d_neg, _, _, cache = _batch_loss(state, batch, delta_rng)
+    loss_vec, d_pos, d_neg, _, _, cache = _batch_loss(state, batch)
     upstream = np.concatenate([d_pos[:, None], d_neg], axis=1) / len(batch.users)
     u_grads, i_grads = batch_backward(state.encoder, cache, upstream)
-    hyper = AdamHyper(lr=cfg.lr)
-    adam_step(state.encoder.user_table, u_grads, hyper)
-    adam_step(state.encoder.item_table, i_grads, hyper)
+    adam_step(state.encoder.user_table, u_grads, state.cfg.lr)
+    adam_step(state.encoder.item_table, i_grads, state.cfg.lr)
     return float(loss_vec.mean())
 
 
-def adv_step(state: TrainState, batch: Batch, reps=None) -> float:
+def adv_step(state: TrainState, batch: Batch) -> float:
     """One hardness update on a frozen encoder: gradient ascent for the
-    adversarial strategy, descent for the reversed ablation. reps are the
-    frozen encoder's representations, computed once per adversarial pass.
-    Returns the batch mean loss evaluated before the update."""
+    adversarial strategy, descent for the reversed ablation. Returns the
+    batch mean loss evaluated before the update."""
     cfg = state.cfg
     if state.hardness is None:
         raise SkippedAdvStep("strategy has no trainable hardness")
     if state.e_adv >= cfg.e_adv_max:
         raise SkippedAdvStep("adversarial epoch budget exhausted")
-    loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch, reps=reps)
+    loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch)
     d_g = hardness_grad_from_delta(probs, d_delta / len(batch.users))
     grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, state.encoder)
-    state.hardness.apply_grads(grads, AdamHyper(lr=cfg.lr_adv),
-                               maximize=(cfg.hardness_strategy == "adv"))
+    state.hardness.apply_grads(grads, cfg.lr_adv, maximize=(cfg.hardness_strategy == "adv"))
     return float(loss_vec.mean())
 
 
 def mean_batch_loss(state: TrainState, batches: list[Batch]) -> float:
-    """Mean loss over fixed batches without touching any parameter (learned
-    and zero-hardness strategies only; random hardness has no fixed loss)."""
-    reps = representations(state.encoder)
+    """Mean loss over fixed batches without touching any parameter."""
+    with_scores = _adv_half(state, representations(state.encoder))
     total, count = 0.0, 0
     for batch in batches:
-        loss_vec = _batch_loss(state, batch, reps=reps)[0]
+        loss_vec = _batch_loss(state, with_scores(batch))[0]
         total += float(loss_vec.sum())
         count += len(loss_vec)
     return total / max(count, 1)
@@ -320,15 +294,15 @@ def train_epoch(state: TrainState, dataset: InteractionSet) -> dict | None:
     state.epoch += 1
     epoch = state.epoch
     epoch_loss, n_batches = 0.0, 0
-    for b, batch in enumerate(iter_batches(dataset, cfg, epoch, "min", _min_half(state, epoch))):
-        epoch_loss += min_step(state, batch, _delta_rng(cfg, epoch, b))
+    for batch in iter_batches(dataset, cfg, epoch, "min", _min_half(state)):
+        epoch_loss += min_step(state, batch)
         n_batches += 1
 
     if (state.hardness is not None and epoch % cfg.t_adv_interval == 0
             and state.e_adv < cfg.e_adv_max):
-        reps = representations(state.encoder)
-        for batch in iter_batches(dataset, cfg, epoch, "adv", _adv_half(state, reps)):
-            adv_step(state, batch, reps)
+        frozen = _adv_half(state, representations(state.encoder))
+        for batch in iter_batches(dataset, cfg, epoch, "adv", frozen):
+            adv_step(state, batch)
         state.e_adv += 1
 
     if epoch % cfg.eval_every or len(dataset.valid_pairs) == 0:

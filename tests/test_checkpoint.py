@@ -40,6 +40,7 @@ class TestRoundTrip:
         path = tmp_path / "gcn.ckpt"
         save_checkpoint(path, enc)
         loaded, _ = load_checkpoint(path, dataset)
+        assert loaded.adj.width == enc.adj.width == 3  # scatter index built for the dim
         items = np.arange(dataset.n_items)
         for u in range(dataset.n_users):
             np.testing.assert_array_equal(score(loaded, u, items), score(enc, u, items))

@@ -1,5 +1,7 @@
 """Ingestion, negative sampling, long-tail split, and synthetic generator tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,9 +163,7 @@ def reference_load(paths):
     splits = [np.asarray([(user_map.setdefault(u, len(user_map)),
                            item_map.setdefault(i, len(item_map))) for u, i in pairs],
                          dtype=np.int64).reshape(-1, 2) for pairs in raw]
-    dataset = InteractionSet(len(user_map), len(item_map), *splits)
-    dataset.user_remap, dataset.item_remap = user_map, item_map
-    return dataset
+    return InteractionSet(len(user_map), len(item_map), *splits, user_map, item_map)
 
 
 def outcome(load, *args):
@@ -389,10 +389,10 @@ class TestRemapPairs:
     ])
     @pytest.mark.parametrize("n_pairs", [7, 0])
     def test_equals_dict_loop(self, small_dataset, user_remap, item_remap, n_pairs):
-        small_dataset.user_remap, small_dataset.item_remap = user_remap, item_remap
+        dataset = replace(small_dataset, user_remap=user_remap, item_remap=item_remap)
         pairs = self.PAIRS[:n_pairs]
-        got = small_dataset.remap_pairs(pairs)
-        want = reference_remap_pairs(small_dataset, pairs)
+        got = dataset.remap_pairs(pairs)
+        want = reference_remap_pairs(dataset, pairs)
         assert got.dtype == np.int64 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 

@@ -15,7 +15,7 @@ from advrec.encoder import (
     score_backward,
 )
 from advrec.errors import IdOutOfRange
-from advrec.numkit import cosine_score, cosine_score_grad
+from advrec.numkit import cosine_score, cosine_score_grad, flat_index
 
 from conftest import max_rel_error, tiny_dataset
 
@@ -74,7 +74,7 @@ class TestScore:
 
     def test_graph_adjacency_is_bipartite(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs)
+                                   small_dataset.train_pairs, 4)
         n_users = small_dataset.n_users
         for r, c, _ in adj.edges():
             assert (r < n_users) != (c < n_users)
@@ -279,23 +279,31 @@ class TestItemNormsOncePerItem:
 class TestGraphScatterBytes:
     def test_apply_equals_add_at(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs)
+                                   small_dataset.train_pairs, 5)
         x = np.random.default_rng(40).normal(size=(adj.node_count, 5))
         assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
     def test_apply_across_widths_equals_add_at(self, small_dataset):
-        # apply keeps a scatter index per width; switching width must not reuse it
+        # the graph keeps the scatter index of width 5; width 1 must not use it
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs)
+                                   small_dataset.train_pairs, 5)
         rng = np.random.default_rng(43)
         for d in (5, 1, 5):
             x = rng.normal(size=(adj.node_count, d))
             assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
+    def test_apply_at_another_width_keeps_the_built_index(self, small_dataset):
+        enc = gcn_encoder(small_dataset, dim=4)
+        adj = enc.adj
+        assert adj.width == 4 and adj.index.tobytes() == flat_index(adj.rows, 4).tobytes()
+        x = np.random.default_rng(44).normal(size=(adj.node_count, 3))
+        assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
+        assert adj.width == 4 and adj.index.tobytes() == flat_index(adj.rows, 4).tobytes()
+
     @pytest.mark.parametrize("name", ["rows", "cols", "weights"])
     def test_edge_arrays_are_read_only(self, small_dataset, name):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs)
+                                   small_dataset.train_pairs, 5)
         with pytest.raises(ValueError):
             getattr(adj, name)[0] = 1
 

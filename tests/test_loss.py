@@ -9,7 +9,6 @@ from advrec.errors import BadDistribution, DimMismatch, NonFinite
 from advrec.numkit import EmbeddingTable
 from advrec.loss import (
     HARDNESS_MODELS,
-    AdamHyper,
     EmbedHardness,
     MlpHardness,
     advinfonce_backward,
@@ -378,9 +377,8 @@ class TestEmbedHardness:
         up = base.copy()
         down = base.copy()
         grads = ((np.array([0, 1]), np.ones((2, 2))), (np.array([2]), np.ones((1, 2))))
-        hyper = AdamHyper(lr=0.01)
-        up.apply_grads(grads, hyper, maximize=True)
-        down.apply_grads(grads, hyper, maximize=False)
+        up.apply_grads(grads, 0.01, maximize=True)
+        down.apply_grads(grads, 0.01, maximize=False)
         delta_up = up.user_table.values - base.user_table.values
         delta_down = down.user_table.values - base.user_table.values
         np.testing.assert_allclose(delta_up, -delta_down, atol=1e-15)

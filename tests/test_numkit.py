@@ -5,7 +5,9 @@ import pytest
 
 from advrec.errors import DimMismatch, NonFiniteGradient, ZeroNormError
 from advrec.numkit import (
-    AdamHyper,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EmbeddingTable,
     NormAdjacency,
     adam_step,
@@ -87,29 +89,29 @@ class TestCosineScoreGrad:
             assert abs(grad_v @ v) < 1e-10
 
 
-def scalar_adam_reference(w0, grads, hyper):
+def scalar_adam_reference(w0, grads, lr):
     """Independent per-coordinate Adam, bias-corrected."""
     w, m, v = float(w0), 0.0, 0.0
     for t, g in enumerate(grads, start=1):
-        m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1.0 - hyper.beta2) * g * g
-        m_hat = m / (1.0 - hyper.beta1**t)
-        v_hat = v / (1.0 - hyper.beta2**t)
-        w -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return w
 
 
-def adam_reference(table, ids, grads, hyper):
+def adam_reference(table, ids, grads, lr):
     """The expression form of adam_step that the in-place update replaced."""
     table.step_count += 1
     t = table.step_count
-    m = hyper.beta1 * table.adam_m[ids]
-    m += (1.0 - hyper.beta1) * grads
-    v = hyper.beta2 * table.adam_v[ids]
-    v += (1.0 - hyper.beta2) * (grads * grads)
-    m_hat = m / (1.0 - hyper.beta1**t)
-    v_hat = v / (1.0 - hyper.beta2**t)
-    table.values[ids] -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    m = ADAM_BETA1 * table.adam_m[ids]
+    m += (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * table.adam_v[ids]
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    table.values[ids] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     table.adam_m[ids] = m
     table.adam_v[ids] = v
 
@@ -124,7 +126,7 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         table = EmbeddingTable.uniform_init(4, 3, rng)
         before = table.values.copy()
-        adam_step(table, (np.zeros(0, dtype=np.int64), np.zeros((0, 3))), AdamHyper())
+        adam_step(table, (np.zeros(0, dtype=np.int64), np.zeros((0, 3))), 1e-3)
         np.testing.assert_array_equal(table.values, before)
         assert table.step_count == 1
 
@@ -132,28 +134,26 @@ class TestAdamStep:
         table = EmbeddingTable.uniform_init(3, 4, np.random.default_rng(1))
         before = table.values[1].copy()
         g = np.array([0.5, -2.0, 1e3, -1e-2])
-        hyper = AdamHyper(lr=0.01)
-        adam_step(table, ([1], g[None, :]), hyper)
+        adam_step(table, ([1], g[None, :]), 0.01)
         delta = table.values[1] - before
-        np.testing.assert_allclose(delta, -hyper.lr * np.sign(g), rtol=1e-5)
+        np.testing.assert_allclose(delta, -0.01 * np.sign(g), rtol=1e-5)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(3)
         table = EmbeddingTable.uniform_init(2, 5, rng)
-        hyper = AdamHyper(lr=0.07)
         g1 = rng.normal(size=5)
         w0 = table.values[0].copy()
-        adam_step(table, ([0], g1[None, :]), hyper)
-        adam_step(table, ([0], g1[None, :]), hyper)
+        adam_step(table, ([0], g1[None, :]), 0.07)
+        adam_step(table, ([0], g1[None, :]), 0.07)
         expected = np.array([
-            scalar_adam_reference(w0[d], [g1[d], g1[d]], hyper) for d in range(5)
+            scalar_adam_reference(w0[d], [g1[d], g1[d]], 0.07) for d in range(5)
         ])
         np.testing.assert_allclose(table.values[0], expected, atol=1e-12)
 
     def test_lazy_rows_untouched(self):
         table = EmbeddingTable.uniform_init(5, 3, np.random.default_rng(4))
         before = table.values.copy()
-        adam_step(table, ([2], np.ones((1, 3))), AdamHyper())
+        adam_step(table, ([2], np.ones((1, 3))), 1e-3)
         mask = np.ones(5, dtype=bool)
         mask[2] = False
         np.testing.assert_array_equal(table.values[mask], before[mask])
@@ -164,8 +164,7 @@ class TestAdamStep:
             table = EmbeddingTable.uniform_init(4, 3, np.random.default_rng(9))
             rng = np.random.default_rng(10)
             for _ in range(5):
-                adam_step(table, ([int(rng.integers(0, 4))], rng.normal(size=(1, 3))),
-                          AdamHyper())
+                adam_step(table, ([int(rng.integers(0, 4))], rng.normal(size=(1, 3))), 1e-3)
             return table.values.tobytes()
 
         assert run() == run()
@@ -173,7 +172,7 @@ class TestAdamStep:
     def test_nonfinite_gradient_raises(self):
         table = EmbeddingTable.uniform_init(2, 2, np.random.default_rng(5))
         with pytest.raises(NonFiniteGradient):
-            adam_step(table, ([0], np.array([[np.nan, 1.0]])), AdamHyper())
+            adam_step(table, ([0], np.array([[np.nan, 1.0]])), 1e-3)
 
     @pytest.mark.parametrize("ids,grads,error", [
         ([0, 1], np.ones((1, 3)), DimMismatch),
@@ -184,10 +183,10 @@ class TestAdamStep:
     ])
     def test_rejected_call_leaves_table_unchanged(self, ids, grads, error):
         table = EmbeddingTable.uniform_init(4, 3, np.random.default_rng(6))
-        adam_step(table, ([1, 3], np.full((2, 3), 0.25)), AdamHyper())
+        adam_step(table, ([1, 3], np.full((2, 3), 0.25)), 1e-3)
         before = table_bytes(table)
         with pytest.raises(error):
-            adam_step(table, (ids, grads), AdamHyper())
+            adam_step(table, (ids, grads), 1e-3)
         assert table_bytes(table) == before
         assert table.step_count == 1
 
@@ -195,20 +194,19 @@ class TestAdamStep:
         rng = np.random.default_rng(7)
         table = EmbeddingTable.uniform_init(10, 4, rng)
         ref = table.copy()
-        hyper = AdamHyper(lr=0.03)
         for step in range(12):
             # overlapping row sets, one of them empty, gradients over a wide range
             ids = np.flatnonzero(rng.random(10) < (0.0 if step == 5 else 0.6))
             grads = rng.normal(size=(ids.size, 4)) * 10.0 ** rng.uniform(-8, 4, size=(ids.size, 4))
-            adam_step(table, (ids, grads), hyper)
-            adam_reference(ref, ids, grads, hyper)
+            adam_step(table, (ids, grads), 0.03)
+            adam_reference(ref, ids, grads, 0.03)
             assert table_bytes(table) == table_bytes(ref), step
 
     def test_does_not_mutate_grads(self):
         table = EmbeddingTable.uniform_init(5, 3, np.random.default_rng(8))
         grads = np.random.default_rng(9).normal(size=(3, 3))
         before = grads.tobytes()
-        adam_step(table, (np.array([0, 2, 4]), grads), AdamHyper(lr=0.1))
+        adam_step(table, (np.array([0, 2, 4]), grads), 0.1)
         assert grads.tobytes() == before
 
 

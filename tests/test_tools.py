@@ -23,7 +23,8 @@ def config_hashes():
 
 
 @pytest.mark.parametrize("backbone,strategy,hardness", [("lightgcn", "adv", "embed"),
-                                                        ("mf", "adv", "mlp")])
+                                                        ("mf", "adv", "mlp"),
+                                                        ("mf", "rand", "embed")])
 def test_hashes_are_repeatable(config_hashes, backbone, strategy, hardness):
     data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
     first = config_hashes.config_hashes(data, backbone, strategy, hardness)

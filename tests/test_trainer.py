@@ -114,15 +114,19 @@ class TestMinStep:
         assert hardness_bytes(state) == before
 
     def test_rand_strategy_needs_rng_and_is_deterministic(self, small_dataset):
+        # the random deltas come with the batch; a hand-built batch has none
         cfg = small_cfg(hardness_strategy="rand")
         s1 = init_state(small_dataset, cfg)
         s2 = init_state(small_dataset, cfg)
         batch = first_batch(small_dataset, cfg)
-        l1 = min_step(s1, batch, np.random.default_rng(5))
-        l2 = min_step(s2, batch, np.random.default_rng(5))
+        l1 = min_step(s1, batch)
+        l2 = min_step(s2, batch)
         assert l1 == l2
-        with pytest.raises(ValueError):
-            min_step(init_state(small_dataset, cfg), batch)
+        assert encoder_bytes(s1) == encoder_bytes(s2)
+        state = init_state(small_dataset, cfg)
+        with pytest.raises(ValueError, match="carries its deltas"):
+            min_step(state, plain(batch))
+        assert encoder_bytes(state) == encoder_bytes(init_state(small_dataset, cfg))
 
 
 class TestAdvStep:
@@ -184,10 +188,10 @@ class TestAdvStep:
         batches = list(iter_batches(small_dataset, cfg, 1, "adv"))
         s1 = init_state(small_dataset, cfg)
         s2 = init_state(small_dataset, cfg)
-        reps = representations(s2.encoder)
+        with_scores = trainer._adv_half(s2, representations(s2.encoder))
         for batch in batches:
             adv_step(s1, batch)
-            adv_step(s2, batch, reps)
+            adv_step(s2, with_scores(batch))
         assert hardness_bytes(s1) == hardness_bytes(s2) != hardness_bytes(
             init_state(small_dataset, cfg))
 
@@ -281,37 +285,55 @@ STRATEGY_KINDS = [(s, k) for s in trainer.STRATEGIES for k in ("embed", "mlp")]
 
 class TestFrozenHalf:
     """iter_batches' worker computes each pass's frozen half, and
-    _batch_loss gives the same bytes with it as without it."""
+    _batch_loss gives the same bytes with it as on the same batch without
+    it."""
 
     @pytest.mark.parametrize("strategy,kind", STRATEGY_KINDS)
     def test_min_pass(self, small_dataset, strategy, kind):
         cfg = small_cfg(batch_size=3, hardness_strategy=strategy, hardness_kind=kind)
         state = trained_state(small_dataset, cfg)
-        half = trainer._min_half(state, 2)
-        # MLP hardness reads the encoder tables that min steps write
-        assert (half is None) == (kind == "mlp" and strategy in ("adv", "reverse"))
-        for b, batch in enumerate(iter_batches(small_dataset, cfg, 2, "min", half)):
-            assert batch.scores is None and (batch.hardness is None) == (half is None)
-            rng = None if half else trainer._delta_rng(cfg, 2, b)
-            got = trainer._batch_loss(state, batch, rng)
-            want = trainer._batch_loss(state, plain(batch), trainer._delta_rng(cfg, 2, b))
+        half = trainer._min_half(state)
+        # only the hardness tables are frozen; MLP hardness reads the encoder
+        assert (half is None) == (state.hardness is None or kind == "mlp")
+        for batch, unfrozen in zip(iter_batches(small_dataset, cfg, 2, "min", half),
+                                   iter_batches(small_dataset, cfg, 2, "min"), strict=True):
+            assert batch.scores is None
+            assert (batch.hardness is None) == (half is None and strategy != "rand")
+            got = trainer._batch_loss(state, batch)
+            want = trainer._batch_loss(state, unfrozen)
             assert same_arrays(got[:5], want[:5])
             # batch b + 1's half was prepared before this step wrote the encoder
-            min_step(state, batch, trainer._delta_rng(cfg, 2, b))
+            min_step(state, batch)
 
     @pytest.mark.parametrize("strategy,kind", STRATEGY_KINDS)
     def test_adversarial_pass(self, small_dataset, strategy, kind):
         cfg = small_cfg(batch_size=3, hardness_strategy=strategy, hardness_kind=kind)
         state = trained_state(small_dataset, cfg)
-        reps = representations(state.encoder)
-        half = trainer._adv_half(state, reps)
-        for b, batch in enumerate(iter_batches(small_dataset, cfg, 2, "adv", half)):
+        half = trainer._adv_half(state, representations(state.encoder))
+        for batch, unfrozen in zip(iter_batches(small_dataset, cfg, 2, "adv", half),
+                                   iter_batches(small_dataset, cfg, 2, "adv"), strict=True):
             assert batch.hardness is None and batch.scores is not None
-            got = trainer._batch_loss(state, batch, trainer._delta_rng(cfg, 2, b), reps)
-            want = trainer._batch_loss(state, plain(batch), trainer._delta_rng(cfg, 2, b))
+            if strategy == "rand":  # random deltas are drawn for min-pass batches only
+                with pytest.raises(ValueError, match="carries its deltas"):
+                    trainer._batch_loss(state, batch)
+                continue
+            got = trainer._batch_loss(state, batch)
+            want = trainer._batch_loss(state, unfrozen)
             assert got[5] is None and same_arrays(got[:5], want[:5])
             if state.hardness is not None:
-                adv_step(state, batch, reps)
+                adv_step(state, batch)
+
+    @pytest.mark.parametrize("with_frozen", [False, True])
+    def test_rand_batches_carry_their_deltas(self, small_dataset, with_frozen):
+        cfg = small_cfg(batch_size=3, hardness_strategy="rand", seed=4)
+        state = init_state(small_dataset, cfg)
+        frozen = trainer._adv_half(state, representations(state.encoder)) if with_frozen else None
+        batches = list(iter_batches(small_dataset, cfg, 3, "min", frozen))
+        assert len(batches) == 6
+        for b, batch in enumerate(batches):
+            want = substream(4, "rand-delta", 3, b).uniform(-0.5, 0.5, (len(batch.users), 4))
+            assert batch.hardness[0] is None and same_arrays([batch.hardness[1]], [want])
+            assert (batch.scores is not None) == with_frozen
 
     def test_mlp_hardness_runs_on_the_main_thread(self, small_dataset, monkeypatch):
         real, threads = MlpHardness.hardness, []
@@ -377,7 +399,7 @@ class TestBatchPrefetch:
     def test_min_half_error_surfaces_at_its_batch(self, small_dataset, monkeypatch):
         cfg = small_cfg(batch_size=3)  # 16 train pairs: 6 batches
         state = trained_state(small_dataset, cfg)
-        want = list(iter_batches(small_dataset, cfg, 1, "min", trainer._min_half(state, 1)))
+        want = list(iter_batches(small_dataset, cfg, 1, "min", trainer._min_half(state)))
         real, threads = trainer._batch_deltas, []
 
         def fail_on_call_4(*args):
@@ -389,7 +411,7 @@ class TestBatchPrefetch:
         monkeypatch.setattr(trainer, "_batch_deltas", fail_on_call_4)
         before, got = threading.active_count(), []
         with pytest.raises(NonFinite, match="call 4"):
-            for batch in iter_batches(small_dataset, cfg, 1, "min", trainer._min_half(state, 1)):
+            for batch in iter_batches(small_dataset, cfg, 1, "min", trainer._min_half(state)):
                 got.append(batch)
         assert len(got) == 3
         assert threading.active_count() == before
@@ -441,7 +463,8 @@ class TestBatchPrefetch:
 
         monkeypatch.setattr(trainer, "iter_batches", prepare_nothing)
         unprepared = run_training(small_dataset, cfg)
-        assert dropped == [True] * (7 if strategy == "adv" else 5)
+        # rand passes have no frozen half: a rand batch carries its own deltas
+        assert dropped == ([True] * 7 if strategy == "adv" else [False] * 5)
         assert json.dumps(prepared.history, sort_keys=True) \
             == json.dumps(unprepared.history, sort_keys=True)
         assert model_bytes(prepared.state.encoder, prepared.state.hardness) \
@@ -452,11 +475,11 @@ class TestBatchPrefetch:
         before = threading.active_count()
         real, during = trainer.min_step, []
 
-        def fail_on_call_2(state, batch, delta_rng=None):
+        def fail_on_call_2(state, batch):
             during.append(threading.active_count())
             if len(during) == 2:
                 raise NonFinite("step 2")
-            return real(state, batch, delta_rng)
+            return real(state, batch)
 
         monkeypatch.setattr(trainer, "min_step", fail_on_call_2)
         with pytest.raises(NonFinite, match="step 2"):
