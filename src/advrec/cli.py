@@ -180,9 +180,10 @@ def cmd_evaluate(ns) -> int:
     if csv:
         with open(csv, "w", encoding="utf-8") as fh:
             fh.write("user,hr,recall,ndcg\n")
+            tsv_id = {dense: raw for raw, dense in dataset.user_remap.items()}
             for user in sorted(report.per_user):
                 hr, recall, ndcg = report.per_user[user]
-                fh.write(f"{user},{hr!r},{recall!r},{ndcg!r}\n")
+                fh.write(f"{tsv_id[user]},{hr!r},{recall!r},{ndcg!r}\n")
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", default="test", choices=["valid", "test"])
     p_eval.add_argument("--k_eval", type=int, default=20)
     p_eval.add_argument("--per_user_csv", default=None,
-                        help="also dump per-user metrics to this CSV")
+                        help="also dump per-user metrics to this CSV, users by their TSV ids")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_gen = sub.add_parser("generate", help="write a synthetic biased-exposure dataset")

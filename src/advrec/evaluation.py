@@ -17,23 +17,22 @@ from .numkit import NORM_FLOOR, cosine_scores
 # Hardness diagnostics score at most this many sampled rows at once, which
 # bounds their memory whatever the number of planted pairs or anchors.
 BLOCK_ROWS = 1024
-# evaluate_split holds at most this many float64 scores at once (2 MB) in its
-# user block, and as many again in the score rows it gathers for a chunk of
-# positives (a single row when n_items alone exceeds it), which bounds its
-# memory whatever the number of users.
+# evaluate_split holds at most this many float64 scores (2 MB) in its user
+# block, and as many again, first in the block's partitioned copy and then in
+# the score rows gathered for a chunk of candidate positives (a single row
+# when n_items alone exceeds it), which bounds its memory whatever the users.
 SCORE_CELLS = 1 << 18
 
 
 @dataclass
 class RankResult:
-    """Full candidate ranking for one user: every item except the user's
-    train positives, sorted by descending score with ties broken by
-    ascending item id. Positions of the evaluated split's positives are
-    1-based and ascending. evaluate_split counts the positions without
-    building the ranking, which it leaves None."""
+    """Full candidate ranking for one user, as rank_all builds it: every item
+    except the user's train positives, sorted by descending score with ties
+    broken by ascending item id. Positions of the evaluated split's
+    positives are 1-based and ascending."""
 
     user: int
-    ranking: np.ndarray | None
+    ranking: np.ndarray
     positions: np.ndarray
 
 
@@ -61,7 +60,7 @@ def rank_all(
 ) -> RankResult:
     """Rank every item except the user's train positives. Deterministic:
     equal scores order by ascending item id. The reference that
-    evaluate_split's counted positions are tested against."""
+    evaluate_split's hit ranks are tested against."""
     user_reps, item_reps = representations(enc)
     mask = np.ones(dataset.n_items, dtype=bool)
     mask[dataset.positives(user, "train")] = False
@@ -80,34 +79,46 @@ def _ideal_dcg(n: int) -> float:
     return float(np.sum(1.0 / np.log2(np.arange(2, n + 2))))
 
 
-def topk_metrics(results: Iterable[RankResult], k_eval: int = 20) -> MetricReport:
-    """Macro-averaged hit ratio, recall and NDCG at k over users that have at
-    least one positive in the evaluated split. Binary gains; ideal DCG over
-    min(k, #positives)."""
+def _metrics(blocks, k_eval: int) -> MetricReport:
+    """Per-user metrics and their macro averages from blocks of (users,
+    ranks, owner, n_pos) as _hit_ranks yields them. The gains of users with
+    h hits are summed as the rows of one (users, h) array, which adds them
+    in np.sum's order for each user's slice. Raises ValueError if k_eval < 1
+    before reading a block."""
     if k_eval < 1:
         raise ValueError("k_eval must be >= 1")
-    per_user = {}
-    ideal = {}  # _ideal_dcg(m) by m, for the m that occur; at most k_eval of them
-    for r in results:
-        n_pos = len(r.positions)
-        if n_pos == 0:
-            continue
-        in_top = r.positions[r.positions <= k_eval]
-        hr = 1.0 if len(in_top) else 0.0
-        recall = len(in_top) / n_pos
-        dcg = float(np.sum(1.0 / np.log2(1.0 + in_top)))
-        m = min(k_eval, n_pos)
-        if m not in ideal:
-            ideal[m] = _ideal_dcg(m)
-        ndcg = dcg / ideal[m]
-        per_user[r.user] = (hr, recall, ndcg)
-    if not per_user:
+    users, tables = [np.zeros(0, np.int64)], [np.zeros((0, 3))]
+    for block, ranks, owner, n_pos in blocks:
+        hits = np.bincount(owner, minlength=len(block))
+        gains, first = 1.0 / np.log2(1.0 + ranks), np.cumsum(hits) - hits
+        dcg = np.zeros(len(block))
+        for h in np.unique(hits[hits > 0]).tolist():
+            rows = np.flatnonzero(hits == h)
+            dcg[rows] = gains[first[rows, None] + np.arange(h)].sum(axis=1)
+        m, at = np.unique(np.minimum(n_pos, k_eval), return_inverse=True)
+        ideal = np.array([_ideal_dcg(n) for n in m.tolist()])[at]
+        users.append(block)
+        tables.append(np.stack([hits > 0, hits / n_pos, dcg / ideal], axis=1))
+    users, table = np.concatenate(users), np.concatenate(tables)
+    if not len(users):
         raise EmptyEval("no user has positives in the evaluated split")
-    table = np.array(list(per_user.values()))
     means = table.mean(axis=0)
     return MetricReport(hr=float(means[0]), recall=float(means[1]),
-                        ndcg=float(means[2]), k_eval=k_eval,
-                        n_users=len(per_user), per_user=per_user)
+                        ndcg=float(means[2]), k_eval=k_eval, n_users=len(users),
+                        per_user=dict(zip(users.tolist(), map(tuple, table.tolist()))))
+
+
+def topk_metrics(results: Iterable[RankResult], k_eval: int = 20) -> MetricReport:
+    """Macro-averaged hit ratio, recall and NDCG at k over users that have at
+    least one positive in the evaluated split, from one RankResult per user.
+    Binary gains; ideal DCG over min(k, #positives)."""
+    results = [r for r in results if len(r.positions)]
+    in_top = [r.positions[r.positions <= k_eval] for r in results]
+    users = np.array([r.user for r in results], dtype=np.int64)
+    n_pos = np.array([len(r.positions) for r in results], dtype=np.int64)
+    owner = np.repeat(np.arange(len(results)), [len(t) for t in in_top])
+    ranks = np.concatenate([np.zeros(0, np.int64), *in_top])
+    return _metrics([(users, ranks, owner, n_pos)], k_eval)
 
 
 def _block_ranks(scores: np.ndarray, items: np.ndarray, owner: np.ndarray,
@@ -125,9 +136,11 @@ def _block_ranks(scores: np.ndarray, items: np.ndarray, owner: np.ndarray,
     return ranks
 
 
-def _ranked_positions(enc: Encoder, dataset: InteractionSet, split: str):
-    """Yield a RankResult, positions only, for every user with positives in
-    the split, in ascending user order. See evaluate_split."""
+def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
+    """Yield (block, ranks, owner, n_pos) per block of users with positives
+    in the split, in user order: the ranks <= k_eval of the hits, by owner
+    (index in block) and then rank, and each user's positive count. See
+    evaluate_split."""
     user_reps, item_reps = representations(enc)
     users = dataset.users_with_positives(split)
     u_norm = np.linalg.norm(user_reps[users], axis=1)
@@ -142,11 +155,15 @@ def _ranked_positions(enc: Encoder, dataset: InteractionSet, split: str):
         train_items, train_owner = dataset.positives_of(block, "train")
         scores[train_owner, train_items] = -np.inf
         items, owner = dataset.positives_of(block, split)
+        n_pos = np.bincount(owner, minlength=len(block))
+        if k_eval < dataset.n_items:  # a copy, so that the partitioned block is freed
+            kth = np.partition(scores, -k_eval, axis=1)[:, -k_eval].copy()
+            reach = scores[owner, items] >= kth[owner]
+            items, owner = items[reach], owner[reach]
         ranks = _block_ranks(scores, items, owner, step)
-        ranks = ranks[np.lexsort((ranks, owner))]
-        bounds = np.cumsum(np.bincount(owner, minlength=len(block)))[:-1]
-        for u, positions in zip(block, np.split(ranks, bounds)):
-            yield RankResult(user=int(u), ranking=None, positions=positions)
+        order = np.lexsort((ranks, owner))
+        order = order[ranks[order] <= k_eval]
+        yield block, ranks[order], owner[order], n_pos
 
 
 def evaluate_split(
@@ -160,19 +177,22 @@ def evaluate_split(
 
     Users are scored in blocks of max(1, SCORE_CELLS // n_items) rows
     against every item with one matmul, in cosine_scores' expression, and
-    each user's train positives are set to -inf. A split positive p scoring
-    s ranks 1 + #(score > s) + #(score == s and id < p): rank_all's stable
-    order, counted without a sort. The score rows of a block's positives
-    are gathered in chunks of the same number of rows.
+    each user's train positives are set to -inf. A partitioned copy gives
+    each row's k-th largest score (-inf if the user has fewer than k
+    candidates); a positive scoring below it ranks past k. Each other
+    positive p scoring s ranks 1 + #(score > s) + #(score == s and id < p),
+    rank_all's stable order counted on its score row, gathered in chunks of
+    the block's size. At the peak the block, one chunk of rows and
+    count_nonzero's intp copy of the chunk's mask are live.
 
-    Raises ZeroNormError if the representation of an evaluated user or of
-    any item (every item is scored) has norm <= 1e-12. The train split is
-    rejected: train positives are never ranking candidates. A split
-    positive is never a train positive, so every evaluated user has a
-    candidate."""
+    Raises ValueError if k_eval < 1, before any work, and ZeroNormError if
+    the representation of an evaluated user or of any item (every item is
+    scored) has norm <= 1e-12. The train split is rejected: train positives
+    are never ranking candidates. A split positive is never a train
+    positive, so every evaluated user has a candidate."""
     if split == "train":
         raise BadParam("train positives are never ranking candidates; evaluate valid or test")
-    return topk_metrics(_ranked_positions(enc, dataset, split), k_eval)
+    return _metrics(_hit_ranks(enc, dataset, split, k_eval), k_eval)
 
 
 def dcg_bound_check(s_pos: float, s_negs, deltas) -> tuple[float, float, bool]:

@@ -277,6 +277,26 @@ class TestEvaluate:
         assert payload["recall@1"] == 1.0
         assert (tmp_path / "users.csv").read_text() == "user,hr,recall,ndcg\n0,1.0,1.0,1.0\n"
 
+    def test_per_user_csv_holds_tsv_user_ids(self, tmp_path, capsys):
+        # users 70 and 30 are dense users 0 and 1; rows follow the dense ids
+        (tmp_path / "train.tsv").write_text("70\t5\n30\t6\n")
+        (tmp_path / "valid.tsv").write_text("")
+        (tmp_path / "test.tsv").write_text("70\t7\n30\t8\n")
+        enc = build_encoder("mf", 2, 4, 2, tau=1.0, seed=0)
+        enc.user_table.values[:] = [[1.0, 0.0], [0.0, 1.0]]
+        enc.item_table.values[:] = [[0.3, 0.3], [0.5, 0.5], [2.0, 0.0], [1.0, -1.0]]
+        save_checkpoint(tmp_path / "model.ckpt", enc)
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--train_file", str(tmp_path / "train.tsv"),
+                     "--valid_file", str(tmp_path / "valid.tsv"),
+                     "--test_file", str(tmp_path / "test.tsv"),
+                     "--split", "test", "--k_eval", "1",
+                     "--per_user_csv", str(tmp_path / "users.csv")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["recall@1"] == 0.5
+        assert (tmp_path / "users.csv").read_text() == \
+            "user,hr,recall,ndcg\n70,1.0,1.0,1.0\n30,0.0,0.0,0.0\n"
+
     def test_checkpoint_with_trailing_bytes_exits_2(self, tmp_path, capsys):
         (tmp_path / "train.tsv").write_text("0\t0\n1\t1\n")
         (tmp_path / "valid.tsv").write_text("")

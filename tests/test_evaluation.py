@@ -20,7 +20,7 @@ from advrec.evaluation import (
     SCORE_CELLS,
     RankResult,
     _block_hardness,
-    _ranked_positions,
+    _hit_ranks,
     alignment_uniformity,
     dcg_bound_check,
     evaluate_split,
@@ -411,16 +411,49 @@ class TestHardnessPopularityProfile:
         assert rows == [(b, float(sums[b] / counts[b]), int(counts[b])) for b in range(bins)]
 
 
+def loop_metrics(results, k):
+    """Per-user metrics reduced one user at a time, each DCG by np.sum over
+    the user's own gains: the reference topk_metrics' array reduction must
+    equal byte for byte."""
+    per_user = {}
+    for r in results:
+        if len(r.positions):
+            in_top = r.positions[r.positions <= k]
+            dcg = float(np.sum(1.0 / np.log2(1.0 + in_top)))
+            ideal = float(np.sum(1.0 / np.log2(np.arange(2, min(k, len(r.positions)) + 2))))
+            per_user[r.user] = (1.0 if len(in_top) else 0.0, len(in_top) / len(r.positions),
+                                dcg / ideal)
+    return per_user
+
+
+def hit_ranks_by_user(enc, ds, split, k):
+    """_hit_ranks' ranks by user, checking its grouping and counts."""
+    got = {}
+    for block, ranks, owner, n_pos in _hit_ranks(enc, ds, split, k):
+        assert ranks.dtype == np.int64 and np.all(np.diff(owner) >= 0)
+        for j, u in enumerate(block.tolist()):
+            assert n_pos[j] == len(ds.positives(u, split))
+            got[u] = ranks[owner == j]
+    return got
+
+
 def assert_equals_rank_all(enc, ds, split, k_eval=5):
-    """evaluate_split's positions and metrics equal, exactly, those of
-    topk_metrics over one rank_all per user."""
+    """evaluate_split's hit ranks and metrics equal, exactly, those of
+    topk_metrics over one rank_all per user, which equal the per-user loop's."""
     oracle = [rank_all(enc, int(u), ds, split) for u in ds.users_with_positives(split)]
-    got = list(_ranked_positions(enc, ds, split))
-    assert [r.user for r in got] == [r.user for r in oracle]
-    for r, want in zip(got, oracle):
-        assert r.positions.dtype == np.int64
-        np.testing.assert_array_equal(r.positions, want.positions)
-    assert evaluate_split(enc, ds, split, k_eval).per_user == topk_metrics(oracle, k_eval).per_user
+    for k in (1, k_eval, ds.n_items):
+        got = hit_ranks_by_user(enc, ds, split, k)
+        assert list(got) == [r.user for r in oracle]
+        for r in oracle:
+            np.testing.assert_array_equal(got[r.user], r.positions[r.positions <= k])
+    want = topk_metrics(oracle, k_eval)
+    assert want.per_user == loop_metrics(oracle, k_eval)
+    assert (want.hr, want.recall, want.ndcg) == tuple(
+        np.array(list(want.per_user.values())).mean(axis=0).tolist())
+    report = evaluate_split(enc, ds, split, k_eval)
+    assert report.per_user == want.per_user
+    assert (report.hr, report.recall, report.ndcg, report.n_users) == \
+        (want.hr, want.recall, want.ndcg, want.n_users)
 
 
 class TestEvaluateSplit:
@@ -442,6 +475,79 @@ class TestEvaluateSplit:
         enc = make_encoder(ds, seed=33)
         assert_equals_rank_all(enc, ds, "test", k_eval=1)
         assert evaluate_split(enc, ds, "test", 1).per_user[0] == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_ties_straddling_the_kth_score(self, k):
+        # Items 0, 2, 3, 5 and 7 tie; 3 is a train positive. The ranking is
+        # 1, 6 | 0, 2, 5, 7 | 4, so at k = 4 the cutoff splits the tied
+        # items, with test positive 2 inside it and 7 beyond.
+        ds = InteractionSet(1, 8, np.array([[0, 3]]), np.zeros((0, 2)),
+                            np.array([[0, 2], [0, 4], [0, 7]]))
+        enc = make_encoder(ds, dim=2, tau=1.0)
+        enc.user_table.values[0] = [1.0, 0.0]
+        enc.item_table.values[:] = [1.0, 1.0]
+        enc.item_table.values[[1, 6]] = [1.0, 0.0]
+        enc.item_table.values[4] = [0.0, 1.0]
+        np.testing.assert_array_equal(rank_all(enc, 0, ds).ranking, [1, 6, 0, 2, 5, 7, 4])
+        np.testing.assert_array_equal(hit_ranks_by_user(enc, ds, "test", 4)[0], [4])
+        assert_equals_rank_all(enc, ds, "test", k_eval=k)
+
+    @pytest.mark.parametrize("k_eval", [4, 9, 10, 13])
+    def test_k_at_or_past_n_items_and_few_candidates(self, k_eval):
+        # User 0 has 3 candidates, fewer than k_eval, so its row's k-th
+        # largest score is -inf; from k_eval = n_items on nothing is
+        # partitioned.
+        train = np.array([[0, i] for i in range(7)] + [[1, 0], [2, 5]])
+        test = np.array([[0, 7], [0, 9], [1, 3], [1, 8], [2, 1]])
+        ds = InteractionSet(3, 10, train, np.zeros((0, 2)), test)
+        enc = make_encoder(ds, seed=38)
+        assert_equals_rank_all(enc, ds, "test", k_eval=k_eval)
+        assert evaluate_split(enc, ds, "test", k_eval).per_user[0][1] == 1.0
+
+    def test_many_hits_sum_pairwise(self):
+        # Users with 6 to 30 disjoint test positives aligned with their own
+        # axis: 9 to 20 hits in the top 20, where np.sum adds pairwise.
+        rng = np.random.default_rng(39)
+        sizes = [6, 9, 11, 13, 16, 20, 24, 30]
+        n_users, n_items = len(sizes), 300
+        items = rng.permutation(n_items)
+        test = np.array([(u, int(i)) for u, i in
+                         zip(np.repeat(np.arange(n_users), sizes), items)])
+        train = np.array([(u, int(i)) for u in range(n_users)
+                          for i in items[sum(sizes) + 5 * u:sum(sizes) + 5 * u + 5]])
+        ds = InteractionSet(n_users, n_items, train, np.zeros((0, 2)), test)
+        enc = make_encoder(ds, dim=n_users, tau=0.2)
+        enc.user_table.values[:] = np.eye(n_users) + 0.1 * rng.normal(size=(n_users, n_users))
+        enc.item_table.values[:] = rng.normal(size=(n_items, n_users))
+        enc.item_table.values[test[:, 1], test[:, 0]] += 8.0
+        hits = [len(ranks) for ranks in hit_ranks_by_user(enc, ds, "test", 20).values()]
+        assert sum(9 <= h <= 20 for h in hits) >= 5 and max(hits) == 20
+        assert_equals_rank_all(enc, ds, "test", k_eval=20)
+
+    @pytest.mark.parametrize("block_users", [1, 2, 3])
+    def test_candidate_chunks_end_inside_a_user(self, monkeypatch, block_users):
+        # Every user has 4 test positives among 12 items and k = 8, so most
+        # but not all positives are candidates, and chunks of block_users
+        # rows split users' candidates.
+        rng = np.random.default_rng(40)
+        n_users, n_items = 10, 12
+        pairs = np.array([[(u, int(i)) for i in rng.choice(n_items, size=6, replace=False)]
+                          for u in range(n_users)])
+        ds = InteractionSet(n_users, n_items, pairs[:, :2].reshape(-1, 2),
+                            np.zeros((0, 2)), pairs[:, 2:].reshape(-1, 2))
+        enc = make_encoder(ds, seed=41)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", block_users * n_items)
+        split_inside, ranked, real = [], [], evaluation._block_ranks
+
+        def spy(scores, items, owner, step):
+            split_inside.extend(owner[c - 1] == owner[c] for c in range(step, len(owner), step))
+            ranked.append(len(items))
+            return real(scores, items, owner, step)
+
+        monkeypatch.setattr(evaluation, "_block_ranks", spy)
+        evaluate_split(enc, ds, "test", 8)
+        assert any(split_inside) and sum(ranked) < len(ds.test_pairs)
+        assert_equals_rank_all(enc, ds, "test", k_eval=8)
 
     @pytest.mark.parametrize("block_users", [1, 2, 7])
     def test_small_blocks_and_chunks(self, monkeypatch, block_users):
@@ -483,8 +589,10 @@ class TestEvaluateSplit:
     def test_peak_memory_bounded_by_score_cells(self):
         # The acceptance-sized dataset: a block of 262 users has about 880
         # test positives, whose 7 MB of score rows must not be gathered at
-        # once. At the peak three arrays of SCORE_CELLS 8-byte cells are
-        # live (the score block, a chunk of gathered score rows and
+        # once. While a block is partitioned two arrays of SCORE_CELLS
+        # 8-byte cells are live (the score block and its partitioned copy,
+        # freed before any row is gathered); while candidates are ranked,
+        # three (the score block, a chunk of gathered score rows and
         # count_nonzero's intp copy of a chunk's mask), with the chunk's
         # boolean masks and the index arrays. The bound allows one more.
         # MF representations are views of the tables.
@@ -497,6 +605,25 @@ class TestEvaluateSplit:
         tracemalloc.start()
         try:
             evaluate_split(enc, ds, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
+
+    def test_peak_memory_when_every_positive_is_a_candidate(self):
+        # At k = n_items - 1 the block is partitioned and then almost every
+        # test positive is ranked, in full chunks of score rows. The
+        # partitioned copy must be freed first: with it the peak would
+        # pass the bound of test_peak_memory_bounded_by_score_cells.
+        ds = generate_synthetic(SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
+                                              exposure_bias_strength=1.0, train_fraction=0.6,
+                                              fn_plant_rate=0.2, relevance_quantile=0.02,
+                                              seed=0)).dataset
+        enc = make_encoder(ds, dim=32, tau=0.2)
+        bound = 4 * SCORE_CELLS * 8
+        tracemalloc.start()
+        try:
+            evaluate_split(enc, ds, "test", ds.n_items - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -69,3 +69,21 @@ def test_train_hash_covers_the_best_hardness(config_hashes, monkeypatch, hardnes
     monkeypatch.setattr(config_hashes, "run_training", nudge_best_hardness)
     train, diag = config_hashes.config_hashes(data, "mf", "adv", hardness)
     assert train != first[0] and diag == first[1]
+
+
+def test_diag_hash_covers_the_per_user_table(config_hashes, monkeypatch):
+    # the same means over permuted per-user values: only the diag hash moves
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    first = config_hashes.config_hashes(data, "mf", "rand", "embed")
+    real = config_hashes.evaluate_split
+
+    def permute_per_user(*args):
+        report = real(*args)
+        users, values = list(report.per_user), list(report.per_user.values())
+        report.per_user = dict(zip(users, values[1:] + values[:1]))
+        assert report.per_user != dict(zip(users, values))
+        return report
+
+    monkeypatch.setattr(config_hashes, "evaluate_split", permute_per_user)
+    train, diag = config_hashes.config_hashes(data, "mf", "rand", "embed")
+    assert train == first[0] and diag != first[1]

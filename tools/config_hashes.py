@@ -7,7 +7,8 @@ configuration and prints two hashes for each:
 
 - train: the history JSON, the final encoder tables and hardness parameters,
   and (if a validation ran) the best snapshot's, the model best.ckpt holds;
-- diag: test HR/Recall/NDCG@20 of the final encoder, the false-negative
+- diag: test HR/Recall/NDCG@20 of the final encoder, with every user's
+  triple, so that a one-ulp change for one user shows; the false-negative
   identification rate (n_resamples=1) and a 10-bin hardness-popularity
   profile; the last two only where the strategy trains a hardness model.
 
@@ -83,7 +84,7 @@ def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[st
     _add_hardness(train, state.hardness)
 
     report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
-    diag = [report.hr, report.recall, report.ndcg]
+    diag = [report.hr, report.recall, report.ndcg, sorted(report.per_user.items())]
     if state.hardness is not None:
         diag.append(fn_identification_rate(
             state.hardness, data.planted_fn, state.encoder, data.dataset,
