@@ -22,14 +22,14 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .dataio import (
+    SPLITS,
     SyntheticSpec,
     gamma_quotas,
     gamma_split,
     generate_synthetic,
     load_interactions,
     read_pairs,
-    write_pairs,
-    write_synthetic,
+    write_dataset,
 )
 from .errors import EngineError, NonFinite, NonFiniteGradient
 from .evaluation import (
@@ -52,7 +52,7 @@ def _log(msg: str) -> None:
 
 def load_kv_config(path, cls, extra=()) -> dict[str, str]:
     """Flat key=value file; blank lines and '#' comments ignored. A key must
-    be a field of the dataclass cls or one of extra."""
+    be a field of the dataclass cls or one of extra, and appear once."""
     allowed = {f.name for f in dataclasses.fields(cls)} | set(extra)
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -66,6 +66,8 @@ def load_kv_config(path, cls, extra=()) -> dict[str, str]:
             key = key.strip()
             if key not in allowed:
                 raise EngineError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in values:
+                raise EngineError(f"{path}:{line_no}: duplicate config key {key!r}")
             values[key] = value.strip()
     return values
 
@@ -100,6 +102,16 @@ def _write_snapshot(path, values: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(values):
             fh.write(f"{key}={values[key]}\n")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """One header line, then one line per row with each field as its repr.
+    Fields must be Python ints and floats (.tolist(), float()): under numpy 2
+    the repr of np.float64(0.5) is 'np.float64(0.5)', not '0.5'."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _require_files(*paths) -> None:
@@ -178,12 +190,9 @@ def cmd_evaluate(ns) -> int:
     report = evaluate_split(enc, dataset, ns.split, ns.k_eval)
     payload = {**report.record(ns.split), "n_users": report.n_users}
     if csv:
-        with open(csv, "w", encoding="utf-8") as fh:
-            fh.write("user,hr,recall,ndcg\n")
-            tsv_id = {dense: raw for raw, dense in dataset.user_remap.items()}
-            for user in sorted(report.per_user):
-                hr, recall, ndcg = report.per_user[user]
-                fh.write(f"{tsv_id[user]},{hr!r},{recall!r},{ndcg!r}\n")
+        tsv_id = {dense: raw for raw, dense in dataset.user_remap.items()}
+        _write_csv(csv, "user,hr,recall,ndcg", ((tsv_id[user], *report.per_user[user])
+                                                for user in sorted(report.per_user)))
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -195,29 +204,20 @@ def cmd_generate(ns) -> int:
         gamma_quotas(ns.n0, ns.gamma, ns.groups)  # rejects bad split flags up front
     result = generate_synthetic(spec)
     out = Path(ns.out or "dataset")
-    out.mkdir(parents=True, exist_ok=True)
 
+    files = {name: result.dataset.pairs(name) for name in SPLITS}
+    files["planted_fn"] = result.planted_fn
     manifest = {"mode": "biased-exposure", "spec": dataclasses.asdict(spec)}
     if ns.gamma is not None:
         # Re-split the observed pool with popularity-quota test construction.
-        pool = np.concatenate([result.dataset.train_pairs, result.dataset.valid_pairs])
+        pool = np.concatenate([files["train"], files["valid"]])
         split = gamma_split(pool, spec.n_items, ns.gamma, ns.n0,
                             substream(spec.seed, "gamma-split"), groups=ns.groups)
-        write_pairs(out / "train.tsv", split.train_pairs)
-        write_pairs(out / "valid.tsv", split.valid_pairs)
-        write_pairs(out / "test.tsv", split.test_pairs)
-        write_pairs(out / "planted_fn.tsv", np.zeros((0, 2), dtype=np.int64))
-        manifest = {
-            "mode": "gamma",
-            "gamma": ns.gamma,
-            "groups": ns.groups,
-            "n0": ns.n0,
-            "quotas": split.quotas.tolist(),
-            "drawn": split.drawn.tolist(),
-            "spec": dataclasses.asdict(spec),
-        }
-    else:
-        write_synthetic(out, result)
+        files = {"train": split.train_pairs, "valid": split.valid_pairs,
+                 "test": split.test_pairs, "planted_fn": np.zeros((0, 2), dtype=np.int64)}
+        manifest.update(mode="gamma", gamma=ns.gamma, groups=ns.groups, n0=ns.n0,
+                        quotas=split.quotas.tolist(), drawn=split.drawn.tolist())
+    write_dataset(out, files)
 
     _write_snapshot(out / "spec.resolved", dataclasses.asdict(spec))
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -242,12 +242,8 @@ def cmd_diagnose(ns) -> int:
     if ns.which == "profile":
         if hardness is None:
             raise EngineError("checkpoint has no hardness model; cannot profile")
-        rows = hardness_popularity_profile(hardness, enc, dataset, ns.bins,
-                                           ns.n_negatives, rng)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("bin,mean_p,count\n")
-            for b, mean_p, count in rows:
-                fh.write(f"{b},{mean_p!r},{count}\n")
+        header, rows = "bin,mean_p,count", hardness_popularity_profile(
+            hardness, enc, dataset, ns.bins, ns.n_negatives, rng)
     elif ns.which == "fnrate":
         if hardness is None:
             raise EngineError("checkpoint has no hardness model; cannot compute fn rate")
@@ -257,24 +253,18 @@ def cmd_diagnose(ns) -> int:
         if planted.size == 0:
             raise EngineError(f"{ns.planted_fn} lists no planted false negatives "
                               "(fnrate only applies to synthetic datasets)")
-        rate = fn_identification_rate(hardness, planted, enc, dataset,
-                                      ns.n_negatives, rng, ns.n_resamples)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("fn_rate,n_resamples\n")
-            fh.write(f"{rate!r},{ns.n_resamples}\n")
+        header, rows = "fn_rate,n_resamples", [(fn_identification_rate(
+            hardness, planted, enc, dataset, ns.n_negatives, rng, ns.n_resamples), ns.n_resamples)]
     elif ns.which == "alignuniform":
         pairs = dataset.train_pairs
         take = min(len(pairs), 2048)
         pos = pairs[rng.choice(len(pairs), size=take, replace=False)]
         users = rng.choice(dataset.n_users, size=min(dataset.n_users, 256), replace=False)
         items = rng.choice(dataset.n_items, size=min(dataset.n_items, 256), replace=False)
-        entities = [("user", int(u)) for u in users] + [("item", int(i)) for i in items]
-        align, uniform = alignment_uniformity(enc, pos, entities)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("align,uniform\n")
-            fh.write(f"{align!r},{uniform!r}\n")
+        header, rows = "align,uniform", [alignment_uniformity(enc, pos, users, items)]
     else:
         raise EngineError(f"unknown diagnostic {ns.which!r}")
+    _write_csv(out, header, rows)
     _log(f"diagnostic written to {out}")
     return EXIT_OK
 

@@ -231,6 +231,16 @@ def write_pairs(path, pairs) -> None:
             fh.write(f"{int(u)}\t{int(i)}\n")
 
 
+def write_dataset(out_dir, pairs_by_name: dict) -> dict:
+    """Write out_dir/<name>.tsv per entry, creating out_dir; returns {name: path}."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    files = {name: out / f"{name}.tsv" for name in pairs_by_name}
+    for name, pairs in pairs_by_name.items():
+        write_pairs(files[name], pairs)
+    return files
+
+
 def _sample_row(pos: np.ndarray, n_items: int, n: int,
                 rng: np.random.Generator) -> np.ndarray:
     """n negatives for one user with ascending train positives pos (at
@@ -493,18 +503,3 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         test_pairs=planted,
     )
     return SyntheticResult(dataset=dataset, planted_fn=planted, exposure_weight=w)
-
-
-def write_synthetic(out_dir, result: SyntheticResult) -> dict:
-    """Write train/valid/test TSVs plus planted_fn.tsv; returns file map."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name in SPLITS:
-        path = out / f"{name}.tsv"
-        write_pairs(path, result.dataset.pairs(name))
-        files[name] = str(path)
-    fn_path = out / "planted_fn.tsv"
-    write_pairs(fn_path, result.planted_fn)
-    files["planted_fn"] = str(fn_path)
-    return files

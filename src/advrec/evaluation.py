@@ -213,17 +213,18 @@ def dcg_bound_check(s_pos: float, s_negs, deltas) -> tuple[float, float, bool]:
 def alignment_uniformity(
     enc: Encoder,
     positive_pairs: np.ndarray,
-    entities: list[tuple[str, int]],
+    users: np.ndarray,
+    items: np.ndarray,
 ) -> tuple[float, float]:
     """Representation quality on L2-normalized final representations.
 
     align  = mean over positive pairs of squared distance (lower = tighter);
-    uniform = log mean over distinct entity pairs of exp(-2 * squared
-    distance) (lower = more spread out).
+    uniform = log mean over distinct pairs of points (the users', then the
+    items' representations) of exp(-2 * squared distance) (lower = more spread out).
     """
     positive_pairs = np.asarray(positive_pairs, dtype=np.int64).reshape(-1, 2)
-    if len(positive_pairs) == 0 or len(entities) < 2:
-        raise EmptySample("need at least one positive pair and two entities")
+    if len(positive_pairs) == 0 or len(users) + len(items) < 2:
+        raise EmptySample("need at least one positive pair and two points")
     user_reps, item_reps = representations(enc)
     user_n = user_reps / np.linalg.norm(user_reps, axis=1, keepdims=True)
     item_n = item_reps / np.linalg.norm(item_reps, axis=1, keepdims=True)
@@ -231,9 +232,7 @@ def alignment_uniformity(
     diffs = user_n[positive_pairs[:, 0]] - item_n[positive_pairs[:, 1]]
     align = float(np.mean(np.sum(diffs * diffs, axis=1)))
 
-    points = np.stack([
-        user_n[idx] if kind == "user" else item_n[idx] for kind, idx in entities
-    ])
+    points = np.concatenate([user_n[users], item_n[items]])
     sq = np.sum(points * points, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     iu = np.triu_indices(len(points), k=1)

@@ -67,9 +67,7 @@ def _softmax_core(s_pos: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.
 
 def advinfonce_forward_batch(s_pos, s_negs, deltas, k_weight) -> np.ndarray:
     """Vectorized forward over a batch: s_pos (B,), s_negs/deltas (B, N)."""
-    terms = np.log(k_weight) + deltas + s_negs
-    loss, _ = _softmax_core(np.asarray(s_pos, dtype=np.float64), terms)
-    return loss
+    return advinfonce_backward_batch(s_pos, s_negs, deltas, k_weight)[0]
 
 
 def advinfonce_backward_batch(s_pos, s_negs, deltas, k_weight):

@@ -50,18 +50,11 @@ class EmbeddingTable:
 
     @classmethod
     def uniform_init(cls, rows: int, dim: int, rng: np.random.Generator) -> "EmbeddingTable":
-        """Uniform init in [-0.5/sqrt(d), 0.5/sqrt(d)]; keeps row norms nonzero
-        and initial scores small."""
+        """Uniform init in [-0.5/sqrt(d), 0.5/sqrt(d)]; keeps initial scores
+        small. A row norm <= 1e-12 (all d draws within 1e-12 of zero: p < 1e-11
+        per row even at d = 1) would raise ZeroNormError when a pass reads it."""
         bound = 0.5 / np.sqrt(dim)
-        values = rng.uniform(-bound, bound, size=(rows, dim))
-        table = cls(values)
-        norms = np.linalg.norm(table.values, axis=1)
-        # A row of all-tiny draws is astronomically unlikely; re-draw it anyway.
-        while np.any(norms <= NORM_FLOOR):
-            bad = norms <= NORM_FLOOR
-            table.values[bad] = rng.uniform(-bound, bound, size=(int(bad.sum()), dim))
-            norms = np.linalg.norm(table.values, axis=1)
-        return table
+        return cls(rng.uniform(-bound, bound, size=(rows, dim)))
 
     @classmethod
     def zeros(cls, rows: int, dim: int) -> "EmbeddingTable":

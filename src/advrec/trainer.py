@@ -17,12 +17,13 @@ import numpy as np
 from .dataio import InteractionSet, sample_negatives
 from .encoder import Encoder, batch_backward, batch_forward, build_encoder, representations
 from .errors import NonFinite, SkippedAdvStep
-from .evaluation import evaluate_split
+from .evaluation import _block_hardness, evaluate_split
 from .loss import HARDNESS_MODELS, advinfonce_backward_batch, hardness_grad_from_delta
 from .numkit import adam_step
 from .rng import substream
 
 STRATEGIES = ("adv", "reverse", "rand", "none")
+DIAG_ANCHORS = 256  # hardness_divergence's anchor pairs: one _block_hardness block
 
 
 @dataclass
@@ -267,19 +268,17 @@ def mean_batch_loss(state: TrainState, batches: list[Batch]) -> float:
     return total / max(count, 1)
 
 
-def hardness_divergence(state: TrainState, dataset: InteractionSet, epoch: int,
-                        n_anchors: int = 256):
-    """(mean KL(uniform || p), max deviation from 1/N) over a seeded sample
-    of anchor pairs; both are 0 for strategies without a hardness model."""
+def hardness_divergence(state: TrainState, dataset: InteractionSet, epoch: int):
+    """(mean KL(uniform || p), max deviation from 1/N) over DIAG_ANCHORS seeded
+    anchor pairs; (0, 0) without a hardness model; ValueError on an empty train."""
     cfg = state.cfg
     if state.hardness is None:
         return 0.0, 0.0
     rng = substream(cfg.seed, "diag", epoch)
     train = dataset.train_pairs
-    take = min(n_anchors, len(train))
-    anchors = train[rng.integers(0, len(train), size=take)]
-    negs = sample_negatives(dataset, anchors[:, 0], cfg.n_negatives, rng).negatives
-    probs, deltas = state.hardness.hardness(anchors[:, 0], negs, state.encoder)
+    anchors = train[rng.integers(0, len(train), size=min(DIAG_ANCHORS, len(train)))]
+    [(_, probs, deltas)] = _block_hardness(state.hardness, state.encoder, dataset,
+                                           anchors[:, 0], cfg.n_negatives, rng)
     kl_mean = float(np.mean(-deltas.mean(axis=1)))
     eps_proxy = float(np.max(np.abs(probs - 1.0 / cfg.n_negatives)))
     return kl_mean, eps_proxy

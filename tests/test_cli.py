@@ -7,8 +7,15 @@ import pytest
 
 from advrec.checkpoint import load_checkpoint, save_checkpoint
 from advrec.cli import main
-from advrec.dataio import gamma_quotas, load_interactions
+from advrec.dataio import gamma_quotas, load_interactions, read_pairs
 from advrec.encoder import build_encoder
+from advrec.evaluation import (
+    alignment_uniformity,
+    evaluate_split,
+    fn_identification_rate,
+    hardness_popularity_profile,
+)
+from advrec.rng import substream
 
 
 GEN_ARGS = ["--n_users", "60", "--n_items", "40", "--latent_dim", "6",
@@ -22,6 +29,28 @@ def generate(tmp_path, name="data", extra=()):
     code = main(["generate", "--out", str(out), *GEN_ARGS, *extra])
     assert code == 0
     return out
+
+
+def load(data):
+    return load_interactions(data / "train.tsv", data / "valid.tsv", data / "test.tsv")
+
+
+def read_csv(path):
+    """Header and rows of a CSV the CLI wrote, each field parsed exactly by
+    int or float; a field written as a numpy scalar's repr fails to parse."""
+    header, *lines = path.read_text().splitlines()
+    return header, [tuple(int(f) if f.lstrip("-").isdigit() else float(f)
+                          for f in line.split(",")) for line in lines]
+
+
+def assert_rows_equal(rows, expected):
+    # exact, with nan (an empty profile bin) equal to nan
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want)
+        for got, value in zip(row, want):
+            assert type(got) is type(value)
+            assert got == value or (got != got and value != value), (row, want)
 
 
 def train(tmp_path, data, name="run", extra=()):
@@ -64,6 +93,30 @@ class TestGenerate:
         expected = gamma_quotas(10, 4.0, 50)
         np.testing.assert_array_equal(manifest["quotas"], expected)
         assert manifest["mode"] == "gamma"
+
+    def test_gamma_mode_resplits_the_observed_pool(self, tmp_path):
+        biased = generate(tmp_path, "biased")
+        gamma = generate(tmp_path, "gamma",
+                         extra=["--gamma", "4.0", "--n0", "10", "--groups", "5"])
+        assert sorted(p.name for p in gamma.glob("*.tsv")) == \
+            ["planted_fn.tsv", "test.tsv", "train.tsv", "valid.tsv"]
+        assert (gamma / "planted_fn.tsv").read_bytes() == b""
+        split = [read_pairs(gamma / f"{name}.tsv") for name in ("train", "valid", "test")]
+        pool = [read_pairs(biased / f"{name}.tsv") for name in ("train", "valid")]
+        assert all(len(pairs) for pairs in split)
+        assert sum(map(len, split)) == sum(map(len, pool))
+        assert set(map(tuple, np.concatenate(split).tolist())) == \
+            set(map(tuple, np.concatenate(pool).tolist()))
+
+    @pytest.mark.parametrize("cfg_text,line", [("n_users=50\nn_users=60\n", 2),
+                                               ("n_users=50\n# note\n\n n_users = 50\n", 4)])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, cfg_text, line):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(cfg_text)
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert f"{cfg}:{line}: duplicate config key 'n_users'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_bad_spec_exits_2(self, tmp_path):
         code = main(["generate", "--out", str(tmp_path / "bad"),
@@ -164,6 +217,18 @@ class TestTrain:
             assert code == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
+
+    def test_repeated_config_key_exits_2_before_loading(self, tmp_path, capsys):
+        # The dataset files do not exist: the config is rejected before they load.
+        absent = str(tmp_path / "absent.tsv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"train_file={absent}\nmax_epochs=3\nlr=0.1\nmax_epochs=4\n")
+        code = main(["train", "--config", str(cfg), "--valid_file", absent,
+                     "--test_file", absent, "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: duplicate config key 'max_epochs'" in err and "absent.tsv" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_toy_run_writes_all_artifacts(self, tmp_path):
         data = generate(tmp_path)
@@ -296,6 +361,25 @@ class TestEvaluate:
         assert json.loads(capsys.readouterr().out)["recall@1"] == 0.5
         assert (tmp_path / "users.csv").read_text() == \
             "user,hr,recall,ndcg\n70,1.0,1.0,1.0\n30,0.0,0.0,0.0\n"
+
+    def test_per_user_csv_equals_the_library_report(self, tmp_path, capsys):
+        data = generate(tmp_path)
+        run = train(tmp_path, data)
+        csv = tmp_path / "users.csv"
+        assert main(["evaluate", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--per_user_csv", str(csv)]) == 0
+        dataset = load(data)
+        enc, _ = load_checkpoint(run / "final.ckpt", dataset)
+        report = evaluate_split(enc, dataset, "test", 20)
+        tsv_id = {dense: raw for raw, dense in dataset.user_remap.items()}
+        assert tsv_id != {dense: dense for dense in tsv_id}  # the id columns differ
+        header, rows = read_csv(csv)
+        assert header == "user,hr,recall,ndcg"
+        assert_rows_equal(rows, [(tsv_id[user], *report.per_user[user])
+                                 for user in sorted(report.per_user)])
 
     def test_checkpoint_with_trailing_bytes_exits_2(self, tmp_path, capsys):
         (tmp_path / "train.tsv").write_text("0\t0\n1\t1\n")
@@ -445,6 +529,37 @@ class TestDiagnose:
         assert header == "fn_rate,n_resamples"
         rate = float(row.split(",")[0])
         assert 0.0 <= rate <= 1.0
+
+    @pytest.mark.parametrize("which", ["profile", "fnrate", "alignuniform"])
+    def test_csv_equals_the_library_call(self, tmp_path, which):
+        data = generate(tmp_path)
+        run = train(tmp_path, data)
+        out = tmp_path / f"{which}.csv"
+        assert main(["diagnose", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--which", which, "--out", str(out), "--seed", "5",
+                     "--planted_fn", str(data / "planted_fn.tsv"),
+                     "--bins", "4", "--n_negatives", "8", "--n_resamples", "2"]) == 0
+        dataset = load(data)
+        enc, hardness = load_checkpoint(run / "final.ckpt", dataset)
+        rng = substream(5, "diagnose", which)
+        if which == "profile":
+            expected = hardness_popularity_profile(hardness, enc, dataset, 4, 8, rng)
+        elif which == "fnrate":
+            planted = dataset.remap_pairs(read_pairs(data / "planted_fn.tsv"))
+            expected = [(fn_identification_rate(hardness, planted, enc, dataset, 8, rng, 2), 2)]
+        else:
+            pairs = dataset.train_pairs
+            pos = pairs[rng.choice(len(pairs), size=min(len(pairs), 2048), replace=False)]
+            users = rng.choice(dataset.n_users, size=min(dataset.n_users, 256), replace=False)
+            items = rng.choice(dataset.n_items, size=min(dataset.n_items, 256), replace=False)
+            expected = [alignment_uniformity(enc, pos, users, items)]
+        header, rows = read_csv(out)
+        assert header == {"profile": "bin,mean_p,count", "fnrate": "fn_rate,n_resamples",
+                          "alignuniform": "align,uniform"}[which]
+        assert_rows_equal(rows, expected)
 
     def test_alignuniform_single_data_row(self, tmp_path):
         data = generate(tmp_path)

@@ -7,6 +7,7 @@ import pytest
 
 from advrec import dataio
 from advrec.dataio import (
+    SPLITS,
     InteractionSet,
     SyntheticSpec,
     gamma_quotas,
@@ -15,7 +16,7 @@ from advrec.dataio import (
     load_interactions,
     read_pairs,
     sample_negatives,
-    write_synthetic,
+    write_dataset,
 )
 from advrec.rng import substream
 from advrec.trainer import TrainConfig, iter_batches
@@ -51,6 +52,12 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def synthetic_files(result):
+    """The pairs `advrec generate` writes in biased-exposure mode."""
+    return {**{name: result.dataset.pairs(name) for name in SPLITS},
+            "planted_fn": result.planted_fn}
 
 
 class TestLoadInteractions:
@@ -254,8 +261,8 @@ class TestStrictFiles:
         monkeypatch.setattr(dataio, "_read_pairs", line_parser)
 
     def test_files_the_engine_writes_skip_the_line_parser(self, tmp_path, no_line_parser):
-        files = write_synthetic(tmp_path, generate_synthetic(
-            SyntheticSpec(n_users=60, n_items=40, seed=7)))
+        result = generate_synthetic(SyntheticSpec(n_users=60, n_items=40, seed=7))
+        files = write_dataset(tmp_path, synthetic_files(result))
         ds = load_interactions(files["train"], files["valid"], files["test"])
         assert len(ds.train_pairs) and len(read_pairs(files["planted_fn"]))
 
@@ -679,8 +686,8 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.planted_fn, b.planted_fn)
         d1 = tmp_path / "one"
         d2 = tmp_path / "two"
-        write_synthetic(d1, a)
-        write_synthetic(d2, b)
+        write_dataset(d1, synthetic_files(a))
+        write_dataset(d2, synthetic_files(b))
         for name in ("train.tsv", "valid.tsv", "test.tsv", "planted_fn.tsv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 

@@ -14,7 +14,8 @@ from advrec.dataio import (
     sample_negatives,
 )
 from advrec.encoder import build_encoder, representations, score
-from advrec.errors import BadParam, EmptyEval, EmptyFnList, NoCandidates, ZeroNormError
+from advrec.errors import (BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates,
+                           ZeroNormError)
 from advrec.evaluation import (
     BLOCK_ROWS,
     SCORE_CELLS,
@@ -248,9 +249,7 @@ class TestAlignmentUniformity:
         enc = make_encoder(ds, dim=3, tau=1.0)
         enc.user_table.values[:] = [1.0, 0.0, 0.0]
         enc.item_table.values[:] = [2.0, 0.0, 0.0]  # same direction
-        align, uniform = alignment_uniformity(
-            enc, np.array([[0, 0]]), [("user", 0), ("item", 1)]
-        )
+        align, uniform = alignment_uniformity(enc, np.array([[0, 0]]), [0], [1])
         assert align == pytest.approx(0.0, abs=1e-15)
         assert uniform == pytest.approx(0.0, abs=1e-12)
 
@@ -259,23 +258,21 @@ class TestAlignmentUniformity:
         enc = make_encoder(ds, dim=2, tau=1.0)
         enc.user_table.values[0] = [1.0, 0.0]
         enc.item_table.values[0] = [-1.0, 0.0]
-        align, uniform = alignment_uniformity(
-            enc, np.array([[0, 0]]), [("user", 0), ("item", 0)]
-        )
+        align, uniform = alignment_uniformity(enc, np.array([[0, 0]]), [0], [0])
         assert align == pytest.approx(4.0, abs=1e-12)
         assert uniform == pytest.approx(-8.0, abs=1e-12)
 
     def test_matches_double_loop_oracle(self, small_dataset):
         enc = make_encoder(small_dataset, seed=8)
         pos = small_dataset.train_pairs[:6]
-        entities = [("user", u) for u in range(3)] + [("item", i) for i in range(4)]
-        align, uniform = alignment_uniformity(enc, pos, entities)
+        users, items = np.arange(3), np.arange(4)
+        align, uniform = alignment_uniformity(enc, pos, users, items)
 
         user_reps, item_reps = representations(enc)
         u_n = user_reps / np.linalg.norm(user_reps, axis=1, keepdims=True)
         i_n = item_reps / np.linalg.norm(item_reps, axis=1, keepdims=True)
         align_ref = float(np.mean([np.sum((u_n[u] - i_n[i]) ** 2) for u, i in pos]))
-        points = [u_n[i] if kind == "user" else i_n[i] for kind, i in entities]
+        points = [u_n[u] for u in users] + [i_n[i] for i in items]
         acc = [np.exp(-2.0 * np.sum((points[a] - points[b]) ** 2))
                for a in range(len(points)) for b in range(a + 1, len(points))]
         uniform_ref = float(np.log(np.mean(acc)))
@@ -285,14 +282,25 @@ class TestAlignmentUniformity:
     def test_invariant_under_orthogonal_rotation(self, small_dataset):
         enc = make_encoder(small_dataset, dim=4, seed=9)
         pos = small_dataset.train_pairs[:5]
-        entities = [("user", 0), ("user", 1), ("item", 0), ("item", 2)]
-        before = alignment_uniformity(enc, pos, entities)
+        users, items = np.array([0, 1]), np.array([0, 2])
+        before = alignment_uniformity(enc, pos, users, items)
         q, _ = np.linalg.qr(np.random.default_rng(10).normal(size=(4, 4)))
         enc.user_table.values[:] = enc.user_table.values @ q.T
         enc.item_table.values[:] = enc.item_table.values @ q.T
-        after = alignment_uniformity(enc, pos, entities)
+        after = alignment_uniformity(enc, pos, users, items)
         assert abs(before[0] - after[0]) < 1e-10
         assert abs(before[1] - after[1]) < 1e-10
+
+    @pytest.mark.parametrize("pairs,users,items", [
+        (np.zeros((0, 2), dtype=np.int64), [0, 1], [0]),  # no positive pair
+        ([[0, 0]], [1], []),                               # a single point
+        ([[0, 0]], [], [2]),
+        ([[0, 0]], [], []),
+    ])
+    def test_too_small_a_sample_raises(self, small_dataset, pairs, users, items):
+        enc = make_encoder(small_dataset, seed=9)
+        with pytest.raises(EmptySample):
+            alignment_uniformity(enc, pairs, users, items)
 
 
 class TestFnIdentificationRate:

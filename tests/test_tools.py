@@ -54,6 +54,15 @@ def test_ingest_row(config_hashes, monkeypatch, capsys):
     assert f"| ingest | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()
 
 
+def test_cli_row(config_hashes, monkeypatch, capsys):
+    digest = config_hashes.cli_hash()
+    assert re.fullmatch("[0-9a-f]{16}", digest)
+    assert config_hashes.cli_hash() == digest
+    monkeypatch.setattr(config_hashes, "BACKBONES", ())
+    config_hashes.main()
+    assert f"| cli | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("hardness", ["embed", "mlp"])
 def test_train_hash_covers_the_best_hardness(config_hashes, monkeypatch, hardness):
     # best.ckpt's hardness half is a copy: nudging it leaves the final model as it was

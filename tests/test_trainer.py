@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from advrec import trainer
+from advrec.dataio import InteractionSet, sample_negatives
 from advrec.encoder import representations
 from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep, ZeroNormError
 from advrec.loss import MlpHardness
@@ -259,6 +260,33 @@ class TestRunTraining:
         kl, eps = hardness_divergence(state, small_dataset, epoch=0)
         assert kl == 0.0
         assert eps == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("hardness_kind", ["embed", "mlp"])
+    def test_divergence_is_one_sample_and_score(self, hardness_kind):
+        # the anchors, one sample_negatives call and one hardness call on one rng
+        dataset = tiny_dataset(n_users=120, n_items=30, seed=3)  # more than 256 train pairs
+        cfg = small_cfg(hardness_kind=hardness_kind, n_negatives=6, max_epochs=2,
+                        t_adv_interval=1)
+        state = init_state(dataset, cfg)
+        train_epoch(state, dataset)  # so that the hardness is no longer uniform
+        rng = substream(cfg.seed, "diag", 7)
+        train = dataset.train_pairs
+        assert len(train) > 256
+        anchors = train[rng.integers(0, len(train), size=256)]
+        negs = sample_negatives(dataset, anchors[:, 0], cfg.n_negatives, rng).negatives
+        probs, deltas = state.hardness.hardness(anchors[:, 0], negs, state.encoder)
+        expected = (float(np.mean(-deltas.mean(axis=1))),
+                    float(np.max(np.abs(probs - 1.0 / cfg.n_negatives))))
+        assert expected[0] > 0.0
+        assert hardness_divergence(state, dataset, epoch=7) == expected
+
+    def test_divergence_of_an_empty_train_split_raises(self, small_dataset):
+        state = init_state(small_dataset, small_cfg())
+        empty = InteractionSet(small_dataset.n_users, small_dataset.n_items,
+                               np.zeros((0, 2), dtype=np.int64), small_dataset.valid_pairs,
+                               small_dataset.test_pairs)
+        with pytest.raises(ValueError):
+            hardness_divergence(state, empty, epoch=0)
 
 
 class TestTrainEpoch:

@@ -17,9 +17,16 @@ under seeded distinct 9-digit external ids and read back: the three splits
 and both remap dicts (in order) from load_interactions, and the planted false
 negatives from read_pairs + remap_pairs.
 
-Two source trees whose tables are identical ingest, train and diagnose byte
-for byte alike on these configurations. The table goes to standard output and the
-seconds per configuration to standard error. Run from the repository root:
+One more row, cli, runs the commands on the toy dataset of tests/test_cli.py in
+a temporary directory: generate in both modes, train, evaluate with
+--per_user_csv, and diagnose profile, fnrate and alignuniform. It hashes
+evaluate's standard output and every file written, except config.resolved,
+which names the temporary directory.
+
+Two source trees whose tables are identical ingest, train, diagnose and write
+their artifacts byte for byte alike on these configurations. The table goes to
+standard output and the seconds per configuration to standard error. Run
+from the repository root:
 
     PYTHONPATH=src python tools/config_hashes.py
     PYTHONPATH=path/to/other/src python tools/config_hashes.py   # to compare
@@ -27,7 +34,9 @@ seconds per configuration to standard error. Run from the repository root:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -37,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from advrec.cli import main as advrec_main
 from advrec.dataio import (SPLITS, SyntheticSpec, generate_synthetic, load_interactions,
                            read_pairs, write_pairs)
 from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
@@ -53,6 +63,14 @@ BACKBONES = ("mf", "lightgcn")
 STRATEGIES = ("adv", "reverse", "rand", "none")
 HARDNESS = ("embed", "mlp")
 PROFILE_BINS = 10
+# The toy dataset and training run of tests/test_cli.py, for the cli row.
+CLI_GENERATE = ["--n_users", "60", "--n_items", "40", "--latent_dim", "6",
+                "--relevance_quantile", "0.08", "--train_fraction", "0.55",
+                "--fn_plant_rate", "0.3", "--exposure_bias_strength", "1.0", "--seed", "3"]
+CLI_GAMMA = ["--gamma", "4.0", "--n0", "10", "--groups", "5"]
+CLI_TRAIN = ["--embed_dim", "8", "--batch_size", "64", "--n_negatives", "4",
+             "--k_weight", "4", "--tau", "0.2", "--lr", "0.05", "--lr_adv", "0.01",
+             "--max_epochs", "3", "--t_adv_interval", "1", "--e_adv_max", "2", "--seed", "1"]
 
 
 def _digest(h) -> str:
@@ -116,11 +134,41 @@ def ingest_hash(data) -> str:
     return _digest(h)
 
 
+def cli_hash() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, ckpt = tmp / "data", str(tmp / "run" / "final.ckpt")
+        files = [arg for name in SPLITS for arg in (f"--{name}_file", str(data / f"{name}.tsv"))]
+        commands = [
+            ["generate", "--out", str(data), *CLI_GENERATE],
+            ["generate", "--out", str(tmp / "gamma"), *CLI_GENERATE, *CLI_GAMMA],
+            ["train", *files, "--out", str(tmp / "run"), *CLI_TRAIN],
+            ["evaluate", "--checkpoint", ckpt, *files, "--per_user_csv", str(tmp / "users.csv")],
+            *(["diagnose", "--checkpoint", ckpt, *files, "--which", which,
+               "--out", str(tmp / f"{which}.csv"), "--planted_fn", str(data / "planted_fn.tsv"),
+               "--bins", "4", "--n_negatives", "8"]
+              for which in ("profile", "fnrate", "alignuniform")),
+        ]
+        stdout = io.StringIO()
+        for argv in commands:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = advrec_main(argv)
+            if code != 0:
+                raise SystemExit(f"advrec {argv[0]} exited {code}")
+        h = hashlib.sha256(stdout.getvalue().encode())
+        for path in sorted(tmp.rglob("*")):
+            if path.is_file() and path.name != "config.resolved":
+                h.update(str(path.relative_to(tmp)).encode())
+                h.update(path.read_bytes())
+    return _digest(h)
+
+
 def main() -> None:
     data = generate_synthetic(SyntheticSpec(seed=SEED, **SPEC))
     print("| backbone | strategy | hardness | train | diag |")
     print("| --- | --- | --- | --- | --- |")
     print(f"| ingest | - | - | {ingest_hash(data)} | - |", flush=True)
+    print(f"| cli | - | - | {cli_hash()} | - |", flush=True)
     for backbone, strategy, hardness in itertools.product(BACKBONES, STRATEGIES, HARDNESS):
         t0 = time.perf_counter()
         train, diag = config_hashes(data, backbone, strategy, hardness)
