@@ -157,8 +157,7 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
     if meta["kind"] == LIGHTGCN:
         if dataset is None:
             raise IncompatibleCheckpoint(f"{path}: graph checkpoint needs a dataset to rebuild the adjacency")
-        adj = build_norm_adjacency(meta["n_users"], meta["n_items"], dataset.train_pairs,
-                                   meta["dim"])
+        adj = build_norm_adjacency(meta["n_users"], meta["n_items"], dataset.train_pairs)
     enc = Encoder(
         kind=meta["kind"],
         user_table=EmbeddingTable(arrays["user_values"]),

@@ -386,7 +386,8 @@ def gamma_split(
     Items are sorted by descending pool popularity (ties by ascending id)
     into `groups` near-equal-size groups; group i receives
     min(quota_i, available) test interactions drawn uniformly; the remaining
-    pool is split 60:10 into train:valid by seeded shuffle.
+    pool is split 60:10 into train:valid by seeded shuffle. Raises
+    EmptySplitError when the quotas leave no pair for train.
     """
     quotas = gamma_quotas(n0, gamma, groups)
     pool = np.asarray(pool_pairs, dtype=np.int64).reshape(-1, 2)
@@ -403,6 +404,9 @@ def gamma_split(
         drawn[g] = k
     test = pool[is_test]
     rest = pool[~is_test]
+    if len(rest) == 0:
+        raise EmptySplitError(f"gamma split leaves no train pair: the test quotas drew "
+                              f"{int(drawn.sum())} of the {len(pool)} pool pairs")
     perm = rng.permutation(len(rest))
     n_train = int(round(len(rest) * 6.0 / 7.0))
     train = rest[perm[:n_train]]

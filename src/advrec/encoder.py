@@ -66,13 +66,12 @@ class Encoder:
                        item_table=self.item_table.copy())
 
 
-def build_norm_adjacency(n_users: int, n_items: int, train_pairs, width: int) -> NormAdjacency:
+def build_norm_adjacency(n_users: int, n_items: int, train_pairs) -> NormAdjacency:
     """Bipartite adjacency over nodes [0, n_users) users and
-    [n_users, n_users + n_items) items, train positives only, built for
-    propagating width-wide rows (the encoder's dim)."""
+    [n_users, n_users + n_items) items, train positives only."""
     pairs = np.asarray(train_pairs, dtype=np.int64).reshape(-1, 2)
     edges = np.stack([pairs[:, 0], pairs[:, 1] + n_users], axis=1)
-    return NormAdjacency.from_undirected_edges(n_users + n_items, edges, width)
+    return NormAdjacency.from_undirected_edges(n_users + n_items, edges)
 
 
 def build_encoder(
@@ -91,7 +90,7 @@ def build_encoder(
     if kind == LIGHTGCN:
         if train_pairs is None:
             raise ValueError("graph backbone requires train pairs")
-        adj = build_norm_adjacency(n_users, n_items, train_pairs, dim)
+        adj = build_norm_adjacency(n_users, n_items, train_pairs)
     else:
         layers = 0
     return Encoder(kind=kind, user_table=user_table, item_table=item_table,

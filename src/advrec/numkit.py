@@ -158,24 +158,14 @@ def adam_step(
     return table
 
 
-def flat_index(ids, d: int) -> np.ndarray:
-    """segment_sum's bincount index for ids and row width d: id * d + col,
-    one entry per cell of the (len(ids), d) rows, in row-major order."""
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    return (ids[:, None] * d + np.arange(d)).ravel()
-
-
-def segment_sum(ids, rows: np.ndarray, n: int, index: np.ndarray | None = None) -> np.ndarray:
+def segment_sum(ids, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, d) sums of the rows that share an id: out[k] = sum of rows[j] over
     ids[j] == k, zero for an absent k. ids are non-negative and below n, of
     any shape; rows has one d-wide row per id. One bincount over the flat
     index id * d + col adds each output cell's terms to 0.0 in input order,
-    as numpy.add.at does, so the sums are bit-identical to it. A caller that
-    sums over the same ids again passes flat_index(ids, d) as index, and ids
-    is then not read."""
+    as numpy.add.at does, so the sums are bit-identical to it."""
     d = rows.shape[-1]
-    if index is None:
-        index = flat_index(ids, d)
+    index = (np.asarray(ids, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
     sums = np.bincount(index, weights=rows.reshape(-1), minlength=n * d)
     return sums.astype(np.float64, copy=False).reshape(n, d)  # an empty bincount is int
 
@@ -213,46 +203,63 @@ class NormAdjacency:
     1/sqrt(deg(r) * deg(c)). Stored as parallel read-only edge arrays, both
     directions present. Degree-zero nodes have no entries.
 
-    width is the row width the graph is propagated at. Construction builds
-    apply's scatter index for it, so apply assigns nothing; an apply at any
-    other width builds its own index and does not keep it. The index stays
-    writeable because np.bincount copies a read-only index on every call."""
+    Construction also lays the edges out for apply, in read-only arrays.
+    Nodes are ordered by descending degree (ties by id); slot holds each
+    node's place in that order. Step k takes the k-th edge, in input order,
+    of every node with more than k edges; those nodes are a prefix of the
+    degree order. step_cols and step_weights hold the steps one after
+    another, and step_offsets[k]:step_offsets[k + 1] bounds step k."""
 
     node_count: int
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
-    width: int = 0
 
     def __post_init__(self):
         for name, dtype in (("rows", np.int64), ("cols", np.int64), ("weights", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            setattr(self, name, arr)
-        self.index = flat_index(self.rows, self.width)
+            setattr(self, name, np.array(getattr(self, name), dtype=dtype))
+        deg = np.bincount(self.rows, minlength=self.node_count)
+        self.slot = np.argsort(np.argsort(-deg, kind="stable"))  # inverse of the degree order
+        edge = np.arange(self.rows.size)
+        csr = np.argsort(self.rows * edge.size + edge)  # by row, then input order: stable
+        rank = np.empty_like(csr)  # an edge's place among its row's edges
+        rank[csr] = edge - np.repeat(np.cumsum(deg) - deg, deg)
+        self.step_offsets = np.concatenate([[0], np.cumsum(np.bincount(rank))])
+        order = np.empty_like(edge)  # the edges by step, then by degree order
+        order[self.step_offsets[rank] + self.slot[self.rows]] = edge
+        self.step_cols, self.step_weights = self.cols[order], self.weights[order]
+        for name in ("rows", "cols", "weights", "slot", "step_cols", "step_weights", "step_offsets"):
+            getattr(self, name).flags.writeable = False
 
     @classmethod
-    def from_undirected_edges(cls, node_count: int, edges, width: int = 0) -> "NormAdjacency":
+    def from_undirected_edges(cls, node_count: int, edges) -> "NormAdjacency":
         """Build from unique undirected (a, b) pairs (an (E, 2) array-like)."""
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         deg = np.bincount(pairs.ravel(), minlength=node_count)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         weights = 1.0 / np.sqrt(deg[rows].astype(np.float64) * deg[cols].astype(np.float64))
-        return cls(node_count, rows, cols, weights, width)
+        return cls(node_count, rows, cols, weights)
 
     def edges(self) -> list[tuple[int, int, float]]:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for the normalized adjacency A and (node_count, d) x."""
+        """A @ x for the normalized adjacency A and (node_count, d) x.
+
+        One gather of the weighted terms, then one slice-add per step into a
+        zeroed output in degree order. Each output cell thus sums its terms
+        onto 0.0 in input edge order, as numpy.add.at does, so the result is
+        bit-identical to it. There are as many steps as the largest degree."""
         if x.shape[0] != self.node_count:
             raise DimMismatch(f"input rows {x.shape[0]} != node count {self.node_count}")
-        d = x.shape[1]
-        index = self.index if d == self.width else flat_index(self.rows, d)
-        gathered = np.asarray(x, dtype=np.float64).take(self.cols, axis=0)
-        gathered *= self.weights[:, None]
-        return segment_sum(self.rows, gathered, self.node_count, index=index)
+        terms = np.asarray(x, dtype=np.float64).take(self.step_cols, axis=0)
+        terms *= self.step_weights[:, None]
+        out = np.zeros((self.node_count, x.shape[1]))
+        offsets = self.step_offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            out[:hi - lo] += terms[lo:hi]
+        return out.take(self.slot, axis=0)
 
 
 def propagate(layer0: np.ndarray, adj: NormAdjacency, layers: int) -> np.ndarray:

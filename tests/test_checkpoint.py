@@ -10,6 +10,7 @@ from advrec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from advrec.encoder import build_encoder, score
 from advrec.errors import IncompatibleCheckpoint
 from advrec.loss import EmbedHardness, MlpHardness
+from advrec.numkit import propagate
 
 from conftest import tiny_dataset
 
@@ -40,7 +41,10 @@ class TestRoundTrip:
         path = tmp_path / "gcn.ckpt"
         save_checkpoint(path, enc)
         loaded, _ = load_checkpoint(path, dataset)
-        assert loaded.adj.width == enc.adj.width == 3  # scatter index built for the dim
+        for name in ("rows", "cols", "weights"):
+            assert getattr(loaded.adj, name).tobytes() == getattr(enc.adj, name).tobytes()
+        layer0 = np.random.default_rng(3).normal(size=(enc.adj.node_count, 3))
+        assert propagate(layer0, loaded.adj, 2).tobytes() == propagate(layer0, enc.adj, 2).tobytes()
         items = np.arange(dataset.n_items)
         for u in range(dataset.n_users):
             np.testing.assert_array_equal(score(loaded, u, items), score(enc, u, items))

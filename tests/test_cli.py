@@ -85,14 +85,24 @@ class TestGenerate:
         assert (out / "planted_fn.tsv").read_text() == ""
 
     def test_gamma_mode_manifest_quotas(self, tmp_path):
+        # 150 items: with GEN_ARGS' 40, the 50 groups' quotas take the whole pool
         out = tmp_path / "gamma"
-        code = main(["generate", "--out", str(out), *GEN_ARGS,
+        code = main(["generate", "--out", str(out), *GEN_ARGS, "--n_items", "150",
                      "--gamma", "4.0", "--n0", "10"])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         expected = gamma_quotas(10, 4.0, 50)
         np.testing.assert_array_equal(manifest["quotas"], expected)
         assert manifest["mode"] == "gamma"
+        assert sum(manifest["drawn"]) == len(read_pairs(out / "test.tsv"))
+        assert len(read_pairs(out / "train.tsv")) > 0
+
+    def test_gamma_quotas_taking_the_whole_pool_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "gamma"
+        code = main(["generate", "--out", str(out), *GEN_ARGS, "--gamma", "4.0", "--n0", "10"])
+        assert code == 2
+        assert "the test quotas drew 65 of the 65 pool pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gamma_mode_resplits_the_observed_pool(self, tmp_path):
         biased = generate(tmp_path, "biased")

@@ -647,6 +647,12 @@ class TestGammaSplit:
         rest = len(res.train_pairs) + len(res.valid_pairs)
         assert len(res.train_pairs) == int(round(rest * 6.0 / 7.0))
 
+    def test_quotas_taking_the_whole_pool_raise(self):
+        pool, n_items = self.make_pool()
+        with pytest.raises(EmptySplitError, match=f"drew {len(pool)} of the {len(pool)} pool"):
+            gamma_split(pool, n_items, gamma=1.0, n0=len(pool),
+                        rng=np.random.default_rng(4), groups=10)
+
     def test_deterministic(self):
         pool, n_items = self.make_pool()
         r1 = gamma_split(pool, n_items, 5.0, 4, np.random.default_rng(7), groups=10)

@@ -15,7 +15,7 @@ from advrec.encoder import (
     score_backward,
 )
 from advrec.errors import IdOutOfRange
-from advrec.numkit import cosine_score, cosine_score_grad, flat_index
+from advrec.numkit import NormAdjacency, cosine_score, cosine_score_grad
 
 from conftest import max_rel_error, tiny_dataset
 
@@ -74,7 +74,7 @@ class TestScore:
 
     def test_graph_adjacency_is_bipartite(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs, 4)
+                                   small_dataset.train_pairs)
         n_users = small_dataset.n_users
         for r, c, _ in adj.edges():
             assert (r < n_users) != (c < n_users)
@@ -200,6 +200,22 @@ class TestBatchPath:
             np.testing.assert_allclose(g, ref_item[int(r)], atol=1e-12)
 
 
+# (node_count, undirected edges) for NormAdjacency.apply's edge cases
+EDGE_CASE_GRAPHS = {
+    "no_edges": (5, []),
+    # nodes 0, 4 and 8 are isolated: the start, middle and end of the id range
+    "isolated": (9, [(3, 1), (2, 7), (1, 6), (5, 2), (7, 3), (6, 5)]),
+    # hub 5 alone has the largest degree
+    "star": (8, [(5, 0), (1, 5), (5, 2), (0, 1), (3, 5), (5, 4), (6, 5)]),
+    # every node has degree 2, ids and edge order shuffled
+    "ties": (10, [(7, 2), (0, 5), (2, 9), (1, 8), (5, 3), (9, 7), (8, 4), (3, 0),
+                  (4, 6), (6, 1)]),
+    # 16 distinct degrees from 1 to 22, edges in an order far from sorted
+    "random": (30, [(a, b) for a in range(30) for b in range(a + 1, 30)
+                    if (a * b + b) % (a % 6 + 2) == 0][::-1]),
+}
+
+
 def apply_reference(adj, x):
     """NormAdjacency.apply as one np.add.at scatter."""
     out = np.zeros_like(x)
@@ -279,33 +295,80 @@ class TestItemNormsOncePerItem:
 class TestGraphScatterBytes:
     def test_apply_equals_add_at(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs, 5)
+                                   small_dataset.train_pairs)
         x = np.random.default_rng(40).normal(size=(adj.node_count, 5))
         assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
     def test_apply_across_widths_equals_add_at(self, small_dataset):
-        # the graph keeps the scatter index of width 5; width 1 must not use it
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs, 5)
+                                   small_dataset.train_pairs)
         rng = np.random.default_rng(43)
         for d in (5, 1, 5):
             x = rng.normal(size=(adj.node_count, d))
             assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
-    def test_apply_at_another_width_keeps_the_built_index(self, small_dataset):
-        enc = gcn_encoder(small_dataset, dim=4)
-        adj = enc.adj
-        assert adj.width == 4 and adj.index.tobytes() == flat_index(adj.rows, 4).tobytes()
-        x = np.random.default_rng(44).normal(size=(adj.node_count, 3))
-        assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
-        assert adj.width == 4 and adj.index.tobytes() == flat_index(adj.rows, 4).tobytes()
+    def test_encoder_graph_at_any_width_equals_add_at(self, small_dataset):
+        # the graph does not depend on the width: the encoder's dim is 4
+        adj = gcn_encoder(small_dataset, dim=4).adj
+        rng = np.random.default_rng(44)
+        for d in (4, 3, 1, 4):
+            x = rng.normal(size=(adj.node_count, d))
+            assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
-    @pytest.mark.parametrize("name", ["rows", "cols", "weights"])
+    @pytest.mark.parametrize("name", ["rows", "cols", "weights",
+                                      "slot", "step_cols", "step_weights", "step_offsets"])
     def test_edge_arrays_are_read_only(self, small_dataset, name):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
-                                   small_dataset.train_pairs, 5)
+                                   small_dataset.train_pairs)
         with pytest.raises(ValueError):
             getattr(adj, name)[0] = 1
+
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    @pytest.mark.parametrize("graph", sorted(EDGE_CASE_GRAPHS))
+    def test_edge_case_graphs_equal_add_at(self, graph, d):
+        adj = NormAdjacency.from_undirected_edges(*EDGE_CASE_GRAPHS[graph])
+        rng = np.random.default_rng(48)
+        x = rng.normal(size=(adj.node_count, d))
+        x[rng.random(x.shape) < 0.25] = -0.0
+        before = x.tobytes()
+        got = adj.apply(x)
+        assert x.tobytes() == before
+        assert got.shape == x.shape and got.tobytes() == apply_reference(adj, x).tobytes()
+        assert not np.signbit(got[np.bincount(adj.rows, minlength=adj.node_count) == 0]).any()
+
+    @pytest.mark.parametrize("graph", sorted(EDGE_CASE_GRAPHS))
+    def test_negative_zero_terms_sum_to_positive_zero(self, graph):
+        adj = NormAdjacency.from_undirected_edges(*EDGE_CASE_GRAPHS[graph])
+        x = np.full((adj.node_count, 2), -0.0)
+        got = adj.apply(x)
+        assert got.tobytes() == apply_reference(adj, x).tobytes()
+        assert not np.signbit(got).any()
+
+    def test_strided_and_integer_inputs(self):
+        adj = NormAdjacency.from_undirected_edges(*EDGE_CASE_GRAPHS["random"])
+        rng = np.random.default_rng(49)
+        wide = rng.normal(size=(adj.node_count, 6))
+        strided = wide[:, ::2]
+        assert not strided.flags.c_contiguous
+        assert adj.apply(strided).tobytes() == apply_reference(adj, strided).tobytes()
+        ints = rng.integers(-5, 6, size=(adj.node_count, 3))
+        before = ints.tobytes()
+        got = adj.apply(ints)
+        assert ints.tobytes() == before and got.dtype == np.float64
+        assert got.tobytes() == apply_reference(adj, ints.astype(float)).tobytes()
+
+    def test_step_layout(self):
+        adj = NormAdjacency.from_undirected_edges(*EDGE_CASE_GRAPHS["star"])
+        # degree order 5 (6 edges), 0 and 1 (2, tied), 2, 3, 4, 6 (1), 7 (0)
+        assert adj.slot.tolist() == [1, 2, 3, 4, 5, 0, 6, 7]
+        assert adj.step_offsets.tolist() == [0, 7, 10, 11, 12, 13, 14]
+        # step k: the k-th edge, in input order, of each node in degree order
+        step_rows = np.array([5, 0, 1, 2, 3, 4, 6, 5, 0, 1, 5, 5, 5, 5])
+        step_cols = np.array([0, 1, 5, 5, 5, 5, 5, 2, 5, 0, 4, 1, 3, 6])
+        deg = np.bincount(adj.rows, minlength=adj.node_count).astype(np.float64)
+        assert adj.step_cols.tolist() == step_cols.tolist()
+        assert adj.step_weights.tobytes() == (
+            1.0 / np.sqrt(deg[step_rows] * deg[step_cols])).tobytes()
 
     def test_batch_backward_equals_add_at(self, small_dataset):
         enc = gcn_encoder(small_dataset, dim=4, seed=41)
