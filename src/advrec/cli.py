@@ -200,8 +200,11 @@ def cmd_evaluate(ns) -> int:
 def cmd_generate(ns) -> int:
     file_cfg = load_kv_config(ns.config, SyntheticSpec) if ns.config else {}
     spec = _resolve_dataclass(SyntheticSpec, file_cfg, ns)
+    if ns.gamma is None and (ns.groups is not None or ns.n0 is not None):
+        raise EngineError("--groups and --n0 apply only with --gamma")
+    groups, n0 = 50 if ns.groups is None else ns.groups, 100 if ns.n0 is None else ns.n0
     if ns.gamma is not None:
-        gamma_quotas(ns.n0, ns.gamma, ns.groups)  # rejects bad split flags up front
+        gamma_quotas(n0, ns.gamma, groups)  # rejects bad split flags up front
     result = generate_synthetic(spec)
     out = Path(ns.out or "dataset")
 
@@ -211,11 +214,11 @@ def cmd_generate(ns) -> int:
     if ns.gamma is not None:
         # Re-split the observed pool with popularity-quota test construction.
         pool = np.concatenate([files["train"], files["valid"]])
-        split = gamma_split(pool, spec.n_items, ns.gamma, ns.n0,
-                            substream(spec.seed, "gamma-split"), groups=ns.groups)
+        split = gamma_split(pool, spec.n_items, ns.gamma, n0,
+                            substream(spec.seed, "gamma-split"), groups=groups)
         files = {"train": split.train_pairs, "valid": split.valid_pairs,
                  "test": split.test_pairs, "planted_fn": np.zeros((0, 2), dtype=np.int64)}
-        manifest.update(mode="gamma", gamma=ns.gamma, groups=ns.groups, n0=ns.n0,
+        manifest.update(mode="gamma", gamma=ns.gamma, groups=groups, n0=n0,
                         quotas=split.quotas.tolist(), drawn=split.drawn.tolist())
     write_dataset(out, files)
 
@@ -308,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataclass_flags(p_gen, SyntheticSpec)
     p_gen.add_argument("--gamma", type=float, default=None,
                        help="build the test split by popularity-group quotas instead of planted FNs")
-    p_gen.add_argument("--groups", type=int, default=50)
-    p_gen.add_argument("--n0", type=int, default=100)
+    p_gen.add_argument("--groups", type=int, default=None, help="with --gamma (default 50)")
+    p_gen.add_argument("--n0", type=int, default=None, help="with --gamma (default 100)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_diag = sub.add_parser("diagnose", help="write a diagnostic CSV for a checkpoint")

@@ -241,24 +241,20 @@ def write_dataset(out_dir, pairs_by_name: dict) -> dict:
     return files
 
 
-def _sample_row(pos: np.ndarray, n_items: int, n: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """n negatives for one user with ascending train positives pos (at
-    least one, not every item), drawn by rejection, or from the enumerated
-    complement when pos covers more than half of the items."""
-    if len(pos) > n_items // 2:
-        cand = np.setdiff1d(np.arange(n_items, dtype=np.int64), pos, assume_unique=True)
-        return cand[rng.integers(0, len(cand), size=n)]
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        draws = rng.integers(0, n_items, size=max(8, int(1.3 * (n - filled)) + 4))
-        at = np.minimum(np.searchsorted(pos, draws), len(pos) - 1)
-        ok = draws[pos[at] != draws]
-        take = min(len(ok), n - filled)
-        out[filled:filled + take] = ok[:take]
-        filled += take
-    return out
+def _absent(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether each value of q is missing from the ascending array sorted_values."""
+    if not len(sorted_values):
+        return np.ones(q.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_values, q), len(sorted_values) - 1)
+    return sorted_values[at] != q
+
+
+def _extend(stream: np.ndarray, size: int, n_items: int, rng: np.random.Generator):
+    """stream, with draws over [0, n_items) appended if it holds fewer than size values."""
+    if len(stream) >= size:
+        return stream
+    more = rng.integers(0, n_items, size=size - len(stream))
+    return np.concatenate([stream, more]) if len(stream) else more
 
 
 def sample_negatives(
@@ -269,26 +265,20 @@ def sample_negatives(
 ) -> NegativeSample:
     """Draw n items uniformly with replacement from each user's non-train
     items: negatives of shape (n,) for one user id, (len(users), n) for a
-    1-D array of ids.
+    1-D array of ids. Raises NoNegativesError up front if any user's
+    positives cover every item, and BadParam if n < 1.
 
-    The result and the final rng state equal those of the per-row rule of
-    _sample_row applied to each user in order (a user with no positives
-    rejects nothing). That rule's first draw is
-    rng.integers(0, n_items, size=width), and numpy's integers() gives the
-    same values and leaves the same state whether a run of equal-range
-    draws is made in one call or split over several. So the first draws of
-    consecutive rows are made in one (rows, width) call and tested against
-    train_keys. A row keeps its first n survivors.
-
-    Three kinds of row take the per-row path. Two are known up front: a
-    dense row (more than n_items // 2 positives, drawn over the complement)
-    and a row expected to keep fewer than n of its draws (it would refill
-    more often than not). The third is found after drawing: a row that kept
-    fewer than n (it refills). Before such a row the rng is restored and the
-    rows before it in the block are drawn again.
-
-    Raises NoNegativesError up front if any user's positives cover every
-    item, and BadParam if n < 1.
+    The rule, row by row: a dense row (more than n_items // 2 positives)
+    draws n items from its complement. Any other row draws
+    max(8, int(1.3 * (n - filled)) + 4) items from [0, n_items) at a time
+    and keeps its non-positives until it has n. numpy's integers() gives
+    the same values and state however equal-range draws are split into
+    calls, so the draws between dense rows are one stream that the rows
+    read in order, and none is drawn past what the rule draws: a row that
+    falls short reads on into the next rows' draws, and those rows are
+    tested again. So a row expected to keep fewer than n of its first width
+    draws skips the blocks of rows tested at once against train_keys, and
+    a block holds at most 64 more than twice the rows the last one kept.
     """
     if n < 1:
         raise BadParam("n must be >= 1")
@@ -303,30 +293,35 @@ def sample_negatives(
     per_row = (n_pos > n_items // 2) | ((n_items - n_pos) * width < n * n_items)
     cuts = np.append(np.flatnonzero(per_row), len(rows))
     out = np.empty((len(rows), n), dtype=np.int64)
+    stream = np.empty(0, dtype=np.int64)  # drawn from [0, n_items), not yet read
     r, span = 0, len(rows)
     while r < len(rows):
         stop = min(int(cuts[np.searchsorted(cuts, r)]), r + span)
         k = stop - r
         if k:
-            state = rng.bit_generator.state
-            draws = rng.integers(0, n_items, size=(k, width))
-            q = rows[r:stop, None] * n_items + draws
-            ok = (keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] != q
-                  if len(keys) else np.ones(q.shape, dtype=bool))
+            stream = _extend(stream, k * width, n_items, rng)
+            draws = stream[:k * width].reshape(k, width)
+            ok = _absent(keys, rows[r:stop, None] * n_items + draws)
             short = np.count_nonzero(ok, axis=1) < n
             if short.any():
                 k = int(np.argmax(short))
-                rng.bit_generator.state = state
-                rng.integers(0, n_items, size=(k, width))
             keep = ok[:k] & (np.cumsum(ok[:k], axis=1) <= n)
             out[r:r + k] = draws[:k][keep].reshape(k, n)
-            # A refill row discards the draws of the rows after it in its
-            # block. Capping the next block at about twice the rows this one
-            # kept keeps that waste in proportion to the rows kept.
+            stream = stream[k * width:]
             span = 2 * k + 64
         r += k
         if r < len(rows) and (per_row[r] or r < stop):
-            out[r] = _sample_row(dataset.positives(int(rows[r])), n_items, n, rng)
+            pos, filled = dataset.positives(int(rows[r])), 0
+            if len(pos) > n_items // 2:
+                cand = np.setdiff1d(np.arange(n_items, dtype=np.int64), pos, assume_unique=True)
+                out[r], filled = cand[rng.integers(0, len(cand), size=n)], n
+            while filled < n:
+                size = max(8, int(1.3 * (n - filled)) + 4)
+                stream = _extend(stream, size, n_items, rng)
+                kept = stream[:size][_absent(pos, stream[:size])][:n - filled]
+                out[r, filled:filled + len(kept)] = kept
+                filled += len(kept)
+                stream = stream[size:]
             r += 1
     return NegativeSample(negatives=out[0] if np.ndim(users) == 0 else out)
 

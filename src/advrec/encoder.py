@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimMismatch, IdOutOfRange, ZeroNormError
+from .errors import DimMismatch, IdOutOfRange
 from .numkit import (
-    NORM_FLOOR,
     EmbeddingTable,
     NormAdjacency,
     compact_ids,
     propagate,
     propagate_backward,
+    row_norms,
     scatter_rows,
     segment_sum,
 )
@@ -142,12 +142,9 @@ def batch_forward(
     user_reps, item_reps = reps if reps is not None else representations(enc)
     u_rep = user_reps.take(users, axis=0)
     i_rep = item_reps.take(items, axis=0)
-    u_norm = np.linalg.norm(u_rep, axis=-1)
+    u_norm = row_norms(u_rep)
     item_ids = compact_ids(items, enc.n_items)
-    unique_norm = np.linalg.norm(item_reps.take(item_ids[0], axis=0), axis=-1)
-    if np.any(u_norm <= NORM_FLOOR) or np.any(unique_norm <= NORM_FLOOR):
-        raise ZeroNormError("representation norm below 1e-12")
-    i_norm = unique_norm[item_ids[1]]
+    i_norm = row_norms(item_reps.take(item_ids[0], axis=0))[item_ids[1]]
     cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
     return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, item_ids)
@@ -173,7 +170,7 @@ def batch_backward(
 
     if enc.layers == 0:
         return (scatter_rows(c.users, d_u, enc.n_users),
-                scatter_rows(c.items, d_i, enc.n_items, c.item_ids))
+                (c.item_ids[0], segment_sum(c.item_ids[1], d_i, len(c.item_ids[0]))))
 
     # Graph backbone: scatter onto node representations, then one linear
     # backward pass through the propagation. User and item nodes are disjoint

@@ -10,9 +10,9 @@ import numpy as np
 
 from .dataio import InteractionSet, popularity_groups, sample_negatives
 from .encoder import Encoder, representations
-from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates, ZeroNormError
+from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates
 from .loss import advinfonce_forward
-from .numkit import NORM_FLOOR, cosine_scores
+from .numkit import cosine_scores, row_norms
 
 # Hardness diagnostics score at most this many sampled rows at once, which
 # bounds their memory whatever the number of planted pairs or anchors.
@@ -143,10 +143,8 @@ def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
     evaluate_split."""
     user_reps, item_reps = representations(enc)
     users = dataset.users_with_positives(split)
-    u_norm = np.linalg.norm(user_reps[users], axis=1)
-    i_norm = np.linalg.norm(item_reps, axis=1)
-    if np.any(u_norm <= NORM_FLOOR) or np.any(i_norm <= NORM_FLOOR):
-        raise ZeroNormError("representation norm below 1e-12")
+    u_norm = row_norms(user_reps[users])
+    i_norm = row_norms(item_reps)
     step = max(1, SCORE_CELLS // dataset.n_items)
     for start in range(0, len(users), step):
         block = users[start:start + step]
@@ -221,18 +219,20 @@ def alignment_uniformity(
     align  = mean over positive pairs of squared distance (lower = tighter);
     uniform = log mean over distinct pairs of points (the users', then the
     items' representations) of exp(-2 * squared distance) (lower = more spread out).
+    Normalizes only the sampled rows: ZeroNormError if one has norm <= 1e-12.
     """
     positive_pairs = np.asarray(positive_pairs, dtype=np.int64).reshape(-1, 2)
     if len(positive_pairs) == 0 or len(users) + len(items) < 2:
         raise EmptySample("need at least one positive pair and two points")
     user_reps, item_reps = representations(enc)
-    user_n = user_reps / np.linalg.norm(user_reps, axis=1, keepdims=True)
-    item_n = item_reps / np.linalg.norm(item_reps, axis=1, keepdims=True)
 
-    diffs = user_n[positive_pairs[:, 0]] - item_n[positive_pairs[:, 1]]
+    def unit(rows):
+        return rows / row_norms(rows)[:, None]
+
+    diffs = unit(user_reps[positive_pairs[:, 0]]) - unit(item_reps[positive_pairs[:, 1]])
     align = float(np.mean(np.sum(diffs * diffs, axis=1)))
 
-    points = np.concatenate([user_n[users], item_n[items]])
+    points = np.concatenate([unit(user_reps[users]), unit(item_reps[items])])
     sq = np.sum(points * points, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     iu = np.triu_indices(len(points), k=1)

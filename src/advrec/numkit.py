@@ -67,6 +67,14 @@ class EmbeddingTable:
         )
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm along the last axis; ZeroNormError if one is at most NORM_FLOOR."""
+    norms = np.linalg.norm(x, axis=-1)
+    if np.any(norms <= NORM_FLOOR):
+        raise ZeroNormError("representation norm below 1e-12")
+    return norms
+
+
 def cosine_scores(u_vec: np.ndarray, i_mat: np.ndarray, tau: float) -> np.ndarray:
     """(1/tau) * cosine(u_vec, row) for every row of i_mat."""
     u_vec = np.asarray(u_vec, dtype=np.float64)
@@ -186,14 +194,10 @@ def compact_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), slot[ids]
 
 
-def scatter_rows(ids, grads: np.ndarray, n: int,
-                 compaction: tuple[np.ndarray, np.ndarray] | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def scatter_rows(ids, grads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum the gradient rows that share an id: (ascending unique ids, summed
-    rows). ids of any shape, in [0, n); grads has one row per id. A caller
-    that already holds compact_ids(ids, n) passes it as compaction, and ids
-    and n are then not read."""
-    unique, inverse = compaction if compaction is not None else compact_ids(ids, n)
+    rows). ids of any shape, in [0, n); grads has one row per id."""
+    unique, inverse = compact_ids(ids, n)
     return unique, segment_sum(inverse, grads, len(unique))
 
 

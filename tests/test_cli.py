@@ -97,6 +97,25 @@ class TestGenerate:
         assert sum(manifest["drawn"]) == len(read_pairs(out / "test.tsv"))
         assert len(read_pairs(out / "train.tsv")) > 0
 
+    def test_gamma_mode_default_groups_and_n0(self, tmp_path):
+        out = tmp_path / "gamma"
+        code = main(["generate", "--out", str(out), "--n_users", "400", "--n_items", "200",
+                     "--relevance_quantile", "0.1", "--exposure_bias_strength", "1.0",
+                     "--gamma", "4.0"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["groups"], manifest["n0"]) == (50, 100)
+        np.testing.assert_array_equal(manifest["quotas"], gamma_quotas(100, 4.0, 50))
+
+    @pytest.mark.parametrize("flags", [["--groups", "1", "--n0", "0"], ["--groups", "5"],
+                                       ["--n0", "10"]])
+    def test_split_flags_without_gamma_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "bad"
+        code = main(["generate", "--out", str(out), *GEN_ARGS, *flags])
+        assert code == 2
+        assert "apply only with --gamma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gamma_quotas_taking_the_whole_pool_exit_2(self, tmp_path, capsys):
         out = tmp_path / "gamma"
         code = main(["generate", "--out", str(out), *GEN_ARGS, "--gamma", "4.0", "--n0", "10"])

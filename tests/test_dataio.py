@@ -1,5 +1,7 @@
 """Ingestion, negative sampling, long-tail split, and synthetic generator tests."""
 
+import contextlib
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +48,26 @@ def reference_sample_negatives(pos: set, n_items, n, rng):
         out[filled:filled + take] = ok[:take]
         filled += take
     return out
+
+
+def reference_rows(train: dict, n_items, users, n, rng):
+    """reference_sample_negatives for each user in order, stacked."""
+    return np.array([reference_sample_negatives(set(train[int(u)]), n_items, n, rng)
+                     for u in users], dtype=np.int64).reshape(len(users), n)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write(tmp_path, name, text):
@@ -530,6 +552,64 @@ class TestSampleNegativesBatch:
             got = sample_negatives(ds, np.array(users), n, got_rng).negatives
             np.testing.assert_array_equal(got, self.reference(users, n, want_rng))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_no_train_pairs_matches_reference(self):
+        ds = InteractionSet(3, 20, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
+        assert len(ds.train_keys) == 0
+        users = np.array([0, 2, 1, 1, 0, 2])
+        for seed, n in ((0, 1), (1, 7), (2, 30)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives(ds, users, n, got_rng).negatives
+            np.testing.assert_array_equal(got, reference_rows({0: [], 1: [], 2: []}, 20,
+                                                              users, n, want_rng))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_random_datasets_match_reference(self):
+        """200 seeded small datasets. Each user's positive count sits near 0,
+        near n_items // 2 (the dense limit) or near the count above which a
+        row is expected to keep fewer than n of its first draws."""
+        for seed in range(200):
+            g = np.random.default_rng([9, seed])
+            n_items, n = int(g.integers(2, 81)), int(g.integers(1, 41))
+            expected_short = n_items - n * n_items / max(8, int(1.3 * n) + 4)
+            centres = (0, n_items // 2, expected_short)
+            train = {}
+            for u in range(int(g.integers(1, 9))):
+                count = int(np.clip(round(centres[g.integers(3)]) + g.integers(-2, 3),
+                                    0, n_items - 1))
+                train[u] = np.sort(g.choice(n_items, count, replace=False)).tolist()
+            ds = self.dataset(train, n_items)
+            users = g.integers(0, len(train), size=int(g.integers(0, 200)))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives(ds, users, n, got_rng).negatives
+            want = reference_rows(train, n_items, users, n, want_rng)
+            assert np.array_equal(got, want), f"seed {seed}"
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"seed {seed}"
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+    def test_rows_are_tested_again_in_proportion(self, monkeypatch):
+        """A row that falls short reads on into the draws of the rows after
+        it, which are then tested again. User 4 falls short about half the
+        time at n = 16: the block cap keeps the rows tested within a few
+        times the rows, and a block whose first row falls short (user 4
+        starts the batch) still moves on."""
+        tested, absent = [], dataio._absent
+
+        def counting(values, q):
+            if q.ndim == 2:  # a block: one row of q per row tested
+                tested.append(len(q))
+            return absent(values, q)
+
+        monkeypatch.setattr(dataio, "_absent", counting)
+        users = np.array([4] + ([0] * 49 + [4]) * 40)
+        for seed in range(5):
+            tested.clear()
+            with deadline(20):
+                got = sample_negatives(self.dataset(), users, 16, np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                got.negatives, reference_rows(self.TRAIN, self.N_ITEMS, users, 16,
+                                              np.random.default_rng(seed)))
+            assert sum(tested) < 4 * len(users)
 
     def test_shapes(self):
         ds = self.dataset()

@@ -15,7 +15,7 @@ from advrec.encoder import (
     score_backward,
 )
 from advrec.errors import IdOutOfRange
-from advrec.numkit import NormAdjacency, cosine_score, cosine_score_grad
+from advrec.numkit import NormAdjacency, cosine_score, cosine_score_grad, scatter_rows
 
 from conftest import max_rel_error, tiny_dataset
 
@@ -290,6 +290,21 @@ class TestItemNormsOncePerItem:
         for (ids, grads), (ref_ids, ref_grads) in zip(got, ref):
             assert ids.tobytes() == ref_ids.tobytes()
             assert grads.tobytes() == ref_grads.tobytes()
+
+    def test_mf_item_gradient_equals_scatter_rows(self):
+        """The MF backward sums item rows over the forward's item compaction."""
+        enc = mf_encoder(n_users=8, n_items=40, dim=3, seed=33)
+        rng = np.random.default_rng(33)
+        users, items = rng.integers(0, 8, size=8), rng.integers(0, 30, size=(8, 6))
+        upstream = rng.normal(size=(8, 6))
+        _, cache = batch_forward(enc, users, items)
+        _, (ids, grads) = batch_backward(enc, cache, upstream)
+        up = upstream / enc.tau
+        d_i = (up / (cache.u_norm[:, None] * cache.i_norm))[..., None] * cache.u_rep[:, None, :] \
+            - (up * cache.cos / cache.i_norm**2)[..., None] * cache.i_rep
+        want_ids, want = scatter_rows(items, d_i, enc.n_items)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert grads.tobytes() == want.tobytes()
 
 
 class TestGraphScatterBytes:

@@ -1,6 +1,7 @@
 """Ranking, metric, bound, and diagnostic tests with brute-force oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,28 @@ class TestAlignmentUniformity:
         after = alignment_uniformity(enc, pos, users, items)
         assert abs(before[0] - after[0]) < 1e-10
         assert abs(before[1] - after[1]) < 1e-10
+
+    @pytest.mark.parametrize("table,pairs,users,items", [
+        ("user", [[0, 0]], [0, 1], [2]),  # row 1 as a point
+        ("user", [[1, 0]], [0], [2]),     # row 1 in a positive pair
+        ("item", [[0, 0]], [0], [1, 2]),
+        ("item", [[0, 1]], [0], [2]),
+    ])
+    def test_zero_norm_sampled_row_raises(self, small_dataset, table, pairs, users, items):
+        enc = make_encoder(small_dataset, seed=11)
+        getattr(enc, f"{table}_table").values[1] = 0.0
+        with pytest.raises(ZeroNormError):
+            alignment_uniformity(enc, pairs, users, items)
+
+    def test_zero_norm_row_not_sampled_changes_nothing(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=12)
+        pos, users, items = np.array([[0, 0], [2, 3]]), [0, 2], [0, 3]
+        before = alignment_uniformity(enc, pos, users, items)
+        enc.user_table.values[1] = 0.0
+        enc.item_table.values[1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert alignment_uniformity(enc, pos, users, items) == before
 
     @pytest.mark.parametrize("pairs,users,items", [
         (np.zeros((0, 2), dtype=np.int64), [0, 1], [0]),  # no positive pair

@@ -258,15 +258,6 @@ class TestSegmentSum:
         np.testing.assert_array_equal(unique, ref_ids)
         assert sums.tobytes() == add_at_reference(inverse, grads, len(ref_ids)).tobytes()
 
-    def test_scatter_rows_with_passed_compaction(self):
-        rng = np.random.default_rng(33)
-        ids = rng.integers(0, 30, size=(8, 6))
-        grads = rng.normal(size=(8, 6, 3))
-        unique, sums = scatter_rows(ids, grads, 40)
-        passed_ids, passed_sums = scatter_rows(ids, grads, 40, compact_ids(ids, 40))
-        assert passed_ids.tobytes() == unique.tobytes()
-        assert passed_sums.tobytes() == sums.tobytes()
-
 
 COMPACT_CASES = {
     "empty": (np.zeros(0, dtype=np.int64), 5),
