@@ -6,7 +6,9 @@ and the array directory, then the raw little-endian float64 bytes of each
 array in directory order. The writer is byte-deterministic: identical
 parameters always serialize to identical files. It writes a temporary file
 in the target's directory and renames it over the target, so a failed save
-leaves any earlier file at that path as it was.
+leaves any earlier file at that path as it was. The file a save replaces is
+closed on a background thread, so the caller does not wait for the file
+system to free its blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -26,12 +29,36 @@ from .numkit import EmbeddingTable
 MAGIC = b"ADVRECKPT1\n"
 FORMAT_VERSION = 1
 
+# The thread that closes the file the last save replaced. It is not a daemon,
+# so interpreter exit waits for it; a forked child sees it as finished.
+_release: threading.Thread | None = None
+
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
     return {"name": name, "shape": list(arr.shape)}
 
 
 def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
+    """Write `enc` (and `hardness`) to `path`, replacing any file there
+    atomically.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    and renamed over `path`. If anything fails, the file at `path` is left
+    as it was and the temporary file is removed.
+
+    Freeing the blocks of a replaced file can cost far more than writing the
+    new one (on ext4 mounted with `discard`, 60-110 ms for a 1.5 MB file
+    against about 1 ms for the write). The file system frees them when the
+    last descriptor on the unlinked file closes. So the save opens the
+    existing file read-only before the rename, and on success hands that
+    descriptor to one background thread to close. On failure the file is still
+    linked, and the descriptor is closed at once. At most one close is
+    pending: a save first waits for the previous one, which bounds the disk
+    space held by replaced files. Interpreter exit also waits for it.
+
+    Saves must come from one thread at a time.
+    """
+    global _release
     arrays: list[tuple[str, np.ndarray]] = [
         ("user_values", enc.user_table.values),
         ("item_values", enc.item_table.values),
@@ -54,6 +81,13 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
         "hardness": hardness_meta,
         "arrays": [_array_entry(name, arr) for name, arr in arrays],
     }
+    if _release is not None:
+        _release.join()
+    try:
+        # O_NONBLOCK: opening a FIFO at `path` must not wait for a writer.
+        replaced = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:  # nothing to hold; os.replace reports a target it cannot replace
+        replaced = None
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -66,9 +100,14 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
+        if replaced is not None:
+            os.close(replaced)
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    if replaced is not None:
+        _release = threading.Thread(target=os.close, args=(replaced,), name="checkpoint-release")
+        _release.start()
 
 
 # The array directory save_checkpoint writes, as (name, symbolic shape) in

@@ -31,7 +31,7 @@ from .dataio import (
     read_pairs,
     write_dataset,
 )
-from .errors import EngineError, NonFinite, NonFiniteGradient
+from .errors import EngineError, NonFinite, NonFiniteGradient, ZeroNormError
 from .evaluation import (
     alignment_uniformity,
     evaluate_split,
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (NonFinite, NonFiniteGradient) as exc:
+    except (NonFinite, NonFiniteGradient, ZeroNormError) as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except (EngineError, OSError, ValueError) as exc:

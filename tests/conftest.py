@@ -1,4 +1,7 @@
-"""Shared test helpers: finite-difference oracles and tiny datasets."""
+"""Shared test helpers: finite-difference oracles, tiny datasets and a deadline."""
+
+import contextlib
+import signal
 
 import numpy as np
 import pytest
@@ -67,3 +70,17 @@ def tiny_dataset(n_users=6, n_items=8, seed=0) -> InteractionSet:
 @pytest.fixture
 def small_dataset():
     return tiny_dataset()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

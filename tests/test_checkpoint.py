@@ -1,18 +1,27 @@
 """Checkpoint format: bit-exact round-trips and compatibility errors."""
 
 import json
+import os
+import random
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advrec
 from advrec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from advrec.encoder import build_encoder, score
 from advrec.errors import IncompatibleCheckpoint
 from advrec.loss import EmbedHardness, MlpHardness
 from advrec.numkit import propagate
 
-from conftest import tiny_dataset
+from conftest import deadline, tiny_dataset
 
 
 class TestRoundTrip:
@@ -218,4 +227,144 @@ class TestAtomicSave:
         loaded, hardness = load_checkpoint(path)
         assert hardness is None
         assert loaded.user_table.values.tobytes() == enc.user_table.values.tobytes()
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def settle(tmp_path_factory):
+    """Let the close of the file the last save replaced finish: a save
+    waits for it first, and a save to a new path holds nothing."""
+    def run():
+        save_checkpoint(tmp_path_factory.mktemp("settle") / "model.ckpt",
+                        build_encoder("mf", 2, 2, 1, tau=1.0, seed=0))
+    return run
+
+
+class TestNoDescriptorLeak:
+    def test_failed_save_keeps_count_and_old_file(self, tmp_path, settle):
+        path, _, _ = saved_parts(tmp_path, "embed")
+        before = path.read_bytes()
+        settle()
+        fds = open_fds()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, build_encoder("mf", 4, 5, 3, tau=0.5, seed=9), HalfWritable())
+        assert open_fds() == fds
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_directory_target_raises_and_leaks_nothing(self, tmp_path, settle):
+        path = tmp_path / "model.ckpt"
+        path.mkdir()
+        settle()
+        fds = open_fds()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(path, build_encoder("mf", 4, 5, 3, tau=0.5, seed=9))
+        assert open_fds() == fds
+        assert list(tmp_path.iterdir()) == [path] and not any(path.iterdir())
+
+    def test_fifo_target_is_replaced_without_waiting_for_a_writer(self, tmp_path, settle):
+        path = tmp_path / "model.ckpt"
+        os.mkfifo(path)
+        enc = build_encoder("mf", 4, 5, 3, tau=0.5, seed=9)
+        settle()
+        fds = open_fds()
+        start = time.monotonic()
+        # TimeoutError is an OSError, which the save takes as a target it
+        # cannot hold open, so the time shows a blocked open.
+        with deadline(5):
+            save_checkpoint(path, enc)
+        assert time.monotonic() - start < 4
+        settle()
+        assert open_fds() == fds
+        assert load_checkpoint(path)[0].user_table.values.tobytes() == enc.user_table.values.tobytes()
+
+    def test_save_to_new_path_holds_nothing(self, tmp_path, settle):
+        settle()
+        fds = open_fds()
+        save_checkpoint(tmp_path / "model.ckpt", build_encoder("mf", 4, 5, 3, tau=0.5, seed=9))
+        assert open_fds() == fds
+
+    def test_replaced_file_is_released(self, tmp_path, settle):
+        settle()
+        fds = open_fds()
+        path = tmp_path / "model.ckpt"
+        for seed in range(4):
+            save_checkpoint(path, build_encoder("mf", 40, 50, 8, tau=0.5, seed=seed))
+            assert open_fds() <= fds + 1
+            releases = [t for t in threading.enumerate() if t.name == "checkpoint-release"]
+            assert len(releases) <= 1
+        settle()
+        assert open_fds() == fds
+
+    def test_back_to_back_saves_leave_the_second_model(self, tmp_path):
+        first = build_encoder("mf", 40, 50, 8, tau=0.5, seed=1)
+        second = build_encoder("mf", 40, 50, 8, tau=0.5, seed=2)
+        path, reference = tmp_path / "model.ckpt", tmp_path / "reference.ckpt"
+        save_checkpoint(path, first)
+        save_checkpoint(path, second)
+        save_checkpoint(reference, second)
+        assert path.read_bytes() == reference.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [path, reference]
+
+
+# Saves the two models of TestSaveInAnotherProcess.MODELS to the path argv[1]
+# in turn, argv[2] saves in all (without end if negative); prints "ready" once
+# the file first exists.
+SAVE_LOOP = """
+import sys
+from advrec.checkpoint import save_checkpoint
+from advrec.encoder import build_encoder
+models = [build_encoder("mf", 300, 200, 16, tau=0.5, seed=seed) for seed in (1, 2)]
+save_checkpoint(sys.argv[1], models[0])
+print("ready", flush=True)
+turn = 1
+while int(sys.argv[2]) < 0 or turn < int(sys.argv[2]):
+    save_checkpoint(sys.argv[1], models[turn % 2])
+    turn += 1
+"""
+
+
+def run_python(code, *args, **kwargs):
+    """Start `python -c code args` with this advrec importable."""
+    src = str(Path(advrec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=env,
+                            stdin=subprocess.DEVNULL, **kwargs)
+
+
+class TestSaveInAnotherProcess:
+    MODELS = [build_encoder("mf", 300, 200, 16, tau=0.5, seed=seed) for seed in (1, 2)]
+
+    def is_one_of_the_models(self, path):
+        loaded, _ = load_checkpoint(path)
+        return any(loaded.user_table.values.tobytes() == m.user_table.values.tobytes()
+                   and loaded.item_table.values.tobytes() == m.item_table.values.tobytes()
+                   for m in self.MODELS)
+
+    def test_kill_during_saves_leaves_a_loadable_file(self, tmp_path):
+        delays = random.Random(21)
+        for trial in range(5):
+            path = tmp_path / f"trial{trial}" / "model.ckpt"
+            path.parent.mkdir()
+            with run_python(SAVE_LOOP, path, -1, stdout=subprocess.PIPE) as child:
+                try:
+                    assert child.stdout.readline() == b"ready\n"
+                    time.sleep(delays.uniform(0.0, 0.3))
+                finally:
+                    child.send_signal(signal.SIGKILL)
+                    child.wait(timeout=60)
+            assert child.returncode == -signal.SIGKILL
+            assert self.is_one_of_the_models(path), trial
+
+    def test_exit_after_replacing_save_returns_0(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with run_python(SAVE_LOOP, path, 2, stdout=subprocess.DEVNULL) as child:
+            assert child.wait(timeout=60) == 0
+        loaded, _ = load_checkpoint(path)
+        assert loaded.user_table.values.tobytes() == self.MODELS[1].user_table.values.tobytes()
         assert list(tmp_path.iterdir()) == [path]

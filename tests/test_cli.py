@@ -334,6 +334,26 @@ def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, flag, kind):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["diagnose", "--which", "alignuniform"]])
+def test_zero_norm_representation_exits_3(tmp_path, capsys, command):
+    data = generate(tmp_path)
+    run = train(tmp_path, data, extra=("--max_epochs", "2"))
+    enc, hardness = load_checkpoint(run / "final.ckpt", load(data))
+    enc.user_table.values[:] = 0.0
+    save_checkpoint(run / "final.ckpt", enc, hardness)
+    capsys.readouterr()
+    out = tmp_path / "au.csv"
+    code = main([*command, "--checkpoint", str(run / "final.ckpt"),
+                 "--train_file", str(data / "train.tsv"),
+                 "--valid_file", str(data / "valid.tsv"),
+                 "--test_file", str(data / "test.tsv"),
+                 *(["--out", str(out)] if command[0] == "diagnose" else [])])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "numeric failure: representation norm below 1e-12" in captured.err
+    assert not captured.out and not out.exists()
+
+
 class TestEvaluate:
     def test_round_trip_reproduces_final_validation_metric(self, tmp_path, capsys):
         data = generate(tmp_path)

@@ -1,6 +1,5 @@
 """Ingestion, negative sampling, long-tail split, and synthetic generator tests."""
 
-import contextlib
 import signal
 from dataclasses import replace
 
@@ -31,6 +30,8 @@ from advrec.errors import (
     ParseError,
 )
 
+from conftest import deadline
+
 
 def reference_sample_negatives(pos: set, n_items, n, rng):
     """Set-based sampler the array positives index replaced; makes the same
@@ -54,20 +55,6 @@ def reference_rows(train: dict, n_items, users, n, rng):
     """reference_sample_negatives for each user in order, stacked."""
     return np.array([reference_sample_negatives(set(train[int(u)]), n_items, n, rng)
                      for u in users], dtype=np.int64).reshape(len(users), n)
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError inside the block once it has run for seconds."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def write(tmp_path, name, text):
