@@ -169,8 +169,8 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
 
     For the graph backbone the adjacency is rebuilt from the dataset's train
     positives; dims are validated against the dataset when one is given. A
-    file that is not exactly what save_checkpoint writes for some model
-    raises IncompatibleCheckpoint.
+    file that is not exactly what save_checkpoint writes for some model, or
+    whose arrays hold NaN or Inf, raises IncompatibleCheckpoint.
     """
     with open(path, "rb") as fh:
         header = _read_header(path, fh)
@@ -184,6 +184,9 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
             .reshape(entry["shape"]).copy()
             for entry, count in zip(header["arrays"], counts)
         }
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise IncompatibleCheckpoint(f"{path}: array {name} holds NaN or Inf")
 
     meta = header["encoder"]
     if dataset is not None:

@@ -16,12 +16,11 @@ from .errors import DimMismatch, IdOutOfRange
 from .numkit import (
     EmbeddingTable,
     NormAdjacency,
-    compact_ids,
+    ScatterIndex,
     propagate,
     propagate_backward,
     row_norms,
-    scatter_rows,
-    segment_sum,
+    scatter_index,
 )
 from .rng import substream
 
@@ -117,7 +116,7 @@ class _ScoreCache:
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
     cos: np.ndarray        # (B, M)
-    item_ids: tuple[np.ndarray, np.ndarray]  # compact_ids(items, n_items)
+    index: tuple[ScatterIndex, ScatterIndex]  # batch_forward's (users, items) index
 
 
 def _check_ids(enc: Encoder, users, items) -> None:
@@ -132,22 +131,28 @@ def batch_forward(
     users: np.ndarray,
     items: np.ndarray,
     reps: tuple[np.ndarray, np.ndarray] | None = None,
+    index: tuple[ScatterIndex, ScatterIndex] | None = None,
 ) -> tuple[np.ndarray, _ScoreCache]:
     """Scores (B, M) for item block items of shape (B, M) against users (B,).
-    Each distinct item's norm is computed once; the cache keeps the items'
-    compaction for the backward pass."""
+
+    index is the (users, items) pair of scatter_index(users, n_users) and
+    scatter_index(items, n_items), built here when not given; a caller that
+    has it already, such as iter_batches' worker, passes it. Each distinct
+    item's norm is computed once, over the items' compaction; the cache
+    keeps the index for the backward pass."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     _check_ids(enc, users, items)
+    if index is None:
+        index = (scatter_index(users, enc.n_users), scatter_index(items, enc.n_items))
     user_reps, item_reps = reps if reps is not None else representations(enc)
     u_rep = user_reps.take(users, axis=0)
     i_rep = item_reps.take(items, axis=0)
     u_norm = row_norms(u_rep)
-    item_ids = compact_ids(items, enc.n_items)
-    i_norm = row_norms(item_reps.take(item_ids[0], axis=0))[item_ids[1]]
+    i_norm = row_norms(item_reps.take(index[1].unique, axis=0))[index[1].inverse]
     cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
-    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, item_ids)
+    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, index)
 
 
 def batch_backward(
@@ -157,7 +162,8 @@ def batch_backward(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Row gradients ((user_ids, grads), (item_ids, grads)) for dL/dscores
     upstream of shape (B, M), pushed through the cosine and, for the graph
-    backbone, back through propagation. Ids are unique, grads accumulated.
+    backbone, back through propagation. Ids are unique, grads accumulated
+    through the forward's scatter index.
     """
     up = np.asarray(upstream, dtype=np.float64) / enc.tau
     c = cache
@@ -167,16 +173,15 @@ def batch_backward(
     d_i -= (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
-
+    (u_ids, u_grads), (i_ids, i_grads) = c.index[0].scatter(d_u), c.index[1].scatter(d_i)
     if enc.layers == 0:
-        return (scatter_rows(c.users, d_u, enc.n_users),
-                (c.item_ids[0], segment_sum(c.item_ids[1], d_i, len(c.item_ids[0]))))
+        return (u_ids, u_grads), (i_ids, i_grads)
 
-    # Graph backbone: scatter onto node representations, then one linear
-    # backward pass through the propagation. User and item nodes are disjoint
-    # halves, so each half is summed on its own, its terms in input order.
-    node_grad = np.concatenate([segment_sum(c.users, d_u, enc.n_users),
-                                segment_sum(c.items, d_i, enc.n_items)])
+    # Graph backbone: place the sums on the node representations (users,
+    # then items), then one linear backward pass through the propagation.
+    node_grad = np.zeros((enc.n_users + enc.n_items, enc.dim))
+    node_grad[u_ids] = u_grads
+    node_grad[enc.n_users + i_ids] = i_grads
     layer0_grad = propagate_backward(node_grad, enc.adj, enc.layers)
     nz = np.flatnonzero(np.any(layer0_grad != 0.0, axis=1))
     u_ids = nz[nz < enc.n_users]

@@ -291,10 +291,13 @@ def hardness_popularity_profile(
 
     Items are sorted by descending train popularity (ties by ascending id)
     into `bins` near-equal-size bins; rows are (bin, mean_p, count). The
-    uniform reference is 1/n_negatives.
+    uniform reference is 1/n_negatives. More bins than items would leave
+    bins empty by construction, so that raises BadParam before sampling.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    if bins > dataset.n_items:
+        raise BadParam(f"bins must be at most the {dataset.n_items} items, got {bins}")
     if n_negatives < 1:
         raise BadParam("n_negatives must be >= 1")
     item_bin = popularity_groups(dataset.item_popularity, bins)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDistribution, DimMismatch, NonFinite
-from .numkit import EmbeddingTable, adam_step, scatter_rows
+from .numkit import EmbeddingTable, ScatterIndex, adam_step, scatter_index
 from .rng import substream
 
 # ---------------------------------------------------------------------------
@@ -269,14 +269,19 @@ class EmbedHardness(_TableHardness):
         v = self.item_table.values.take(negatives, axis=0)
         return np.einsum("bd,bnd->bn", u, v)
 
-    def grad_batch(self, users, negatives, d_g, encoder=None):
-        """Parameter gradients as ((user_ids, grads), (item_ids, grads))."""
+    def grad_batch(self, users, negatives, d_g, encoder=None,
+                   index: tuple[ScatterIndex, ScatterIndex] | None = None):
+        """Parameter gradients as ((user_ids, grads), (item_ids, grads)),
+        summed through index, the (users, negatives) pair of scatter_index
+        over both tables, built here when not given."""
+        if index is None:
+            index = (scatter_index(users, self.user_table.rows),
+                     scatter_index(negatives, self.item_table.rows))
         u = self.user_table.values.take(users, axis=0)
         v = self.item_table.values.take(negatives, axis=0)
         d_user = np.einsum("bn,bnd->bd", d_g, v)
         d_item = d_g[..., None] * u[:, None, :]
-        return (scatter_rows(users, d_user, self.user_table.rows),
-                scatter_rows(negatives, d_item, self.item_table.rows))
+        return index[0].scatter(d_user), index[1].scatter(d_item)
 
 
 class MlpHardness(_TableHardness):
@@ -320,8 +325,9 @@ class MlpHardness(_TableHardness):
         zi = xi @ self.w_item.T + self.b_item
         return np.einsum("bl,bnl->bn", zu, zi)
 
-    def grad_batch(self, users, negatives, d_g, encoder=None):
-        """Dense parameter gradients, one (arange ids, grads) per table."""
+    def grad_batch(self, users, negatives, d_g, encoder=None, index=None):
+        """Dense parameter gradients, one (arange ids, grads) per table; the
+        scatter index is not needed."""
         xu, xi = self._inputs(users, negatives, encoder)
         zu = xu @ self.w_user.T + self.b_user
         zi = xi @ self.w_item.T + self.b_item

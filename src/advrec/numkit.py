@@ -1,6 +1,7 @@
 """Dense/sparse numerical kernel: embedding tables, sparse-lazy Adam,
 temperature-scaled cosine scoring, index scatter-add, and symmetric-normalized
-graph propagation.
+graph propagation. The scatter-add and the propagation both sum through one
+step-ordered plan (segment_plan), bit-identical to numpy.add.at.
 
 Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
 Row gathers use ndarray.take(ids, axis=0), which returns the same bytes as
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteGradient, ZeroNormError
+from .errors import DimMismatch, IdOutOfRange, NonFiniteGradient, ZeroNormError
 
 NORM_FLOOR = 1e-12
 # Adam's moment decay rates and the floor added to its denominator.
@@ -166,16 +167,78 @@ def adam_step(
     return table
 
 
+@dataclass(frozen=True)
+class SegmentPlan:
+    """How to sum the rows that share an id, for ids in [0, n): laid out once
+    by segment_plan, then used for any number of row sets.
+
+    Ids are ordered by descending count, ties by id; slot holds each id's
+    place in that order. Step k takes the k-th row, in input order, of every
+    id with more than k rows; those ids are a prefix of the count order.
+    order holds the steps' input row positions one after another, and
+    offsets[k]:offsets[k + 1] bounds step k. There are as many steps as the
+    largest count. The arrays are read-only, as a plan is shared."""
+
+    slot: np.ndarray      # (n,)
+    order: np.ndarray     # (k,) for k ids
+    offsets: np.ndarray   # (steps + 1,)
+
+    def __post_init__(self):
+        for arr in (self.slot, self.order, self.offsets):
+            arr.flags.writeable = False
+
+    def sum_ordered(self, terms: np.ndarray) -> np.ndarray:
+        """(n, d) sums of terms gathered in plan order (terms[j] belongs to
+        input row order[j]). One slice-add per step into a zeroed output in
+        count order, then one take back to id order: each output cell sums
+        its terms onto 0.0 in input order, as numpy.add.at does, so the
+        result is bit-identical to it."""
+        out = np.zeros((len(self.slot), terms.shape[1]))
+        offsets = self.offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            out[:hi - lo] += terms[lo:hi]
+        return out.take(self.slot, axis=0)
+
+    def sum(self, rows) -> np.ndarray:
+        """(n, d) sums of rows, one d-wide row per planned id in input order
+        (any leading shape): one gather into plan order, then sum_ordered."""
+        rows = np.asarray(rows)
+        rows = rows.reshape(-1, rows.shape[-1])
+        if len(rows) != len(self.order):
+            raise DimMismatch(f"{len(rows)} rows for {len(self.order)} planned ids")
+        return self.sum_ordered(rows.take(self.order, axis=0))
+
+
+def segment_plan(ids, n: int) -> SegmentPlan:
+    """The SegmentPlan of ids in [0, n), of any shape (read flat).
+
+    A row's place among its id's rows comes from one stable argsort of the
+    ids, sorted in the narrowest unsigned type that holds n - 1: for n up to
+    65536 numpy then sorts by radix, in O(n + k) for k ids."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    counts = np.bincount(ids, minlength=n)
+    if len(counts) > n:
+        raise IdOutOfRange(f"id {len(counts) - 1} is not below {n}")
+    slot = np.empty(n, dtype=np.int64)
+    slot[np.argsort(-counts, kind="stable")] = np.arange(n)
+    by_id = np.argsort(ids.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    # by_id[j] is the rank[j]-th row of its id, in input order (the sort is stable)
+    rank = np.arange(ids.size)
+    rank -= np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rank))])
+    place = offsets[rank]
+    place += np.repeat(slot, counts)
+    order = np.empty_like(by_id)
+    order[place] = by_id
+    return SegmentPlan(slot, order, offsets)
+
+
 def segment_sum(ids, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, d) sums of the rows that share an id: out[k] = sum of rows[j] over
     ids[j] == k, zero for an absent k. ids are non-negative and below n, of
-    any shape; rows has one d-wide row per id. One bincount over the flat
-    index id * d + col adds each output cell's terms to 0.0 in input order,
-    as numpy.add.at does, so the sums are bit-identical to it."""
-    d = rows.shape[-1]
-    index = (np.asarray(ids, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
-    sums = np.bincount(index, weights=rows.reshape(-1), minlength=n * d)
-    return sums.astype(np.float64, copy=False).reshape(n, d)  # an empty bincount is int
+    any shape; rows has one d-wide row per id. Sums through segment_plan,
+    so the sums are bit-identical to numpy.add.at."""
+    return segment_plan(ids, n).sum(rows)
 
 
 def compact_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,11 +257,34 @@ def compact_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), slot[ids]
 
 
+@dataclass(frozen=True)
+class ScatterIndex:
+    """Where scatter_rows sends each row of an id block: the ascending
+    distinct ids, each id's place among them (inverse, of the block's
+    shape) and the SegmentPlan of those places. scatter_index builds it;
+    it serves every row set laid out like its block."""
+
+    unique: np.ndarray
+    inverse: np.ndarray
+    plan: SegmentPlan
+
+    def scatter(self, grads) -> tuple[np.ndarray, np.ndarray]:
+        """(unique ids, summed rows) of grads, one row per id of the block."""
+        return self.unique, self.plan.sum(grads)
+
+
+def scatter_index(ids, n: int) -> ScatterIndex:
+    """The ScatterIndex of ids in [0, n), of any shape."""
+    unique, inverse = compact_ids(ids, n)
+    return ScatterIndex(unique, inverse, segment_plan(inverse, len(unique)))
+
+
 def scatter_rows(ids, grads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum the gradient rows that share an id: (ascending unique ids, summed
-    rows). ids of any shape, in [0, n); grads has one row per id."""
-    unique, inverse = compact_ids(ids, n)
-    return unique, segment_sum(inverse, grads, len(unique))
+    rows). ids of any shape, in [0, n); grads has one row per id. Sums
+    through scatter_index; a caller that has the index already calls its
+    scatter instead."""
+    return scatter_index(ids, n).scatter(grads)
 
 
 @dataclass
@@ -207,12 +293,11 @@ class NormAdjacency:
     1/sqrt(deg(r) * deg(c)). Stored as parallel read-only edge arrays, both
     directions present. Degree-zero nodes have no entries.
 
-    Construction also lays the edges out for apply, in read-only arrays.
-    Nodes are ordered by descending degree (ties by id); slot holds each
-    node's place in that order. Step k takes the k-th edge, in input order,
-    of every node with more than k edges; those nodes are a prefix of the
-    degree order. step_cols and step_weights hold the steps one after
-    another, and step_offsets[k]:step_offsets[k + 1] bounds step k."""
+    Construction also plans apply's sum once: plan is the segment_plan of
+    rows, so nodes go by descending degree and step k holds the k-th edge,
+    in input order, of every node with more than k edges. step_cols and
+    step_weights hold the edges' columns and weights in plan order; slot
+    and step_offsets are the plan's. All arrays are read-only."""
 
     node_count: int
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -222,18 +307,14 @@ class NormAdjacency:
     def __post_init__(self):
         for name, dtype in (("rows", np.int64), ("cols", np.int64), ("weights", np.float64)):
             setattr(self, name, np.array(getattr(self, name), dtype=dtype))
-        deg = np.bincount(self.rows, minlength=self.node_count)
-        self.slot = np.argsort(np.argsort(-deg, kind="stable"))  # inverse of the degree order
-        edge = np.arange(self.rows.size)
-        csr = np.argsort(self.rows * edge.size + edge)  # by row, then input order: stable
-        rank = np.empty_like(csr)  # an edge's place among its row's edges
-        rank[csr] = edge - np.repeat(np.cumsum(deg) - deg, deg)
-        self.step_offsets = np.concatenate([[0], np.cumsum(np.bincount(rank))])
-        order = np.empty_like(edge)  # the edges by step, then by degree order
-        order[self.step_offsets[rank] + self.slot[self.rows]] = edge
-        self.step_cols, self.step_weights = self.cols[order], self.weights[order]
-        for name in ("rows", "cols", "weights", "slot", "step_cols", "step_weights", "step_offsets"):
+        self.plan = segment_plan(self.rows, self.node_count)
+        self.step_cols = self.cols.take(self.plan.order)
+        self.step_weights = self.weights.take(self.plan.order)
+        for name in ("rows", "cols", "weights", "step_cols", "step_weights"):
             getattr(self, name).flags.writeable = False
+
+    slot = property(lambda self: self.plan.slot)
+    step_offsets = property(lambda self: self.plan.offsets)
 
     @classmethod
     def from_undirected_edges(cls, node_count: int, edges) -> "NormAdjacency":
@@ -249,21 +330,14 @@ class NormAdjacency:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for the normalized adjacency A and (node_count, d) x.
-
-        One gather of the weighted terms, then one slice-add per step into a
-        zeroed output in degree order. Each output cell thus sums its terms
-        onto 0.0 in input edge order, as numpy.add.at does, so the result is
-        bit-identical to it. There are as many steps as the largest degree."""
+        """A @ x for the normalized adjacency A and (node_count, d) x: one
+        gather of the weighted terms in plan order, then the plan's
+        sum_ordered, so the result is bit-identical to numpy.add.at."""
         if x.shape[0] != self.node_count:
             raise DimMismatch(f"input rows {x.shape[0]} != node count {self.node_count}")
         terms = np.asarray(x, dtype=np.float64).take(self.step_cols, axis=0)
         terms *= self.step_weights[:, None]
-        out = np.zeros((self.node_count, x.shape[1]))
-        offsets = self.step_offsets.tolist()
-        for lo, hi in zip(offsets, offsets[1:]):
-            out[:hi - lo] += terms[lo:hi]
-        return out.take(self.slot, axis=0)
+        return self.plan.sum_ordered(terms)
 
 
 def propagate(layer0: np.ndarray, adj: NormAdjacency, layers: int) -> np.ndarray:

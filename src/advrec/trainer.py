@@ -19,7 +19,7 @@ from .encoder import Encoder, batch_backward, batch_forward, build_encoder, repr
 from .errors import NonFinite, SkippedAdvStep
 from .evaluation import _block_hardness, evaluate_split
 from .loss import HARDNESS_MODELS, advinfonce_backward_batch, hardness_grad_from_delta
-from .numkit import adam_step
+from .numkit import ScatterIndex, adam_step, scatter_index
 from .rng import substream
 
 STRATEGIES = ("adv", "reverse", "rand", "none")
@@ -86,6 +86,14 @@ class Batch:
     # (B, 1 + N) scores.
     hardness: tuple[np.ndarray | None, np.ndarray] | None = None
     scores: np.ndarray | None = None
+    # The (users, items) scatter indexes (numkit.scatter_index) that
+    # iter_batches built for the pass: in a min pass score_index, whose items
+    # are the (B, 1 + N) block of positives and negatives that min_step
+    # scores; in an adversarial pass hardness_index, whose items are the
+    # negatives whose hardness adv_step updates. A step builds the one it
+    # needs itself, through the same function, when the batch lacks it.
+    score_index: tuple[ScatterIndex, ScatterIndex] | None = None
+    hardness_index: tuple[ScatterIndex, ScatterIndex] | None = None
 
 
 @dataclass
@@ -135,8 +143,9 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     """Deterministic epoch iterator: a seeded shuffle of the train pairs,
     and for batch b negatives from substream(seed, phase-neg, epoch, b)
     and, in a rand min pass, deltas from substream(seed, rand-delta, epoch,
-    b). frozen(batch), if given, returns the batch with its pass's frozen
-    half attached (_min_half, _adv_half).
+    b). Each batch carries its pass's scatter index (Batch.score_index or
+    Batch.hardness_index). frozen(batch), if given, returns the batch with
+    its pass's frozen half attached (_min_half, _adv_half).
 
     Batch b + 1 is prepared on one worker thread while the caller runs step
     b; the first batch of a pass is prepared in the calling thread. Each
@@ -157,8 +166,15 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     def prepare(b: int) -> Batch:
         chunk = pairs[perm[starts[b]:starts[b] + cfg.batch_size]]
         rng = substream(cfg.seed, f"{phase}-neg", epoch, b)
-        negs = sample_negatives(dataset, chunk[:, 0], cfg.n_negatives, rng).negatives
-        batch = Batch(chunk[:, 0], chunk[:, 1], negs)
+        users, pos_items = chunk[:, 0], chunk[:, 1]
+        negs = sample_negatives(dataset, users, cfg.n_negatives, rng).negatives
+        batch = Batch(users, pos_items, negs)
+        user_index = scatter_index(users, dataset.n_users)
+        if phase == "min":
+            block = np.concatenate([pos_items[:, None], negs], axis=1)
+            batch.score_index = (user_index, scatter_index(block, dataset.n_items))
+        else:
+            batch.hardness_index = (user_index, scatter_index(negs, dataset.n_items))
         if rand_deltas:
             rng = substream(cfg.seed, "rand-delta", epoch, b)
             batch.hardness = (None, rng.uniform(-0.5, 0.5, size=negs.shape))
@@ -186,9 +202,10 @@ def _batch_deltas(state: TrainState, batch: Batch):
 
 def _batch_scores(state: TrainState, batch: Batch, reps=None):
     """The encoder's (scores, cache) of each user against its positive and
-    negatives, from its representations reps if given."""
+    negatives, from its representations reps if given, through the batch's
+    score_index if it has one."""
     items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-    return batch_forward(state.encoder, batch.users, items, reps)
+    return batch_forward(state.encoder, batch.users, items, reps, batch.score_index)
 
 
 def _min_half(state: TrainState):
@@ -252,7 +269,8 @@ def adv_step(state: TrainState, batch: Batch) -> float:
         raise SkippedAdvStep("adversarial epoch budget exhausted")
     loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch)
     d_g = hardness_grad_from_delta(probs, d_delta / len(batch.users))
-    grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, state.encoder)
+    grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, state.encoder,
+                                      batch.hardness_index)
     state.hardness.apply_grads(grads, cfg.lr_adv, maximize=(cfg.hardness_strategy == "adv"))
     return float(loss_vec.mean())
 

@@ -1,6 +1,7 @@
 """Checkpoint format: bit-exact round-trips and compatibility errors."""
 
 import json
+import math
 import os
 import random
 import re
@@ -18,6 +19,7 @@ import advrec
 from advrec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from advrec.encoder import build_encoder, score
 from advrec.errors import IncompatibleCheckpoint
+from advrec.evaluation import evaluate_split
 from advrec.loss import EmbedHardness, MlpHardness
 from advrec.numkit import propagate
 
@@ -199,6 +201,37 @@ class TestMalformedFile:
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
             load_checkpoint(path)
+
+
+class TestNonFiniteValues:
+    """A file whose arrays hold NaN or Inf is rejected at load with
+    IncompatibleCheckpoint naming the file and the array."""
+
+    def test_nan_item_value_is_rejected_before_evaluation(self, tmp_path):
+        dataset = tiny_dataset(n_users=3, n_items=8, seed=9)
+        enc = build_encoder("mf", dataset.n_users, dataset.n_items, 4, tau=0.5, seed=9)
+        enc.item_table.values[2, 1] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, enc)
+        with pytest.raises(IncompatibleCheckpoint,
+                           match=re.escape(f"{path}: array item_values holds NaN or Inf")):
+            loaded, _ = load_checkpoint(path, dataset)
+            evaluate_split(loaded, dataset, "test", 5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("hardness", [None, "embed", "mlp"])
+    def test_every_array_is_checked(self, tmp_path, hardness, value):
+        path, header, data = saved_parts(tmp_path, hardness)
+        values = np.frombuffer(data, dtype="<f8")
+        end = 0
+        for entry in header["arrays"]:
+            end += math.prod(entry["shape"])
+            bad = values.copy()
+            bad[end - 1] = value
+            path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + bad.tobytes())
+            with pytest.raises(IncompatibleCheckpoint,
+                               match=re.escape(f"{path}: array {entry['name']} holds")):
+                load_checkpoint(path)
 
 
 class HalfWritable:

@@ -354,6 +354,26 @@ def test_zero_norm_representation_exits_3(tmp_path, capsys, command):
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["diagnose", "--which", "profile"]])
+def test_non_finite_checkpoint_exits_2(tmp_path, capsys, command):
+    data = generate(tmp_path)
+    run = train(tmp_path, data, extra=("--max_epochs", "2"))
+    enc, hardness = load_checkpoint(run / "final.ckpt", load(data))
+    enc.item_table.values[2, 1] = np.nan
+    save_checkpoint(run / "final.ckpt", enc, hardness)
+    capsys.readouterr()
+    out = tmp_path / "profile.csv"
+    code = main([*command, "--checkpoint", str(run / "final.ckpt"),
+                 "--train_file", str(data / "train.tsv"),
+                 "--valid_file", str(data / "valid.tsv"),
+                 "--test_file", str(data / "test.tsv"),
+                 *(["--out", str(out)] if command[0] == "diagnose" else [])])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "array item_values holds NaN or Inf" in captured.err
+    assert not captured.out and not out.exists()
+
+
 class TestEvaluate:
     def test_round_trip_reproduces_final_validation_metric(self, tmp_path, capsys):
         data = generate(tmp_path)
@@ -518,6 +538,24 @@ class TestDiagnose:
             _, mean_p, count = line.split(",")
             if int(count):
                 assert float(mean_p) == pytest.approx(1.0 / 8.0, abs=1e-12)
+
+    @pytest.mark.parametrize("over", [1, 72])
+    def test_more_bins_than_items_exits_2(self, tmp_path, capsys, over):
+        data = generate(tmp_path)
+        run = train(tmp_path, data, extra=("--max_epochs", "2"))
+        n_items = load(data).n_items  # items seen in the TSV files: 28
+        bins = n_items + over
+        out = tmp_path / "profile.csv"
+        capsys.readouterr()
+        code = main(["diagnose", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--which", "profile", "--out", str(out), "--bins", str(bins)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"bins must be at most the {n_items} items, got {bins}" in captured.err
+        assert not captured.out and not out.exists()
 
     def test_fnrate_without_planted_file_exits_2(self, tmp_path, capsys):
         data = generate(tmp_path)

@@ -420,6 +420,24 @@ class TestHardnessPopularityProfile:
         assert means == sorted(means, reverse=True)  # popular bin first
 
 
+    @pytest.mark.parametrize("extra", [1, 60])
+    def test_more_bins_than_items_raises_before_sampling(self, small_dataset, extra):
+        enc = make_encoder(small_dataset, seed=28)
+        model = EmbedHardness.init(small_dataset.n_users, small_dataset.n_items, 3, 28)
+        rng = np.random.default_rng(29)
+        before = rng.bit_generator.state
+        with pytest.raises(BadParam, match=f"at most the {small_dataset.n_items} items"):
+            hardness_popularity_profile(model, enc, small_dataset,
+                                        small_dataset.n_items + extra, 4, rng)
+        assert rng.bit_generator.state == before
+
+    def test_one_item_per_bin_is_allowed(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=28)
+        model = EmbedHardness.init(small_dataset.n_users, small_dataset.n_items, 3, 28)
+        rows = hardness_popularity_profile(model, enc, small_dataset, small_dataset.n_items,
+                                           4, np.random.default_rng(29))
+        assert [b for b, _, _ in rows] == list(range(small_dataset.n_items))
+
     def test_equals_per_block_add_at(self):
         dataset = tiny_dataset(n_users=400, n_items=50, seed=24)
         assert len(dataset.train_pairs) > BLOCK_ROWS

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from advrec.errors import DimMismatch, NonFiniteGradient, ZeroNormError
+from advrec.errors import DimMismatch, IdOutOfRange, NonFiniteGradient, ZeroNormError
 from advrec.numkit import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -16,7 +16,9 @@ from advrec.numkit import (
     cosine_score_grad,
     propagate,
     propagate_backward,
+    scatter_index,
     scatter_rows,
+    segment_plan,
     segment_sum,
 )
 
@@ -257,6 +259,95 @@ class TestSegmentSum:
         ref_ids, inverse = np.unique(ids, return_inverse=True)
         np.testing.assert_array_equal(unique, ref_ids)
         assert sums.tobytes() == add_at_reference(inverse, grads, len(ref_ids)).tobytes()
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestSegmentPlan:
+    """segment_sum sums through segment_plan: bytes equal np.add.at's on the
+    shapes where the plan's step count is extreme or its input unusual."""
+
+    def test_no_ids(self):
+        ids = np.zeros(0, dtype=np.int64)
+        for n in (0, 3):
+            got = segment_sum(ids, np.zeros((0, 4)), n)
+            assert same_bytes(got, add_at_reference(ids, np.zeros((0, 4)), n))
+            assert len(segment_plan(ids, n).offsets) == 1  # no steps
+
+    def test_one_id_repeated_2000_times(self):
+        rows = np.random.default_rng(37).normal(size=(2000, 3)) * 10.0 ** np.arange(3)
+        ids = np.full(2000, 4)
+        assert len(segment_plan(ids, 6).offsets) == 2001
+        assert same_bytes(segment_sum(ids, rows, 6), add_at_reference(ids, rows, 6))
+
+    def test_negative_zero_terms(self):
+        rng = np.random.default_rng(38)
+        ids = rng.integers(0, 5, size=60)
+        rows = np.where(rng.random((60, 3)) < 0.5, -0.0, rng.normal(size=(60, 3)))
+        rows[ids == 2] = -0.0
+        got = segment_sum(ids, rows, 7)
+        assert same_bytes(got, add_at_reference(ids, rows, 7))
+        assert not np.signbit(got[2]).any() and not np.signbit(got[5:]).any()
+
+    def test_strided_rows(self):
+        rng = np.random.default_rng(39)
+        ids = rng.integers(0, 9, size=(6, 5))
+        wide = rng.normal(size=(6, 5, 8))
+        strided = wide[:, :, ::3]
+        assert not strided.flags.c_contiguous
+        assert same_bytes(segment_sum(ids, strided, 9), add_at_reference(ids, strided, 9))
+
+    def test_int_rows(self):
+        rng = np.random.default_rng(40)
+        ids = rng.integers(0, 4, size=30)
+        rows = rng.integers(-(2 ** 40), 2 ** 40, size=(30, 2))
+        got = segment_sum(ids, rows, 4)
+        assert got.dtype == np.float64
+        assert same_bytes(got, add_at_reference(ids, rows, 4))
+
+    @pytest.mark.parametrize("n", [3, 300, 70_000])  # ids sorted as uint8, uint16, uint32
+    def test_any_id_width(self, n):
+        rng = np.random.default_rng(n)
+        ids = rng.integers(0, n, size=(40, 7))
+        ids[:, 0] = n - 1
+        rows = rng.normal(size=(40, 7, 2))
+        assert same_bytes(segment_sum(ids, rows, n), add_at_reference(ids, rows, n))
+
+    def test_reused_plan_equals_one_built_in_place(self):
+        rng = np.random.default_rng(41)
+        ids = rng.integers(0, 12, size=(16, 9))
+        plan = segment_plan(ids, 12)
+        for d in (5, 1, 5):
+            rows = rng.normal(size=(16, 9, d))
+            assert same_bytes(plan.sum(rows), segment_sum(ids, rows, 12))
+        index = scatter_index(ids, 12)
+        for d in (3, 2):
+            grads = rng.normal(size=(16, 9, d))
+            for got, want in zip(index.scatter(grads), scatter_rows(ids, grads, 12)):
+                assert same_bytes(got, want)
+
+    def test_layout(self):
+        # counts: id 2 three times, ids 0 and 3 twice (tied, by id), 1 once, 4 never
+        plan = segment_plan([3, 2, 0, 2, 1, 3, 0, 2], 5)
+        assert plan.slot.tolist() == [1, 3, 0, 2, 4]
+        assert plan.offsets.tolist() == [0, 4, 7, 8]
+        # step k: the k-th row, in input order, of each id in count order
+        assert plan.order.tolist() == [1, 2, 0, 4, 3, 6, 5, 7]
+        for arr in (plan.slot, plan.order, plan.offsets):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_id_not_below_n_raises(self):
+        with pytest.raises(IdOutOfRange):
+            segment_plan([0, 3, 1], 3)
+
+    def test_rows_that_do_not_fit_raise(self):
+        plan = segment_plan([0, 1, 1], 2)
+        for rows in (np.zeros((2, 3)), np.zeros((4, 3))):
+            with pytest.raises(DimMismatch):
+                plan.sum(rows)
 
 
 COMPACT_CASES = {

@@ -2,16 +2,17 @@
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from advrec import trainer
+from advrec import numkit, trainer
 from advrec.dataio import InteractionSet, sample_negatives
 from advrec.encoder import representations
 from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep, ZeroNormError
 from advrec.loss import MlpHardness
-from advrec.numkit import EmbeddingTable
+from advrec.numkit import EmbeddingTable, scatter_index
 from advrec.rng import substream
 from advrec.trainer import (
     Batch,
@@ -377,6 +378,77 @@ class TestFrozenHalf:
         # 6 min steps, 6 adversarial steps and the divergence diagnostic
         assert len(threads) == 13
         assert all(t is threading.main_thread() for t in threads)
+
+
+def same_index(got, want):
+    """Whether two (users, items) scatter index pairs hold the same arrays."""
+    def arrays(index):
+        return [index.unique, index.inverse, index.plan.slot, index.plan.order, index.plan.offsets]
+    return all(same_arrays(arrays(g), arrays(w)) for g, w in zip(got, want, strict=True))
+
+
+INDEX_CASES = [("mf", "adv", "embed"), ("mf", "reverse", "mlp"), ("lightgcn", "adv", "embed")]
+
+
+class TestScatterIndex:
+    """iter_batches' worker builds each batch's scatter index, and a step
+    gives the same bytes with it as with one built in place."""
+
+    def test_worker_index_equals_scatter_index_of_the_batch(self, small_dataset):
+        cfg = small_cfg(batch_size=3)
+        n_users, n_items = small_dataset.n_users, small_dataset.n_items
+        for batch in iter_batches(small_dataset, cfg, 2, "min"):
+            block = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
+            assert batch.hardness_index is None
+            assert same_index(batch.score_index, (scatter_index(batch.users, n_users),
+                                                  scatter_index(block, n_items)))
+        for batch in iter_batches(small_dataset, cfg, 2, "adv"):
+            assert batch.score_index is None
+            assert same_index(batch.hardness_index, (scatter_index(batch.users, n_users),
+                                                     scatter_index(batch.negatives, n_items)))
+
+    @pytest.mark.parametrize("backbone,strategy,kind", INDEX_CASES)
+    def test_min_step_bytes_without_a_carried_index(self, small_dataset, backbone, strategy, kind):
+        cfg = small_cfg(batch_size=3, backbone=backbone, hardness_strategy=strategy,
+                        hardness_kind=kind)
+        carried, built = trained_state(small_dataset, cfg), trained_state(small_dataset, cfg)
+        for batch in iter_batches(small_dataset, cfg, 2, "min", trainer._min_half(carried)):
+            assert batch.score_index is not None
+            loss = min_step(carried, batch)
+            assert loss == min_step(built, replace(batch, score_index=None, hardness=None))
+            assert model_bytes(carried.encoder, carried.hardness) \
+                == model_bytes(built.encoder, built.hardness)
+
+    @pytest.mark.parametrize("backbone,strategy,kind", INDEX_CASES)
+    def test_adv_step_bytes_without_a_carried_index(self, small_dataset, backbone, strategy, kind):
+        cfg = small_cfg(batch_size=3, backbone=backbone, hardness_strategy=strategy,
+                        hardness_kind=kind)
+        carried, built = trained_state(small_dataset, cfg), trained_state(small_dataset, cfg)
+        frozen = trainer._adv_half(carried, representations(carried.encoder))
+        for batch in iter_batches(small_dataset, cfg, 2, "adv", frozen):
+            assert batch.hardness_index is not None
+            loss = adv_step(carried, batch)
+            assert loss == adv_step(built, replace(batch, hardness_index=None, scores=None))
+            assert model_bytes(carried.encoder, carried.hardness) \
+                == model_bytes(built.encoder, built.hardness)
+
+    def test_plans_are_built_on_the_worker(self, small_dataset, monkeypatch):
+        real, threads = numkit.segment_plan, []
+
+        def record(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(numkit, "segment_plan", record)
+        cfg = small_cfg(batch_size=3, t_adv_interval=1)
+        state = init_state(small_dataset, cfg)
+        assert train_epoch(state, small_dataset) is not None
+        # a min batch plans its users and block; an adversarial batch its
+        # users and negatives, then its frozen scores' users and block. Only
+        # the first batch of each pass is prepared on the main thread, and
+        # no step plans anything.
+        on_main = [t is threading.main_thread() for t in threads]
+        assert on_main == [True] * 2 + [False] * 10 + [True] * 4 + [False] * 20
 
 
 class TestBatchPrefetch:
