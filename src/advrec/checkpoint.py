@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 
-from .encoder import LIGHTGCN, MF, Encoder, build_norm_adjacency
+from .encoder import BACKBONES, LIGHTGCN, Encoder, build_norm_adjacency
 from .errors import IncompatibleCheckpoint
 from .loss import HARDNESS_MODELS
 from .numkit import EmbeddingTable
@@ -136,7 +136,7 @@ def _read_header(path, fh) -> dict:
     if header.get("format") != FORMAT_VERSION:
         raise IncompatibleCheckpoint(f"{path}: unknown format {header.get('format')}")
     meta = header.get("encoder")
-    if not (isinstance(meta, dict) and meta.get("kind") in (MF, LIGHTGCN)
+    if not (isinstance(meta, dict) and meta.get("kind") in BACKBONES
             and all(_is_count(meta.get(key)) for key in ("n_users", "n_items", "dim", "layers"))
             and isinstance(meta.get("tau"), (int, float)) and not isinstance(meta["tau"], bool)
             and 0 < meta["tau"] <= sys.float_info.max  # no nan, inf or int beyond float

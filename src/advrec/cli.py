@@ -38,7 +38,7 @@ from .evaluation import (
     fn_identification_rate,
     hardness_popularity_profile,
 )
-from .rng import substream
+from .rng import check_seed, substream
 from .trainer import TrainConfig, run_training
 
 EXIT_OK = 0
@@ -236,6 +236,7 @@ def cmd_diagnose(ns) -> int:
                              ("--n_negatives", ns.n_negatives, 2 if ns.which == "fnrate" else 1)):
         if value < low:
             raise EngineError(f"{flag} must be >= {low}, got {value}")
+    check_seed(ns.seed, "--seed", EngineError)
     out = Path(ns.out or "diagnostics.csv")
     _require_out_file("--out", out)
     dataset = _load_dataset(ns)
@@ -252,7 +253,11 @@ def cmd_diagnose(ns) -> int:
             raise EngineError("checkpoint has no hardness model; cannot compute fn rate")
         if ns.planted_fn is None or not Path(ns.planted_fn).is_file():
             raise EngineError("fnrate needs --planted_fn pointing at planted_fn.tsv")
-        planted = dataset.remap_pairs(read_pairs(ns.planted_fn))
+        listed = read_pairs(ns.planted_fn)
+        planted = dataset.remap_pairs(listed)
+        if len(planted) < len(listed):
+            raise EngineError(f"{ns.planted_fn}: {len(listed) - len(planted)} of {len(listed)} "
+                              "planted pairs name a user or item that no split holds")
         if planted.size == 0:
             raise EngineError(f"{ns.planted_fn} lists no planted false negatives "
                               "(fnrate only applies to synthetic datasets)")

@@ -22,7 +22,7 @@ from .errors import (
     NoNegativesError,
     ParseError,
 )
-from .rng import substream
+from .rng import check_seed, substream
 
 SPLITS = ("train", "valid", "test")
 INT64_MAX = 2**63 - 1  # ids are held as int64
@@ -438,6 +438,7 @@ class SyntheticSpec:
                            f"got {self.exposure_bias_strength}")
         if not (0 < self.relevance_quantile < 1):
             raise BadParam("relevance_quantile must lie in (0, 1)")
+        check_seed(self.seed, error=BadParam)
 
 
 @dataclass

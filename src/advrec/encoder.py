@@ -17,6 +17,7 @@ from .numkit import (
     EmbeddingTable,
     NormAdjacency,
     ScatterIndex,
+    compact_ids,
     propagate,
     propagate_backward,
     row_norms,
@@ -26,6 +27,7 @@ from .rng import substream
 
 MF = "mf"
 LIGHTGCN = "lightgcn"
+BACKBONES = (MF, LIGHTGCN)
 
 
 @dataclass
@@ -38,7 +40,7 @@ class Encoder:
     adj: NormAdjacency | None = None
 
     def __post_init__(self):
-        if self.kind not in (MF, LIGHTGCN):
+        if self.kind not in BACKBONES:
             raise ValueError(f"unknown backbone {self.kind!r}")
         if self.kind == MF and self.layers != 0:
             raise ValueError(f"the MF backbone has no graph layers, got layers={self.layers}")
@@ -116,7 +118,7 @@ class _ScoreCache:
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
     cos: np.ndarray        # (B, M)
-    index: tuple[ScatterIndex, ScatterIndex]  # batch_forward's (users, items) index
+    index: tuple[ScatterIndex, ScatterIndex] | None  # batch_forward's (users, items) index
 
 
 def _check_ids(enc: Encoder, users, items) -> None:
@@ -135,21 +137,21 @@ def batch_forward(
 ) -> tuple[np.ndarray, _ScoreCache]:
     """Scores (B, M) for item block items of shape (B, M) against users (B,).
 
-    index is the (users, items) pair of scatter_index(users, n_users) and
-    scatter_index(items, n_items), built here when not given; a caller that
-    has it already, such as iter_batches' worker, passes it. Each distinct
-    item's norm is computed once, over the items' compaction; the cache
-    keeps the index for the backward pass."""
+    index, if given, is the (users, items) pair of scatter_index(users,
+    n_users) and scatter_index(items, n_items), as iter_batches' worker
+    builds it for a min pass. Each distinct item's norm is computed once,
+    over the index's item compaction, or compact_ids' without one: no plan
+    is built here. The cache keeps the index, or None, for the backward."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     _check_ids(enc, users, items)
-    if index is None:
-        index = (scatter_index(users, enc.n_users), scatter_index(items, enc.n_items))
+    unique, inverse = ((index[1].unique, index[1].inverse) if index is not None
+                       else compact_ids(items, enc.n_items))
     user_reps, item_reps = reps if reps is not None else representations(enc)
     u_rep = user_reps.take(users, axis=0)
     i_rep = item_reps.take(items, axis=0)
     u_norm = row_norms(u_rep)
-    i_norm = row_norms(item_reps.take(index[1].unique, axis=0))[index[1].inverse]
+    i_norm = row_norms(item_reps.take(unique, axis=0))[inverse]
     cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
     return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, index)
@@ -163,7 +165,7 @@ def batch_backward(
     """Row gradients ((user_ids, grads), (item_ids, grads)) for dL/dscores
     upstream of shape (B, M), pushed through the cosine and, for the graph
     backbone, back through propagation. Ids are unique, grads accumulated
-    through the forward's scatter index.
+    through the cache's scatter index, built here if the cache holds none.
     """
     up = np.asarray(upstream, dtype=np.float64) / enc.tau
     c = cache
@@ -173,7 +175,8 @@ def batch_backward(
     d_i -= (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
-    (u_ids, u_grads), (i_ids, i_grads) = c.index[0].scatter(d_u), c.index[1].scatter(d_i)
+    index = c.index or (scatter_index(c.users, enc.n_users), scatter_index(c.items, enc.n_items))
+    (u_ids, u_grads), (i_ids, i_grads) = index[0].scatter(d_u), index[1].scatter(d_i)
     if enc.layers == 0:
         return (u_ids, u_grads), (i_ids, i_grads)
 

@@ -131,8 +131,8 @@ def adam_step(
     table as it was.
 
     row_grads is a (row_ids, grad_matrix) pair with unique ids, as
-    scatter_rows returns it; the grad matrix is only read. The update works
-    on the gathered rows in place, in the operation order of
+    ScatterIndex.scatter returns it; the grad matrix is only read. The
+    update works on the gathered rows in place, in the operation order of
     m_hat / (sqrt(v_hat) + eps), so it builds two (rows, d) temporaries.
     """
     ids, grads = row_grads
@@ -233,14 +233,6 @@ def segment_plan(ids, n: int) -> SegmentPlan:
     return SegmentPlan(slot, order, offsets)
 
 
-def segment_sum(ids, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) sums of the rows that share an id: out[k] = sum of rows[j] over
-    ids[j] == k, zero for an absent k. ids are non-negative and below n, of
-    any shape; rows has one d-wide row per id. Sums through segment_plan,
-    so the sums are bit-identical to numpy.add.at."""
-    return segment_plan(ids, n).sum(rows)
-
-
 def compact_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(ascending unique ids, inverse) for ids in [0, n) of any shape: the
     arrays np.unique(ids, return_inverse=True) returns, with
@@ -259,10 +251,10 @@ def compact_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ScatterIndex:
-    """Where scatter_rows sends each row of an id block: the ascending
-    distinct ids, each id's place among them (inverse, of the block's
-    shape) and the SegmentPlan of those places. scatter_index builds it;
-    it serves every row set laid out like its block."""
+    """Where scatter sends each row of an id block: the ascending distinct
+    ids, each id's place among them (inverse, of the block's shape) and the
+    SegmentPlan of those places. scatter_index builds it; it serves every
+    row set laid out like its block."""
 
     unique: np.ndarray
     inverse: np.ndarray
@@ -279,14 +271,6 @@ def scatter_index(ids, n: int) -> ScatterIndex:
     return ScatterIndex(unique, inverse, segment_plan(inverse, len(unique)))
 
 
-def scatter_rows(ids, grads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the gradient rows that share an id: (ascending unique ids, summed
-    rows). ids of any shape, in [0, n); grads has one row per id. Sums
-    through scatter_index; a caller that has the index already calls its
-    scatter instead."""
-    return scatter_index(ids, n).scatter(grads)
-
-
 @dataclass
 class NormAdjacency:
     """Symmetric-normalized sparse adjacency: entry (r, c) carries weight
@@ -296,8 +280,8 @@ class NormAdjacency:
     Construction also plans apply's sum once: plan is the segment_plan of
     rows, so nodes go by descending degree and step k holds the k-th edge,
     in input order, of every node with more than k edges. step_cols and
-    step_weights hold the edges' columns and weights in plan order; slot
-    and step_offsets are the plan's. All arrays are read-only."""
+    step_weights hold the edges' columns and weights in plan order. All
+    arrays are read-only."""
 
     node_count: int
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -313,9 +297,6 @@ class NormAdjacency:
         for name in ("rows", "cols", "weights", "step_cols", "step_weights"):
             getattr(self, name).flags.writeable = False
 
-    slot = property(lambda self: self.plan.slot)
-    step_offsets = property(lambda self: self.plan.offsets)
-
     @classmethod
     def from_undirected_edges(cls, node_count: int, edges) -> "NormAdjacency":
         """Build from unique undirected (a, b) pairs (an (E, 2) array-like)."""
@@ -325,9 +306,6 @@ class NormAdjacency:
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         weights = 1.0 / np.sqrt(deg[rows].astype(np.float64) * deg[cols].astype(np.float64))
         return cls(node_count, rows, cols, weights)
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x for the normalized adjacency A and (node_count, d) x: one

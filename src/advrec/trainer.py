@@ -15,12 +15,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataio import InteractionSet, sample_negatives
-from .encoder import Encoder, batch_backward, batch_forward, build_encoder, representations
+from .encoder import (BACKBONES, Encoder, batch_backward, batch_forward, build_encoder,
+                      representations)
 from .errors import NonFinite, SkippedAdvStep
 from .evaluation import _block_hardness, evaluate_split
 from .loss import HARDNESS_MODELS, advinfonce_backward_batch, hardness_grad_from_delta
 from .numkit import ScatterIndex, adam_step, scatter_index
-from .rng import substream
+from .rng import check_seed, substream
 
 STRATEGIES = ("adv", "reverse", "rand", "none")
 DIAG_ANCHORS = 256  # hardness_divergence's anchor pairs: one _block_hardness block
@@ -67,10 +68,11 @@ class TrainConfig:
         for name in ("e_adv_max", "gcn_layers", "hardness_dim"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        check_seed(self.seed)
         if self.hardness_strategy not in STRATEGIES:
             raise ValueError(f"hardness_strategy must be one of {STRATEGIES}")
-        if self.backbone not in ("mf", "lightgcn"):
-            raise ValueError("backbone must be 'mf' or 'lightgcn'")
+        if self.backbone not in BACKBONES:
+            raise ValueError(f"backbone must be one of {BACKBONES}")
         if self.hardness_kind not in tuple(HARDNESS_MODELS):
             raise ValueError(f"hardness_kind must be one of {tuple(HARDNESS_MODELS)}")
 

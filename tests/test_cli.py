@@ -166,6 +166,15 @@ class TestGenerate:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["4294967303", "-5"])
+    def test_seed_outside_32_bits_exits_2_before_writing(self, tmp_path, capsys, seed):
+        # 4294967303 is 2**32 + 7, which would write seed 7's dataset
+        out = tmp_path / "bad"
+        code = main(["generate", "--out", str(out), *GEN_ARGS, "--seed", seed])
+        assert code == 2
+        assert f"seed must be an integer in [0, 2**32), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("n_users=40\nn_item=30\n")
@@ -196,7 +205,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value", [
         ("--gcn_layers", "-2"), ("--gcn_layers", "-1"), ("--hardness_dim", "-1"),
-        ("--k_weight", "1e400"), ("--lr", "nan"),
+        ("--k_weight", "1e400"), ("--lr", "nan"), ("--seed", "-5"), ("--seed", "4294967296"),
     ])
     def test_bad_config_value_exits_2_before_loading(self, tmp_path, capsys, flag, value):
         # The dataset files do not exist: the config is rejected before they load.
@@ -586,6 +595,7 @@ class TestDiagnose:
         ("profile", "--bins", "1"), ("profile", "--bins", "-2"),
         ("profile", "--n_negatives", "0"), ("fnrate", "--n_negatives", "1"),
         ("fnrate", "--n_resamples", "0"), ("fnrate", "--n_resamples", "-1"),
+        ("alignuniform", "--seed", "-1"), ("profile", "--seed", "4294967296"),
         ("alignuniform", "--out", "missing/out.csv"), ("alignuniform", "--out", ".")])
     def test_bad_flag_exits_2_before_loading(self, tmp_path, capsys, which, flag, value):
         # The checkpoint and dataset files do not exist: a flag checked
@@ -599,6 +609,25 @@ class TestDiagnose:
         assert code == 2
         captured = capsys.readouterr()
         assert flag in captured.err and not captured.out
+
+    def test_fnrate_with_unknown_planted_pairs_exits_2(self, tmp_path, capsys):
+        data = generate(tmp_path)
+        run = train(tmp_path, data)
+        lines = (data / "planted_fn.tsv").read_text().splitlines()
+        user, item = lines[0].split("\t")
+        planted = tmp_path / "planted.tsv"  # one unknown user, one unknown item
+        planted.write_text("\n".join([*lines, f"999999\t{item}", f"{user}\t999999"]) + "\n")
+        out = tmp_path / "fn.csv"
+        code = main(["diagnose", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--which", "fnrate", "--out", str(out), "--planted_fn", str(planted),
+                     "--n_negatives", "8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"2 of {len(lines) + 2} planted pairs name a user or item" in captured.err
+        assert not captured.out and not out.exists()
 
     def test_fnrate_with_planted_file(self, tmp_path):
         data = generate(tmp_path)

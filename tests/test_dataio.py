@@ -804,3 +804,19 @@ class TestSpecValidation:
     def test_non_finite_exposure_bias(self, value):
         with pytest.raises(BadParam, match="exposure_bias_strength"):
             SyntheticSpec(exposure_bias_strength=value)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 7])
+    def test_seed_outside_32_bits(self, seed):
+        with pytest.raises(BadParam, match="seed"):
+            SyntheticSpec(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 7, 7.0])
+def test_substream_rejects_a_seed_outside_32_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        substream(seed, "tag")
+
+
+def test_substream_takes_every_32_bit_seed():
+    for seed in (0, 2**32 - 1, np.int64(7)):
+        substream(seed, "tag").random()

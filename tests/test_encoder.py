@@ -1,6 +1,7 @@
 """Backbone scoring and backward tests, including the full graph chain."""
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from advrec.encoder import (
     score_backward,
 )
 from advrec.errors import IdOutOfRange
-from advrec.numkit import NormAdjacency, cosine_score, cosine_score_grad, scatter_rows
+from advrec.numkit import NormAdjacency, cosine_score, cosine_score_grad, scatter_index
 
 from conftest import max_rel_error, tiny_dataset
 
@@ -76,7 +77,7 @@ class TestScore:
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
                                    small_dataset.train_pairs)
         n_users = small_dataset.n_users
-        for r, c, _ in adj.edges():
+        for r, c in zip(adj.rows.tolist(), adj.cols.tolist()):
             assert (r < n_users) != (c < n_users)
 
 
@@ -291,7 +292,7 @@ class TestItemNormsOncePerItem:
             assert ids.tobytes() == ref_ids.tobytes()
             assert grads.tobytes() == ref_grads.tobytes()
 
-    def test_mf_item_gradient_equals_scatter_rows(self):
+    def test_mf_item_gradient_equals_scatter_index(self):
         """The MF backward sums item rows over the forward's item compaction."""
         enc = mf_encoder(n_users=8, n_items=40, dim=3, seed=33)
         rng = np.random.default_rng(33)
@@ -302,7 +303,7 @@ class TestItemNormsOncePerItem:
         up = upstream / enc.tau
         d_i = (up / (cache.u_norm[:, None] * cache.i_norm))[..., None] * cache.u_rep[:, None, :] \
             - (up * cache.cos / cache.i_norm**2)[..., None] * cache.i_rep
-        want_ids, want = scatter_rows(items, d_i, enc.n_items)
+        want_ids, want = scatter_index(items, enc.n_items).scatter(d_i)
         assert ids.tobytes() == want_ids.tobytes()
         assert grads.tobytes() == want.tobytes()
 
@@ -330,13 +331,14 @@ class TestGraphScatterBytes:
             x = rng.normal(size=(adj.node_count, d))
             assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
-    @pytest.mark.parametrize("name", ["rows", "cols", "weights",
-                                      "slot", "step_cols", "step_weights", "step_offsets"])
+    @pytest.mark.parametrize("name", ["rows", "cols", "weights", "step_cols", "step_weights",
+                                      pytest.param("plan.slot", id="slot"),
+                                      pytest.param("plan.offsets", id="step_offsets")])
     def test_edge_arrays_are_read_only(self, small_dataset, name):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
                                    small_dataset.train_pairs)
         with pytest.raises(ValueError):
-            getattr(adj, name)[0] = 1
+            attrgetter(name)(adj)[0] = 1
 
     @pytest.mark.parametrize("d", [1, 3, 32])
     @pytest.mark.parametrize("graph", sorted(EDGE_CASE_GRAPHS))
@@ -375,8 +377,8 @@ class TestGraphScatterBytes:
     def test_step_layout(self):
         adj = NormAdjacency.from_undirected_edges(*EDGE_CASE_GRAPHS["star"])
         # degree order 5 (6 edges), 0 and 1 (2, tied), 2, 3, 4, 6 (1), 7 (0)
-        assert adj.slot.tolist() == [1, 2, 3, 4, 5, 0, 6, 7]
-        assert adj.step_offsets.tolist() == [0, 7, 10, 11, 12, 13, 14]
+        assert adj.plan.slot.tolist() == [1, 2, 3, 4, 5, 0, 6, 7]
+        assert adj.plan.offsets.tolist() == [0, 7, 10, 11, 12, 13, 14]
         # step k: the k-th edge, in input order, of each node in degree order
         step_rows = np.array([5, 0, 1, 2, 3, 4, 6, 5, 0, 1, 5, 5, 5, 5])
         step_cols = np.array([0, 1, 5, 5, 5, 5, 5, 2, 5, 0, 4, 1, 3, 6])

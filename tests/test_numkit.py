@@ -17,9 +17,7 @@ from advrec.numkit import (
     propagate,
     propagate_backward,
     scatter_index,
-    scatter_rows,
     segment_plan,
-    segment_sum,
 )
 
 from conftest import central_difference, max_rel_error
@@ -213,7 +211,7 @@ class TestAdamStep:
 
 
 def add_at_reference(ids, rows, n):
-    """The np.add.at scatter that segment_sum replaces."""
+    """The np.add.at scatter that a SegmentPlan's sum replaces."""
     ids = np.asarray(ids).ravel()
     out = np.zeros((n, rows.shape[-1]))
     np.add.at(out, ids, rows.reshape(len(ids), rows.shape[-1]))
@@ -232,12 +230,12 @@ class TestSegmentSum:
             mag = 10.0 ** rng.uniform(-300, 300, size=(count, d))
             rows = rng.choice([-1.0, 1.0], size=(count, d)) * mag
             rows[rng.random((count, d)) < 0.1] = -0.0
-            got = segment_sum(ids, rows, n)
+            got = segment_plan(ids, n).sum(rows)
             assert got.shape == (n, d) and got.dtype == np.float64
             assert got.tobytes() == add_at_reference(ids, rows, n).tobytes()
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
-        got = segment_sum([1, 1], np.array([[-0.0], [-0.0]]), 3)
+        got = segment_plan([1, 1], 3).sum(np.array([[-0.0], [-0.0]]))
         assert got.tobytes() == add_at_reference([1, 1], np.array([[-0.0], [-0.0]]), 3).tobytes()
         assert not np.signbit(got).any()
 
@@ -245,17 +243,17 @@ class TestSegmentSum:
         rng = np.random.default_rng(31)
         ids = rng.integers(0, 5, size=(3, 4))
         rows = rng.normal(size=(3, 4, 2))
-        assert segment_sum(ids, rows, 7).tobytes() == add_at_reference(ids, rows, 7).tobytes()
-        empty = segment_sum([], np.zeros((0, 3)), 2)
+        assert segment_plan(ids, 7).sum(rows).tobytes() == add_at_reference(ids, rows, 7).tobytes()
+        empty = segment_plan([], 2).sum(np.zeros((0, 3)))
         assert empty.dtype == np.float64 and empty.tobytes() == np.zeros((2, 3)).tobytes()
-        ids, sums = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+        ids, sums = scatter_index(np.zeros(0, dtype=np.int64), 4).scatter(np.zeros((0, 3)))
         assert ids.size == 0 and sums.shape == (0, 3) and sums.dtype == np.float64
 
-    def test_scatter_rows_matches_unique_add_at(self):
+    def test_scatter_index_matches_unique_add_at(self):
         rng = np.random.default_rng(32)
         ids = rng.integers(0, 50, size=(16, 9))
         grads = rng.normal(size=(16, 9, 5))
-        unique, sums = scatter_rows(ids, grads, 50)
+        unique, sums = scatter_index(ids, 50).scatter(grads)
         ref_ids, inverse = np.unique(ids, return_inverse=True)
         np.testing.assert_array_equal(unique, ref_ids)
         assert sums.tobytes() == add_at_reference(inverse, grads, len(ref_ids)).tobytes()
@@ -266,28 +264,30 @@ def same_bytes(got, want):
 
 
 class TestSegmentPlan:
-    """segment_sum sums through segment_plan: bytes equal np.add.at's on the
-    shapes where the plan's step count is extreme or its input unusual."""
+    """A plan's sum: bytes equal np.add.at's on the shapes where the plan's
+    step count is extreme or its input unusual."""
 
     def test_no_ids(self):
         ids = np.zeros(0, dtype=np.int64)
+        rows = np.zeros((0, 4))
         for n in (0, 3):
-            got = segment_sum(ids, np.zeros((0, 4)), n)
-            assert same_bytes(got, add_at_reference(ids, np.zeros((0, 4)), n))
-            assert len(segment_plan(ids, n).offsets) == 1  # no steps
+            plan = segment_plan(ids, n)
+            assert same_bytes(plan.sum(rows), add_at_reference(ids, rows, n))
+            assert len(plan.offsets) == 1  # no steps
 
     def test_one_id_repeated_2000_times(self):
         rows = np.random.default_rng(37).normal(size=(2000, 3)) * 10.0 ** np.arange(3)
         ids = np.full(2000, 4)
-        assert len(segment_plan(ids, 6).offsets) == 2001
-        assert same_bytes(segment_sum(ids, rows, 6), add_at_reference(ids, rows, 6))
+        plan = segment_plan(ids, 6)
+        assert len(plan.offsets) == 2001
+        assert same_bytes(plan.sum(rows), add_at_reference(ids, rows, 6))
 
     def test_negative_zero_terms(self):
         rng = np.random.default_rng(38)
         ids = rng.integers(0, 5, size=60)
         rows = np.where(rng.random((60, 3)) < 0.5, -0.0, rng.normal(size=(60, 3)))
         rows[ids == 2] = -0.0
-        got = segment_sum(ids, rows, 7)
+        got = segment_plan(ids, 7).sum(rows)
         assert same_bytes(got, add_at_reference(ids, rows, 7))
         assert not np.signbit(got[2]).any() and not np.signbit(got[5:]).any()
 
@@ -297,13 +297,13 @@ class TestSegmentPlan:
         wide = rng.normal(size=(6, 5, 8))
         strided = wide[:, :, ::3]
         assert not strided.flags.c_contiguous
-        assert same_bytes(segment_sum(ids, strided, 9), add_at_reference(ids, strided, 9))
+        assert same_bytes(segment_plan(ids, 9).sum(strided), add_at_reference(ids, strided, 9))
 
     def test_int_rows(self):
         rng = np.random.default_rng(40)
         ids = rng.integers(0, 4, size=30)
         rows = rng.integers(-(2 ** 40), 2 ** 40, size=(30, 2))
-        got = segment_sum(ids, rows, 4)
+        got = segment_plan(ids, 4).sum(rows)
         assert got.dtype == np.float64
         assert same_bytes(got, add_at_reference(ids, rows, 4))
 
@@ -313,7 +313,7 @@ class TestSegmentPlan:
         ids = rng.integers(0, n, size=(40, 7))
         ids[:, 0] = n - 1
         rows = rng.normal(size=(40, 7, 2))
-        assert same_bytes(segment_sum(ids, rows, n), add_at_reference(ids, rows, n))
+        assert same_bytes(segment_plan(ids, n).sum(rows), add_at_reference(ids, rows, n))
 
     def test_reused_plan_equals_one_built_in_place(self):
         rng = np.random.default_rng(41)
@@ -321,11 +321,11 @@ class TestSegmentPlan:
         plan = segment_plan(ids, 12)
         for d in (5, 1, 5):
             rows = rng.normal(size=(16, 9, d))
-            assert same_bytes(plan.sum(rows), segment_sum(ids, rows, 12))
+            assert same_bytes(plan.sum(rows), segment_plan(ids, 12).sum(rows))
         index = scatter_index(ids, 12)
         for d in (3, 2):
             grads = rng.normal(size=(16, 9, d))
-            for got, want in zip(index.scatter(grads), scatter_rows(ids, grads, 12)):
+            for got, want in zip(index.scatter(grads), scatter_index(ids, 12).scatter(grads)):
                 assert same_bytes(got, want)
 
     def test_layout(self):
@@ -417,10 +417,11 @@ class TestPropagate:
     def test_symmetric_normalization_weights(self):
         adj = NormAdjacency.from_undirected_edges(4, [(0, 1), (0, 2), (0, 3)])
         # deg(0)=3, deg(others)=1 -> weight 1/sqrt(3)
-        for r, c, w in adj.edges():
+        edges = list(zip(adj.rows.tolist(), adj.cols.tolist(), adj.weights.tolist()))
+        for r, c, w in edges:
             assert w == pytest.approx(1.0 / np.sqrt(3.0))
         # symmetry: (r, c, w) present iff (c, r, w) present
-        entries = {(r, c): w for r, c, w in adj.edges()}
+        entries = {(r, c): w for r, c, w in edges}
         for (r, c), w in entries.items():
             assert entries[(c, r)] == w
 

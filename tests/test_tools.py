@@ -2,11 +2,13 @@
 claims between two source trees rest on."""
 
 import importlib.util
+import itertools
 import re
 from pathlib import Path
 
 import pytest
 
+from advrec import encoder, loss, trainer
 from advrec.dataio import SyntheticSpec, generate_synthetic
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "config_hashes.py"
@@ -41,6 +43,17 @@ def test_hashes_without_a_validation(config_hashes, monkeypatch):
     data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
     first = config_hashes.config_hashes(data, "mf", "adv", "embed")
     assert first == config_hashes.config_hashes(data, "mf", "adv", "embed")
+
+
+def test_rows_cover_every_engine_configuration(config_hashes, monkeypatch, capsys):
+    # a backbone, strategy or hardness model added to the engine gets a row
+    monkeypatch.setattr(config_hashes, "ingest_hash", lambda data: "-")
+    monkeypatch.setattr(config_hashes, "cli_hash", lambda: "-")
+    monkeypatch.setattr(config_hashes, "config_hashes", lambda data, *config: ("t", "d"))
+    config_hashes.main()
+    rows = [tuple(line.strip("| ").split(" | ")) for line in capsys.readouterr().out.splitlines()]
+    want = itertools.product(encoder.BACKBONES, trainer.STRATEGIES, loss.HARDNESS_MODELS)
+    assert [row[:3] for row in rows if row[3:] == ("t", "d")] == list(want)
 
 
 def test_ingest_row(config_hashes, monkeypatch, capsys):

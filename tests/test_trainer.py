@@ -9,7 +9,7 @@ import pytest
 
 from advrec import numkit, trainer
 from advrec.dataio import InteractionSet, sample_negatives
-from advrec.encoder import representations
+from advrec.encoder import representations, score
 from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep, ZeroNormError
 from advrec.loss import MlpHardness
 from advrec.numkit import EmbeddingTable, scatter_index
@@ -443,12 +443,27 @@ class TestScatterIndex:
         cfg = small_cfg(batch_size=3, t_adv_interval=1)
         state = init_state(small_dataset, cfg)
         assert train_epoch(state, small_dataset) is not None
-        # a min batch plans its users and block; an adversarial batch its
-        # users and negatives, then its frozen scores' users and block. Only
-        # the first batch of each pass is prepared on the main thread, and
-        # no step plans anything.
+        # a min batch plans its users and block, an adversarial batch its
+        # users and negatives; its frozen scores plan nothing. Only the first
+        # batch of each pass is prepared on the main thread, and no step
+        # plans anything.
         on_main = [t is threading.main_thread() for t in threads]
-        assert on_main == [True] * 2 + [False] * 10 + [True] * 4 + [False] * 20
+        assert on_main == [True] * 2 + [False] * 10 + [True] * 2 + [False] * 10
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_forward_passes_build_no_plan(self, small_dataset, monkeypatch, backbone):
+        """score, mean_batch_loss and the adversarial pass's frozen scores
+        only read scores, so they take the items' compaction, not a plan."""
+        cfg = small_cfg(batch_size=3, backbone=backbone)
+        state = trained_state(small_dataset, cfg)
+        batches = [plain(batch) for batch in iter_batches(small_dataset, cfg, 1, "min")]
+        plans = []
+        monkeypatch.setattr(numkit, "segment_plan", lambda *args: plans.append(args))
+        score(state.encoder, 0, np.arange(small_dataset.n_items))
+        mean_batch_loss(state, batches)
+        frozen = trainer._adv_half(state, representations(state.encoder))
+        assert all(frozen(batch).scores is not None for batch in batches)
+        assert plans == []
 
 
 class TestBatchPrefetch:
@@ -605,6 +620,12 @@ class TestTrainConfigValidation:
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**{field: value})
         TrainConfig(backbone="lightgcn", gcn_layers=0, hardness_dim=0)
+
+    @pytest.mark.parametrize("seed", [-5, -1, 2**32, 2**32 + 7, 1.5])
+    def test_rejects_a_seed_outside_32_bits(self, seed):
+        # a seed outside 32 bits would alias one inside: 2**32 + 7 would replay seed 7
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*32\)"):
+            TrainConfig(seed=seed)
 
 
 def reference_hardness_arrays(kind, n_users, n_items, dim, seed, h):

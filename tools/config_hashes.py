@@ -1,5 +1,6 @@
-"""Training and diagnostics hashes for the 16 backbone x strategy x hardness
-configurations.
+"""Training and diagnostics hashes for the engine's backbone x strategy x
+hardness configurations: the backbones x trainer.STRATEGIES x
+loss.HARDNESS_MODELS, 16 rows, in that nesting order.
 
 Trains the acceptance configuration of criteria 10/11 (synthetic dataset and
 training config of tests/test_acceptance.py, seed 0, 30 epochs) once per
@@ -49,9 +50,11 @@ import numpy as np
 from advrec.cli import main as advrec_main
 from advrec.dataio import (SPLITS, SyntheticSpec, generate_synthetic, load_interactions,
                            read_pairs, write_pairs)
+from advrec.encoder import LIGHTGCN, MF
 from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
+from advrec.loss import HARDNESS_MODELS
 from advrec.rng import substream
-from advrec.trainer import TrainConfig, run_training
+from advrec.trainer import STRATEGIES, TrainConfig, run_training
 
 SEED = 0
 SPEC = dict(n_users=2000, n_items=1000, latent_dim=32, exposure_bias_strength=1.0,
@@ -59,9 +62,10 @@ SPEC = dict(n_users=2000, n_items=1000, latent_dim=32, exposure_bias_strength=1.
 CFG = dict(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16, k_weight=16.0, tau=0.2,
            e_adv_max=6, t_adv_interval=3, max_epochs=30, eval_every=10, patience=50,
            embed_dim=32, k_eval=20)
-BACKBONES = ("mf", "lightgcn")
-STRATEGIES = ("adv", "reverse", "rand", "none")
-HARDNESS = ("embed", "mlp")
+# encoder.BACKBONES spelled out, so that the tool also runs on source trees
+# that predate that name; tests/test_tools.py checks the two agree.
+BACKBONES = (MF, LIGHTGCN)
+HARDNESS = tuple(HARDNESS_MODELS)
 PROFILE_BINS = 10
 # The toy dataset and training run of tests/test_cli.py, for the cli row.
 CLI_GENERATE = ["--n_users", "60", "--n_items", "40", "--latent_dim", "6",
