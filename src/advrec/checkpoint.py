@@ -3,12 +3,13 @@ hardness-model section.
 
 Layout: a magic line, one JSON header line (sorted keys) describing metadata
 and the array directory, then the raw little-endian float64 bytes of each
-array in directory order. The writer is byte-deterministic: identical
-parameters always serialize to identical files. It writes a temporary file
-in the target's directory and renames it over the target, so a failed save
-leaves any earlier file at that path as it was. The file a save replaces is
-closed on a background thread, so the caller does not wait for the file
-system to free its blocks.
+array in directory order. array_directory defines that directory for the
+writer, the header check and the loader. The writer is byte-deterministic:
+identical parameters always serialize to identical files. It writes a
+temporary file in the target's directory and renames it over the target, so a
+failed save leaves any earlier file at that path as it was. The file a save
+replaces is closed on a background thread, so the caller does not wait for
+the file system to free its blocks.
 """
 
 from __future__ import annotations
@@ -34,8 +35,22 @@ FORMAT_VERSION = 1
 _release: threading.Thread | None = None
 
 
-def _array_entry(name: str, arr: np.ndarray) -> dict:
-    return {"name": name, "shape": list(arr.shape)}
+def array_directory(hardness_kind: str | None) -> list[tuple[str, tuple[str, ...]]]:
+    """The arrays of a checkpoint as (name, symbolic shape), in file order:
+    user_values, item_values, then hardness.<name> for the LAYOUT of the
+    hardness model, if any, sorted by name (adv_item before adv_user). Sizes
+    name encoder fields; "h" is the hardness model's own width, which only has
+    to agree across its arrays."""
+    directory = [("user_values", ("n_users", "dim")), ("item_values", ("n_items", "dim"))]
+    if hardness_kind is not None:
+        directory += [(f"hardness.{name}", dims)
+                      for name, dims in sorted(HARDNESS_MODELS[hardness_kind].LAYOUT)]
+    return directory
+
+
+def _layout_name(name: str) -> str:
+    """The LAYOUT name of array_directory's hardness.<name> entry."""
+    return name.partition(".")[2]
 
 
 def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
@@ -59,15 +74,11 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
     Saves must come from one thread at a time.
     """
     global _release
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("user_values", enc.user_table.values),
-        ("item_values", enc.item_table.values),
-    ]
-    hardness_meta = None
-    if hardness is not None:
-        hardness_meta = {"kind": hardness.kind}
-        for name, arr in sorted(hardness.param_arrays().items()):
-            arrays.append((f"hardness.{name}", arr))
+    kind = None if hardness is None else hardness.kind
+    params = {} if hardness is None else hardness.param_arrays()
+    directory = array_directory(kind)
+    arrays = [enc.user_table.values, enc.item_table.values,
+              *(params[_layout_name(name)] for name, _ in directory[2:])]
     header = {
         "format": FORMAT_VERSION,
         "encoder": {
@@ -78,8 +89,9 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
             "tau": enc.tau,
             "layers": enc.layers,
         },
-        "hardness": hardness_meta,
-        "arrays": [_array_entry(name, arr) for name, arr in arrays],
+        "hardness": None if kind is None else {"kind": kind},
+        "arrays": [{"name": name, "shape": list(arr.shape)}
+                   for (name, _), arr in zip(directory, arrays)],
     }
     if _release is not None:
         _release.join()
@@ -94,7 +106,7 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
             fh.write(MAGIC)
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
             fh.write(b"\n")
-            for _, arr in arrays:
+            for arr in arrays:
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
             fh.flush()
             os.fsync(fh.fileno())
@@ -110,21 +122,14 @@ def save_checkpoint(path, enc: Encoder, hardness=None) -> None:
         _release.start()
 
 
-# The array directory save_checkpoint writes, as (name, symbolic shape) in
-# file order: these two, then the hardness model's LAYOUT sorted by name.
-# Sizes name encoder fields; "h" is the hardness model's own width, which
-# only has to agree across its arrays.
-ENCODER_ARRAYS = (("user_values", ("n_users", "dim")), ("item_values", ("n_items", "dim")))
-
-
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _read_header(path, fh) -> dict:
     """The header after the magic line, checked against what save_checkpoint
-    writes: encoder metadata, hardness kind, and an array directory whose
-    names and shapes fit them."""
+    writes: encoder metadata, hardness kind, and that kind's array_directory
+    with shapes that fit them."""
     if fh.read(len(MAGIC)) != MAGIC:
         raise IncompatibleCheckpoint(f"{path}: bad magic")
     try:
@@ -147,10 +152,7 @@ def _read_header(path, fh) -> dict:
     if hmeta is not None and not (isinstance(hmeta, dict)
                                   and hmeta.get("kind") in tuple(HARDNESS_MODELS)):
         raise IncompatibleCheckpoint(f"{path}: unknown hardness {hmeta!r}")
-    layout = ENCODER_ARRAYS
-    if hmeta is not None:
-        layout += tuple((f"hardness.{name}", dims)
-                        for name, dims in sorted(HARDNESS_MODELS[hmeta["kind"]].LAYOUT))
+    layout = array_directory(None if hmeta is None else hmeta["kind"])
     entries = header.get("arrays")
     if not (isinstance(entries, list) and len(entries) == len(layout)):
         raise IncompatibleCheckpoint(f"{path}: array directory does not fit the metadata")
@@ -179,14 +181,11 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
         if data_bytes != 8 * sum(counts):
             raise IncompatibleCheckpoint(
                 f"{path}: {data_bytes} bytes of array data, the directory needs {8 * sum(counts)}")
-        arrays = {
-            entry["name"]: np.frombuffer(fh.read(8 * count), dtype="<f8")
-            .reshape(entry["shape"]).copy()
-            for entry, count in zip(header["arrays"], counts)
-        }
-    for name, arr in arrays.items():
+        arrays = [np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(entry["shape"]).copy()
+                  for entry, count in zip(header["arrays"], counts)]
+    for entry, arr in zip(header["arrays"], arrays):
         if not np.isfinite(arr).all():
-            raise IncompatibleCheckpoint(f"{path}: array {name} holds NaN or Inf")
+            raise IncompatibleCheckpoint(f"{path}: array {entry['name']} holds NaN or Inf")
 
     meta = header["encoder"]
     if dataset is not None:
@@ -200,16 +199,17 @@ def load_checkpoint(path, dataset=None) -> tuple[Encoder, object | None]:
         if dataset is None:
             raise IncompatibleCheckpoint(f"{path}: graph checkpoint needs a dataset to rebuild the adjacency")
         adj = build_norm_adjacency(meta["n_users"], meta["n_items"], dataset.train_pairs)
+    # in array_directory's order, which _read_header checked
+    user_values, item_values, *params = arrays
     enc = Encoder(
         kind=meta["kind"],
-        user_table=EmbeddingTable(arrays["user_values"]),
-        item_table=EmbeddingTable(arrays["item_values"]),
+        user_table=EmbeddingTable(user_values),
+        item_table=EmbeddingTable(item_values),
         tau=meta["tau"],
         layers=meta["layers"],
         adj=adj,
     )
-    hardness = None
-    if header["hardness"] is not None:
-        model = HARDNESS_MODELS[header["hardness"]["kind"]]
-        hardness = model.from_arrays(**{name: arrays[f"hardness.{name}"] for name, _ in model.LAYOUT})
-    return enc, hardness
+    if header["hardness"] is None:
+        return enc, None
+    return enc, HARDNESS_MODELS[header["hardness"]["kind"]].from_arrays(**{
+        _layout_name(entry["name"]): arr for entry, arr in zip(header["arrays"][2:], params)})

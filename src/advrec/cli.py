@@ -163,6 +163,7 @@ def cmd_train(ns) -> int:
     with open(metrics_path, "w", encoding="utf-8") as fh:
         def log_record(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()  # on disk once logged, so a killed run keeps its records
             _log(f"epoch {record['epoch']}: recall@{cfg.k_eval}="
                  f"{record[f'recall@{cfg.k_eval}']:.4f} loss={record['loss']:.4f}")
         result = run_training(dataset, cfg, log_fn=log_record)

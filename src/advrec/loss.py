@@ -312,25 +312,22 @@ class MlpHardness(_TableHardness):
             b_item=np.zeros(h),
         )
 
-    def _inputs(self, users, negatives, encoder):
+    def _project(self, users, negatives, encoder):
+        """The encoder rows (xu, xi) and their projections (zu, zi)."""
         if encoder is None:
             raise ValueError("projection hardness needs the encoder's tables")
         xu = encoder.user_table.values.take(users, axis=0)
         xi = encoder.item_table.values.take(negatives, axis=0)
-        return xu, xi
+        return xu, xi, xu @ self.w_user.T + self.b_user, xi @ self.w_item.T + self.b_item
 
     def raw_scores_batch(self, users, negatives, encoder=None) -> np.ndarray:
-        xu, xi = self._inputs(users, negatives, encoder)
-        zu = xu @ self.w_user.T + self.b_user
-        zi = xi @ self.w_item.T + self.b_item
+        _, _, zu, zi = self._project(users, negatives, encoder)
         return np.einsum("bl,bnl->bn", zu, zi)
 
     def grad_batch(self, users, negatives, d_g, encoder=None, index=None):
         """Dense parameter gradients, one (arange ids, grads) per table; the
         scatter index is not needed."""
-        xu, xi = self._inputs(users, negatives, encoder)
-        zu = xu @ self.w_user.T + self.b_user
-        zi = xi @ self.w_item.T + self.b_item
+        xu, xi, zu, zi = self._project(users, negatives, encoder)
         d_zu = np.einsum("bn,bnl->bl", d_g, zi)
         d_zi = d_g[..., None] * zu[:, None, :]
         grads = (np.einsum("bl,bd->ld", d_zu, xu), d_zu.sum(axis=0)[None],

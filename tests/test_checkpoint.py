@@ -17,11 +17,11 @@ import pytest
 
 import advrec
 from advrec.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from advrec.encoder import build_encoder, score
+from advrec.encoder import Encoder, build_encoder, build_norm_adjacency, score
 from advrec.errors import IncompatibleCheckpoint
 from advrec.evaluation import evaluate_split
 from advrec.loss import EmbedHardness, MlpHardness
-from advrec.numkit import propagate
+from advrec.numkit import EmbeddingTable, propagate
 
 from conftest import deadline, tiny_dataset
 
@@ -80,6 +80,81 @@ class TestRoundTrip:
         assert loaded.kind == "mlp"
         for name, arr in hardness.param_arrays().items():
             np.testing.assert_array_equal(loaded.param_arrays()[name], arr)
+
+
+def counting(*shape, start):
+    """start/4, (start + 1)/4, ... in `shape`: fixed values, not an rng's, that
+    differ across arrays and hold fractions."""
+    return (start + np.arange(math.prod(shape), dtype=np.float64)).reshape(shape) / 4
+
+
+class TestFormatV1:
+    """The v1 bytes, pinned: the magic line, the header line spelled out, then
+    each array's <f8 bytes in directory order. Every model has 2 users, 3
+    items and dim 2."""
+
+    USERS, ITEMS = counting(2, 2, start=0), counting(3, 2, start=4)
+
+    def saved(self, tmp_path, enc, hardness=None):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, enc, hardness)
+        return path.read_bytes()
+
+    def file(self, header, *arrays):
+        return (b"ADVRECKPT1\n" + header.encode() + b"\n"
+                + b"".join(arr.astype("<f8").tobytes() for arr in arrays))
+
+    def mf(self):
+        return Encoder("mf", EmbeddingTable(self.USERS), EmbeddingTable(self.ITEMS), tau=0.5)
+
+    def test_mf_without_hardness(self, tmp_path):
+        assert self.saved(tmp_path, self.mf()) == self.file(
+            '{"arrays":[{"name":"user_values","shape":[2,2]},'
+            '{"name":"item_values","shape":[3,2]}],'
+            '"encoder":{"dim":2,"kind":"mf","layers":0,"n_items":3,"n_users":2,"tau":0.5},'
+            '"format":1,"hardness":null}',
+            self.USERS, self.ITEMS)
+
+    def test_lightgcn_encoder(self, tmp_path):
+        adj = build_norm_adjacency(2, 3, [[0, 0], [1, 2], [0, 1]])
+        enc = Encoder("lightgcn", EmbeddingTable(self.USERS), EmbeddingTable(self.ITEMS),
+                      tau=0.25, layers=2, adj=adj)
+        assert self.saved(tmp_path, enc) == self.file(
+            '{"arrays":[{"name":"user_values","shape":[2,2]},'
+            '{"name":"item_values","shape":[3,2]}],'
+            '"encoder":{"dim":2,"kind":"lightgcn","layers":2,"n_items":3,"n_users":2,"tau":0.25},'
+            '"format":1,"hardness":null}',
+            self.USERS, self.ITEMS)
+
+    def test_embed_hardness_follows_by_name(self, tmp_path):
+        adv_user, adv_item = counting(2, 3, start=10), counting(3, 3, start=16)
+        hardness = EmbedHardness.from_arrays(adv_user=adv_user, adv_item=adv_item)
+        assert [name for name, _ in EmbedHardness.LAYOUT] == ["adv_user", "adv_item"]
+        # adv_item before adv_user: sorted by name, not in LAYOUT order
+        assert self.saved(tmp_path, self.mf(), hardness) == self.file(
+            '{"arrays":[{"name":"user_values","shape":[2,2]},'
+            '{"name":"item_values","shape":[3,2]},'
+            '{"name":"hardness.adv_item","shape":[3,3]},'
+            '{"name":"hardness.adv_user","shape":[2,3]}],'
+            '"encoder":{"dim":2,"kind":"mf","layers":0,"n_items":3,"n_users":2,"tau":0.5},'
+            '"format":1,"hardness":{"kind":"embed"}}',
+            self.USERS, self.ITEMS, adv_item, adv_user)
+
+    def test_mlp_hardness_follows_by_name(self, tmp_path):
+        w_user, b_user = counting(3, 2, start=10), counting(3, start=16)
+        w_item, b_item = counting(3, 2, start=19), counting(3, start=25)
+        hardness = MlpHardness.from_arrays(w_user=w_user, b_user=b_user,
+                                           w_item=w_item, b_item=b_item)
+        assert self.saved(tmp_path, self.mf(), hardness) == self.file(
+            '{"arrays":[{"name":"user_values","shape":[2,2]},'
+            '{"name":"item_values","shape":[3,2]},'
+            '{"name":"hardness.b_item","shape":[3]},'
+            '{"name":"hardness.b_user","shape":[3]},'
+            '{"name":"hardness.w_item","shape":[3,2]},'
+            '{"name":"hardness.w_user","shape":[3,2]}],'
+            '"encoder":{"dim":2,"kind":"mf","layers":0,"n_items":3,"n_users":2,"tau":0.5},'
+            '"format":1,"hardness":{"kind":"mlp"}}',
+            self.USERS, self.ITEMS, b_item, b_user, w_item, w_user)
 
 
 class TestCompatibility:

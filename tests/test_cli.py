@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from advrec import cli
 from advrec.checkpoint import load_checkpoint, save_checkpoint
 from advrec.cli import main
 from advrec.dataio import gamma_quotas, load_interactions, read_pairs
@@ -276,6 +277,24 @@ class TestTrain:
         records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
         assert len(records) == 3
         assert all("recall@20" in r for r in records)
+
+    def test_each_record_is_on_disk_once_logged(self, tmp_path, monkeypatch):
+        # a run killed after an evaluation keeps that evaluation's record
+        data = generate(tmp_path)
+        metrics = tmp_path / "run" / "metrics.jsonl"
+        on_disk = []
+        real = cli.run_training
+
+        def read_after_each_record(dataset, cfg, log_fn):
+            def log_then_read(record):
+                log_fn(record)
+                on_disk.append(metrics.read_text().splitlines())
+            return real(dataset, cfg, log_fn=log_then_read)
+
+        monkeypatch.setattr(cli, "run_training", read_after_each_record)
+        lines = (train(tmp_path, data) / "metrics.jsonl").read_text().splitlines()
+        assert len(lines) == 3
+        assert on_disk == [lines[:1], lines[:2], lines]
 
     def test_no_validation_saves_the_final_model_as_best(self, tmp_path, capsys):
         data = generate(tmp_path)

@@ -93,6 +93,27 @@ def test_train_hash_covers_the_best_hardness(config_hashes, monkeypatch, hardnes
     assert train != first[0] and diag == first[1]
 
 
+@pytest.mark.parametrize("which", ["final.ckpt", "best.ckpt"])
+def test_train_hash_covers_the_saved_checkpoints(config_hashes, monkeypatch, which):
+    # a writer that appends one byte to one of the two files moves the train hash alone
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    first = config_hashes.config_hashes(data, "mf", "adv", "embed")
+    real = config_hashes.save_checkpoint
+    saved = []
+
+    def append_a_byte(path, enc, hardness=None):
+        real(path, enc, hardness)
+        saved.append(path.name)
+        if path.name == which:
+            with open(path, "ab") as fh:
+                fh.write(b"\0")
+
+    monkeypatch.setattr(config_hashes, "save_checkpoint", append_a_byte)
+    train, diag = config_hashes.config_hashes(data, "mf", "adv", "embed")
+    assert sorted(saved) == ["best.ckpt", "final.ckpt"]
+    assert train != first[0] and diag == first[1]
+
+
 def test_diag_hash_covers_the_per_user_table(config_hashes, monkeypatch):
     # the same means over permuted per-user values: only the diag hash moves
     data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))

@@ -8,6 +8,8 @@ configuration and prints two hashes for each:
 
 - train: the history JSON, the final encoder tables and hardness parameters,
   and (if a validation ran) the best snapshot's, the model best.ckpt holds;
+  then the bytes save_checkpoint writes for the final model and, if a
+  validation ran, for the best snapshot, saved to a temporary directory;
 - diag: test HR/Recall/NDCG@20 of the final encoder, with every user's
   triple, so that a one-ulp change for one user shows; the false-negative
   identification rate (n_resamples=1) and a 10-bin hardness-popularity
@@ -25,9 +27,9 @@ evaluate's standard output and every file written, except config.resolved,
 which names the temporary directory.
 
 Two source trees whose tables are identical ingest, train, diagnose and write
-their artifacts byte for byte alike on these configurations. The table goes to
-standard output and the seconds per configuration to standard error. Run
-from the repository root:
+their artifacts, checkpoints included, byte for byte alike on these
+configurations. The table goes to standard output and the seconds per
+configuration to standard error. Run from the repository root:
 
     PYTHONPATH=src python tools/config_hashes.py
     PYTHONPATH=path/to/other/src python tools/config_hashes.py   # to compare
@@ -47,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from advrec.checkpoint import save_checkpoint
 from advrec.cli import main as advrec_main
 from advrec.dataio import (SPLITS, SyntheticSpec, generate_synthetic, load_interactions,
                            read_pairs, write_pairs)
@@ -93,6 +96,11 @@ def _add_hardness(h, model) -> None:
             h.update(arr.tobytes())
 
 
+def _add_checkpoint(h, path: Path, enc, hardness) -> None:
+    save_checkpoint(path, enc, hardness)
+    h.update(path.read_bytes())
+
+
 def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[str, str]:
     cfg = TrainConfig(seed=SEED, backbone=backbone, hardness_strategy=strategy,
                       hardness_kind=hardness, **CFG)
@@ -104,6 +112,10 @@ def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[st
         _add_encoder(train, state.best[0])
         _add_hardness(train, state.best[1])
     _add_hardness(train, state.hardness)
+    with tempfile.TemporaryDirectory() as tmp:
+        _add_checkpoint(train, Path(tmp) / "final.ckpt", state.encoder, state.hardness)
+        if state.best is not None:
+            _add_checkpoint(train, Path(tmp) / "best.ckpt", *state.best)
 
     report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
     diag = [report.hr, report.recall, report.ndcg, sorted(report.per_user.items())]
