@@ -12,16 +12,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimMismatch, IdOutOfRange
+from .errors import DimMismatch
 from .numkit import (
+    ROWS,
+    TERMS,
     EmbeddingTable,
     NormAdjacency,
     ScatterIndex,
+    Workspace,
     compact_ids,
     propagate,
     propagate_backward,
     row_norms,
     scatter_index,
+    scratch,
+    take_rows,
 )
 from .rng import substream
 
@@ -114,18 +119,12 @@ class _ScoreCache:
     users: np.ndarray      # (B,)
     items: np.ndarray      # (B, M)
     u_rep: np.ndarray      # (B, d)
-    i_rep: np.ndarray      # (B, M, d)
+    i_rep: np.ndarray | None  # (B, M, d); None once a backward has overwritten it
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
     cos: np.ndarray        # (B, M)
     index: tuple[ScatterIndex, ScatterIndex] | None  # batch_forward's (users, items) index
-
-
-def _check_ids(enc: Encoder, users, items) -> None:
-    if users.size and (users.min() < 0 or users.max() >= enc.n_users):
-        raise IdOutOfRange("user id out of range")
-    if items.size and (items.min() < 0 or items.max() >= enc.n_items):
-        raise IdOutOfRange("item id out of range")
+    ws: Workspace | None   # the workspace that holds i_rep, if any
 
 
 def batch_forward(
@@ -134,6 +133,7 @@ def batch_forward(
     items: np.ndarray,
     reps: tuple[np.ndarray, np.ndarray] | None = None,
     index: tuple[ScatterIndex, ScatterIndex] | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, _ScoreCache]:
     """Scores (B, M) for item block items of shape (B, M) against users (B,).
 
@@ -141,20 +141,23 @@ def batch_forward(
     n_users) and scatter_index(items, n_items), as iter_batches' worker
     builds it for a min pass. Each distinct item's norm is computed once,
     over the index's item compaction, or compact_ids' without one: no plan
-    is built here. The cache keeps the index, or None, for the backward."""
+    is built here. The cache keeps the index, or None, for the backward.
+
+    The (B, M, d) item rows are gathered into ws's ROWS buffer if ws is
+    given, where the cache keeps them for the backward; ids out of range
+    raise IdOutOfRange."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    _check_ids(enc, users, items)
+    user_reps, item_reps = reps if reps is not None else representations(enc)
+    u_rep = take_rows(user_reps, users)
+    i_rep = take_rows(item_reps, items, ws, ROWS)
     unique, inverse = ((index[1].unique, index[1].inverse) if index is not None
                        else compact_ids(items, enc.n_items))
-    user_reps, item_reps = reps if reps is not None else representations(enc)
-    u_rep = user_reps.take(users, axis=0)
-    i_rep = item_reps.take(items, axis=0)
     u_norm = row_norms(u_rep)
     i_norm = row_norms(item_reps.take(unique, axis=0))[inverse]
     cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
-    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, index)
+    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, index, ws)
 
 
 def batch_backward(
@@ -166,17 +169,30 @@ def batch_backward(
     upstream of shape (B, M), pushed through the cosine and, for the graph
     backbone, back through propagation. Ids are unique, grads accumulated
     through the cache's scatter index, built here if the cache holds none.
+
+    With the forward's workspace, the (B, M, d) item-gradient terms and the
+    scatter's plan-order gather use its buffers, and the terms overwrite the
+    cache's item rows: the cache is spent, and a second backward on it
+    raises ValueError. Without one, the cache stays as it was.
     """
-    up = np.asarray(upstream, dtype=np.float64) / enc.tau
     c = cache
-    # d cos / d i_rep and d cos / d u_rep, scaled by upstream.
+    if c.i_rep is None:
+        raise ValueError("this score cache was spent by an earlier backward")
+    up = np.asarray(upstream, dtype=np.float64) / enc.tau
+    # d cos / d i_rep and d cos / d u_rep, scaled by upstream. d_u reads the
+    # item rows before the item terms overwrite them.
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
-    d_i = coef_i[..., None] * c.u_rep[:, None, :]
-    d_i -= (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
+    radial = np.multiply((up * c.cos / c.i_norm**2)[..., None], c.i_rep,
+                         out=scratch(c.ws, TERMS, c.i_rep.shape))
+    d_i = np.multiply(coef_i[..., None], c.u_rep[:, None, :],
+                      out=scratch(c.ws, ROWS, c.i_rep.shape))
+    d_i -= radial
+    if c.ws is not None:
+        c.i_rep = None
     index = c.index or (scatter_index(c.users, enc.n_users), scatter_index(c.items, enc.n_items))
-    (u_ids, u_grads), (i_ids, i_grads) = index[0].scatter(d_u), index[1].scatter(d_i)
+    (u_ids, u_grads), (i_ids, i_grads) = index[0].scatter(d_u), index[1].scatter(d_i, c.ws)
     if enc.layers == 0:
         return (u_ids, u_grads), (i_ids, i_grads)
 

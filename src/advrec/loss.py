@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDistribution, DimMismatch, NonFinite
-from .numkit import EmbeddingTable, ScatterIndex, adam_step, scatter_index
+from .numkit import (ROWS, EmbeddingTable, ScatterIndex, Workspace, adam_step, check_row_grads,
+                     scatter_index, scratch, take_rows)
 from .rng import substream
 
 # ---------------------------------------------------------------------------
@@ -228,16 +229,22 @@ class _TableHardness:
     def copy(self):
         return type(self)(*(t.copy() for t in self.tables))
 
-    def hardness(self, users, negatives, encoder=None) -> tuple[np.ndarray, np.ndarray]:
-        """(probs, deltas) over each row's sampled negatives."""
-        return softmax_hardness(self.raw_scores_batch(users, negatives, encoder))
+    def hardness(self, users, negatives, encoder=None,
+                 ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(probs, deltas) over each row's sampled negatives; ws as for
+        raw_scores_batch."""
+        return softmax_hardness(self.raw_scores_batch(users, negatives, encoder, ws))
 
     def apply_grads(self, grads, lr: float, maximize: bool) -> None:
         """One Adam step of learning rate lr per table from grad_batch's
-        (ids, grads) per table."""
+        (ids, grads) per table. Every block is checked before the first
+        table moves, so a rejected step leaves the whole model as it was."""
         sign = -1.0 if maximize else 1.0
-        for table, (ids, g) in zip(self.tables, grads):
-            adam_step(table, (ids, sign * g), lr)
+        updates = [(table, (ids, sign * g)) for table, (ids, g) in zip(self.tables, grads)]
+        for table, row_grads in updates:
+            check_row_grads(table, row_grads)
+        for table, row_grads in updates:
+            adam_step(table, row_grads, lr)
 
 
 class EmbedHardness(_TableHardness):
@@ -264,24 +271,32 @@ class EmbedHardness(_TableHardness):
         item_table = EmbeddingTable.uniform_init(n_items, h, substream(seed, "init-adv-item"))
         return cls(user_table, item_table)
 
-    def raw_scores_batch(self, users: np.ndarray, negatives: np.ndarray, encoder=None) -> np.ndarray:
-        u = self.user_table.values.take(users, axis=0)
-        v = self.item_table.values.take(negatives, axis=0)
+    def raw_scores_batch(self, users: np.ndarray, negatives: np.ndarray, encoder=None,
+                         ws: Workspace | None = None) -> np.ndarray:
+        """g (B, N) for users (B,) and negatives (B, N); the (B, N, h) item
+        gather goes into ws's TERMS buffer if given. Ids out of range raise
+        IdOutOfRange."""
+        u = take_rows(self.user_table.values, users)
+        v = take_rows(self.item_table.values, negatives, ws)
         return np.einsum("bd,bnd->bn", u, v)
 
     def grad_batch(self, users, negatives, d_g, encoder=None,
-                   index: tuple[ScatterIndex, ScatterIndex] | None = None):
+                   index: tuple[ScatterIndex, ScatterIndex] | None = None,
+                   ws: Workspace | None = None):
         """Parameter gradients as ((user_ids, grads), (item_ids, grads)),
         summed through index, the (users, negatives) pair of scatter_index
-        over both tables, built here when not given."""
+        over both tables, built here when not given. With ws, the (B, N, h)
+        item gather and the scatter's plan-order gather use its TERMS
+        buffer and the item terms its ROWS buffer."""
+        u = take_rows(self.user_table.values, users)
+        v = take_rows(self.item_table.values, negatives, ws)
         if index is None:
             index = (scatter_index(users, self.user_table.rows),
                      scatter_index(negatives, self.item_table.rows))
-        u = self.user_table.values.take(users, axis=0)
-        v = self.item_table.values.take(negatives, axis=0)
         d_user = np.einsum("bn,bnd->bd", d_g, v)
-        d_item = d_g[..., None] * u[:, None, :]
-        return index[0].scatter(d_user), index[1].scatter(d_item)
+        d_item = np.multiply(d_g[..., None], u[:, None, :],
+                             out=scratch(ws, ROWS, v.shape))
+        return index[0].scatter(d_user), index[1].scatter(d_item, ws)
 
 
 class MlpHardness(_TableHardness):
@@ -312,22 +327,27 @@ class MlpHardness(_TableHardness):
             b_item=np.zeros(h),
         )
 
-    def _project(self, users, negatives, encoder):
-        """The encoder rows (xu, xi) and their projections (zu, zi)."""
+    def _project(self, users, negatives, encoder, ws):
+        """The encoder rows (xu, xi) and their projections (zu, zi); the
+        (B, N, dim) gather xi goes into ws's TERMS buffer if given."""
         if encoder is None:
             raise ValueError("projection hardness needs the encoder's tables")
-        xu = encoder.user_table.values.take(users, axis=0)
-        xi = encoder.item_table.values.take(negatives, axis=0)
+        xu = take_rows(encoder.user_table.values, users)
+        xi = take_rows(encoder.item_table.values, negatives, ws)
         return xu, xi, xu @ self.w_user.T + self.b_user, xi @ self.w_item.T + self.b_item
 
-    def raw_scores_batch(self, users, negatives, encoder=None) -> np.ndarray:
-        _, _, zu, zi = self._project(users, negatives, encoder)
+    def raw_scores_batch(self, users, negatives, encoder=None,
+                         ws: Workspace | None = None) -> np.ndarray:
+        """g (B, N) for users (B,) and negatives (B, N) from the encoder's
+        tables; ws as for _project. Ids out of range raise IdOutOfRange."""
+        _, _, zu, zi = self._project(users, negatives, encoder, ws)
         return np.einsum("bl,bnl->bn", zu, zi)
 
-    def grad_batch(self, users, negatives, d_g, encoder=None, index=None):
+    def grad_batch(self, users, negatives, d_g, encoder=None, index=None,
+                   ws: Workspace | None = None):
         """Dense parameter gradients, one (arange ids, grads) per table; the
-        scatter index is not needed."""
-        xu, xi, zu, zi = self._project(users, negatives, encoder)
+        scatter index is not needed. ws as for _project."""
+        xu, xi, zu, zi = self._project(users, negatives, encoder, ws)
         d_zu = np.einsum("bn,bnl->bl", d_g, zi)
         d_zi = d_g[..., None] * zu[:, None, :]
         grads = (np.einsum("bl,bd->ld", d_zu, xu), d_zu.sum(axis=0)[None],

@@ -20,7 +20,7 @@ from .encoder import (BACKBONES, Encoder, batch_backward, batch_forward, build_e
 from .errors import NonFinite, SkippedAdvStep
 from .evaluation import _block_hardness, evaluate_split
 from .loss import HARDNESS_MODELS, advinfonce_backward_batch, hardness_grad_from_delta
-from .numkit import ScatterIndex, adam_step, scatter_index
+from .numkit import ScatterIndex, Workspace, adam_step, check_row_grads, scatter_index
 from .rng import check_seed, substream
 
 STRATEGIES = ("adv", "reverse", "rand", "none")
@@ -110,6 +110,9 @@ class TrainState:
     evals_since_improve: int = 0
     history: list = field(default_factory=list)
     best: tuple[Encoder, object | None] | None = None  # (encoder, hardness) at best_epoch
+    # The steps' block-sized arrays (numkit.Workspace), on the main thread
+    # only; train_epoch empties it when each pass ends.
+    workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
 
 @dataclass
@@ -190,24 +193,24 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
             yield batch
 
 
-def _batch_deltas(state: TrainState, batch: Batch):
+def _batch_deltas(state: TrainState, batch: Batch, ws: Workspace | None = None):
     """Per-negative (probs, deltas) for the configured strategy; probs only
     exist for the learned strategies. Random deltas come only with the
-    batch."""
+    batch. ws, given by a step, holds the hardness model's item gather."""
     strategy = state.cfg.hardness_strategy
     if strategy in ("adv", "reverse"):
-        return state.hardness.hardness(batch.users, batch.negatives, state.encoder)
+        return state.hardness.hardness(batch.users, batch.negatives, state.encoder, ws)
     if strategy == "rand":
         raise ValueError("a rand batch carries its deltas, as iter_batches draws them")
     return None, np.zeros(batch.negatives.shape)
 
 
-def _batch_scores(state: TrainState, batch: Batch, reps=None):
+def _batch_scores(state: TrainState, batch: Batch, reps=None, ws: Workspace | None = None):
     """The encoder's (scores, cache) of each user against its positive and
     negatives, from its representations reps if given, through the batch's
-    score_index if it has one."""
+    score_index if it has one; ws, given by a step, holds the item rows."""
     items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-    return batch_forward(state.encoder, batch.users, items, reps, batch.score_index)
+    return batch_forward(state.encoder, batch.users, items, reps, batch.score_index, ws)
 
 
 def _min_half(state: TrainState):
@@ -228,17 +231,18 @@ def _adv_half(state: TrainState, reps):
     return lambda batch: replace(batch, scores=_batch_scores(state, batch, reps)[0])
 
 
-def _batch_loss(state: TrainState, batch: Batch):
+def _batch_loss(state: TrainState, batch: Batch, ws: Workspace | None = None):
     """The one AdvInfoNCE evaluation of a batch, shared by the min step, the
     adversarial step and the loss probe. A half the batch carries is used as
-    it is; the rest is computed here. Returns (loss (B,), d_pos, d_neg,
-    d_delta, probs, score cache); the cache is None for carried scores."""
+    it is; the rest is computed here, through the step's workspace ws if
+    given. Returns (loss (B,), d_pos, d_neg, d_delta, probs, score cache);
+    the cache is None for carried scores."""
     if batch.scores is None:
-        scores, cache = _batch_scores(state, batch)
+        scores, cache = _batch_scores(state, batch, ws=ws)
     else:
         scores, cache = batch.scores, None
     if batch.hardness is None:
-        probs, deltas = _batch_deltas(state, batch)
+        probs, deltas = _batch_deltas(state, batch, ws)
     else:
         probs, deltas = batch.hardness
     loss_vec, d_pos, d_neg, d_delta = advinfonce_backward_batch(
@@ -251,28 +255,36 @@ def _batch_loss(state: TrainState, batch: Batch):
 
 def min_step(state: TrainState, batch: Batch) -> float:
     """One encoder update (mean-loss gradient over the batch); hardness
-    parameters are read-only here. Returns the batch mean loss."""
-    loss_vec, d_pos, d_neg, _, _, cache = _batch_loss(state, batch)
+    parameters are read-only here. Block-sized arrays go into the state's
+    workspace. Both gradient blocks are checked before the first table
+    moves, so a rejected step leaves the encoder as it was. Returns the
+    batch mean loss."""
+    loss_vec, d_pos, d_neg, _, _, cache = _batch_loss(state, batch, state.workspace)
     upstream = np.concatenate([d_pos[:, None], d_neg], axis=1) / len(batch.users)
-    u_grads, i_grads = batch_backward(state.encoder, cache, upstream)
-    adam_step(state.encoder.user_table, u_grads, state.cfg.lr)
-    adam_step(state.encoder.item_table, i_grads, state.cfg.lr)
+    enc = state.encoder
+    u_grads, i_grads = batch_backward(enc, cache, upstream)
+    updates = ((enc.user_table, u_grads), (enc.item_table, i_grads))
+    for table, row_grads in updates:
+        check_row_grads(table, row_grads)
+    for table, row_grads in updates:
+        adam_step(table, row_grads, state.cfg.lr)
     return float(loss_vec.mean())
 
 
 def adv_step(state: TrainState, batch: Batch) -> float:
     """One hardness update on a frozen encoder: gradient ascent for the
     adversarial strategy, descent for the reversed ablation. Returns the
-    batch mean loss evaluated before the update."""
+    batch mean loss evaluated before the update. Block-sized arrays go into
+    the state's workspace."""
     cfg = state.cfg
     if state.hardness is None:
         raise SkippedAdvStep("strategy has no trainable hardness")
     if state.e_adv >= cfg.e_adv_max:
         raise SkippedAdvStep("adversarial epoch budget exhausted")
-    loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch)
+    loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch, state.workspace)
     d_g = hardness_grad_from_delta(probs, d_delta / len(batch.users))
     grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, state.encoder,
-                                      batch.hardness_index)
+                                      batch.hardness_index, state.workspace)
     state.hardness.apply_grads(grads, cfg.lr_adv, maximize=(cfg.hardness_strategy == "adv"))
     return float(loss_vec.mean())
 
@@ -313,15 +325,17 @@ def train_epoch(state: TrainState, dataset: InteractionSet) -> dict | None:
     state.epoch += 1
     epoch = state.epoch
     epoch_loss, n_batches = 0.0, 0
-    for batch in iter_batches(dataset, cfg, epoch, "min", _min_half(state)):
-        epoch_loss += min_step(state, batch)
-        n_batches += 1
+    with state.workspace:  # emptied when the pass ends
+        for batch in iter_batches(dataset, cfg, epoch, "min", _min_half(state)):
+            epoch_loss += min_step(state, batch)
+            n_batches += 1
 
     if (state.hardness is not None and epoch % cfg.t_adv_interval == 0
             and state.e_adv < cfg.e_adv_max):
         frozen = _adv_half(state, representations(state.encoder))
-        for batch in iter_batches(dataset, cfg, epoch, "adv", frozen):
-            adv_step(state, batch)
+        with state.workspace:
+            for batch in iter_batches(dataset, cfg, epoch, "adv", frozen):
+                adv_step(state, batch)
         state.e_adv += 1
 
     if epoch % cfg.eval_every or len(dataset.valid_pairs) == 0:

@@ -16,7 +16,7 @@ from advrec.encoder import (
     score_backward,
 )
 from advrec.errors import IdOutOfRange
-from advrec.numkit import NormAdjacency, cosine_score, cosine_score_grad, scatter_index
+from advrec.numkit import NormAdjacency, Workspace, cosine_score, cosine_score_grad, scatter_index
 
 from conftest import max_rel_error, tiny_dataset
 
@@ -72,6 +72,21 @@ class TestScore:
             score(enc, 99, [0])
         with pytest.raises(IdOutOfRange):
             score(enc, 0, [99])
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("side,bad", [("user", 6), ("user", -1), ("item", 8), ("item", -1)])
+    def test_batch_forward_rejects_ids_out_of_range(self, small_dataset, backbone, side, bad):
+        # the item rows are gathered in take's clip mode, which would read a clipped row
+        enc = (mf_encoder(small_dataset.n_users, small_dataset.n_items) if backbone == "mf"
+               else gcn_encoder(small_dataset))
+        users, items = np.array([0, 1]), np.array([[0, 1], [2, 3]])
+        if side == "user":
+            users[1] = bad
+        else:
+            items[1, 1] = bad
+        for ws in (None, Workspace()):
+            with pytest.raises(IdOutOfRange):
+                batch_forward(enc, users, items, ws=ws)
 
     def test_graph_adjacency_is_bipartite(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,

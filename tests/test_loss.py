@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp, exp as mexp, log as mlog, mpf
 
 from advrec.encoder import build_encoder
-from advrec.errors import BadDistribution, DimMismatch, NonFinite
-from advrec.numkit import EmbeddingTable
+from advrec.errors import BadDistribution, DimMismatch, IdOutOfRange, NonFinite
+from advrec.numkit import EmbeddingTable, Workspace
 from advrec.loss import (
     HARDNESS_MODELS,
     EmbedHardness,
@@ -477,6 +477,42 @@ class TestHardnessInterface:
         for (ids, g), table in zip(grads, model.tables):
             assert g.shape == (len(ids), table.dim)
             assert np.all(np.diff(ids) > 0) and 0 <= ids[0] and ids[-1] < table.rows
+
+    @pytest.mark.parametrize("with_ws", [False, True])
+    @pytest.mark.parametrize("side,bad", [("user", 4), ("user", -1), ("item", 6), ("item", -1)])
+    @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
+    def test_ids_out_of_range_raise(self, kind, side, bad, with_ws):
+        # the gathers run in take's clip mode, which would read row 0 or the last row
+        enc = build_encoder("mf", 4, 6, 5, tau=0.5, seed=32)
+        model = make_model(kind)
+        users, negatives = np.array([0, 2]), np.array([[1, 5], [0, 3]])
+        if side == "user":
+            users[1] = bad
+        else:
+            negatives[1, 0] = bad
+        ws = Workspace() if with_ws else None
+        with pytest.raises(IdOutOfRange):
+            model.raw_scores_batch(users, negatives, enc, ws)
+        with pytest.raises(IdOutOfRange):
+            model.hardness(users, negatives, enc, ws)
+        with pytest.raises(IdOutOfRange):
+            model.grad_batch(users, negatives, np.ones((2, 2)), enc, ws=ws)
+
+    @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
+    def test_a_workspace_gives_the_same_bytes(self, kind):
+        enc = build_encoder("mf", 4, 6, 5, tau=0.5, seed=34)
+        model = make_model(kind)
+        rng = np.random.default_rng(35)
+        users, negatives = np.array([0, 2, 2, 3]), rng.integers(0, 6, size=(4, 5))
+        d_g = rng.normal(size=(4, 5))
+        ws = Workspace()
+        for _ in range(2):
+            assert model.raw_scores_batch(users, negatives, enc, ws).tobytes() \
+                == model.raw_scores_batch(users, negatives, enc).tobytes()
+            got = model.grad_batch(users, negatives, d_g, enc, ws=ws)
+            want = model.grad_batch(users, negatives, d_g, enc)
+            assert [(i.tobytes(), g.tobytes()) for i, g in got] \
+                == [(i.tobytes(), g.tobytes()) for i, g in want]
 
     @pytest.mark.parametrize("make", [
         lambda: EmbedHardness(EmbeddingTable.zeros(4, 3), EmbeddingTable.zeros(6, 2)),

@@ -10,7 +10,9 @@ from advrec.numkit import (
     ADAM_EPS,
     EmbeddingTable,
     NormAdjacency,
+    Workspace,
     adam_step,
+    check_row_grads,
     compact_ids,
     cosine_score,
     cosine_score_grad,
@@ -18,6 +20,7 @@ from advrec.numkit import (
     propagate_backward,
     scatter_index,
     segment_plan,
+    take_rows,
 )
 
 from conftest import central_difference, max_rel_error
@@ -469,3 +472,61 @@ class TestEmbeddingTable:
         clone = table.copy()
         clone.values[0, 0] += 1.0
         assert table.values[0, 0] != clone.values[0, 0]
+
+
+class TestWorkspace:
+    def test_a_role_hands_out_views_of_one_buffer_grown_on_demand(self):
+        ws = Workspace()
+        a = ws.empty("rows", (2, 3, 4))
+        a[...] = 1.0
+        b = ws.empty("rows", (5, 4))  # smaller: the same memory
+        assert b.shape == (5, 4) and np.shares_memory(a, b)
+        assert not np.shares_memory(a, ws.empty("terms", (2, 3, 4)))
+        c = ws.empty("rows", (7, 4))  # larger: a new buffer
+        assert c.dtype == np.float64 and c.flags.c_contiguous
+        assert not np.shares_memory(a, c)
+        assert np.shares_memory(c, ws.empty("rows", (3,)))
+
+    def test_exit_drops_every_buffer(self):
+        with Workspace() as ws:
+            a = ws.empty("rows", (4,))
+        assert not np.shares_memory(a, ws.empty("rows", (4,)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (0,)])
+    def test_take_rows_equals_take(self, shape):
+        rng = np.random.default_rng(60)
+        table = rng.normal(size=(6, 3))
+        ids = rng.integers(0, 6, size=shape)
+        want = table.take(ids, axis=0)
+        for ws in (None, Workspace()):
+            got = take_rows(table, ids, ws)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_take_rows_rejects_an_id_out_of_range(self, bad):
+        # clip mode would read row 5 or row 0 instead
+        table = np.arange(12.0).reshape(6, 2)
+        for ws in (None, Workspace()):
+            with pytest.raises(IdOutOfRange):
+                take_rows(table, [[0, bad]], ws)
+
+    def test_plan_sum_through_a_workspace_equals_add_at(self):
+        rng = np.random.default_rng(61)
+        ids = rng.integers(0, 7, size=(5, 4))
+        rows = rng.normal(size=(5, 4, 3))
+        ws = Workspace()
+        want = add_at_reference(ids, rows, 7)
+        for _ in range(2):
+            assert same_bytes(segment_plan(ids, 7).sum(rows, ws), want)
+            assert same_bytes(scatter_index(ids, 7).scatter(rows, ws)[1],
+                              scatter_index(ids, 7).scatter(rows)[1])
+
+    def test_check_row_grads_checks_as_adam_step_does(self):
+        table = EmbeddingTable.zeros(4, 2)
+        ids, grads = check_row_grads(table, ([1, 3], [[1, 2], [3, 4]]))
+        assert ids.dtype == np.int64 and grads.dtype == np.float64
+        with pytest.raises(DimMismatch):
+            check_row_grads(table, ([1], np.zeros((1, 3))))
+        with pytest.raises(NonFiniteGradient):
+            check_row_grads(table, ([1], [[0.0, np.inf]]))
+        assert table.step_count == 0

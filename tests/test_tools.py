@@ -1,17 +1,20 @@
-"""Smoke test for tools/config_hashes.py, the script that byte-identity
-claims between two source trees rest on."""
+"""Smoke tests for tools/config_hashes.py, the script that byte-identity
+claims between two source trees rest on, and tools/step_faults.py."""
 
 import importlib.util
 import itertools
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from advrec import encoder, loss, trainer
 from advrec.dataio import SyntheticSpec, generate_synthetic
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "config_hashes.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SCRIPT = TOOLS / "config_hashes.py"
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +133,33 @@ def test_diag_hash_covers_the_per_user_table(config_hashes, monkeypatch):
     monkeypatch.setattr(config_hashes, "evaluate_split", permute_per_user)
     train, diag = config_hashes.config_hashes(data, "mf", "rand", "embed")
     assert train == first[0] and diag != first[1]
+
+
+@pytest.fixture(scope="module")
+def step_faults():
+    spec = importlib.util.spec_from_file_location("step_faults", TOOLS / "step_faults.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the tool pins the BLAS threads for itself
+        spec.loader.exec_module(module)
+    module.SPEC = {**module.SPEC, "n_users": 60, "n_items": 40, "latent_dim": 6,
+                   "relevance_quantile": 0.08}
+    module.CFG = {**module.CFG, "batch_size": 32, "n_negatives": 4, "embed_dim": 8,
+                  "max_epochs": 3, "t_adv_interval": 1, "e_adv_max": 2, "eval_every": 3}
+    return module
+
+
+def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
+    # fault counts depend on the allocator, so only their form is checked
+    step_faults.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| backbone | run_s | run faults | min steps |")
+    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
+    assert [row[0] for row in rows] == list(encoder.BACKBONES)
+    for row in rows:
+        run_s, run_faults, min_steps, min_ms, min_faults, adv_steps, adv_ms, adv_faults = row[1:]
+        assert float(run_s) > 0 and int(run_faults) >= 0
+        # 3 epochs of min steps, 2 adversarial passes (the budget), same batches
+        assert int(min_steps) == 3 * int(adv_steps) / 2 > 0
+        assert float(min_ms) > 0 and float(adv_ms) > 0
+        assert float(min_faults) >= 0 and float(adv_faults) >= 0
+    assert step_faults.trainer.min_step.__name__ == "min_step"  # restored

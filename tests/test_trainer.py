@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 
 from advrec import numkit, trainer
 from advrec.dataio import InteractionSet, sample_negatives
-from advrec.encoder import representations, score
-from advrec.errors import NonFinite, NoNegativesError, SkippedAdvStep, ZeroNormError
+from advrec.encoder import batch_backward, batch_forward, representations, score
+from advrec.errors import (NonFinite, NonFiniteGradient, NoNegativesError, SkippedAdvStep,
+                           ZeroNormError)
 from advrec.loss import MlpHardness
-from advrec.numkit import EmbeddingTable, scatter_index
+from advrec.numkit import EmbeddingTable, Workspace, scatter_index
 from advrec.rng import substream
 from advrec.trainer import (
     Batch,
@@ -601,6 +603,191 @@ class TestBatchPrefetch:
             run_training(small_dataset, small_cfg(batch_size=3))
         assert during == [before + 1] * 2
         assert threading.active_count() == before
+
+
+def table_bytes(table):
+    """Everything an Adam step moves in a table: values, moments, step count."""
+    return (table.values.tobytes() + table.adam_m.tobytes() + table.adam_v.tobytes(),
+            table.step_count)
+
+
+class TestRejectedStep:
+    """A step with a non-finite gradient block in its last table moves no
+    table: every block is checked before the first Adam update."""
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_min_step_leaves_the_encoder_as_it_was(self, small_dataset, monkeypatch, backbone):
+        cfg = small_cfg(backbone=backbone)
+        state = init_state(small_dataset, cfg)
+        tables = (state.encoder.user_table, state.encoder.item_table)
+        before = [table_bytes(t) for t in tables]
+        real = trainer.batch_backward
+
+        def nan_item_gradient(*args):
+            u_grads, (ids, grads) = real(*args)
+            grads[-1, 0] = np.nan
+            return u_grads, (ids, grads)
+
+        monkeypatch.setattr(trainer, "batch_backward", nan_item_gradient)
+        with pytest.raises(NonFiniteGradient):
+            min_step(state, first_batch(small_dataset, cfg))
+        assert [table_bytes(t) for t in tables] == before
+
+    @pytest.mark.parametrize("kind", ["embed", "mlp"])
+    def test_adv_step_leaves_the_hardness_as_it_was(self, small_dataset, monkeypatch, kind):
+        cfg = small_cfg(hardness_kind=kind)
+        state = init_state(small_dataset, cfg)
+        before = [table_bytes(t) for t in state.hardness.tables]
+        model = type(state.hardness)
+        real = model.grad_batch
+
+        def nan_in_the_last_table(self, *args, **kwargs):
+            grads = real(self, *args, **kwargs)
+            grads[-1][1][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(model, "grad_batch", nan_in_the_last_table)
+        with pytest.raises(NonFiniteGradient):
+            adv_step(state, first_batch(small_dataset, cfg))
+        assert [table_bytes(t) for t in state.hardness.tables] == before
+
+
+def traced_peak(step, state, batch):
+    """The traced memory peak of one step, above what was traced before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    step(state, batch)
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+class TestStepMemory:
+    """A pass's steps share one shape, so only its first step allocates the
+    (B, 1 + N, d) blocks: they stay in the state's workspace until the pass
+    ends."""
+
+    @pytest.mark.parametrize("backbone,kind", [("mf", "embed"), ("mf", "mlp"),
+                                               ("lightgcn", "embed"), ("lightgcn", "mlp")])
+    def test_steps_after_the_first_of_a_pass_allocate_no_block(self, backbone, kind):
+        # d = 32, N = 16 and two batches of 280 pairs a pass: one block is
+        # 1.2 MB, more than everything else a step allocates. A LightGCN min
+        # step also propagates the graph forward and back, whose own arrays
+        # (their peak, measured alone, about half a block) join the bound.
+        dataset = tiny_dataset(n_users=200, n_items=60, seed=1)
+        batch_size = -(-len(dataset.train_pairs) // 2)
+        cfg = small_cfg(backbone=backbone, hardness_kind=kind, batch_size=batch_size,
+                        n_negatives=16, embed_dim=32)
+        state = init_state(dataset, cfg)
+        block = batch_size * (1 + cfg.n_negatives) * cfg.embed_dim * 8
+        # the batches are built first, so no prefetch worker runs during the steps
+        min_batches = list(iter_batches(dataset, cfg, 1, "min", trainer._min_half(state)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            representations(state.encoder)
+            propagation = tracemalloc.get_traced_memory()[1] - before
+            peaks = {}
+            with state.workspace:
+                peaks["min"] = [traced_peak(min_step, state, b) for b in min_batches]
+            frozen = trainer._adv_half(state, representations(state.encoder))
+            adv_batches = list(iter_batches(dataset, cfg, 1, "adv", frozen))
+            with state.workspace:
+                peaks["adv"] = [traced_peak(adv_step, state, b) for b in adv_batches]
+        finally:
+            tracemalloc.stop()
+        assert (propagation > 0) == (backbone == "lightgcn")
+        assert [len(b.users) for b in min_batches + adv_batches] == [batch_size] * 4
+        bounds = {"min": block + propagation, "adv": block}
+        for phase, (first, *rest) in peaks.items():
+            assert first > block  # the pass's buffers
+            for peak in rest:
+                assert peak < bounds[phase], f"{phase} step: peak {peak / block:.2f} blocks"
+
+
+class TestWorkspace:
+    """A workspace belongs to one TrainState and to the thread that steps it."""
+
+    def test_a_step_between_a_forward_and_its_backward_leaves_both_as_alone(
+            self, small_dataset, monkeypatch):
+        # another state's whole min step runs inside each of this state's min
+        # steps, after its forward: a workspace shared between the two would
+        # hand the second forward this forward's item rows
+        cfg_a = small_cfg(batch_size=3)
+        cfg_b = small_cfg(batch_size=3, backbone="lightgcn", hardness_kind="mlp", seed=5)
+        batches_a = list(iter_batches(small_dataset, cfg_a, 1, "min"))
+        batches_b = list(iter_batches(small_dataset, cfg_b, 1, "min"))
+        alone_a, alone_b = init_state(small_dataset, cfg_a), init_state(small_dataset, cfg_b)
+        for batch in batches_a:
+            min_step(alone_a, batch)
+        for batch in batches_b:
+            min_step(alone_b, batch)
+
+        a, b = init_state(small_dataset, cfg_a), init_state(small_dataset, cfg_b)
+        real, pending = trainer.batch_backward, iter(batches_b)
+
+        def step_b_first(enc, cache, upstream):
+            if enc is a.encoder:
+                min_step(b, next(pending))
+            return real(enc, cache, upstream)
+
+        monkeypatch.setattr(trainer, "batch_backward", step_b_first)
+        with a.workspace, b.workspace:
+            for batch in batches_a:
+                min_step(a, batch)
+        assert next(pending, None) is None
+        assert model_bytes(a.encoder, a.hardness) == model_bytes(alone_a.encoder, alone_a.hardness)
+        assert model_bytes(b.encoder, b.hardness) == model_bytes(alone_b.encoder, alone_b.hardness)
+
+    @pytest.mark.parametrize("kind", ["embed", "mlp"])
+    def test_interleaved_adversarial_steps_equal_steps_alone(self, small_dataset, kind):
+        cfg_a, cfg_b = small_cfg(batch_size=3, hardness_kind=kind), small_cfg(batch_size=5, seed=6)
+        batches_a = list(iter_batches(small_dataset, cfg_a, 1, "adv"))
+        batches_b = list(iter_batches(small_dataset, cfg_b, 1, "adv"))
+        alone_a, alone_b = init_state(small_dataset, cfg_a), init_state(small_dataset, cfg_b)
+        for batch in batches_a:
+            adv_step(alone_a, batch)
+        for batch in batches_b:
+            adv_step(alone_b, batch)
+        a, b = init_state(small_dataset, cfg_a), init_state(small_dataset, cfg_b)
+        assert a.workspace is not b.workspace
+        for k in range(max(len(batches_a), len(batches_b))):
+            for state, steps in ((a, batches_a), (b, batches_b)):
+                if k < len(steps):
+                    adv_step(state, steps[k])
+        assert hardness_bytes(a) == hardness_bytes(alone_a)
+        assert hardness_bytes(b) == hardness_bytes(alone_b)
+
+    @pytest.mark.parametrize("backbone,kind", [("mf", "embed"), ("lightgcn", "mlp")])
+    def test_only_the_main_thread_asks_and_no_buffer_outlives_a_pass(
+            self, small_dataset, monkeypatch, backbone, kind):
+        real, requests = Workspace.empty, []
+
+        def record(self, role, shape):
+            requests.append((threading.current_thread(), self._buffers.copy()))
+            return real(self, role, shape)
+
+        monkeypatch.setattr(Workspace, "empty", record)
+        cfg = small_cfg(batch_size=3, backbone=backbone, hardness_kind=kind, t_adv_interval=1)
+        state = init_state(small_dataset, cfg)
+        assert train_epoch(state, small_dataset) is not None
+        assert requests and all(t is threading.main_thread() for t, _ in requests)
+        # each pass starts with an empty workspace and leaves one
+        starts = [k for k, (_, buffers) in enumerate(requests) if not buffers]
+        assert starts[0] == 0 and len(starts) == 2
+        assert state.workspace._buffers == {}
+
+    def test_a_spent_score_cache_raises(self, small_dataset):
+        # the backward overwrites the forward's item rows in the workspace
+        state = init_state(small_dataset, small_cfg())
+        batch = first_batch(small_dataset, small_cfg())
+        items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
+        upstream = np.random.default_rng(50).normal(size=items.shape)
+        _, fresh = batch_forward(state.encoder, batch.users, items)
+        want = batch_backward(state.encoder, fresh, upstream)
+        assert same_arrays(batch_backward(state.encoder, fresh, upstream)[1], want[1])
+        _, cache = batch_forward(state.encoder, batch.users, items, ws=Workspace())
+        assert same_arrays(batch_backward(state.encoder, cache, upstream)[1], want[1])
+        with pytest.raises(ValueError, match="spent"):
+            batch_backward(state.encoder, cache, upstream)
 
 
 class TestTrainConfigValidation:

@@ -1,0 +1,115 @@
+"""Wall time and main-thread minor page faults per training step, on data
+read from TSV files as `advrec train` reads it.
+
+Writes the synthetic dataset of criterion 10 (EXPERIMENT_SPEC of
+tests/test_acceptance.py, seed 0) with `advrec generate` in a child process,
+loads it with load_interactions, and trains MF and LightGCN (strategy adv,
+embed hardness) on criterion 10's training config in this process. The
+generator's large arrays are allocated and freed in the child only: freed
+here, they would raise glibc's dynamic mmap and trim thresholds for the rest
+of the process and hide what a training step costs when it frees its blocks.
+
+For each backbone it prints the run's wall seconds and main-thread minor
+faults and, per min step and per adversarial step, the mean wall
+milliseconds and mean minor faults of the main thread (getrusage with
+RUSAGE_THREAD, Linux only). The prefetch worker's faults are not counted.
+Fault counts depend on the allocator, so compare them between trees on one
+machine only. Run from the repository root:
+
+    PYTHONPATH=src python tools/step_faults.py
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, as perfbench runs, set before numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import advrec
+from advrec import trainer
+from advrec.dataio import SPLITS, load_interactions
+from advrec.encoder import LIGHTGCN, MF
+
+SEED = 0
+SPEC = dict(n_users=2000, n_items=1000, latent_dim=32, exposure_bias_strength=1.0,
+            train_fraction=0.6, fn_plant_rate=0.2, relevance_quantile=0.02)
+CFG = dict(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16, k_weight=16.0, tau=0.2,
+           e_adv_max=6, t_adv_interval=3, max_epochs=30, eval_every=10, patience=50,
+           embed_dim=32, k_eval=20)
+BACKBONES = (MF, LIGHTGCN)
+STEPS = ("min_step", "adv_step")
+
+
+def minor_faults() -> int:
+    """Minor page faults of the calling thread so far."""
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+
+
+def write_dataset(out: Path) -> None:
+    """SPEC's dataset as TSV files in out, from `advrec generate` in a child
+    process that imports the same advrec sources."""
+    src = str(Path(advrec.__file__).resolve().parent.parent)
+    flags = [arg for name, value in SPEC.items() for arg in (f"--{name}", str(value))]
+    subprocess.run([sys.executable, "-c", "import sys; from advrec.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", "generate", "--out", str(out),
+                    "--seed", str(SEED), *flags],
+                   check=True, stdin=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def measured_run(dataset, backbone: str) -> tuple[float, int, dict]:
+    """run_training's wall seconds and main-thread faults, and each step
+    kind's list of (seconds, faults), one entry per step."""
+    cfg = trainer.TrainConfig(seed=SEED, backbone=backbone, hardness_strategy="adv",
+                              hardness_kind="embed", **CFG)
+    steps = {name: [] for name in STEPS}
+    real = {name: getattr(trainer, name) for name in STEPS}
+
+    def measured(name):
+        def step(state, batch):
+            f0, t0 = minor_faults(), time.perf_counter()
+            result = real[name](state, batch)
+            steps[name].append((time.perf_counter() - t0, minor_faults() - f0))
+            return result
+        return step
+
+    for name in STEPS:
+        setattr(trainer, name, measured(name))
+    try:
+        f0, t0 = minor_faults(), time.perf_counter()
+        trainer.run_training(dataset, cfg)
+        return time.perf_counter() - t0, minor_faults() - f0, steps
+    finally:
+        for name, fn in real.items():
+            setattr(trainer, name, fn)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(Path(tmp))
+        dataset = load_interactions(*(Path(tmp) / f"{name}.tsv" for name in SPLITS))
+    print("| backbone | run_s | run faults | min steps | ms/min step | faults/min step "
+          "| adv steps | ms/adv step | faults/adv step |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    for backbone in BACKBONES:
+        wall, faults, steps = measured_run(dataset, backbone)
+        cells = [backbone, f"{wall:.3f}", str(faults)]
+        for name in STEPS:
+            n = len(steps[name])
+            cells += [str(n),
+                      f"{1e3 * sum(s for s, _ in steps[name]) / max(n, 1):.3f}",
+                      f"{sum(f for _, f in steps[name]) / max(n, 1):.1f}"]
+        print("| " + " | ".join(cells) + " |", flush=True)
+
+
+if __name__ == "__main__":
+    main()
