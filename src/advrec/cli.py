@@ -242,16 +242,14 @@ def cmd_diagnose(ns) -> int:
     _require_out_file("--out", out)
     dataset = _load_dataset(ns)
     enc, hardness = ckpt.load_checkpoint(ns.checkpoint, dataset)
+    if hardness is None and ns.which in ("profile", "fnrate"):
+        raise EngineError(f"checkpoint has no hardness model; cannot compute {ns.which}")
     rng = substream(ns.seed, "diagnose", ns.which)
 
     if ns.which == "profile":
-        if hardness is None:
-            raise EngineError("checkpoint has no hardness model; cannot profile")
         header, rows = "bin,mean_p,count", hardness_popularity_profile(
             hardness, enc, dataset, ns.bins, ns.n_negatives, rng)
     elif ns.which == "fnrate":
-        if hardness is None:
-            raise EngineError("checkpoint has no hardness model; cannot compute fn rate")
         if ns.planted_fn is None or not Path(ns.planted_fn).is_file():
             raise EngineError("fnrate needs --planted_fn pointing at planted_fn.tsv")
         listed = read_pairs(ns.planted_fn)

@@ -252,7 +252,7 @@ def _block_hardness(model, enc: Encoder, dataset: InteractionSet, users: np.ndar
         negs = sample_negatives(dataset, block, n, rng).negatives
         if first is not None:
             negs = np.concatenate([first[start:start + BLOCK_ROWS, None], negs], axis=1)
-        yield (negs, *model.hardness(block, negs, enc))
+        yield (negs, *model.forward(block, negs, enc)[:2])
 
 
 def fn_identification_rate(

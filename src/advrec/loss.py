@@ -164,13 +164,29 @@ def ranking_max_bound(s_pos: float, s_negs, deltas) -> tuple[float, float]:
 
 
 @dataclass
-class HardnessBatch:
-    """Raw scores g, their softmax p over the sampled negatives, and
-    deltas = log(N * p). mean(deltas) = -KL(uniform || p) <= 0."""
+class HardnessCache:
+    """A hardness forward's arrays, kept for grad_batch. With a workspace ws
+    their (B, N, .) gather lies in its TERMS buffer, which grad_batch may
+    overwrite: it then spends the cache, and a second one raises ValueError."""
 
-    raw_scores: np.ndarray
+    arrays: tuple[np.ndarray, ...] | None  # the model's own; None once spent
+    ws: Workspace | None
+
+    def take(self) -> tuple[np.ndarray, ...]:
+        if self.arrays is None:
+            raise ValueError("this hardness cache was spent by an earlier grad_batch")
+        arrays, self.arrays = self.arrays, (self.arrays if self.ws is None else None)
+        return arrays
+
+
+@dataclass
+class HardnessBatch:
+    """Softmax p over the sampled negatives, deltas = log(N * p) and the
+    forward's cache. mean(deltas) = -KL(uniform || p) <= 0."""
+
     probs: np.ndarray
     deltas: np.ndarray
+    cache: HardnessCache
 
 
 def softmax_hardness(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +219,10 @@ class _TableHardness:
     LAYOUT gives each table's (name, symbolic shape). Sizes named after an
     encoder field (n_users, n_items, dim) equal the encoder's; h is the
     model's own width, init(n_users, n_items, dim, seed, h)'s last argument,
-    where 0 gives the model's default. A rank-1 entry is a one-row table."""
+    where 0 gives the model's default. A rank-1 entry is a one-row table.
+    Each model's forward gives (probs, deltas, HardnessCache), its grad_batch
+    takes that cache, and its batch_index is the index grad_batch sums
+    through (None for dense gradients)."""
 
     kind: str
     LAYOUT: tuple[tuple[str, tuple[str, ...]], ...]
@@ -228,12 +247,6 @@ class _TableHardness:
 
     def copy(self):
         return type(self)(*(t.copy() for t in self.tables))
-
-    def hardness(self, users, negatives, encoder=None,
-                 ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(probs, deltas) over each row's sampled negatives; ws as for
-        raw_scores_batch."""
-        return softmax_hardness(self.raw_scores_batch(users, negatives, encoder, ws))
 
     def apply_grads(self, grads, lr: float, maximize: bool) -> None:
         """One Adam step of learning rate lr per table from grad_batch's
@@ -267,36 +280,34 @@ class EmbedHardness(_TableHardness):
     @classmethod
     def init(cls, n_users: int, n_items: int, dim: int, seed: int, h: int = 0) -> "EmbedHardness":
         h = h or dim
-        user_table = EmbeddingTable.zeros(n_users, h)
-        item_table = EmbeddingTable.uniform_init(n_items, h, substream(seed, "init-adv-item"))
-        return cls(user_table, item_table)
+        return cls(EmbeddingTable.zeros(n_users, h),
+                   EmbeddingTable.uniform_init(n_items, h, substream(seed, "init-adv-item")))
 
-    def raw_scores_batch(self, users: np.ndarray, negatives: np.ndarray, encoder=None,
-                         ws: Workspace | None = None) -> np.ndarray:
-        """g (B, N) for users (B,) and negatives (B, N); the (B, N, h) item
-        gather goes into ws's TERMS buffer if given. Ids out of range raise
-        IdOutOfRange."""
+    @staticmethod
+    def batch_index(users, negatives, n_users: int, n_items: int):
+        """The (users, negatives) pair of scatter_index over both tables."""
+        return scatter_index(users, n_users), scatter_index(negatives, n_items)
+
+    def forward(self, users, negatives, encoder=None, ws: Workspace | None = None):
+        """(probs, deltas, cache) from g = <adv_user[u], adv_item[j]>; the
+        (B, N, h) item gather goes into ws's TERMS buffer if given."""
         u = take_rows(self.user_table.values, users)
         v = take_rows(self.item_table.values, negatives, ws)
-        return np.einsum("bd,bnd->bn", u, v)
+        g = np.einsum("bd,bnd->bn", u, v)
+        return (*softmax_hardness(g), HardnessCache((users, negatives, u, v), ws))
 
-    def grad_batch(self, users, negatives, d_g, encoder=None,
-                   index: tuple[ScatterIndex, ScatterIndex] | None = None,
-                   ws: Workspace | None = None):
-        """Parameter gradients as ((user_ids, grads), (item_ids, grads)),
-        summed through index, the (users, negatives) pair of scatter_index
-        over both tables, built here when not given. With ws, the (B, N, h)
-        item gather and the scatter's plan-order gather use its TERMS
-        buffer and the item terms its ROWS buffer."""
-        u = take_rows(self.user_table.values, users)
-        v = take_rows(self.item_table.values, negatives, ws)
+    def grad_batch(self, cache: HardnessCache, d_g,
+                   index: tuple[ScatterIndex, ScatterIndex] | None = None):
+        """((user_ids, grads), (item_ids, grads)) summed through index, the
+        forward ids' batch_index, built here if not given. With the forward's
+        ws, the item terms use its ROWS and the scatter its TERMS buffer."""
+        users, negatives, u, v = cache.take()
         if index is None:
-            index = (scatter_index(users, self.user_table.rows),
-                     scatter_index(negatives, self.item_table.rows))
+            index = self.batch_index(users, negatives, self.user_table.rows, self.item_table.rows)
         d_user = np.einsum("bn,bnd->bd", d_g, v)
         d_item = np.multiply(d_g[..., None], u[:, None, :],
-                             out=scratch(ws, ROWS, v.shape))
-        return index[0].scatter(d_user), index[1].scatter(d_item, ws)
+                             out=scratch(cache.ws, ROWS, v.shape))
+        return index[0].scatter(d_user), index[1].scatter(d_item, cache.ws)
 
 
 class MlpHardness(_TableHardness):
@@ -318,36 +329,29 @@ class MlpHardness(_TableHardness):
     def init(cls, n_users: int, n_items: int, dim: int, seed: int, h: int = 0) -> "MlpHardness":
         h = h or 4
         bound = 0.5 / np.sqrt(dim)
-        rng_u = substream(seed, "init-mlp-user")
-        rng_i = substream(seed, "init-mlp-item")
         return cls.from_arrays(
-            w_user=rng_u.uniform(-bound, bound, size=(h, dim)),
+            w_user=substream(seed, "init-mlp-user").uniform(-bound, bound, size=(h, dim)),
             b_user=np.zeros(h),
-            w_item=rng_i.uniform(-bound, bound, size=(h, dim)),
+            w_item=substream(seed, "init-mlp-item").uniform(-bound, bound, size=(h, dim)),
             b_item=np.zeros(h),
         )
 
-    def _project(self, users, negatives, encoder, ws):
-        """The encoder rows (xu, xi) and their projections (zu, zi); the
-        (B, N, dim) gather xi goes into ws's TERMS buffer if given."""
+    batch_index = staticmethod(lambda *ids_and_sizes: None)  # dense gradients need none
+
+    def forward(self, users, negatives, encoder=None, ws: Workspace | None = None):
+        """(probs, deltas, cache) from the encoder rows xu, xi and their
+        projections zu, zi; the (B, N, dim) gather xi goes into ws's TERMS."""
         if encoder is None:
             raise ValueError("projection hardness needs the encoder's tables")
         xu = take_rows(encoder.user_table.values, users)
         xi = take_rows(encoder.item_table.values, negatives, ws)
-        return xu, xi, xu @ self.w_user.T + self.b_user, xi @ self.w_item.T + self.b_item
+        zu, zi = xu @ self.w_user.T + self.b_user, xi @ self.w_item.T + self.b_item
+        g = np.einsum("bl,bnl->bn", zu, zi)
+        return (*softmax_hardness(g), HardnessCache((xu, xi, zu, zi), ws))
 
-    def raw_scores_batch(self, users, negatives, encoder=None,
-                         ws: Workspace | None = None) -> np.ndarray:
-        """g (B, N) for users (B,) and negatives (B, N) from the encoder's
-        tables; ws as for _project. Ids out of range raise IdOutOfRange."""
-        _, _, zu, zi = self._project(users, negatives, encoder, ws)
-        return np.einsum("bl,bnl->bn", zu, zi)
-
-    def grad_batch(self, users, negatives, d_g, encoder=None, index=None,
-                   ws: Workspace | None = None):
-        """Dense parameter gradients, one (arange ids, grads) per table; the
-        scatter index is not needed. ws as for _project."""
-        xu, xi, zu, zi = self._project(users, negatives, encoder, ws)
+    def grad_batch(self, cache: HardnessCache, d_g):
+        """Dense parameter gradients, one (arange ids, grads) per table."""
+        xu, xi, zu, zi = cache.take()
         d_zu = np.einsum("bn,bnl->bl", d_g, zi)
         d_zi = d_g[..., None] * zu[:, None, :]
         grads = (np.einsum("bl,bd->ld", d_zu, xu), d_zu.sum(axis=0)[None],
@@ -359,25 +363,21 @@ HARDNESS_MODELS = {model.kind: model for model in (EmbedHardness, MlpHardness)}
 
 
 def hardness_forward(model, u: int, i: int, negatives, encoder=None) -> HardnessBatch:
-    """Raw scores, sampling probabilities, and deltas for one anchor pair's
-    sampled negatives. The positive item i identifies the anchor; both score
-    functions depend on (u, j) only."""
+    """Sampling probabilities, deltas and cache of one anchor pair's sampled
+    negatives; the positive item i names the anchor, but g reads (u, j) only."""
     negatives = np.asarray(negatives, dtype=np.int64)
     if negatives.size < 1:
         raise DimMismatch("need at least one negative")
-    g = model.raw_scores_batch(np.array([u]), negatives[None, :], encoder)[0]
-    probs, deltas = softmax_hardness(g)
-    return HardnessBatch(g, probs, deltas)
+    probs, deltas, cache = model.forward(np.array([u]), negatives[None, :], encoder)
+    return HardnessBatch(probs[0], deltas[0], cache)
 
 
 def hardness_backward(model, batch: HardnessBatch, d_delta, u: int, i: int,
                       negatives, encoder=None):
     """Gradients of the loss w.r.t. the hardness parameters, chained through
-    the softmax Jacobian, as the model's grad_batch returns them: one
-    (ids, grads) per table."""
+    the softmax Jacobian, as the model's grad_batch returns them from
+    batch's cache: one (ids, grads) per table."""
     d_delta = np.asarray(d_delta, dtype=np.float64)
     if d_delta.shape != batch.deltas.shape:
         raise DimMismatch("d_delta length must match the batch")
-    negatives = np.asarray(negatives, dtype=np.int64)
-    d_g = hardness_grad_from_delta(batch.probs, d_delta)
-    return model.grad_batch(np.array([u]), negatives[None, :], d_g[None, :], encoder)
+    return model.grad_batch(batch.cache, hardness_grad_from_delta(batch.probs, d_delta)[None])

@@ -88,12 +88,10 @@ class Batch:
     # (B, 1 + N) scores.
     hardness: tuple[np.ndarray | None, np.ndarray] | None = None
     scores: np.ndarray | None = None
-    # The (users, items) scatter indexes (numkit.scatter_index) that
-    # iter_batches built for the pass: in a min pass score_index, whose items
-    # are the (B, 1 + N) block of positives and negatives that min_step
-    # scores; in an adversarial pass hardness_index, whose items are the
-    # negatives whose hardness adv_step updates. A step builds the one it
-    # needs itself, through the same function, when the batch lacks it.
+    # The scatter index iter_batches built for the pass: score_index, the
+    # (users, items) scatter_index pair of min_step's (B, 1 + N) block, or
+    # hardness_index, the hardness model's batch_index (None for MLP). A
+    # step builds the one it needs itself when the batch lacks it.
     score_index: tuple[ScatterIndex, ScatterIndex] | None = None
     hardness_index: tuple[ScatterIndex, ScatterIndex] | None = None
 
@@ -149,7 +147,7 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     and for batch b negatives from substream(seed, phase-neg, epoch, b)
     and, in a rand min pass, deltas from substream(seed, rand-delta, epoch,
     b). Each batch carries its pass's scatter index (Batch.score_index or
-    Batch.hardness_index). frozen(batch), if given, returns the batch with
+    the hardness model's batch_index). frozen(batch), if given, returns the batch with
     its pass's frozen half attached (_min_half, _adv_half).
 
     Batch b + 1 is prepared on one worker thread while the caller runs step
@@ -167,6 +165,7 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     perm = substream(cfg.seed, f"{phase}-shuffle", epoch).permutation(len(pairs))
     starts = range(0, len(pairs), cfg.batch_size)
     rand_deltas = phase == "min" and cfg.hardness_strategy == "rand"
+    hardness_index = HARDNESS_MODELS[cfg.hardness_kind].batch_index
 
     def prepare(b: int) -> Batch:
         chunk = pairs[perm[starts[b]:starts[b] + cfg.batch_size]]
@@ -174,12 +173,12 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
         users, pos_items = chunk[:, 0], chunk[:, 1]
         negs = sample_negatives(dataset, users, cfg.n_negatives, rng).negatives
         batch = Batch(users, pos_items, negs)
-        user_index = scatter_index(users, dataset.n_users)
         if phase == "min":
             block = np.concatenate([pos_items[:, None], negs], axis=1)
-            batch.score_index = (user_index, scatter_index(block, dataset.n_items))
+            batch.score_index = (scatter_index(users, dataset.n_users),
+                                 scatter_index(block, dataset.n_items))
         else:
-            batch.hardness_index = (user_index, scatter_index(negs, dataset.n_items))
+            batch.hardness_index = hardness_index(users, negs, dataset.n_users, dataset.n_items)
         if rand_deltas:
             rng = substream(cfg.seed, "rand-delta", epoch, b)
             batch.hardness = (None, rng.uniform(-0.5, 0.5, size=negs.shape))
@@ -194,15 +193,15 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
 
 
 def _batch_deltas(state: TrainState, batch: Batch, ws: Workspace | None = None):
-    """Per-negative (probs, deltas) for the configured strategy; probs only
-    exist for the learned strategies. Random deltas come only with the
-    batch. ws, given by a step, holds the hardness model's item gather."""
+    """Per-negative (probs, deltas, cache) for the configured strategy, from
+    the hardness model's forward (ws as there) if it has one; random deltas
+    come only with the batch."""
     strategy = state.cfg.hardness_strategy
     if strategy in ("adv", "reverse"):
-        return state.hardness.hardness(batch.users, batch.negatives, state.encoder, ws)
+        return state.hardness.forward(batch.users, batch.negatives, state.encoder, ws)
     if strategy == "rand":
         raise ValueError("a rand batch carries its deltas, as iter_batches draws them")
-    return None, np.zeros(batch.negatives.shape)
+    return None, np.zeros(batch.negatives.shape), None
 
 
 def _batch_scores(state: TrainState, batch: Batch, reps=None, ws: Workspace | None = None):
@@ -221,7 +220,7 @@ def _min_half(state: TrainState):
     the min steps write."""
     if state.hardness is None or state.hardness.reads_encoder:
         return None
-    return lambda batch: replace(batch, hardness=_batch_deltas(state, batch))
+    return lambda batch: replace(batch, hardness=_batch_deltas(state, batch)[:2])
 
 
 def _adv_half(state: TrainState, reps):
@@ -235,22 +234,22 @@ def _batch_loss(state: TrainState, batch: Batch, ws: Workspace | None = None):
     """The one AdvInfoNCE evaluation of a batch, shared by the min step, the
     adversarial step and the loss probe. A half the batch carries is used as
     it is; the rest is computed here, through the step's workspace ws if
-    given. Returns (loss (B,), d_pos, d_neg, d_delta, probs, score cache);
-    the cache is None for carried scores."""
+    given. Returns (loss (B,), d_pos, d_neg, d_delta, probs, score cache,
+    hardness cache); a cache is None for its carried half."""
     if batch.scores is None:
         scores, cache = _batch_scores(state, batch, ws=ws)
     else:
         scores, cache = batch.scores, None
     if batch.hardness is None:
-        probs, deltas = _batch_deltas(state, batch, ws)
+        probs, deltas, hardness_cache = _batch_deltas(state, batch, ws)
     else:
-        probs, deltas = batch.hardness
+        (probs, deltas), hardness_cache = batch.hardness, None
     loss_vec, d_pos, d_neg, d_delta = advinfonce_backward_batch(
         scores[:, 0], scores[:, 1:], deltas, state.cfg.k_weight
     )
     if not np.all(np.isfinite(loss_vec)):
         raise NonFinite("non-finite contrastive loss")
-    return loss_vec, d_pos, d_neg, d_delta, probs, cache
+    return loss_vec, d_pos, d_neg, d_delta, probs, cache, hardness_cache
 
 
 def min_step(state: TrainState, batch: Batch) -> float:
@@ -259,7 +258,7 @@ def min_step(state: TrainState, batch: Batch) -> float:
     workspace. Both gradient blocks are checked before the first table
     moves, so a rejected step leaves the encoder as it was. Returns the
     batch mean loss."""
-    loss_vec, d_pos, d_neg, _, _, cache = _batch_loss(state, batch, state.workspace)
+    loss_vec, d_pos, d_neg, _, _, cache, _ = _batch_loss(state, batch, state.workspace)
     upstream = np.concatenate([d_pos[:, None], d_neg], axis=1) / len(batch.users)
     enc = state.encoder
     u_grads, i_grads = batch_backward(enc, cache, upstream)
@@ -275,16 +274,18 @@ def adv_step(state: TrainState, batch: Batch) -> float:
     """One hardness update on a frozen encoder: gradient ascent for the
     adversarial strategy, descent for the reversed ablation. Returns the
     batch mean loss evaluated before the update. Block-sized arrays go into
-    the state's workspace."""
+    the state's workspace. The gradients come from the hardness forward's
+    cache, so a min pass's carried (probs, deltas) are not used."""
     cfg = state.cfg
     if state.hardness is None:
         raise SkippedAdvStep("strategy has no trainable hardness")
     if state.e_adv >= cfg.e_adv_max:
         raise SkippedAdvStep("adversarial epoch budget exhausted")
-    loss_vec, _, _, d_delta, probs, _ = _batch_loss(state, batch, state.workspace)
+    loss_vec, _, _, d_delta, probs, _, cache = _batch_loss(
+        state, replace(batch, hardness=None), state.workspace)
     d_g = hardness_grad_from_delta(probs, d_delta / len(batch.users))
-    grads = state.hardness.grad_batch(batch.users, batch.negatives, d_g, state.encoder,
-                                      batch.hardness_index, state.workspace)
+    index = () if batch.hardness_index is None else (batch.hardness_index,)  # MLP: none
+    grads = state.hardness.grad_batch(cache, d_g, *index)
     state.hardness.apply_grads(grads, cfg.lr_adv, maximize=(cfg.hardness_strategy == "adv"))
     return float(loss_vec.mean())
 

@@ -585,6 +585,23 @@ class TestDiagnose:
         assert f"bins must be at most the {n_items} items, got {bins}" in captured.err
         assert not captured.out and not out.exists()
 
+    @pytest.mark.parametrize("which", ["profile", "fnrate"])
+    def test_checkpoint_without_hardness_exits_2(self, tmp_path, capsys, which):
+        data = generate(tmp_path)
+        run = train(tmp_path, data, extra=("--hardness_strategy", "none"))
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        code = main(["diagnose", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--which", which, "--out", str(out),
+                     "--planted_fn", str(data / "planted_fn.tsv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"checkpoint has no hardness model; cannot compute {which}" in captured.err
+        assert not captured.out and not out.exists()
+
     def test_fnrate_without_planted_file_exits_2(self, tmp_path, capsys):
         data = generate(tmp_path)
         run = train(tmp_path, data)

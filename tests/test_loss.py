@@ -325,7 +325,7 @@ class TestEmbedHardness:
         model = EmbedHardness.init(5, 7, 4, seed=0)
         batch = hardness_forward(model, 2, 0, np.array([1, 3, 3, 6]))
         assert np.all(batch.deltas == 0.0)
-        assert np.all(batch.raw_scores == 0.0)
+        assert np.all(batch.probs == 1 / 4)
 
     def test_finite_difference_through_full_loss(self):
         rng = np.random.default_rng(19)
@@ -427,6 +427,16 @@ class TestMlpHardness:
         assert model.w_user.shape == (4, 8)
 
 
+def reference_scores(model, users, negatives, enc):
+    """Raw scores g (B, N) of either model, written out with fancy indexing."""
+    if model.kind == "embed":
+        return np.einsum("bd,bnd->bn", model.user_table.values[users],
+                         model.item_table.values[negatives])
+    zu = enc.user_table.values[users] @ model.w_user.T + model.b_user
+    zi = enc.item_table.values[negatives] @ model.w_item.T + model.b_item
+    return np.einsum("bl,bnl->bn", zu, zi)
+
+
 def make_model(kind):
     """A hardness model off its init, for an MF encoder of 4 users x 6
     items x dim 5."""
@@ -468,11 +478,11 @@ class TestHardnessInterface:
         rng = np.random.default_rng(33)
         users = np.array([0, 2, 2])
         negatives = rng.integers(0, 6, size=(3, 4))
-        probs, deltas = model.hardness(users, negatives, enc)
-        ref_probs, ref_deltas = softmax_hardness(model.raw_scores_batch(users, negatives, enc))
+        probs, deltas, cache = model.forward(users, negatives, enc)
+        ref_probs, ref_deltas = softmax_hardness(reference_scores(model, users, negatives, enc))
         assert probs.tobytes() == ref_probs.tobytes()
         assert deltas.tobytes() == ref_deltas.tobytes()
-        grads = model.grad_batch(users, negatives, rng.normal(size=(3, 4)), enc)
+        grads = model.grad_batch(cache, rng.normal(size=(3, 4)))
         assert len(grads) == len(model.tables)
         for (ids, g), table in zip(grads, model.tables):
             assert g.shape == (len(ids), table.dim)
@@ -490,13 +500,9 @@ class TestHardnessInterface:
             users[1] = bad
         else:
             negatives[1, 0] = bad
-        ws = Workspace() if with_ws else None
+        # grad_batch gathers nothing: it reads the forward's cache
         with pytest.raises(IdOutOfRange):
-            model.raw_scores_batch(users, negatives, enc, ws)
-        with pytest.raises(IdOutOfRange):
-            model.hardness(users, negatives, enc, ws)
-        with pytest.raises(IdOutOfRange):
-            model.grad_batch(users, negatives, np.ones((2, 2)), enc, ws=ws)
+            model.forward(users, negatives, enc, Workspace() if with_ws else None)
 
     @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
     def test_a_workspace_gives_the_same_bytes(self, kind):
@@ -507,12 +513,30 @@ class TestHardnessInterface:
         d_g = rng.normal(size=(4, 5))
         ws = Workspace()
         for _ in range(2):
-            assert model.raw_scores_batch(users, negatives, enc, ws).tobytes() \
-                == model.raw_scores_batch(users, negatives, enc).tobytes()
-            got = model.grad_batch(users, negatives, d_g, enc, ws=ws)
-            want = model.grad_batch(users, negatives, d_g, enc)
+            *got_half, got_cache = model.forward(users, negatives, enc, ws)
+            *want_half, want_cache = model.forward(users, negatives, enc)
+            assert [a.tobytes() for a in got_half] == [a.tobytes() for a in want_half]
+            got = model.grad_batch(got_cache, d_g)
+            want = model.grad_batch(want_cache, d_g)
             assert [(i.tobytes(), g.tobytes()) for i, g in got] \
                 == [(i.tobytes(), g.tobytes()) for i, g in want]
+
+    @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
+    def test_a_spent_cache_raises(self, kind):
+        # through a workspace, grad_batch may overwrite the forward's gather
+        enc = build_encoder("mf", 4, 6, 5, tau=0.5, seed=34)
+        model = make_model(kind)
+        users, negatives = np.array([0, 2, 3]), np.array([[1, 5], [0, 3], [3, 3]])
+        d_g = np.random.default_rng(36).normal(size=(3, 2))
+        _, _, kept = model.forward(users, negatives, enc)
+        want = model.grad_batch(kept, d_g)
+        assert [g.tobytes() for _, g in model.grad_batch(kept, d_g)] \
+            == [g.tobytes() for _, g in want]  # a cache without a workspace stays
+        _, _, cache = model.forward(users, negatives, enc, Workspace())
+        assert [g.tobytes() for _, g in model.grad_batch(cache, d_g)] \
+            == [g.tobytes() for _, g in want]
+        with pytest.raises(ValueError, match="spent"):
+            model.grad_batch(cache, d_g)
 
     @pytest.mark.parametrize("make", [
         lambda: EmbedHardness(EmbeddingTable.zeros(4, 3), EmbeddingTable.zeros(6, 2)),

@@ -152,11 +152,12 @@ def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
     # fault counts depend on the allocator, so only their form is checked
     step_faults.main()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("| backbone | run_s | run faults | min steps |")
+    assert lines[0].startswith("| backbone | hardness | run_s | run faults | min steps |")
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
-    assert [row[0] for row in rows] == list(encoder.BACKBONES)
+    assert [tuple(row[:2]) for row in rows] \
+        == list(itertools.product(encoder.BACKBONES, loss.HARDNESS_MODELS))
     for row in rows:
-        run_s, run_faults, min_steps, min_ms, min_faults, adv_steps, adv_ms, adv_faults = row[1:]
+        run_s, run_faults, min_steps, min_ms, min_faults, adv_steps, adv_ms, adv_faults = row[2:]
         assert float(run_s) > 0 and int(run_faults) >= 0
         # 3 epochs of min steps, 2 adversarial passes (the budget), same batches
         assert int(min_steps) == 3 * int(adv_steps) / 2 > 0

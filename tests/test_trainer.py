@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from advrec import numkit, trainer
+from advrec import loss, numkit, trainer
 from advrec.dataio import InteractionSet, sample_negatives
 from advrec.encoder import batch_backward, batch_forward, representations, score
 from advrec.errors import (NonFinite, NonFiniteGradient, NoNegativesError, SkippedAdvStep,
@@ -199,6 +199,38 @@ class TestAdvStep:
         assert hardness_bytes(s1) == hardness_bytes(s2) != hardness_bytes(
             init_state(small_dataset, cfg))
 
+    @pytest.mark.parametrize("kind", ["embed", "mlp"])
+    def test_each_hardness_block_is_gathered_once(self, small_dataset, monkeypatch, kind):
+        # grad_batch reads the forward's cache instead of gathering again
+        cfg = small_cfg(batch_size=5, hardness_kind=kind)
+        state = trained_state(small_dataset, cfg)
+        owner = state.hardness if kind == "embed" else state.encoder
+        tables = [owner.user_table.values, owner.item_table.values]
+        real, gathered = loss.take_rows, []
+
+        def record(table, ids, *args):
+            gathered.append(next(k for k, t in enumerate(tables) if t is table))
+            return real(table, ids, *args)
+
+        monkeypatch.setattr(loss, "take_rows", record)
+        frozen = trainer._adv_half(state, representations(state.encoder))
+        for batch in iter_batches(small_dataset, cfg, 2, "adv", frozen):
+            gathered.clear()
+            adv_step(state, batch)
+            assert gathered == [0, 1]  # the users' rows, then the negatives' block
+
+    def test_a_min_pass_half_is_ignored(self, small_dataset):
+        # a min pass's batch carries (probs, deltas) but no forward cache, so
+        # the step runs its own forward; the half here is stale (uniform)
+        cfg = small_cfg(batch_size=3)
+        half = trainer._min_half(init_state(small_dataset, cfg))
+        carried, fresh = trained_state(small_dataset, cfg), trained_state(small_dataset, cfg)
+        for batch in iter_batches(small_dataset, cfg, 2, "min", half):
+            assert batch.hardness is not None
+            loss_value = adv_step(carried, batch)
+            assert loss_value == adv_step(fresh, replace(batch, hardness=None))
+        assert hardness_bytes(carried) == hardness_bytes(fresh)
+
 
 class TestRunTraining:
     def test_adversarial_schedule(self, small_dataset):
@@ -277,7 +309,7 @@ class TestRunTraining:
         assert len(train) > 256
         anchors = train[rng.integers(0, len(train), size=256)]
         negs = sample_negatives(dataset, anchors[:, 0], cfg.n_negatives, rng).negatives
-        probs, deltas = state.hardness.hardness(anchors[:, 0], negs, state.encoder)
+        probs, deltas, _ = state.hardness.forward(anchors[:, 0], negs, state.encoder)
         expected = (float(np.mean(-deltas.mean(axis=1))),
                     float(np.max(np.abs(probs - 1.0 / cfg.n_negatives))))
         assert expected[0] > 0.0
@@ -367,13 +399,13 @@ class TestFrozenHalf:
             assert (batch.scores is not None) == with_frozen
 
     def test_mlp_hardness_runs_on_the_main_thread(self, small_dataset, monkeypatch):
-        real, threads = MlpHardness.hardness, []
+        real, threads = MlpHardness.forward, []
 
         def record(self, *args):
             threads.append(threading.current_thread())
             return real(self, *args)
 
-        monkeypatch.setattr(MlpHardness, "hardness", record)
+        monkeypatch.setattr(MlpHardness, "forward", record)
         cfg = small_cfg(batch_size=3, hardness_kind="mlp", t_adv_interval=1)
         state = init_state(small_dataset, cfg)
         assert train_epoch(state, small_dataset) is not None
@@ -397,17 +429,23 @@ class TestScatterIndex:
     gives the same bytes with it as with one built in place."""
 
     def test_worker_index_equals_scatter_index_of_the_batch(self, small_dataset):
-        cfg = small_cfg(batch_size=3)
+        # an adversarial batch carries its hardness model's index: none for MLP
         n_users, n_items = small_dataset.n_users, small_dataset.n_items
-        for batch in iter_batches(small_dataset, cfg, 2, "min"):
-            block = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
-            assert batch.hardness_index is None
-            assert same_index(batch.score_index, (scatter_index(batch.users, n_users),
-                                                  scatter_index(block, n_items)))
-        for batch in iter_batches(small_dataset, cfg, 2, "adv"):
-            assert batch.score_index is None
-            assert same_index(batch.hardness_index, (scatter_index(batch.users, n_users),
-                                                     scatter_index(batch.negatives, n_items)))
+        for kind in ("embed", "mlp"):
+            cfg = small_cfg(batch_size=3, hardness_kind=kind)
+            for batch in iter_batches(small_dataset, cfg, 2, "min"):
+                block = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
+                assert batch.hardness_index is None
+                assert same_index(batch.score_index, (scatter_index(batch.users, n_users),
+                                                      scatter_index(block, n_items)))
+            for batch in iter_batches(small_dataset, cfg, 2, "adv"):
+                assert batch.score_index is None
+                if kind == "mlp":
+                    assert batch.hardness_index is None
+                    continue
+                assert same_index(batch.hardness_index,
+                                  (scatter_index(batch.users, n_users),
+                                   scatter_index(batch.negatives, n_items)))
 
     @pytest.mark.parametrize("backbone,strategy,kind", INDEX_CASES)
     def test_min_step_bytes_without_a_carried_index(self, small_dataset, backbone, strategy, kind):
@@ -428,7 +466,7 @@ class TestScatterIndex:
         carried, built = trained_state(small_dataset, cfg), trained_state(small_dataset, cfg)
         frozen = trainer._adv_half(carried, representations(carried.encoder))
         for batch in iter_batches(small_dataset, cfg, 2, "adv", frozen):
-            assert batch.hardness_index is not None
+            assert (batch.hardness_index is None) == (kind == "mlp")
             loss = adv_step(carried, batch)
             assert loss == adv_step(built, replace(batch, hardness_index=None, scores=None))
             assert model_bytes(carried.encoder, carried.hardness) \

@@ -3,24 +3,26 @@ read from TSV files as `advrec train` reads it.
 
 Writes the synthetic dataset of criterion 10 (EXPERIMENT_SPEC of
 tests/test_acceptance.py, seed 0) with `advrec generate` in a child process,
-loads it with load_interactions, and trains MF and LightGCN (strategy adv,
-embed hardness) on criterion 10's training config in this process. The
-generator's large arrays are allocated and freed in the child only: freed
-here, they would raise glibc's dynamic mmap and trim thresholds for the rest
-of the process and hide what a training step costs when it frees its blocks.
+loads it with load_interactions, and trains MF and LightGCN with each
+hardness model (strategy adv) on criterion 10's training config in this
+process. The generator's large arrays are allocated and freed in the child
+only: freed here, they would raise glibc's dynamic mmap and trim thresholds
+for the rest of the process and hide what a training step costs when it
+frees its blocks.
 
-For each backbone it prints the run's wall seconds and main-thread minor
-faults and, per min step and per adversarial step, the mean wall
-milliseconds and mean minor faults of the main thread (getrusage with
-RUSAGE_THREAD, Linux only). The prefetch worker's faults are not counted.
-Fault counts depend on the allocator, so compare them between trees on one
-machine only. Run from the repository root:
+For each backbone and hardness model it prints the run's wall seconds and
+main-thread minor faults and, per min step and per adversarial step, the
+mean wall milliseconds and mean minor faults of the main thread (getrusage
+with RUSAGE_THREAD, Linux only). The prefetch worker's faults are not
+counted. Fault counts depend on the allocator, so compare them between trees
+on one machine only. Run from the repository root:
 
     PYTHONPATH=src python tools/step_faults.py
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 # One BLAS thread, as perfbench runs, set before numpy loads.
@@ -38,6 +40,7 @@ import advrec
 from advrec import trainer
 from advrec.dataio import SPLITS, load_interactions
 from advrec.encoder import LIGHTGCN, MF
+from advrec.loss import HARDNESS_MODELS
 
 SEED = 0
 SPEC = dict(n_users=2000, n_items=1000, latent_dim=32, exposure_bias_strength=1.0,
@@ -66,11 +69,11 @@ def write_dataset(out: Path) -> None:
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def measured_run(dataset, backbone: str) -> tuple[float, int, dict]:
+def measured_run(dataset, backbone: str, hardness: str) -> tuple[float, int, dict]:
     """run_training's wall seconds and main-thread faults, and each step
     kind's list of (seconds, faults), one entry per step."""
     cfg = trainer.TrainConfig(seed=SEED, backbone=backbone, hardness_strategy="adv",
-                              hardness_kind="embed", **CFG)
+                              hardness_kind=hardness, **CFG)
     steps = {name: [] for name in STEPS}
     real = {name: getattr(trainer, name) for name in STEPS}
 
@@ -97,19 +100,18 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(Path(tmp))
         dataset = load_interactions(*(Path(tmp) / f"{name}.tsv" for name in SPLITS))
-    print("| backbone | run_s | run faults | min steps | ms/min step | faults/min step "
-          "| adv steps | ms/adv step | faults/adv step |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
-    for backbone in BACKBONES:
-        wall, faults, steps = measured_run(dataset, backbone)
-        cells = [backbone, f"{wall:.3f}", str(faults)]
+    print("| backbone | hardness | run_s | run faults | min steps | ms/min step "
+          "| faults/min step | adv steps | ms/adv step | faults/adv step |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    for backbone, hardness in itertools.product(BACKBONES, HARDNESS_MODELS):
+        wall, faults, steps = measured_run(dataset, backbone, hardness)
+        cells = [backbone, hardness, f"{wall:.3f}", str(faults)]
         for name in STEPS:
             n = len(steps[name])
             cells += [str(n),
                       f"{1e3 * sum(s for s, _ in steps[name]) / max(n, 1):.3f}",
                       f"{sum(f for _, f in steps[name]) / max(n, 1):.1f}"]
         print("| " + " | ".join(cells) + " |", flush=True)
-
 
 if __name__ == "__main__":
     main()
