@@ -31,6 +31,7 @@ from .dataio import (
     read_pairs,
     write_dataset,
 )
+from .encoder import LIGHTGCN
 from .errors import EngineError, NonFinite, NonFiniteGradient, ZeroNormError
 from .evaluation import (
     alignment_uniformity,
@@ -39,11 +40,17 @@ from .evaluation import (
     hardness_popularity_profile,
 )
 from .rng import check_seed, substream
-from .trainer import TrainConfig, run_training
+from .trainer import HARDNESS_STRATEGIES, TrainConfig, run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# Train options read only while a config field takes one of some values; elsewhere
+# they are rejected when given and left out of config.resolved, so that it replays.
+APPLIES_WHEN = {"gcn_layers": ("backbone", (LIGHTGCN,)),
+                "hardness_kind": ("hardness_strategy", HARDNESS_STRATEGIES),
+                "hardness_dim": ("hardness_strategy", HARDNESS_STRATEGIES)}
 
 
 def _log(msg: str) -> None:
@@ -72,20 +79,13 @@ def load_kv_config(path, cls, extra=()) -> dict[str, str]:
     return values
 
 
-def _coerce(field_type, raw: str):
-    if field_type is int:
-        return int(raw)
-    if field_type is float:
-        return float(raw)
-    return raw
-
-
 def _resolve_dataclass(cls, file_cfg: dict, flag_ns):
-    """Defaults <- config file <- explicit flags, typed by the dataclass."""
+    """Defaults <- config file <- explicit flags, each value parsed by the
+    type of its field's default (int, float or str), as its flag is."""
     values = {}
     for f in dataclasses.fields(cls):
         if f.name in file_cfg:
-            values[f.name] = _coerce(type(f.default), file_cfg[f.name])
+            values[f.name] = type(f.default)(file_cfg[f.name])
         flag = getattr(flag_ns, f.name, None)
         if flag is not None:
             values[f.name] = flag
@@ -144,15 +144,16 @@ def cmd_train(ns) -> int:
         if getattr(ns, key) is None and key in file_cfg:
             setattr(ns, key, file_cfg[key])
     cfg = _resolve_dataclass(TrainConfig, file_cfg, ns)
-    if cfg.backbone == "mf" and (ns.gcn_layers is not None or "gcn_layers" in file_cfg):
-        raise EngineError("gcn_layers applies only to backbone lightgcn")
+    idle = [name for name, (key, values) in APPLIES_WHEN.items() if getattr(cfg, key) not in values]
+    for name in idle:
+        if getattr(ns, name) is not None or name in file_cfg:
+            key, values = APPLIES_WHEN[name]
+            raise EngineError(f"{name} applies only to {key} {' or '.join(values)}")
     dataset = _load_dataset(ns)
     out = Path(ns.out or "run")
     out.mkdir(parents=True, exist_ok=True)
 
-    snapshot = dataclasses.asdict(cfg)
-    if cfg.backbone == "mf":
-        del snapshot["gcn_layers"]  # so that the snapshot replays
+    snapshot = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in idle}
     snapshot.update(train_file=ns.train_file, valid_file=ns.valid_file,
                     test_file=ns.test_file, out=str(out))
     _write_snapshot(out / "config.resolved", snapshot)

@@ -35,12 +35,12 @@ class InteractionSet:
     """Remapped user/item id space plus observed positive pairs per split.
 
     Each split has one read-only CSR positives index: an indptr over users
-    and every user's item ids in ascending order. train_keys holds the
-    sorted, read-only train keys user * n_items + item, which negative
-    sampling tests its draws against. Rejects a repeated pair,
-    and a valid or test pair that is also a train pair (train positives are
-    never ranking candidates, so recall would silently drop it). Immutable
-    after construction; safe for concurrent readers.
+    and every user's item ids in ascending order; negative sampling and
+    ranking read the train positives only through it. Rejects an id
+    outside [0, n_users) or [0, n_items), a repeated pair, and a valid or
+    test pair that is also a train pair (train positives are never ranking
+    candidates, so recall would silently drop it). Immutable after
+    construction; safe for concurrent readers.
     """
 
     n_users: int
@@ -57,18 +57,15 @@ class InteractionSet:
         for name in SPLITS:
             pairs = np.asarray(getattr(self, f"{name}_pairs"), dtype=np.int64).reshape(-1, 2)
             setattr(self, f"{name}_pairs", pairs)
-            if pairs.size:
-                if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= self.n_users:
-                    raise BadParam(f"{name}: user id out of range")
-                if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.n_items:
-                    raise BadParam(f"{name}: item id out of range")
+            for col, (side, n) in enumerate((("user", self.n_users), ("item", self.n_items))):
+                if pairs.size and (pairs[:, col].min() < 0 or pairs[:, col].max() >= n):
+                    raise BadParam(f"{name}: {side} id out of range")
             keys = np.sort(pairs[:, 0] * self.n_items + pairs[:, 1])
             if np.any(keys[1:] == keys[:-1]):
                 raise BadParam(f"{name}: duplicate (user, item) pair")
             if name == "train":
-                keys.flags.writeable = False
-                self.train_keys = keys
-            elif np.any(np.isin(keys, self.train_keys, assume_unique=True)):
+                in_train = keys
+            elif np.any(np.isin(keys, in_train, assume_unique=True)):
                 raise BadParam(f"{name}: (user, item) pair is also a train pair")
             indptr = np.zeros(self.n_users + 1, dtype=np.int64)
             np.cumsum(np.bincount(pairs[:, 0], minlength=self.n_users), out=indptr[1:])
@@ -277,14 +274,14 @@ def sample_negatives(
     read in order, and none is drawn past what the rule draws: a row that
     falls short reads on into the next rows' draws, and those rows are
     tested again. So a row expected to keep fewer than n of its first width
-    draws skips the blocks of rows tested at once against train_keys, and
-    a block holds at most 64 more than twice the rows the last one kept.
+    draws skips the blocks of rows tested at once against their positives,
+    and a block holds at most 64 more than twice the rows the last one kept.
     """
     if n < 1:
         raise BadParam("n must be >= 1")
     rows = np.atleast_1d(np.asarray(users, dtype=np.int64))
     indptr, _ = dataset._index["train"]
-    n_items, keys = dataset.n_items, dataset.train_keys
+    n_items = dataset.n_items
     n_pos = indptr[rows + 1] - indptr[rows]
     if np.any(n_pos >= n_items):
         raise NoNegativesError(
@@ -301,7 +298,8 @@ def sample_negatives(
         if k:
             stream = _extend(stream, k * width, n_items, rng)
             draws = stream[:k * width].reshape(k, width)
-            ok = _absent(keys, rows[r:stop, None] * n_items + draws)
+            items, owner = dataset.positives_of(rows[r:stop])
+            ok = _absent(owner * n_items + items, np.arange(k)[:, None] * n_items + draws)
             short = np.count_nonzero(ok, axis=1) < n
             if short.any():
                 k = int(np.argmax(short))

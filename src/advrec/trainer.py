@@ -24,6 +24,7 @@ from .numkit import ScatterIndex, Workspace, adam_step, check_row_grads, scatter
 from .rng import check_seed, substream
 
 STRATEGIES = ("adv", "reverse", "rand", "none")
+HARDNESS_STRATEGIES = ("adv", "reverse")  # the strategies that build a hardness model
 DIAG_ANCHORS = 256  # hardness_divergence's anchor pairs: one _block_hardness block
 
 
@@ -125,7 +126,7 @@ class TrainResult:
 
 
 def build_hardness(cfg: TrainConfig, n_users: int, n_items: int):
-    if cfg.hardness_strategy not in ("adv", "reverse"):
+    if cfg.hardness_strategy not in HARDNESS_STRATEGIES:
         return None
     return HARDNESS_MODELS[cfg.hardness_kind].init(n_users, n_items, cfg.embed_dim, cfg.seed,
                                                    h=cfg.hardness_dim)
@@ -196,10 +197,9 @@ def _batch_deltas(state: TrainState, batch: Batch, ws: Workspace | None = None):
     """Per-negative (probs, deltas, cache) for the configured strategy, from
     the hardness model's forward (ws as there) if it has one; random deltas
     come only with the batch."""
-    strategy = state.cfg.hardness_strategy
-    if strategy in ("adv", "reverse"):
+    if state.hardness is not None:
         return state.hardness.forward(batch.users, batch.negatives, state.encoder, ws)
-    if strategy == "rand":
+    if state.cfg.hardness_strategy == "rand":
         raise ValueError("a rand batch carries its deltas, as iter_batches draws them")
     return None, np.zeros(batch.negatives.shape), None
 

@@ -240,16 +240,20 @@ class TestMalformedFile:
         ("mlp", shapes(hardness_w_user=[4, 2])),
         ("mlp", shapes(hardness_b_user=[3])),
         ("mlp", field("hardness", "kind", ["mlp"])),
+        (None, lambda h: b"\xff not json"),
+        (None, lambda h: {**h, "format": 2}),
     ], ids=["format-only", "json-list", "json-number", "encoder-null", "directory-short",
              "directory-not-objects", "unknown-kind", "tau-string", "tau-true", "tau-false",
              "negative-n-users",
              "negative-shape", "shapes-swapped", "extra-axis", "float-axis",
              "dim-mismatch", "mf-layers", "hardness-string", "embed-width-mismatch",
              "embed-users-items-swapped", "embed-labelled-mlp", "mlp-dim-mismatch",
-             "mlp-latent-mismatch", "mlp-kind-list"])
+             "mlp-latent-mismatch", "mlp-kind-list", "not-json", "format-2"])
     def test_bad_header_rejected(self, tmp_path, hardness, edit):
         path, header, data = saved_parts(tmp_path, hardness)
-        path.write_bytes(MAGIC + json.dumps(edit(header)).encode() + b"\n" + data)
+        line = edit(header)  # a JSON value, or raw bytes
+        line = line if isinstance(line, bytes) else json.dumps(line).encode()
+        path.write_bytes(MAGIC + line + b"\n" + data)
         with pytest.raises(IncompatibleCheckpoint, match=re.escape(str(path))):
             load_checkpoint(path)
 

@@ -176,6 +176,14 @@ class TestGenerate:
         assert f"seed must be an integer in [0, 2**32), got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("n_users=40\nn_items 30\n")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert f"{cfg}:2: expected key=value" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("n_users=40\nn_item=30\n")
@@ -186,6 +194,14 @@ class TestGenerate:
 
 
 class TestTrain:
+    def test_no_train_file_exits_2(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.tsv")
+        code = main(["train", "--valid_file", absent, "--test_file", absent,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "missing required dataset path" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_train_file_exits_2(self, tmp_path, capsys):
         code = main(["train", "--train_file", str(tmp_path / "absent.tsv"),
                      "--valid_file", str(tmp_path / "absent.tsv"),
@@ -207,6 +223,7 @@ class TestTrain:
     @pytest.mark.parametrize("flag,value", [
         ("--gcn_layers", "-2"), ("--gcn_layers", "-1"), ("--hardness_dim", "-1"),
         ("--k_weight", "1e400"), ("--lr", "nan"), ("--seed", "-5"), ("--seed", "4294967296"),
+        ("--hardness_kind", "bogus"),
     ])
     def test_bad_config_value_exits_2_before_loading(self, tmp_path, capsys, flag, value):
         # The dataset files do not exist: the config is rejected before they load.
@@ -218,26 +235,45 @@ class TestTrain:
         err = capsys.readouterr().err
         assert flag[2:] in err and "absent.tsv" not in err
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_gcn_layers_with_mf_exits_2_before_loading(self, tmp_path, capsys, source):
-        # gcn_layers is read only by the graph backbone; MF would ignore it
+    @pytest.mark.parametrize("option,given,source", [
+        ("gcn_layers", {"backbone": "mf", "gcn_layers": "5"}, "flag"),
+        ("gcn_layers", {"backbone": "mf", "gcn_layers": "2"}, "config"),
+        ("hardness_kind", {"hardness_strategy": "none", "hardness_kind": "mlp"}, "flag"),
+        ("hardness_kind", {"hardness_strategy": "rand", "hardness_kind": "embed"}, "config"),
+        ("hardness_dim", {"hardness_strategy": "rand", "hardness_dim": "3"}, "flag"),
+        ("hardness_dim", {"hardness_strategy": "none", "hardness_dim": "0"}, "config"),
+    ], ids=["flag", "config", "none-hardness_kind-flag", "rand-hardness_kind-config",
+            "rand-hardness_dim-flag", "none-hardness_dim-config"])
+    def test_gcn_layers_with_mf_exits_2_before_loading(self, tmp_path, capsys, option, given,
+                                                       source):
+        # gcn_layers is read only by the graph backbone, and hardness_kind and
+        # hardness_dim only by strategies with a hardness model; the rest ignore them
         absent = str(tmp_path / "absent.tsv")
-        given = ["--backbone", "mf", "--gcn_layers", "5"]
+        args = [arg for key, value in given.items() for arg in (f"--{key}", value)]
         if source == "config":
             cfg = tmp_path / "run.cfg"
-            cfg.write_text("backbone=mf\ngcn_layers=2\n")
-            given = ["--config", str(cfg)]
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in given.items()))
+            args = ["--config", str(cfg)]
         code = main(["train", "--train_file", absent, "--valid_file", absent,
-                     "--test_file", absent, "--out", str(tmp_path / "run"), *given])
+                     "--test_file", absent, "--out", str(tmp_path / "run"), *args])
         assert code == 2
         err = capsys.readouterr().err
-        assert "gcn_layers" in err and "absent.tsv" not in err
+        assert f"{option} applies only to" in err and "absent.tsv" not in err
         assert not (tmp_path / "run").exists()
 
-    def test_mf_snapshot_omits_gcn_layers_and_replays(self, tmp_path):
+    @pytest.mark.parametrize("extra,omitted", [
+        ((), ("gcn_layers",)),
+        (("--hardness_strategy", "none"), ("gcn_layers", "hardness_kind", "hardness_dim")),
+        (("--hardness_strategy", "rand", "--backbone", "lightgcn"),
+         ("hardness_kind", "hardness_dim")),
+    ], ids=["gcn_layers", "none", "rand-lightgcn"])
+    def test_mf_snapshot_omits_gcn_layers_and_replays(self, tmp_path, extra, omitted):
         data = generate(tmp_path)
-        r1 = train(tmp_path, data, "r1")
-        assert "gcn_layers" not in (r1 / "config.resolved").read_text()
+        r1 = train(tmp_path, data, "r1", extra)
+        keys = {line.partition("=")[0]
+                for line in (r1 / "config.resolved").read_text().splitlines()}
+        assert not keys & set(omitted)
+        assert {"gcn_layers", "hardness_kind", "hardness_dim"} - keys == set(omitted)
         r2 = tmp_path / "r2"
         assert main(["train", "--config", str(r1 / "config.resolved"), "--out", str(r2)]) == 0
         for name in ("metrics.jsonl", "best.ckpt", "final.ckpt"):
@@ -612,6 +648,22 @@ class TestDiagnose:
                      "--which", "fnrate", "--out", str(tmp_path / "fn.csv")])
         assert code == 2
         assert "planted_fn" in capsys.readouterr().err
+
+    def test_fnrate_with_empty_planted_file_exits_2(self, tmp_path, capsys):
+        # a --gamma dataset plants no false negatives, so its planted_fn.tsv is empty
+        data = generate(tmp_path, "gamma", extra=["--gamma", "4.0", "--n0", "10", "--groups", "5"])
+        run = train(tmp_path, data)
+        out = tmp_path / "fn.csv"
+        code = main(["diagnose", "--checkpoint", str(run / "final.ckpt"),
+                     "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"),
+                     "--which", "fnrate", "--out", str(out),
+                     "--planted_fn", str(data / "planted_fn.tsv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "lists no planted false negatives" in captured.err
+        assert not captured.out and not out.exists()
 
     @pytest.mark.parametrize("which,flag", [("fnrate", "--n_resamples"),
                                             ("profile", "--n_negatives")])

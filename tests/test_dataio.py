@@ -354,6 +354,16 @@ class TestInteractionSet:
         with pytest.raises(BadParam, match=split):
             InteractionSet(2, 3, np.array([[0, 0], [0, 1]]), **pairs)
 
+    @pytest.mark.parametrize("split,pair,side", [
+        ("train", [-1, 0], "user"), ("valid", [2, 0], "user"),
+        ("test", [0, -1], "item"), ("train", [1, 3], "item"),
+    ])
+    def test_id_out_of_range_raises(self, split, pair, side):
+        pairs = {f"{name}_pairs": np.zeros((0, 2)) for name in ("train", "valid", "test")}
+        pairs[f"{split}_pairs"] = np.array([[0, 0], pair]) if split == "train" else np.array([pair])
+        with pytest.raises(BadParam, match=f"{split}: {side} id out of range"):
+            InteractionSet(2, 3, **pairs)
+
     def test_duplicate_within_split_raises(self):
         with pytest.raises(BadParam, match="duplicate"):
             InteractionSet(2, 3, np.array([[0, 0], [1, 2], [0, 0]]),
@@ -542,7 +552,7 @@ class TestSampleNegativesBatch:
 
     def test_no_train_pairs_matches_reference(self):
         ds = InteractionSet(3, 20, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
-        assert len(ds.train_keys) == 0
+        assert len(ds.users_with_positives("train")) == 0
         users = np.array([0, 2, 1, 1, 0, 2])
         for seed, n in ((0, 1), (1, 7), (2, 30)):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -153,14 +153,19 @@ def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
     step_faults.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| backbone | hardness | run_s | run faults | min steps |")
+    assert lines[0].endswith("| samples | ms/sample |")
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
     assert [tuple(row[:2]) for row in rows] \
         == list(itertools.product(encoder.BACKBONES, loss.HARDNESS_MODELS))
     for row in rows:
-        run_s, run_faults, min_steps, min_ms, min_faults, adv_steps, adv_ms, adv_faults = row[2:]
+        (run_s, run_faults, min_steps, min_ms, min_faults, adv_steps, adv_ms, adv_faults,
+         samples, sample_ms) = row[2:]
         assert float(run_s) > 0 and int(run_faults) >= 0
         # 3 epochs of min steps, 2 adversarial passes (the budget), same batches
         assert int(min_steps) == 3 * int(adv_steps) / 2 > 0
         assert float(min_ms) > 0 and float(adv_ms) > 0
         assert float(min_faults) >= 0 and float(adv_faults) >= 0
+        # one sampler call per batch of either pass
+        assert int(samples) == int(min_steps) + int(adv_steps) and float(sample_ms) > 0
     assert step_faults.trainer.min_step.__name__ == "min_step"  # restored
+    assert step_faults.trainer.sample_negatives.__name__ == "sample_negatives"

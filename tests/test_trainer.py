@@ -671,6 +671,19 @@ class TestRejectedStep:
             min_step(state, first_batch(small_dataset, cfg))
         assert [table_bytes(t) for t in tables] == before
 
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_nan_in_a_read_row_raises_non_finite(self, small_dataset, backbone):
+        # row_norms lets NaN through, so only the loss check catches it
+        cfg = small_cfg(backbone=backbone)
+        state = init_state(small_dataset, cfg)
+        batch = first_batch(small_dataset, cfg)
+        state.encoder.item_table.values[batch.negatives[0, 0], 0] = np.nan
+        tables = (state.encoder.user_table, state.encoder.item_table)
+        before = [table_bytes(t) for t in tables]
+        with pytest.raises(NonFinite, match="non-finite contrastive loss"):
+            min_step(state, batch)
+        assert [table_bytes(t) for t in tables] == before
+
     @pytest.mark.parametrize("kind", ["embed", "mlp"])
     def test_adv_step_leaves_the_hardness_as_it_was(self, small_dataset, monkeypatch, kind):
         cfg = small_cfg(hardness_kind=kind)

@@ -11,11 +11,14 @@ for the rest of the process and hide what a training step costs when it
 frees its blocks.
 
 For each backbone and hardness model it prints the run's wall seconds and
-main-thread minor faults and, per min step and per adversarial step, the
-mean wall milliseconds and mean minor faults of the main thread (getrusage
-with RUSAGE_THREAD, Linux only). The prefetch worker's faults are not
-counted. Fault counts depend on the allocator, so compare them between trees
-on one machine only. Run from the repository root:
+main-thread minor faults; per min step and per adversarial step, the median
+wall milliseconds and median minor faults of the main thread (getrusage
+with RUSAGE_THREAD, Linux only); and the number of trainer.sample_negatives
+calls with their median wall milliseconds, timed on the thread that runs
+each (the prefetch worker, or the main thread for a pass's first batch).
+The prefetch worker's faults are not counted. Fault counts depend on the
+allocator, so compare them between trees on one machine only. Run from the
+repository root:
 
     PYTHONPATH=src python tools/step_faults.py
 """
@@ -30,6 +33,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ[_var] = "1"
 
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,7 @@ CFG = dict(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16, k_weight=16.0,
            embed_dim=32, k_eval=20)
 BACKBONES = (MF, LIGHTGCN)
 STEPS = ("min_step", "adv_step")
+MEASURED = (*STEPS, "sample_negatives")  # the trainer functions measured_run times
 
 
 def minor_faults() -> int:
@@ -70,22 +75,23 @@ def write_dataset(out: Path) -> None:
 
 
 def measured_run(dataset, backbone: str, hardness: str) -> tuple[float, int, dict]:
-    """run_training's wall seconds and main-thread faults, and each step
-    kind's list of (seconds, faults), one entry per step."""
+    """run_training's wall seconds and main-thread faults, and for each name
+    of MEASURED the list of (seconds, faults) of its calls, each measured on
+    the thread that made it."""
     cfg = trainer.TrainConfig(seed=SEED, backbone=backbone, hardness_strategy="adv",
                               hardness_kind=hardness, **CFG)
-    steps = {name: [] for name in STEPS}
-    real = {name: getattr(trainer, name) for name in STEPS}
+    steps = {name: [] for name in MEASURED}
+    real = {name: getattr(trainer, name) for name in MEASURED}
 
     def measured(name):
-        def step(state, batch):
+        def call(*args):
             f0, t0 = minor_faults(), time.perf_counter()
-            result = real[name](state, batch)
+            result = real[name](*args)
             steps[name].append((time.perf_counter() - t0, minor_faults() - f0))
             return result
-        return step
+        return call
 
-    for name in STEPS:
+    for name in MEASURED:
         setattr(trainer, name, measured(name))
     try:
         f0, t0 = minor_faults(), time.perf_counter()
@@ -101,16 +107,17 @@ def main() -> None:
         write_dataset(Path(tmp))
         dataset = load_interactions(*(Path(tmp) / f"{name}.tsv" for name in SPLITS))
     print("| backbone | hardness | run_s | run faults | min steps | ms/min step "
-          "| faults/min step | adv steps | ms/adv step | faults/adv step |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+          "| faults/min step | adv steps | ms/adv step | faults/adv step | samples "
+          "| ms/sample |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for backbone, hardness in itertools.product(BACKBONES, HARDNESS_MODELS):
         wall, faults, steps = measured_run(dataset, backbone, hardness)
         cells = [backbone, hardness, f"{wall:.3f}", str(faults)]
-        for name in STEPS:
-            n = len(steps[name])
-            cells += [str(n),
-                      f"{1e3 * sum(s for s, _ in steps[name]) / max(n, 1):.3f}",
-                      f"{sum(f for _, f in steps[name]) / max(n, 1):.1f}"]
+        for name in MEASURED:
+            calls = steps[name] or [(0.0, 0)]
+            cells += [str(len(steps[name])), f"{1e3 * statistics.median(s for s, _ in calls):.3f}"]
+            if name in STEPS:
+                cells.append(f"{statistics.median(f for _, f in calls):.1f}")
         print("| " + " | ".join(cells) + " |", flush=True)
 
 if __name__ == "__main__":
