@@ -49,8 +49,9 @@ EXIT_NUMERIC = 3
 # Train options read only while a config field takes one of some values; elsewhere
 # they are rejected when given and left out of config.resolved, so that it replays.
 APPLIES_WHEN = {"gcn_layers": ("backbone", (LIGHTGCN,)),
-                "hardness_kind": ("hardness_strategy", HARDNESS_STRATEGIES),
-                "hardness_dim": ("hardness_strategy", HARDNESS_STRATEGIES)}
+                **{name: ("hardness_strategy", HARDNESS_STRATEGIES)
+                   for name in ("hardness_kind", "hardness_dim", "lr_adv", "e_adv_max",
+                                "t_adv_interval")}}
 
 
 def _log(msg: str) -> None:

@@ -19,6 +19,7 @@ from .errors import (
     BadParam,
     DegenerateSpec,
     EmptySplitError,
+    EngineError,
     NoNegativesError,
     ParseError,
 )
@@ -196,29 +197,50 @@ def read_pairs(path) -> np.ndarray:
 
 def load_interactions(train_path, valid_path, test_path) -> InteractionSet:
     """Load three TSV splits, remapping ids to dense 0-based ranges in
-    first-seen order (train scanned first, then valid, then test)."""
-    raw = [read_pairs(p) for p in (train_path, valid_path, test_path)]
-    if not len(raw[0]):
-        raise EmptySplitError(f"train split {train_path} has no interactions")
-    pairs = np.concatenate(raw)
-    remaps = []
-    for col in range(2):
-        ids, first, inverse = np.unique(pairs[:, col], return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the distinct ids in first-seen order
-        dense = np.empty(len(ids), dtype=np.int64)
-        dense[order] = np.arange(len(ids))
-        pairs[:, col] = dense[inverse]
-        remaps.append(dict(zip(ids[order].tolist(), range(len(ids)))))
-    train, valid, test = np.split(pairs, np.cumsum([len(raw[0]), len(raw[1])]))
-    return InteractionSet(
-        n_users=len(remaps[0]),
-        n_items=len(remaps[1]),
-        train_pairs=train,
-        valid_pairs=valid,
-        test_pairs=test,
-        user_remap=remaps[0],
-        item_remap=remaps[1],
-    )
+    first-seen order (train scanned first, then valid, then test).
+
+    Each file is parsed once: a strict file as one array, any other by the
+    line parser. Each id column is remapped by one sort, and the
+    InteractionSet constructor finds a repeated pair on the dense keys. On
+    any error the files read so far go through the line parser again, so a
+    repeated pair in a strict file raises its ParseError with its line
+    number, in file order and before any later error, as if every file had
+    been read by the line parser."""
+    paths = (train_path, valid_path, test_path)
+    raw = []
+    try:
+        for path in paths:
+            pairs = _parse_strict(Path(path).read_bytes())
+            if pairs is None:
+                pairs = np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
+            raw.append(pairs)
+        if not len(raw[0]):
+            raise EmptySplitError(f"train split {train_path} has no interactions")
+        pairs = np.concatenate(raw)
+        remaps = []
+        for col in range(2):
+            ids, inverse = np.unique(pairs[:, col], return_inverse=True)
+            first = np.full(len(ids), len(pairs))
+            np.minimum.at(first, inverse, np.arange(len(pairs)))
+            order = np.argsort(first)  # the distinct ids in first-seen order
+            dense = np.empty(len(ids), dtype=np.int64)
+            dense[order] = np.arange(len(ids))
+            pairs[:, col] = dense[inverse]
+            remaps.append(dict(zip(ids[order].tolist(), range(len(ids)))))
+        train, valid, test = np.split(pairs, np.cumsum([len(raw[0]), len(raw[1])]))
+        return InteractionSet(
+            n_users=len(remaps[0]),
+            n_items=len(remaps[1]),
+            train_pairs=train,
+            valid_pairs=valid,
+            test_pairs=test,
+            user_remap=remaps[0],
+            item_remap=remaps[1],
+        )
+    except (EngineError, OSError, UnicodeDecodeError):  # what reading or checking can raise
+        for path in paths[:len(raw)]:
+            _read_pairs(path)  # raises the first repeated pair's ParseError
+        raise
 
 
 def write_pairs(path, pairs) -> None:

@@ -253,11 +253,10 @@ class _TableHardness:
         (ids, grads) per table. Every block is checked before the first
         table moves, so a rejected step leaves the whole model as it was."""
         sign = -1.0 if maximize else 1.0
-        updates = [(table, (ids, sign * g)) for table, (ids, g) in zip(self.tables, grads)]
+        updates = [(table, check_row_grads(table, (ids, sign * g)))
+                   for table, (ids, g) in zip(self.tables, grads)]
         for table, row_grads in updates:
-            check_row_grads(table, row_grads)
-        for table, row_grads in updates:
-            adam_step(table, row_grads, lr)
+            adam_step(table, row_grads, lr, checked=True)
 
 
 class EmbedHardness(_TableHardness):

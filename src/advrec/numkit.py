@@ -202,6 +202,8 @@ def adam_step(
     table: EmbeddingTable,
     row_grads: tuple[np.ndarray, np.ndarray],
     lr: float,
+    *,
+    checked: bool = False,
 ) -> EmbeddingTable:
     """Sparse/lazy Adam with learning rate lr and the module's ADAM_*
     constants: update only the rows present in row_grads.
@@ -217,9 +219,11 @@ def adam_step(
     update works on the gathered rows in place, in the operation order of
     m_hat / (sqrt(v_hat) + eps), so it builds two (rows, d) temporaries. A
     step that updates several tables checks every block with
-    check_row_grads before the first update.
+    check_row_grads before the first update, and passes each block as
+    check_row_grads returned it with checked=True, so that no block is
+    checked twice.
     """
-    ids, grads = check_row_grads(table, row_grads)
+    ids, grads = row_grads if checked else check_row_grads(table, row_grads)
     table.step_count += 1
     if ids.size == 0:
         return table

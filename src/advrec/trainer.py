@@ -262,11 +262,10 @@ def min_step(state: TrainState, batch: Batch) -> float:
     upstream = np.concatenate([d_pos[:, None], d_neg], axis=1) / len(batch.users)
     enc = state.encoder
     u_grads, i_grads = batch_backward(enc, cache, upstream)
-    updates = ((enc.user_table, u_grads), (enc.item_table, i_grads))
+    updates = [(table, check_row_grads(table, row_grads))
+               for table, row_grads in ((enc.user_table, u_grads), (enc.item_table, i_grads))]
     for table, row_grads in updates:
-        check_row_grads(table, row_grads)
-    for table, row_grads in updates:
-        adam_step(table, row_grads, state.cfg.lr)
+        adam_step(table, row_grads, state.cfg.lr, checked=True)
     return float(loss_vec.mean())
 
 

@@ -17,6 +17,7 @@ from advrec.evaluation import (
     hardness_popularity_profile,
 )
 from advrec.rng import substream
+from advrec.trainer import HARDNESS_STRATEGIES
 
 
 GEN_ARGS = ["--n_users", "60", "--n_items", "40", "--latent_dim", "6",
@@ -54,8 +55,19 @@ def assert_rows_equal(rows, expected):
             assert got == value or (got != got and value != value), (row, want)
 
 
+# The train options read only by the strategies that train an adversary.
+ADVERSARY_KEYS = ("hardness_kind", "hardness_dim", "lr_adv", "e_adv_max", "t_adv_interval")
+
+
 def train(tmp_path, data, name="run", extra=()):
+    """advrec train on data; the adversary's options are passed only with a
+    strategy that trains an adversary (the default, adv)."""
     out = tmp_path / name
+    extra = list(extra)
+    flag = "--hardness_strategy"
+    strategy = extra[extra.index(flag) + 1] if flag in extra else "adv"
+    adversary = (["--lr_adv", "0.01", "--t_adv_interval", "1", "--e_adv_max", "2"]
+                 if strategy in HARDNESS_STRATEGIES else [])
     code = main([
         "train",
         "--train_file", str(data / "train.tsv"),
@@ -63,9 +75,8 @@ def train(tmp_path, data, name="run", extra=()):
         "--test_file", str(data / "test.tsv"),
         "--out", str(out),
         "--embed_dim", "8", "--batch_size", "64", "--n_negatives", "4",
-        "--k_weight", "4", "--tau", "0.2", "--lr", "0.05", "--lr_adv", "0.01",
-        "--max_epochs", "3", "--t_adv_interval", "1", "--e_adv_max", "2",
-        "--seed", "1", *extra,
+        "--k_weight", "4", "--tau", "0.2", "--lr", "0.05", *adversary,
+        "--max_epochs", "3", "--seed", "1", *extra,
     ])
     assert code == 0
     return out
@@ -242,12 +253,21 @@ class TestTrain:
         ("hardness_kind", {"hardness_strategy": "rand", "hardness_kind": "embed"}, "config"),
         ("hardness_dim", {"hardness_strategy": "rand", "hardness_dim": "3"}, "flag"),
         ("hardness_dim", {"hardness_strategy": "none", "hardness_dim": "0"}, "config"),
+        ("lr_adv", {"hardness_strategy": "none", "lr_adv": "0.01"}, "flag"),
+        ("lr_adv", {"hardness_strategy": "rand", "lr_adv": "5e-05"}, "config"),
+        ("e_adv_max", {"hardness_strategy": "rand", "e_adv_max": "2"}, "flag"),
+        ("e_adv_max", {"hardness_strategy": "none", "e_adv_max": "7"}, "config"),
+        ("t_adv_interval", {"hardness_strategy": "none", "t_adv_interval": "1"}, "flag"),
+        ("t_adv_interval", {"hardness_strategy": "rand", "t_adv_interval": "5"}, "config"),
     ], ids=["flag", "config", "none-hardness_kind-flag", "rand-hardness_kind-config",
-            "rand-hardness_dim-flag", "none-hardness_dim-config"])
+            "rand-hardness_dim-flag", "none-hardness_dim-config", "none-lr_adv-flag",
+            "rand-lr_adv-config", "rand-e_adv_max-flag", "none-e_adv_max-config",
+            "none-t_adv_interval-flag", "rand-t_adv_interval-config"])
     def test_gcn_layers_with_mf_exits_2_before_loading(self, tmp_path, capsys, option, given,
                                                        source):
-        # gcn_layers is read only by the graph backbone, and hardness_kind and
-        # hardness_dim only by strategies with a hardness model; the rest ignore them
+        # gcn_layers is read only by the graph backbone, and the hardness and
+        # adversary options only by strategies with a hardness model; the rest
+        # ignore them, even at their default values
         absent = str(tmp_path / "absent.tsv")
         args = [arg for key, value in given.items() for arg in (f"--{key}", value)]
         if source == "config":
@@ -263,9 +283,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("extra,omitted", [
         ((), ("gcn_layers",)),
-        (("--hardness_strategy", "none"), ("gcn_layers", "hardness_kind", "hardness_dim")),
-        (("--hardness_strategy", "rand", "--backbone", "lightgcn"),
-         ("hardness_kind", "hardness_dim")),
+        (("--hardness_strategy", "none"), ("gcn_layers", *ADVERSARY_KEYS)),
+        (("--hardness_strategy", "rand", "--backbone", "lightgcn"), ADVERSARY_KEYS),
     ], ids=["gcn_layers", "none", "rand-lightgcn"])
     def test_mf_snapshot_omits_gcn_layers_and_replays(self, tmp_path, extra, omitted):
         data = generate(tmp_path)
@@ -273,7 +292,7 @@ class TestTrain:
         keys = {line.partition("=")[0]
                 for line in (r1 / "config.resolved").read_text().splitlines()}
         assert not keys & set(omitted)
-        assert {"gcn_layers", "hardness_kind", "hardness_dim"} - keys == set(omitted)
+        assert {"gcn_layers", *ADVERSARY_KEYS} - keys == set(omitted)
         r2 = tmp_path / "r2"
         assert main(["train", "--config", str(r1 / "config.resolved"), "--out", str(r2)]) == 0
         for name in ("metrics.jsonl", "best.ckpt", "final.ckpt"):

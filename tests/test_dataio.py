@@ -303,6 +303,42 @@ class TestStrictFiles:
         with pytest.raises(ParseError, match=f"{split}.tsv:{line_no}: duplicate"):
             load_interactions(*paths)
 
+    @pytest.mark.parametrize("texts,raised", [
+        (("1\t2\n3\t4\n", "3\t4\n", "7\t8\n9\t9\n7\t8\n"), "test.tsv:3: duplicate"),
+        (("1\t2\n3\t4\n1\t2\n", "# hand-written\n5\t6\n", ""), "train.tsv:3: duplicate"),
+        (("# hand-written\n1\t2\n", "5\t6\n5\t6\n", "7\t8\n"), "valid.tsv:2: duplicate"),
+        (("1\t2\n1\t2\n", "# hand-written\n5\t6\t7\n", ""), "train.tsv:2: duplicate"),
+        (("# hand-written\n1\t2\n1\t2 x\n", "5\t6\n5\t6\n", ""), "train.tsv:3: non-integer"),
+        (("1\t2\n", "# hand-written\n-5\t6\n", "7\t8\n7\t8\n"), "valid.tsv:2: negative id"),
+        (("", "# hand-written\n5\t6\n", "7\t8\n7\t8\n"), "test.tsv:2: duplicate"),
+        (("# hand-written\n", "5\t6\n5\t6\n", ""), "valid.tsv:2: duplicate"),
+    ], ids=["after-an-overlap", "strict-train", "strict-valid", "before-a-bad-line",
+            "after-a-bad-line", "after-a-bad-id", "empty-train", "commented-empty-train"])
+    def test_strict_duplicate_raises_where_the_line_parser_would(self, tmp_path, texts, raised):
+        # in file order, before a later file's error, before the empty train
+        # split and before a valid pair that is also a train pair, though
+        # the dense keys show that overlap first
+        paths = [write(tmp_path, f"{name}.tsv", text)
+                 for name, text in zip(("train", "valid", "test"), texts)]
+        assert_loads_like_reference(paths)
+        with pytest.raises(ParseError, match=raised):
+            load_interactions(*paths)
+
+    def test_strict_duplicate_outranks_a_missing_later_file(self, tmp_path):
+        train = write(tmp_path, "train.tsv", "1\t2\n1\t2\n")
+        with pytest.raises(ParseError, match="train.tsv:2: duplicate"):
+            load_interactions(train, tmp_path / "absent.tsv", tmp_path / "absent.tsv")
+
+    def test_later_files_first_see_ids_out_of_sorted_order(self, tmp_path):
+        paths = [write(tmp_path, "train.tsv", "50\t500\n7\t900\n50\t100\n"),
+                 write(tmp_path, "valid.tsv", "# hand-written\n90\t800\n3\t100\n7\t5\n"),
+                 write(tmp_path, "test.tsv", "60\t700\n1\t2\n90\t500\n")]
+        assert_loads_like_reference(paths)
+        ds = load_interactions(*paths)
+        assert list(ds.user_remap) == [50, 7, 90, 3, 60, 1]
+        assert list(ds.item_remap) == [500, 900, 100, 800, 5, 700, 2]
+        assert ds.test_pairs.tolist() == [[4, 5], [5, 6], [2, 0]]
+
 
 FALLBACK_FORMS = {
     "comment": "# written by hand\n{a}\n",

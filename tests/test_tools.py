@@ -152,8 +152,9 @@ def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
     # fault counts depend on the allocator, so only their form is checked
     step_faults.main()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("| backbone | hardness | run_s | run faults | min steps |")
-    assert lines[0].endswith("| samples | ms/sample |")
+    assert lines[0] == ("| backbone | hardness | run_s | run faults | min steps | ms/min step "
+                        "| faults/min pass | adv steps | ms/adv step | faults/adv pass | samples "
+                        "| ms/sample |")
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
     assert [tuple(row[:2]) for row in rows] \
         == list(itertools.product(encoder.BACKBONES, loss.HARDNESS_MODELS))
@@ -164,7 +165,9 @@ def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
         # 3 epochs of min steps, 2 adversarial passes (the budget), same batches
         assert int(min_steps) == 3 * int(adv_steps) / 2 > 0
         assert float(min_ms) > 0 and float(adv_ms) > 0
-        assert float(min_faults) >= 0 and float(adv_faults) >= 0
+        # the median pass's faults, summed over its steps, within the run's
+        assert 0 <= float(min_faults) <= int(run_faults)
+        assert 0 <= float(adv_faults) <= int(run_faults)
         # one sampler call per batch of either pass
         assert int(samples) == int(min_steps) + int(adv_steps) and float(sample_ms) > 0
     assert step_faults.trainer.min_step.__name__ == "min_step"  # restored

@@ -703,6 +703,31 @@ class TestRejectedStep:
         assert [table_bytes(t) for t in state.hardness.tables] == before
 
 
+class TestBlocksCheckedOnce:
+    """A step checks each gradient block once, before the first table moves;
+    Adam then takes the blocks as checked."""
+
+    @pytest.mark.parametrize("step,kind", [(min_step, "embed"), (adv_step, "embed"),
+                                           (adv_step, "mlp")],
+                             ids=["min", "adv-embed", "adv-mlp"])
+    def test_each_block_is_checked_once(self, small_dataset, monkeypatch, step, kind):
+        cfg = small_cfg(hardness_kind=kind)
+        state = init_state(small_dataset, cfg)
+        checked = []
+        real = numkit.check_row_grads
+
+        def counted(table, row_grads):
+            checked.append(table)
+            return real(table, row_grads)
+
+        for module in (numkit, trainer, loss):
+            monkeypatch.setattr(module, "check_row_grads", counted)
+        step(state, first_batch(small_dataset, cfg))
+        tables = ((state.encoder.user_table, state.encoder.item_table) if step is min_step
+                  else state.hardness.tables)
+        assert [id(t) for t in checked] == [id(t) for t in tables]
+
+
 def traced_peak(step, state, batch):
     """The traced memory peak of one step, above what was traced before it."""
     tracemalloc.reset_peak()

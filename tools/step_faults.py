@@ -12,10 +12,13 @@ frees its blocks.
 
 For each backbone and hardness model it prints the run's wall seconds and
 main-thread minor faults; per min step and per adversarial step, the median
-wall milliseconds and median minor faults of the main thread (getrusage
-with RUSAGE_THREAD, Linux only); and the number of trainer.sample_negatives
-calls with their median wall milliseconds, timed on the thread that runs
-each (the prefetch worker, or the main thread for a pass's first batch).
+wall milliseconds; per min pass and per adversarial pass, the median of the
+pass's main-thread minor faults summed over its steps (getrusage with
+RUSAGE_THREAD, Linux only; a pass faults its block memory in on its first
+step, which a per-step median would leave out); and the number of
+trainer.sample_negatives calls with their median wall milliseconds, timed
+on the thread that runs each (the prefetch worker, or the main thread for a
+pass's first batch).
 The prefetch worker's faults are not counted. Fault counts depend on the
 allocator, so compare them between trees on one machine only. Run from the
 repository root:
@@ -25,6 +28,7 @@ repository root:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 
@@ -74,13 +78,15 @@ def write_dataset(out: Path) -> None:
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def measured_run(dataset, backbone: str, hardness: str) -> tuple[float, int, dict]:
-    """run_training's wall seconds and main-thread faults, and for each name
-    of MEASURED the list of (seconds, faults) of its calls, each measured on
-    the thread that made it."""
+def measured_run(dataset, backbone: str, hardness: str) -> tuple[float, int, dict, dict]:
+    """run_training's wall seconds and main-thread faults; for each name of
+    MEASURED the list of (seconds, faults) of its calls, each measured on
+    the thread that made it; and for each name of STEPS the faults of each
+    pass, summed over the pass's steps."""
     cfg = trainer.TrainConfig(seed=SEED, backbone=backbone, hardness_strategy="adv",
                               hardness_kind=hardness, **CFG)
     steps = {name: [] for name in MEASURED}
+    passes = {name: collections.Counter() for name in STEPS}
     real = {name: getattr(trainer, name) for name in MEASURED}
 
     def measured(name):
@@ -88,6 +94,8 @@ def measured_run(dataset, backbone: str, hardness: str) -> tuple[float, int, dic
             f0, t0 = minor_faults(), time.perf_counter()
             result = real[name](*args)
             steps[name].append((time.perf_counter() - t0, minor_faults() - f0))
+            if name in STEPS:  # an epoch runs at most one pass of each step
+                passes[name][args[0].epoch] += steps[name][-1][1]
             return result
         return call
 
@@ -96,7 +104,7 @@ def measured_run(dataset, backbone: str, hardness: str) -> tuple[float, int, dic
     try:
         f0, t0 = minor_faults(), time.perf_counter()
         trainer.run_training(dataset, cfg)
-        return time.perf_counter() - t0, minor_faults() - f0, steps
+        return time.perf_counter() - t0, minor_faults() - f0, steps, passes
     finally:
         for name, fn in real.items():
             setattr(trainer, name, fn)
@@ -107,17 +115,17 @@ def main() -> None:
         write_dataset(Path(tmp))
         dataset = load_interactions(*(Path(tmp) / f"{name}.tsv" for name in SPLITS))
     print("| backbone | hardness | run_s | run faults | min steps | ms/min step "
-          "| faults/min step | adv steps | ms/adv step | faults/adv step | samples "
+          "| faults/min pass | adv steps | ms/adv step | faults/adv pass | samples "
           "| ms/sample |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for backbone, hardness in itertools.product(BACKBONES, HARDNESS_MODELS):
-        wall, faults, steps = measured_run(dataset, backbone, hardness)
+        wall, faults, steps, passes = measured_run(dataset, backbone, hardness)
         cells = [backbone, hardness, f"{wall:.3f}", str(faults)]
         for name in MEASURED:
             calls = steps[name] or [(0.0, 0)]
             cells += [str(len(steps[name])), f"{1e3 * statistics.median(s for s, _ in calls):.3f}"]
             if name in STEPS:
-                cells.append(f"{statistics.median(f for _, f in calls):.1f}")
+                cells.append(f"{statistics.median(passes[name].values() or [0]):.1f}")
         print("| " + " | ".join(cells) + " |", flush=True)
 
 if __name__ == "__main__":
