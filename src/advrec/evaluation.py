@@ -12,15 +12,16 @@ from .dataio import InteractionSet, popularity_groups, sample_negatives
 from .encoder import Encoder, representations
 from .errors import BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates
 from .loss import advinfonce_forward
-from .numkit import cosine_scores, row_norms
+from .numkit import check_finite_norms, cosine_scores, row_norms
 
 # Hardness diagnostics score at most this many sampled rows at once, which
 # bounds their memory whatever the number of planted pairs or anchors.
 BLOCK_ROWS = 1024
 # evaluate_split holds at most this many float64 scores (2 MB) in its user
-# block, and as many again, first in the block's partitioned copy and then in
-# the score rows gathered for a chunk of candidate positives (a single row
-# when n_items alone exceeds it), which bounds its memory whatever the users.
+# block, and at most as many again, first in the copy of the rows that can hold
+# a hit, partitioned in place, and then in the score rows gathered for one
+# chunk of candidate positives (a single row when n_items alone exceeds it),
+# which bounds its memory whatever the users.
 SCORE_CELLS = 1 << 18
 
 
@@ -60,7 +61,9 @@ def rank_all(
 ) -> RankResult:
     """Rank every item except the user's train positives. Deterministic:
     equal scores order by ascending item id. The reference that
-    evaluate_split's hit ranks are tested against."""
+    evaluate_split's hit ranks are tested against. Raises cosine_scores'
+    ZeroNormError or NonFinite for the user's or a candidate's
+    representation."""
     user_reps, item_reps = representations(enc)
     mask = np.ones(dataset.n_items, dtype=bool)
     mask[dataset.positives(user, "train")] = False
@@ -133,7 +136,16 @@ def _block_ranks(scores: np.ndarray, items: np.ndarray, owner: np.ndarray,
         s_p = np.take_along_axis(rows, p, axis=1)
         ranks[c:c + step] = 1 + np.count_nonzero(rows > s_p, axis=1) \
             + np.count_nonzero((rows == s_p) & (ids < p), axis=1)
+        del rows  # so that the next chunk is not gathered beside this one
     return ranks
+
+
+def _kth_largest(rows: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest value, or its smallest if k exceeds the row's
+    length. Partitions rows in place."""
+    at = -min(k, rows.shape[1])
+    rows.partition(at, axis=1)
+    return rows[:, at]
 
 
 def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
@@ -145,6 +157,7 @@ def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
     users = dataset.users_with_positives(split)
     u_norm = row_norms(user_reps[users])
     i_norm = row_norms(item_reps)
+    check_finite_norms(u_norm, i_norm)
     step = max(1, SCORE_CELLS // dataset.n_items)
     for start in range(0, len(users), step):
         block = users[start:start + step]
@@ -154,10 +167,16 @@ def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
         scores[train_owner, train_items] = -np.inf
         items, owner = dataset.positives_of(block, split)
         n_pos = np.bincount(owner, minlength=len(block))
-        if k_eval < dataset.n_items:  # a copy, so that the partitioned block is freed
-            kth = np.partition(scores, -k_eval, axis=1)[:, -k_eval].copy()
-            reach = scores[owner, items] >= kth[owner]
-            items, owner = items[reach], owner[reach]
+        s_pos = scores[owner, items]
+        best = np.maximum.reduceat(s_pos, np.cumsum(n_pos) - n_pos)
+        # a row with k_eval candidates above its best positive holds no hit;
+        # an int32 row sum of the mask is about twice as fast as count_nonzero's
+        above = np.sum(scores > best[:, None], axis=1, dtype=np.int32)
+        live = np.flatnonzero(above < k_eval)
+        kth = np.full(len(block), np.inf)
+        kth[live] = _kth_largest(scores[live], k_eval)  # the copy is freed here
+        reach = s_pos >= kth[owner]
+        items, owner = items[reach], owner[reach]
         ranks = _block_ranks(scores, items, owner, step)
         order = np.lexsort((ranks, owner))
         order = order[ranks[order] <= k_eval]
@@ -175,19 +194,30 @@ def evaluate_split(
 
     Users are scored in blocks of max(1, SCORE_CELLS // n_items) rows
     against every item with one matmul, in cosine_scores' expression, and
-    each user's train positives are set to -inf. A partitioned copy gives
-    each row's k-th largest score (-inf if the user has fewer than k
+    each user's train positives are set to -inf. Every positive of a user
+    ranks past the candidates scoring strictly above the user's best
+    positive, so a row with k or more of them holds no hit and is skipped.
+    The other rows are gathered and partitioned in place, which gives each
+    one's k-th largest score (-inf if the user has fewer than k
     candidates); a positive scoring below it ranks past k. Each other
     positive p scoring s ranks 1 + #(score > s) + #(score == s and id < p),
     rank_all's stable order counted on its score row, gathered in chunks of
-    the block's size. At the peak the block, one chunk of rows and
-    count_nonzero's intp copy of the chunk's mask are live.
+    the block's size. At the peak the block and at most one more array of
+    its size are live: the gathered rows while they are partitioned, or one
+    chunk of score rows with its boolean masks while positives are ranked.
 
-    Raises ValueError if k_eval < 1, before any work, and ZeroNormError if
-    the representation of an evaluated user or of any item (every item is
-    scored) has norm <= 1e-12. The train split is rejected: train positives
-    are never ranking candidates. A split positive is never a train
-    positive, so every evaluated user has a candidate."""
+    At k >= n_items - 1 no row can be skipped (a positive never scores above
+    itself), so the count is spent for nothing, and from k >= n_items on
+    each row is partitioned to its minimum, which every positive reaches.
+    Such a k is slower than ranking every positive unpartitioned; it has no
+    path of its own because Top-K metrics use a k far below n_items.
+
+    Raises ValueError if k_eval < 1, before any work. Raises ZeroNormError
+    if the representation of an evaluated user or of any item (every item is
+    scored) has norm <= 1e-12, and then NonFinite if one holds NaN or Inf.
+    The train split is rejected: train positives are never ranking
+    candidates. A split positive is never a train positive, so every
+    evaluated user has a candidate."""
     if split == "train":
         raise BadParam("train positives are never ranking candidates; evaluate valid or test")
     return _metrics(_hit_ranks(enc, dataset, split, k_eval), k_eval)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, IdOutOfRange, NonFiniteGradient, ZeroNormError
+from .errors import DimMismatch, IdOutOfRange, NonFinite, NonFiniteGradient, ZeroNormError
 
 NORM_FLOOR = 1e-12
 # Adam's moment decay rates and the floor added to its denominator.
@@ -144,8 +144,17 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
+def check_finite_norms(*norms: np.ndarray) -> None:
+    """NonFinite unless every norm is finite. A row holding NaN or Inf has a
+    NaN or Inf norm, which row_norms lets through, so that a training step's
+    NaN reaches its loss check; ranking calls this on the norms it scales by."""
+    if not all(np.isfinite(n).all() for n in norms):
+        raise NonFinite("representation holds NaN or Inf")
+
+
 def cosine_scores(u_vec: np.ndarray, i_mat: np.ndarray, tau: float) -> np.ndarray:
-    """(1/tau) * cosine(u_vec, row) for every row of i_mat."""
+    """(1/tau) * cosine(u_vec, row) for every row of i_mat. ZeroNormError if a
+    row has norm at most NORM_FLOOR, then NonFinite if one holds NaN or Inf."""
     u_vec = np.asarray(u_vec, dtype=np.float64)
     i_mat = np.atleast_2d(np.asarray(i_mat, dtype=np.float64))
     if u_vec.shape[-1] != i_mat.shape[-1]:
@@ -156,6 +165,7 @@ def cosine_scores(u_vec: np.ndarray, i_mat: np.ndarray, tau: float) -> np.ndarra
     i_norms = np.linalg.norm(i_mat, axis=-1)
     if u_norm <= NORM_FLOOR or np.any(i_norms <= NORM_FLOOR):
         raise ZeroNormError("row norm below 1e-12")
+    check_finite_norms(u_norm, i_norms)
     return (i_mat @ u_vec) / (u_norm * i_norms * tau)
 
 

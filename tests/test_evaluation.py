@@ -16,7 +16,7 @@ from advrec.dataio import (
 )
 from advrec.encoder import build_encoder, representations, score
 from advrec.errors import (BadParam, EmptyEval, EmptyFnList, EmptySample, NoCandidates,
-                           ZeroNormError)
+                           NonFinite, ZeroNormError)
 from advrec.evaluation import (
     BLOCK_ROWS,
     SCORE_CELLS,
@@ -61,6 +61,27 @@ def forced_tie_case():
     pairs = np.stack([cells // n_items, cells % n_items], axis=1)
     ds = InteractionSet(n_users, n_items, pairs[:40], np.zeros((0, 2)), pairs[40:70])
     enc = make_encoder(ds, dim=3, tau=0.5)
+    enc.item_table.values[:] = palette[rng.integers(0, 3, size=n_items)]
+    enc.user_table.values[:] = rng.integers(-3, 4, size=(n_users, 3))
+    enc.user_table.values[:, 0] = 1.0  # no zero-norm user
+    return ds, enc
+
+
+def palette_tie_case(seed):
+    """forced_tie_case's construction at a seeded size: 3 to 7 users, 4 to 12
+    items, and a seeded share of train pairs, so that some users have few
+    candidates."""
+    rng = np.random.default_rng(seed)
+    palette = rng.integers(-2, 3, size=(3, 3)).astype(float)
+    palette[:, 0] = np.abs(palette[:, 0]) + 1.0  # no zero-norm item
+    n_users, n_items = int(rng.integers(3, 8)), int(rng.integers(4, 13))
+    cells = rng.permutation(n_users * n_items)
+    pairs = np.stack([cells // n_items, cells % n_items], axis=1)
+    n_train = int(rng.integers(0, len(pairs) // 2))
+    n_test = int(rng.integers(1, len(pairs) - n_train))
+    ds = InteractionSet(n_users, n_items, pairs[:n_train], np.zeros((0, 2)),
+                        pairs[n_train:n_train + n_test])
+    enc = make_encoder(ds, dim=3, tau=0.5, seed=seed)
     enc.item_table.values[:] = palette[rng.integers(0, 3, size=n_items)]
     enc.user_table.values[:] = rng.integers(-3, 4, size=(n_users, 3))
     enc.user_table.values[:, 0] = 1.0  # no zero-norm user
@@ -505,6 +526,24 @@ def assert_equals_rank_all(enc, ds, split, k_eval=5):
         (want.hr, want.recall, want.ndcg, want.n_users)
 
 
+def acceptance_sized_peak(k_eval):
+    """tracemalloc's peak, in bytes, of evaluate_split on the test split of
+    the acceptance-sized dataset (2,000 users, 1,000 items) with a random MF
+    encoder, whose representations are views of its tables. A negative
+    k_eval counts back from n_items."""
+    ds = generate_synthetic(SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
+                                          exposure_bias_strength=1.0, train_fraction=0.6,
+                                          fn_plant_rate=0.2, relevance_quantile=0.02,
+                                          seed=0)).dataset
+    enc = make_encoder(ds, dim=32, tau=0.2)
+    tracemalloc.start()
+    try:
+        evaluate_split(enc, ds, "test", k_eval % ds.n_items)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEvaluateSplit:
     @pytest.mark.parametrize("split", ["valid", "test"])
     @pytest.mark.parametrize("kind", ["mf", "lightgcn"])
@@ -635,47 +674,132 @@ class TestEvaluateSplit:
         with pytest.raises(ZeroNormError):
             evaluate_split(enc, small_dataset, "valid")
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_rank_all_on_palette_ties(self, seed):
+        # Tied scores at every cutoff, from k = 1 past n_items.
+        ds, enc = palette_tie_case(seed)
+        for k in (1, 3, ds.n_items - 1, ds.n_items, ds.n_items + 2):
+            assert_equals_rank_all(enc, ds, "test", k_eval=k)
+
+    def test_rows_without_a_hit_are_neither_partitioned_nor_ranked(self, monkeypatch):
+        # Each user has three distinct train positives, so the -inf cells of
+        # a score row name its user. With random scores there are no ties,
+        # so a row holds a hit exactly when fewer than k candidates score
+        # above its best positive; only those rows are partitioned, and only
+        # their positives ranked.
+        rng = np.random.default_rng(42)
+        n_users, n_items, k = 30, 40, 3
+        pairs = np.array([[(u, int(i)) for i in rng.choice(n_items, size=6, replace=False)]
+                          for u in range(n_users)])
+        ds = InteractionSet(n_users, n_items, pairs[:, :3].reshape(-1, 2),
+                            np.zeros((0, 2)), pairs[:, 3:].reshape(-1, 2))
+        enc = make_encoder(ds, seed=43)
+        by_train = {tuple(ds.positives(u, "train").tolist()): u for u in range(n_users)}
+        assert len(by_train) == n_users
+
+        def user_of(row):
+            return by_train[tuple(np.flatnonzero(row == -np.inf).tolist())]
+
+        partitioned, ranked = [], []
+        real_kth, real_ranks = evaluation._kth_largest, evaluation._block_ranks
+
+        def kth_spy(rows, k_eval):
+            partitioned.extend(user_of(row) for row in rows)
+            return real_kth(rows, k_eval)
+
+        def ranks_spy(scores, items, owner, step):
+            ranked.extend(user_of(scores[j]) for j in owner)
+            return real_ranks(scores, items, owner, step)
+
+        monkeypatch.setattr(evaluation, "_kth_largest", kth_spy)
+        monkeypatch.setattr(evaluation, "_block_ranks", ranks_spy)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 7 * n_items)
+        evaluate_split(enc, ds, "test", k)
+        with_hit = [u for u in range(n_users) if rank_all(enc, u, ds).positions[0] <= k]
+        assert 0 < len(with_hit) < n_users
+        assert partitioned == with_hit
+        assert set(ranked) <= set(with_hit)
+        assert_equals_rank_all(enc, ds, "test", k_eval=k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_best_positive_with_k_minus_one_candidates_above_and_a_lower_tie(
+            self, monkeypatch, k):
+        # Items 1 and 2 score above test positive 5, and item 0 ties with
+        # it, so 5 ranks 4th: at k = 3 its row has k - 1 candidates above
+        # the best positive and is partitioned, but the lower-id tie at the
+        # cutoff pushes 5 past it. At k = 2 the row is skipped.
+        ds = InteractionSet(1, 8, np.array([[0, 6]]), np.zeros((0, 2)),
+                            np.array([[0, 5], [0, 7]]))
+        enc = make_encoder(ds, dim=2, tau=1.0)
+        enc.user_table.values[0] = [1.0, 0.0]
+        enc.item_table.values[:] = [0.0, 1.0]
+        enc.item_table.values[[1, 2]] = [1.0, 0.0]
+        enc.item_table.values[[0, 5]] = [1.0, 1.0]
+        np.testing.assert_array_equal(rank_all(enc, 0, ds).ranking, [1, 2, 0, 5, 3, 4, 7])
+        partitioned = []
+        real = evaluation._kth_largest
+        monkeypatch.setattr(evaluation, "_kth_largest",
+                            lambda rows, k_eval: partitioned.append(len(rows)) or real(rows, k_eval))
+        hits = hit_ranks_by_user(enc, ds, "test", k)[0]
+        assert partitioned == [0 if k == 2 else 1]
+        np.testing.assert_array_equal(hits, [4] if k == 4 else [])
+        assert_equals_rank_all(enc, ds, "test", k_eval=k)
+
+    def test_non_finite_item_raises(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=44)
+        u = int(small_dataset.users_with_positives("test")[0])
+        candidate = np.setdiff1d(np.arange(small_dataset.n_items),
+                                 small_dataset.positives(u, "train"))[0]
+        enc.item_table.values[candidate, 1] = np.nan
+        with pytest.raises(NonFinite):
+            rank_all(enc, u, small_dataset)
+        with pytest.raises(NonFinite):
+            evaluate_split(enc, small_dataset, "test")
+
+    def test_non_finite_evaluated_user_raises(self, small_dataset):
+        enc = make_encoder(small_dataset, seed=45)
+        evaluated = small_dataset.users_with_positives("test")
+        idle = np.setdiff1d(np.arange(small_dataset.n_users), evaluated)
+        assert len(idle)
+        want = evaluate_split(enc, small_dataset, "test")
+        enc.user_table.values[idle] = np.nan  # not evaluated, so not checked
+        assert evaluate_split(enc, small_dataset, "test") == want
+        enc.user_table.values[evaluated[0], 2] = np.inf
+        with pytest.raises(NonFinite):
+            evaluate_split(enc, small_dataset, "test")
+        with pytest.raises(NonFinite):
+            rank_all(enc, int(evaluated[0]), small_dataset)
+
     def test_peak_memory_bounded_by_score_cells(self):
         # The acceptance-sized dataset: a block of 262 users has about 880
         # test positives, whose 7 MB of score rows must not be gathered at
-        # once. While a block is partitioned two arrays of SCORE_CELLS
-        # 8-byte cells are live (the score block and its partitioned copy,
-        # freed before any row is gathered); while candidates are ranked,
-        # three (the score block, a chunk of gathered score rows and
-        # count_nonzero's intp copy of a chunk's mask), with the chunk's
-        # boolean masks and the index arrays. The bound allows one more.
-        # MF representations are views of the tables.
-        ds = generate_synthetic(SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
-                                              exposure_bias_strength=1.0, train_fraction=0.6,
-                                              fn_plant_rate=0.2, relevance_quantile=0.02,
-                                              seed=0)).dataset
-        enc = make_encoder(ds, dim=32, tau=0.2)
-        bound = 4 * SCORE_CELLS * 8
-        tracemalloc.start()
-        try:
-            evaluate_split(enc, ds, "test")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # once. While the rows of a block that can hold a hit are
+        # partitioned, at most two arrays of SCORE_CELLS 8-byte cells are
+        # live (the score block and the gathered copy of those rows, freed
+        # before any positive is ranked); while candidates are ranked, two
+        # (the score block and one chunk of gathered score rows), with the
+        # chunk's boolean masks and the index arrays. The bound allows two
+        # more. MF representations are views of the tables.
+        peak, bound = acceptance_sized_peak(k_eval=20), 4 * SCORE_CELLS * 8
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_peak_memory_when_every_positive_is_a_candidate(self):
-        # At k = n_items - 1 the block is partitioned and then almost every
-        # test positive is ranked, in full chunks of score rows. The
-        # partitioned copy must be freed first: with it the peak would
-        # pass the bound of test_peak_memory_bounded_by_score_cells.
-        ds = generate_synthetic(SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
-                                              exposure_bias_strength=1.0, train_fraction=0.6,
-                                              fn_plant_rate=0.2, relevance_quantile=0.02,
-                                              seed=0)).dataset
-        enc = make_encoder(ds, dim=32, tau=0.2)
-        bound = 4 * SCORE_CELLS * 8
-        tracemalloc.start()
-        try:
-            evaluate_split(enc, ds, "test", ds.n_items - 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # At k = n_items - 1 no row is skipped: the whole block is gathered
+        # and partitioned, and then almost every test positive is ranked, in
+        # full chunks of score rows. The partitioned copy must be freed
+        # first, and each chunk before the next is gathered;
+        # test_peak_memory_ranks_one_chunk_at_a_time holds both to a
+        # tighter bound.
+        peak, bound = acceptance_sized_peak(k_eval=-1), 4 * SCORE_CELLS * 8
+        assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
+
+    def test_peak_memory_ranks_one_chunk_at_a_time(self):
+        # As test_peak_memory_when_every_positive_is_a_candidate, with a
+        # bound of three arrays of SCORE_CELLS 8-byte cells: the score block,
+        # one chunk of score rows and their masks fit; the partitioned copy
+        # kept alive while positives are ranked, or a chunk gathered beside
+        # the one before it, does not.
+        peak, bound = acceptance_sized_peak(k_eval=-1), 3 * SCORE_CELLS * 8
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_runs_over_valid_split(self, small_dataset):

@@ -125,13 +125,36 @@ def test_diag_hash_covers_the_per_user_table(config_hashes, monkeypatch):
 
     def permute_per_user(*args):
         report = real(*args)
-        users, values = list(report.per_user), list(report.per_user.values())
-        report.per_user = dict(zip(users, values[1:] + values[:1]))
-        assert report.per_user != dict(zip(users, values))
+        if args[-1] == config_hashes.CFG["k_eval"]:  # the other ks' tables are left as they are
+            users, values = list(report.per_user), list(report.per_user.values())
+            report.per_user = dict(zip(users, values[1:] + values[:1]))
+            assert report.per_user != dict(zip(users, values))
         return report
 
     monkeypatch.setattr(config_hashes, "evaluate_split", permute_per_user)
     train, diag = config_hashes.config_hashes(data, "mf", "rand", "embed")
+    assert train == first[0] and diag != first[1]
+
+
+def test_diag_hash_covers_both_ends_of_the_cutoff(config_hashes, monkeypatch):
+    # the per-user tables at k = 1 and k = n_items are hashed: permuting the
+    # k = n_items table alone moves the diag hash
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    first = config_hashes.config_hashes(data, "mf", "rand", "embed")
+    real, ks = config_hashes.evaluate_split, []
+
+    def permute_at_n_items(*args):
+        report = real(*args)
+        ks.append(args[-1])
+        if args[-1] == data.dataset.n_items:
+            users, values = list(report.per_user), list(report.per_user.values())
+            report.per_user = dict(zip(users, values[1:] + values[:1]))
+            assert report.per_user != dict(zip(users, values))
+        return report
+
+    monkeypatch.setattr(config_hashes, "evaluate_split", permute_at_n_items)
+    train, diag = config_hashes.config_hashes(data, "mf", "rand", "embed")
+    assert ks == [config_hashes.CFG["k_eval"], 1, data.dataset.n_items]
     assert train == first[0] and diag != first[1]
 
 

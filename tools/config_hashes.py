@@ -11,7 +11,8 @@ configuration and prints two hashes for each:
   then the bytes save_checkpoint writes for the final model and, if a
   validation ran, for the best snapshot, saved to a temporary directory;
 - diag: test HR/Recall/NDCG@20 of the final encoder, with every user's
-  triple, so that a one-ulp change for one user shows; the false-negative
+  triple, so that a one-ulp change for one user shows; every user's triple
+  at k = 1 and at k = n_items, the two ends of the cutoff; the false-negative
   identification rate (n_resamples=1) and a 10-bin hardness-popularity
   profile; the last two only where the strategy trains a hardness model.
 
@@ -119,6 +120,8 @@ def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[st
 
     report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
     diag = [report.hr, report.recall, report.ndcg, sorted(report.per_user.items())]
+    for k in (1, data.dataset.n_items):
+        diag.append(sorted(evaluate_split(state.encoder, data.dataset, "test", k).per_user.items()))
     if state.hardness is not None:
         diag.append(fn_identification_rate(
             state.hardness, data.planted_fn, state.encoder, data.dataset,
