@@ -128,6 +128,13 @@ def _require_out_file(flag: str, path: Path) -> None:
         raise EngineError(f"{flag} {path} is not a file path in an existing directory")
 
 
+def _require_out_dir(flag: str, path: Path) -> None:
+    # the nearest existing ancestor (or path itself) is where mkdir would fail
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise EngineError(f"{flag} {path} is not a directory path: {existing} is not a directory")
+
+
 def _load_dataset(ns):
     _require_files(ns.train_file, ns.valid_file, ns.test_file)
     return load_interactions(ns.train_file, ns.valid_file, ns.test_file)
@@ -208,8 +215,9 @@ def cmd_generate(ns) -> int:
     groups, n0 = 50 if ns.groups is None else ns.groups, 100 if ns.n0 is None else ns.n0
     if ns.gamma is not None:
         gamma_quotas(n0, ns.gamma, groups)  # rejects bad split flags up front
-    result = generate_synthetic(spec)
     out = Path(ns.out or "dataset")
+    _require_out_dir("--out", out)
+    result = generate_synthetic(spec)
 
     files = {name: result.dataset.pairs(name) for name in SPLITS}
     files["planted_fn"] = result.planted_fn

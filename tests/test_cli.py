@@ -128,6 +128,23 @@ class TestGenerate:
         assert "apply only with --gamma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["file", "file/data"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_generating(
+            self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / out
+
+        def never(spec):
+            raise AssertionError("generate_synthetic ran before --out was checked")
+
+        monkeypatch.setattr(cli, "generate_synthetic", never)
+        assert main(["generate", "--out", str(out), *GEN_ARGS]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out} is not a directory path: {tmp_path / 'file'} is not a directory" \
+            in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
     def test_gamma_quotas_taking_the_whole_pool_exit_2(self, tmp_path, capsys):
         out = tmp_path / "gamma"
         code = main(["generate", "--out", str(out), *GEN_ARGS, "--gamma", "4.0", "--n0", "10"])

@@ -821,6 +821,26 @@ class TestGenerateSynthetic:
             generate_synthetic(SyntheticSpec(n_users=30, n_items=20,
                                              train_fraction=1e-9, seed=9))
 
+    @pytest.mark.parametrize("shape", [dict(n_users=1, n_items=1),
+                                       dict(n_users=60, n_items=40, relevance_quantile=1e-17)])
+    def test_no_relevant_pair_raises(self, shape):
+        # one affinity, or a quantile that rounds to the largest: nothing lies above the cutoff
+        with pytest.raises(DegenerateSpec, match="no relevant pair at the requested quantile"):
+            generate_synthetic(SyntheticSpec(seed=3, **shape))
+
+    def test_cutoff_interpolates_over_two_values(self, monkeypatch):
+        # np.quantile over the whole affinity matrix partitions it at four kths,
+        # numpy's slow multi-kth path; the generator hands it two values only
+        real, sizes = np.quantile, []
+
+        def spy(a, q, *args, **kwargs):
+            sizes.append(np.size(a))
+            return real(a, q, *args, **kwargs)
+
+        monkeypatch.setattr(np, "quantile", spy)
+        generate_synthetic(SyntheticSpec(n_users=300, n_items=150, seed=12))
+        assert sizes == [2]
+
     def test_popularity_sums_to_train_pairs(self):
         result = generate_synthetic(SyntheticSpec(n_users=80, n_items=50, seed=10))
         ds = result.dataset
@@ -835,6 +855,39 @@ class TestGenerateSynthetic:
         top = np.argsort(-w)[:20]
         bottom = np.argsort(-w)[-20:]
         assert ds.item_popularity[top].sum() > 5 * max(ds.item_popularity[bottom].sum(), 1)
+
+
+def quantile_case(rng):
+    """A seeded 1-D float array and a q for _linear_quantile against np.quantile."""
+    n = int(rng.choice([1, 2, 3, rng.integers(4, 400), rng.integers(400, 20_000)],
+                       p=[0.1, 0.1, 0.1, 0.65, 0.05]))
+    kind = rng.integers(5)
+    if kind == 0:
+        x = rng.normal(size=n)
+    elif kind == 1:  # heavy ties, zeros among them
+        x = rng.integers(-3, 4, size=n).astype(float)
+    elif kind == 2:  # adjacent floats
+        x = np.nextafter(1.5, rng.choice([-np.inf, 1.5, np.inf], size=n))
+    elif kind == 3:  # magnitudes from 1e-300 to 1e300, either sign
+        x = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+    else:  # no positive value: zeros at the top end
+        x = -rng.integers(0, 3, size=n).astype(float)
+    if rng.random() < 0.5:
+        # one sign of zero per array: a tie of -0.0 with +0.0 may come back as either
+        x[x == 0] = -0.0
+    # 1 - 1e-17 is 1.0, as relevance_quantile=1e-17 makes it: h rounds up to n - 1
+    q = rng.random() if rng.random() < 0.7 else float(rng.choice(
+        [0.0, 0.5, 1 - 1e-17, np.nextafter(1.0, 0.0), 0.98, 0.02]))
+    return x, q
+
+
+def test_linear_quantile_equals_np_quantile_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(4000):
+        x, q = quantile_case(rng)
+        want = np.quantile(x, q)
+        got = dataio._linear_quantile(x.copy(), q)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes(), (x, q, got, want)
 
 
 class TestSpecValidation:

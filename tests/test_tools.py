@@ -52,6 +52,7 @@ def test_rows_cover_every_engine_configuration(config_hashes, monkeypatch, capsy
     # a backbone, strategy or hardness model added to the engine gets a row
     monkeypatch.setattr(config_hashes, "ingest_hash", lambda data: "-")
     monkeypatch.setattr(config_hashes, "cli_hash", lambda: "-")
+    monkeypatch.setattr(config_hashes, "generate_hash", lambda: "-")
     monkeypatch.setattr(config_hashes, "config_hashes", lambda data, *config: ("t", "d"))
     config_hashes.main()
     rows = [tuple(line.strip("| ").split(" | ")) for line in capsys.readouterr().out.splitlines()]
@@ -68,6 +69,31 @@ def test_ingest_row(config_hashes, monkeypatch, capsys):
     monkeypatch.setattr(config_hashes, "BACKBONES", ())
     config_hashes.main()
     assert f"| ingest | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()
+
+
+def test_generate_row(config_hashes, monkeypatch, capsys):
+    # the grid holds specs that generate and specs that raise DegenerateSpec
+    real, outcomes = config_hashes.generate_synthetic, []
+
+    def record(spec):
+        try:
+            data = real(spec)
+        except config_hashes.DegenerateSpec:
+            outcomes.append("degenerate")
+            raise
+        outcomes.append("generated")
+        return data
+
+    monkeypatch.setattr(config_hashes, "generate_synthetic", record)
+    digest = config_hashes.generate_hash()
+    assert re.fullmatch("[0-9a-f]{16}", digest)
+    assert {"degenerate", "generated"} == set(outcomes)
+    assert len(outcomes) == 3 * len(config_hashes.GENERATE_QUANTILES) \
+        * len(config_hashes.GENERATE_STRENGTHS)
+    assert config_hashes.generate_hash() == digest
+    monkeypatch.setattr(config_hashes, "BACKBONES", ())
+    config_hashes.main()
+    assert f"| generate | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_row(config_hashes, monkeypatch, capsys):

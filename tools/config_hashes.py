@@ -21,14 +21,21 @@ under seeded distinct 9-digit external ids and read back: the three splits
 and both remap dicts (in order) from load_interactions, and the planted false
 negatives from read_pairs + remap_pairs.
 
+One more row, generate, hashes what generate_synthetic returns over a fixed
+grid of specs: the 1 x 1, toy (below) and acceptance shapes, each at
+relevance_quantile 1e-17, 0.02, 0.5 and 0.999 and exposure_bias_strength 0
+and 2. Per spec it hashes the three splits, the planted false negatives and
+the per-item exposure weights, or the message of the DegenerateSpec the spec
+raises (1 x 1 and 1e-17 have no relevant pair).
+
 One more row, cli, runs the commands on the toy dataset of tests/test_cli.py in
 a temporary directory: generate in both modes, train, evaluate with
 --per_user_csv, and diagnose profile, fnrate and alignuniform. It hashes
 evaluate's standard output and every file written, except config.resolved,
 which names the temporary directory.
 
-Two source trees whose tables are identical ingest, train, diagnose and write
-their artifacts, checkpoints included, byte for byte alike on these
+Two source trees whose tables are identical generate, ingest, train, diagnose
+and write their artifacts, checkpoints included, byte for byte alike on these
 configurations. The table goes to standard output and the seconds per
 configuration to standard error. Run from the repository root:
 
@@ -55,6 +62,7 @@ from advrec.cli import main as advrec_main
 from advrec.dataio import (SPLITS, SyntheticSpec, generate_synthetic, load_interactions,
                            read_pairs, write_pairs)
 from advrec.encoder import LIGHTGCN, MF
+from advrec.errors import DegenerateSpec
 from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
 from advrec.loss import HARDNESS_MODELS
 from advrec.rng import substream
@@ -71,10 +79,13 @@ CFG = dict(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16, k_weight=16.0,
 BACKBONES = (MF, LIGHTGCN)
 HARDNESS = tuple(HARDNESS_MODELS)
 PROFILE_BINS = 10
-# The toy dataset and training run of tests/test_cli.py, for the cli row.
-CLI_GENERATE = ["--n_users", "60", "--n_items", "40", "--latent_dim", "6",
-                "--relevance_quantile", "0.08", "--train_fraction", "0.55",
-                "--fn_plant_rate", "0.3", "--exposure_bias_strength", "1.0", "--seed", "3"]
+# The toy dataset and training run of tests/test_cli.py, for the cli and generate rows.
+TOY_SPEC = dict(n_users=60, n_items=40, latent_dim=6, relevance_quantile=0.08,
+                train_fraction=0.55, fn_plant_rate=0.3, exposure_bias_strength=1.0, seed=3)
+CLI_GENERATE = [arg for key, value in TOY_SPEC.items() for arg in (f"--{key}", str(value))]
+# The generate row's grid, per shape: relevance quantiles x exposure strengths.
+GENERATE_QUANTILES = (1e-17, 0.02, 0.5, 0.999)
+GENERATE_STRENGTHS = (0.0, 2.0)
 CLI_GAMMA = ["--gamma", "4.0", "--n0", "10", "--groups", "5"]
 CLI_TRAIN = ["--embed_dim", "8", "--batch_size", "64", "--n_negatives", "4",
              "--k_weight", "4", "--tau", "0.2", "--lr", "0.05", "--lr_adv", "0.01",
@@ -153,6 +164,25 @@ def ingest_hash(data) -> str:
     return _digest(h)
 
 
+def generate_hash() -> str:
+    h = hashlib.sha256()
+    shapes = (dict(n_users=1, n_items=1), TOY_SPEC, dict(SPEC, seed=SEED))
+    for shape, quantile, strength in itertools.product(shapes, GENERATE_QUANTILES,
+                                                       GENERATE_STRENGTHS):
+        spec = SyntheticSpec(**dict(shape, relevance_quantile=quantile,
+                                    exposure_bias_strength=strength))
+        try:
+            data = generate_synthetic(spec)
+        except DegenerateSpec as exc:
+            h.update(str(exc).encode())
+            continue
+        for name in SPLITS:
+            h.update(data.dataset.pairs(name).tobytes())
+        h.update(data.planted_fn.tobytes())
+        h.update(data.exposure_weight.tobytes())
+    return _digest(h)
+
+
 def cli_hash() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -188,6 +218,7 @@ def main() -> None:
     print("| --- | --- | --- | --- | --- |")
     print(f"| ingest | - | - | {ingest_hash(data)} | - |", flush=True)
     print(f"| cli | - | - | {cli_hash()} | - |", flush=True)
+    print(f"| generate | - | - | {generate_hash()} | - |", flush=True)
     for backbone, strategy, hardness in itertools.product(BACKBONES, STRATEGIES, HARDNESS):
         t0 = time.perf_counter()
         train, diag = config_hashes(data, backbone, strategy, hardness)
