@@ -171,9 +171,17 @@ def batch_backward(
     through the cache's scatter index, built here if the cache holds none.
 
     With the forward's workspace, the (B, M, d) item-gradient terms and the
-    scatter's plan-order gather use its buffers, and the terms overwrite the
+    scatter's group gathers use its buffers, and the terms overwrite the
     cache's item rows: the cache is spent, and a second backward on it
     raises ValueError. Without one, the cache stays as it was.
+
+    The two per-row scalings of the item terms are einsums, which run
+    faster than broadcasting multiplies whose inner loop is d long. einsum
+    gives each product's value exactly, but adds it onto +0.0, so a product
+    the multiply gave as -0.0 may come out +0.0. That cannot show: the
+    terms feed only plan sums, which start each cell at +0.0, and a running
+    sum that starts at +0.0 is never -0.0, so adding a zero of either sign
+    leaves it as it is. The returned bytes are the multiply's.
     """
     c = cache
     if c.i_rep is None:
@@ -184,10 +192,9 @@ def batch_backward(
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
-    radial = np.multiply((up * c.cos / c.i_norm**2)[..., None], c.i_rep,
-                         out=scratch(c.ws, TERMS, c.i_rep.shape))
-    d_i = np.multiply(coef_i[..., None], c.u_rep[:, None, :],
-                      out=scratch(c.ws, ROWS, c.i_rep.shape))
+    radial = np.einsum("bm,bmd->bmd", up * c.cos / c.i_norm**2, c.i_rep,
+                       out=scratch(c.ws, TERMS, c.i_rep.shape))
+    d_i = np.einsum("bm,bd->bmd", coef_i, c.u_rep, out=scratch(c.ws, ROWS, c.i_rep.shape))
     d_i -= radial
     if c.ws is not None:
         c.i_rep = None

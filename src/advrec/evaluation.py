@@ -141,11 +141,10 @@ def _block_ranks(scores: np.ndarray, items: np.ndarray, owner: np.ndarray,
 
 
 def _kth_largest(rows: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th largest value, or its smallest if k exceeds the row's
-    length. Partitions rows in place."""
-    at = -min(k, rows.shape[1])
-    rows.partition(at, axis=1)
-    return rows[:, at]
+    """Each row's k-th largest value, for k at most the row's length.
+    Partitions rows in place."""
+    rows.partition(-k, axis=1)
+    return rows[:, -k]
 
 
 def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
@@ -168,13 +167,16 @@ def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
         items, owner = dataset.positives_of(block, split)
         n_pos = np.bincount(owner, minlength=len(block))
         s_pos = scores[owner, items]
-        best = np.maximum.reduceat(s_pos, np.cumsum(n_pos) - n_pos)
-        # a row with k_eval candidates above its best positive holds no hit;
-        # an int32 row sum of the mask is about twice as fast as count_nonzero's
-        above = np.sum(scores > best[:, None], axis=1, dtype=np.int32)
-        live = np.flatnonzero(above < k_eval)
-        kth = np.full(len(block), np.inf)
-        kth[live] = _kth_largest(scores[live], k_eval)  # the copy is freed here
+        if k_eval >= dataset.n_items - 1:  # no row to skip, nothing to partition
+            kth = np.full(len(block), -np.inf)
+        else:
+            best = np.maximum.reduceat(s_pos, np.cumsum(n_pos) - n_pos)
+            # a row with k_eval candidates above its best positive holds no hit;
+            # an int32 row sum of the mask is about twice as fast as count_nonzero's
+            above = np.sum(scores > best[:, None], axis=1, dtype=np.int32)
+            live = np.flatnonzero(above < k_eval)
+            kth = np.full(len(block), np.inf)
+            kth[live] = _kth_largest(scores[live], k_eval)  # the copy is freed here
         reach = s_pos >= kth[owner]
         items, owner = items[reach], owner[reach]
         ranks = _block_ranks(scores, items, owner, step)
@@ -207,10 +209,10 @@ def evaluate_split(
     chunk of score rows with its boolean masks while positives are ranked.
 
     At k >= n_items - 1 no row can be skipped (a positive never scores above
-    itself), so the count is spent for nothing, and from k >= n_items on
-    each row is partitioned to its minimum, which every positive reaches.
-    Such a k is slower than ranking every positive unpartitioned; it has no
-    path of its own because Top-K metrics use a k far below n_items.
+    itself, so at most n_items - 1 candidates score above the best one), and
+    a partition could drop only a positive that the rank filter drops
+    anyway. So such a k neither counts nor partitions: every positive is
+    ranked, and the ranks <= k are kept.
 
     Raises ValueError if k_eval < 1, before any work. Raises ZeroNormError
     if the representation of an evaluated user or of any item (every item is

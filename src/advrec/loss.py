@@ -299,13 +299,17 @@ class EmbedHardness(_TableHardness):
                    index: tuple[ScatterIndex, ScatterIndex] | None = None):
         """((user_ids, grads), (item_ids, grads)) summed through index, the
         forward ids' batch_index, built here if not given. With the forward's
-        ws, the item terms use its ROWS and the scatter its TERMS buffer."""
+        ws, the item terms use its ROWS and the scatter its TERMS buffer.
+
+        The item terms come from an einsum, faster than a broadcasting
+        multiply; it may write +0.0 where the multiply gave -0.0, which the
+        scatter's sums, started at +0.0, cannot show (see
+        encoder.batch_backward). The returned bytes are the multiply's."""
         users, negatives, u, v = cache.take()
         if index is None:
             index = self.batch_index(users, negatives, self.user_table.rows, self.item_table.rows)
         d_user = np.einsum("bn,bnd->bd", d_g, v)
-        d_item = np.multiply(d_g[..., None], u[:, None, :],
-                             out=scratch(cache.ws, ROWS, v.shape))
+        d_item = np.einsum("bn,bd->bnd", d_g, u, out=scratch(cache.ws, ROWS, v.shape))
         return index[0].scatter(d_user), index[1].scatter(d_item, cache.ws)
 
 

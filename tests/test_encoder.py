@@ -15,6 +15,7 @@ from advrec.encoder import (
     score,
     score_backward,
 )
+from advrec import numkit
 from advrec.errors import IdOutOfRange
 from advrec.numkit import NormAdjacency, Workspace, cosine_score, cosine_score_grad, scatter_index
 
@@ -323,6 +324,48 @@ class TestItemNormsOncePerItem:
         assert grads.tobytes() == want.tobytes()
 
 
+def signed_zero_batch(n_users, n_items, seed):
+    """(users, items, upstream) whose upstream holds exact +0.0 and -0.0
+    entries, and whose item 2 sits in six slots, each with a zero upstream
+    entry, so that all its gradient terms are zeros."""
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, n_users, size=8)
+    items = rng.integers(3, n_items, size=(8, 5))
+    items[[0, 0, 3, 5, 5, 7], [1, 4, 0, 2, 3, 4]] = 2
+    upstream = rng.normal(size=(8, 5))
+    upstream[rng.random((8, 5)) < 0.3] = 0.0
+    upstream[rng.random((8, 5)) < 0.3] = -0.0
+    upstream[items == 2] = [0.0, -0.0, -0.0, 0.0, -0.0, 0.0]
+    return users, items, upstream
+
+
+class TestSignedZeros:
+    """A product that a broadcasting multiply gives as -0.0 the backward's
+    einsum may give as +0.0; the plan sums, which start at +0.0, return the
+    same bytes either way."""
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_backward_with_a_workspace_equals_add_at(self, small_dataset, backbone):
+        enc = (mf_encoder(small_dataset.n_users, small_dataset.n_items, dim=4, seed=51)
+               if backbone == "mf" else gcn_encoder(small_dataset, dim=4, seed=51))
+        users, items, upstream = signed_zero_batch(enc.n_users, enc.n_items, seed=52)
+        _, kept = batch_forward(enc, users, items)
+        coef_i = upstream / enc.tau / (kept.u_norm[:, None] * kept.i_norm)
+        products = coef_i[..., None] * kept.u_rep[:, None, :]
+        assert np.any((products == 0.0) & np.signbit(products))  # the multiply's -0.0
+        reference = mf_backward_reference if backbone == "mf" else graph_backward_reference
+        want = reference(enc, kept, upstream)
+        _, cache = batch_forward(enc, users, items, ws=Workspace())
+        got = batch_backward(enc, cache, upstream)
+        for (ids, grads), (want_ids, want_grads) in zip(got, want):
+            assert ids.tobytes() == want_ids.tobytes()
+            assert grads.tobytes() == want_grads.tobytes()
+            assert not np.any(np.signbit(grads) & (grads == 0.0))
+        if backbone == "mf":
+            i_ids, i_grads = got[1]
+            assert i_grads[i_ids == 2].tobytes() == np.zeros((1, enc.dim)).tobytes()
+
+
 class TestGraphScatterBytes:
     def test_apply_equals_add_at(self, small_dataset):
         adj = build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
@@ -388,6 +431,20 @@ class TestGraphScatterBytes:
         got = adj.apply(ints)
         assert ints.tobytes() == before and got.dtype == np.float64
         assert got.tobytes() == apply_reference(adj, ints.astype(float)).tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 8])
+    def test_apply_in_small_chunks_equals_add_at(self, monkeypatch, small_dataset, cells):
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        graphs = [NormAdjacency.from_undirected_edges(*graph) for graph in EDGE_CASE_GRAPHS.values()]
+        graphs.append(build_norm_adjacency(small_dataset.n_users, small_dataset.n_items,
+                                           small_dataset.train_pairs))
+        rng = np.random.default_rng(50)
+        for adj in graphs:
+            for d in (1, 3, 32):
+                x = rng.choice([-1.0, 1.0], size=(adj.node_count, d)) \
+                    * 10.0 ** rng.uniform(-300, 300, size=(adj.node_count, d))
+                x[rng.random(x.shape) < 0.25] = -0.0
+                assert adj.apply(x).tobytes() == apply_reference(adj, x).tobytes()
 
     def test_step_layout(self):
         adj = NormAdjacency.from_undirected_edges(*EDGE_CASE_GRAPHS["star"])

@@ -681,6 +681,15 @@ class TestEvaluateSplit:
         for k in (1, 3, ds.n_items - 1, ds.n_items, ds.n_items + 2):
             assert_equals_rank_all(enc, ds, "test", k_eval=k)
 
+    def test_k_of_n_items_minus_one_or_more_partitions_nothing(self, monkeypatch):
+        # No row can be skipped there, so every positive is ranked
+        # unpartitioned; test_equals_rank_all_on_palette_ties checks the metrics.
+        ds, enc = palette_tie_case(0)
+        monkeypatch.setattr(evaluation, "_kth_largest",
+                            lambda rows, k_eval: pytest.fail(f"partitioned at k={k_eval}"))
+        for k in (ds.n_items - 1, ds.n_items, ds.n_items + 2):
+            evaluate_split(enc, ds, "test", k)
+
     def test_rows_without_a_hit_are_neither_partitioned_nor_ranked(self, monkeypatch):
         # Each user has three distinct train positives, so the -inf cells of
         # a score row name its user. With random scores there are no ties,
@@ -784,22 +793,31 @@ class TestEvaluateSplit:
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_peak_memory_when_every_positive_is_a_candidate(self):
-        # At k = n_items - 1 no row is skipped: the whole block is gathered
-        # and partitioned, and then almost every test positive is ranked, in
-        # full chunks of score rows. The partitioned copy must be freed
-        # first, and each chunk before the next is gathered;
-        # test_peak_memory_ranks_one_chunk_at_a_time holds both to a
-        # tighter bound.
+        # At k = n_items - 1 no row is counted or partitioned: almost every
+        # test positive is ranked, in full chunks of score rows. Each chunk
+        # must be freed before the next is gathered;
+        # test_peak_memory_ranks_one_chunk_at_a_time holds that to a tighter
+        # bound.
         peak, bound = acceptance_sized_peak(k_eval=-1), 4 * SCORE_CELLS * 8
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_peak_memory_ranks_one_chunk_at_a_time(self):
         # As test_peak_memory_when_every_positive_is_a_candidate, with a
         # bound of three arrays of SCORE_CELLS 8-byte cells: the score block,
-        # one chunk of score rows and their masks fit; the partitioned copy
-        # kept alive while positives are ranked, or a chunk gathered beside
-        # the one before it, does not.
+        # one chunk of score rows and their masks fit; a chunk gathered
+        # beside the one before it does not.
         peak, bound = acceptance_sized_peak(k_eval=-1), 3 * SCORE_CELLS * 8
+        assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
+
+    def test_peak_memory_frees_the_partitioned_copy_before_ranking(self):
+        # At k = n_items - 2 almost no row can be skipped: nearly the whole
+        # block is gathered and partitioned, and then almost every test
+        # positive is ranked, in full chunks of score rows. Three arrays of
+        # SCORE_CELLS 8-byte cells (the score block, one chunk of score rows
+        # and their masks) fit; the partitioned copy kept alive while
+        # positives are ranked, or a chunk gathered beside the one before
+        # it, does not.
+        peak, bound = acceptance_sized_peak(k_eval=-2), 3 * SCORE_CELLS * 8
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_runs_over_valid_split(self, small_dataset):

@@ -521,6 +521,31 @@ class TestHardnessInterface:
             assert [(i.tobytes(), g.tobytes()) for i, g in got] \
                 == [(i.tobytes(), g.tobytes()) for i, g in want]
 
+    def test_embed_grad_with_zero_d_g_equals_unique_add_at(self):
+        # einsum may give +0.0 where d_g[..., None] * u gave -0.0; both sum to +0.0
+        model = make_model("embed")
+        rng = np.random.default_rng(37)
+        users, negatives = np.array([0, 2, 2, 3, 1]), rng.integers(1, 6, size=(5, 4))
+        negatives[[0, 1, 1, 4], [2, 0, 3, 1]] = 0  # item 0: only zero d_g entries
+        d_g = rng.normal(size=(5, 4))
+        d_g[rng.random((5, 4)) < 0.3] = 0.0
+        d_g[rng.random((5, 4)) < 0.3] = -0.0
+        d_g[negatives == 0] = [-0.0, 0.0, -0.0, -0.0]
+        _, _, cache = model.forward(users, negatives, None, Workspace())
+        got = model.grad_batch(cache, d_g)
+        u = model.user_table.values[users]
+        v = model.item_table.values[negatives]
+        assert np.any(np.signbit(d_g[..., None] * u[:, None, :]) & (d_g[..., None] == 0.0))
+        for (ids, grads), (block, terms) in zip(got, [
+                (users, np.einsum("bn,bnd->bd", d_g, v)),
+                (negatives, d_g[..., None] * u[:, None, :])]):
+            unique, inverse = np.unique(block, return_inverse=True)
+            want = np.zeros((len(unique), terms.shape[-1]))
+            np.add.at(want, inverse.ravel(), terms.reshape(-1, terms.shape[-1]))
+            assert ids.tobytes() == unique.tobytes() and grads.tobytes() == want.tobytes()
+            assert not np.any(np.signbit(grads) & (grads == 0.0))
+        assert got[1][1][0].tobytes() == np.zeros(3).tobytes()
+
     @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
     def test_a_spent_cache_raises(self, kind):
         # through a workspace, grad_batch may overwrite the forward's gather

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from advrec import numkit
 from advrec.errors import DimMismatch, IdOutOfRange, NonFiniteGradient, ZeroNormError
 from advrec.numkit import (
     ADAM_BETA1,
@@ -221,20 +222,28 @@ def add_at_reference(ids, rows, n):
     return out
 
 
+def segment_cases():
+    """200 seeded (ids, rows, n): d = 1 in a quarter of them, empty inputs,
+    n above the largest id, magnitudes 1e-300 to 1e300 of either sign and
+    -0.0 entries."""
+    rng = np.random.default_rng(30)
+    for case in range(200):
+        n = int(rng.integers(1, 12))
+        d = 1 if case % 4 == 0 else int(rng.integers(1, 6))
+        count = int(rng.integers(0, 40))
+        # ids below n - case % 3: the top ids are often absent, so n exceeds the largest id
+        ids = rng.integers(0, max(1, n - case % 3), size=count)
+        mag = 10.0 ** rng.uniform(-300, 300, size=(count, d))
+        rows = rng.choice([-1.0, 1.0], size=(count, d)) * mag
+        rows[rng.random((count, d)) < 0.1] = -0.0
+        yield ids, rows, n
+
+
 class TestSegmentSum:
     def test_bytes_equal_add_at(self):
-        rng = np.random.default_rng(30)
-        for case in range(200):
-            n = int(rng.integers(1, 12))
-            d = 1 if case % 4 == 0 else int(rng.integers(1, 6))
-            count = int(rng.integers(0, 40))
-            # ids below n - case % 3: the top ids are often absent, so n exceeds the largest id
-            ids = rng.integers(0, max(1, n - case % 3), size=count)
-            mag = 10.0 ** rng.uniform(-300, 300, size=(count, d))
-            rows = rng.choice([-1.0, 1.0], size=(count, d)) * mag
-            rows[rng.random((count, d)) < 0.1] = -0.0
+        for ids, rows, n in segment_cases():
             got = segment_plan(ids, n).sum(rows)
-            assert got.shape == (n, d) and got.dtype == np.float64
+            assert got.shape == (n, rows.shape[1]) and got.dtype == np.float64
             assert got.tobytes() == add_at_reference(ids, rows, n).tobytes()
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
@@ -351,6 +360,39 @@ class TestSegmentPlan:
         for rows in (np.zeros((2, 3)), np.zeros((4, 3))):
             with pytest.raises(DimMismatch):
                 plan.sum(rows)
+
+
+class TestChunkedSum:
+    """A plan sum gathers its steps in groups of at most CHUNK_CELLS cells,
+    or the largest step alone if that is bigger. With a few cells the
+    groups split, and the largest steps fit no chunk."""
+
+    @pytest.mark.parametrize("cells", [1, 8, 24])
+    def test_bytes_equal_add_at(self, monkeypatch, cells):
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        ws = Workspace()
+        ws.empty(numkit.TERMS, (40 * 6,)).fill(np.nan)  # a used buffer, as a pass leaves it
+        for ids, rows, n in segment_cases():
+            want = add_at_reference(ids, rows, n).tobytes()
+            plan = segment_plan(ids, n)
+            assert plan.sum(rows).tobytes() == want
+            assert plan.sum(rows, ws).tobytes() == want
+
+    @pytest.mark.parametrize("cells,gathers", [(2, [4, 4]), (14, [7, 1]), (16, [8])])
+    def test_steps_are_gathered_in_groups(self, monkeypatch, cells, gathers):
+        # test_layout's plan: steps of 4, 3 and 1 rows; d = 2
+        class Source(np.ndarray):
+            def take(self, index, *args, **kwargs):
+                taken.append(len(index))
+                return super().take(index, *args, **kwargs)
+
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        ids = [3, 2, 0, 2, 1, 3, 0, 2]
+        rows = np.random.default_rng(42).normal(size=(8, 2))
+        plan, taken = segment_plan(ids, 5), []
+        got = plan.sum_take(rows.view(Source), plan.order)
+        assert taken == gathers
+        assert np.asarray(got).tobytes() == add_at_reference(ids, rows, 5).tobytes()
 
 
 COMPACT_CASES = {

@@ -203,13 +203,14 @@ def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("| backbone | hardness | run_s | run faults | min steps | ms/min step "
                         "| faults/min pass | adv steps | ms/adv step | faults/adv pass | samples "
-                        "| ms/sample |")
+                        "| ms/sample | reps | ms/reps | faults/reps |")
+    assert lines[1] == "|" + " --- |" * 15
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
     assert [tuple(row[:2]) for row in rows] \
         == list(itertools.product(encoder.BACKBONES, loss.HARDNESS_MODELS))
     for row in rows:
         (run_s, run_faults, min_steps, min_ms, min_faults, adv_steps, adv_ms, adv_faults,
-         samples, sample_ms) = row[2:]
+         samples, sample_ms, reps, reps_ms, reps_faults) = row[2:]
         assert float(run_s) > 0 and int(run_faults) >= 0
         # 3 epochs of min steps, 2 adversarial passes (the budget), same batches
         assert int(min_steps) == 3 * int(adv_steps) / 2 > 0
@@ -219,5 +220,10 @@ def test_step_faults_prints_a_row_per_backbone(step_faults, capsys):
         assert 0 <= float(adv_faults) <= int(run_faults)
         # one sampler call per batch of either pass
         assert int(samples) == int(min_steps) + int(adv_steps) and float(sample_ms) > 0
+        # one representations call before each adversarial pass; MF's returns its tables
+        assert int(reps) == 2 and float(reps_ms) >= 0
+        assert float(reps_ms) > 0 or row[0] == encoder.MF
+        assert 0 <= float(reps_faults) <= int(run_faults)
     assert step_faults.trainer.min_step.__name__ == "min_step"  # restored
     assert step_faults.trainer.sample_negatives.__name__ == "sample_negatives"
+    assert step_faults.trainer.representations.__name__ == "representations"

@@ -343,6 +343,20 @@ class TestTrainEpoch:
         assert state.e_adv == result.state.e_adv == 2
 
 
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_small_sum_chunks_give_the_same_run(self, small_dataset, monkeypatch, backbone):
+        # every plan sum split into groups of at most 8 cells, most steps alone
+        cfg = small_cfg(backbone=backbone, hardness_kind="embed", max_epochs=2,
+                        t_adv_interval=1)
+        want = run_training(small_dataset, cfg)
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", 8)
+        got = run_training(small_dataset, cfg)
+        assert got.state.e_adv == want.state.e_adv == 2
+        assert model_bytes(got.state.encoder, got.state.hardness) \
+            == model_bytes(want.state.encoder, want.state.hardness)
+        assert json.dumps(got.history) == json.dumps(want.history)
+
+
 STRATEGY_KINDS = [(s, k) for s in trainer.STRATEGIES for k in ("embed", "mlp")]
 
 

@@ -18,7 +18,10 @@ RUSAGE_THREAD, Linux only; a pass faults its block memory in on its first
 step, which a per-step median would leave out); and the number of
 trainer.sample_negatives calls with their median wall milliseconds, timed
 on the thread that runs each (the prefetch worker, or the main thread for a
-pass's first batch).
+pass's first batch); and the number of trainer.representations calls (one
+before each adversarial pass, on the main thread: the whole-graph
+propagation for LightGCN, the tables themselves for MF) with their median
+wall milliseconds and median main-thread minor faults per call.
 The prefetch worker's faults are not counted. Fault counts depend on the
 allocator, so compare them between trees on one machine only. Run from the
 repository root:
@@ -58,7 +61,8 @@ CFG = dict(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16, k_weight=16.0,
            embed_dim=32, k_eval=20)
 BACKBONES = (MF, LIGHTGCN)
 STEPS = ("min_step", "adv_step")
-MEASURED = (*STEPS, "sample_negatives")  # the trainer functions measured_run times
+REPS = "representations"
+MEASURED = (*STEPS, "sample_negatives", REPS)  # the trainer functions measured_run times
 
 
 def minor_faults() -> int:
@@ -116,8 +120,8 @@ def main() -> None:
         dataset = load_interactions(*(Path(tmp) / f"{name}.tsv" for name in SPLITS))
     print("| backbone | hardness | run_s | run faults | min steps | ms/min step "
           "| faults/min pass | adv steps | ms/adv step | faults/adv pass | samples "
-          "| ms/sample |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+          "| ms/sample | reps | ms/reps | faults/reps |")
+    print("|" + " --- |" * 15)
     for backbone, hardness in itertools.product(BACKBONES, HARDNESS_MODELS):
         wall, faults, steps, passes = measured_run(dataset, backbone, hardness)
         cells = [backbone, hardness, f"{wall:.3f}", str(faults)]
@@ -126,6 +130,8 @@ def main() -> None:
             cells += [str(len(steps[name])), f"{1e3 * statistics.median(s for s, _ in calls):.3f}"]
             if name in STEPS:
                 cells.append(f"{statistics.median(passes[name].values() or [0]):.1f}")
+            elif name == REPS:
+                cells.append(f"{statistics.median(f for _, f in calls):.1f}")
         print("| " + " | ".join(cells) + " |", flush=True)
 
 if __name__ == "__main__":
