@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimMismatch
 from .numkit import (
     ROWS,
-    TERMS,
     EmbeddingTable,
     NormAdjacency,
     ScatterIndex,
@@ -120,6 +119,7 @@ class _ScoreCache:
     items: np.ndarray      # (B, M)
     u_rep: np.ndarray      # (B, d)
     i_rep: np.ndarray | None  # (B, M, d); None once a backward has overwritten it
+    i_unique: np.ndarray   # (K, d) rows of the K distinct items, in the index's order
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
     cos: np.ndarray        # (B, M)
@@ -154,10 +154,12 @@ def batch_forward(
     unique, inverse = ((index[1].unique, index[1].inverse) if index is not None
                        else compact_ids(items, enc.n_items))
     u_norm = row_norms(u_rep)
-    i_norm = row_norms(item_reps.take(unique, axis=0))[inverse]
+    i_unique = item_reps.take(unique, axis=0)
+    i_norm = row_norms(i_unique)[inverse]
     cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
-    return scores, _ScoreCache(users, items, u_rep, i_rep, u_norm, i_norm, cos, index, ws)
+    return scores, _ScoreCache(users, items, u_rep, i_rep, i_unique, u_norm, i_norm, cos,
+                               index, ws)
 
 
 def batch_backward(
@@ -175,13 +177,23 @@ def batch_backward(
     cache's item rows: the cache is spent, and a second backward on it
     raises ValueError. Without one, the cache stays as it was.
 
-    The two per-row scalings of the item terms are einsums, which run
-    faster than broadcasting multiplies whose inner loop is d long. einsum
-    gives each product's value exactly, but adds it onto +0.0, so a product
-    the multiply gave as -0.0 may come out +0.0. That cannot show: the
-    terms feed only plan sums, which start each cell at +0.0, and a running
-    sum that starts at +0.0 is never -0.0, so adding a zero of either sign
-    leaves it as it is. The returned bytes are the multiply's.
+    Slot (b, m) of item j adds coef_bm * u_b - r_bm * I_j to j's gradient,
+    where I_j is j's representation row, the same in every slot that holds
+    j. So only the coef * u terms go through the scatter; R_j, the sum of
+    r_bm over j's slots (a bincount, in input order), then takes R_j * I_j
+    off j's sum once per distinct item instead of once per slot. That saves
+    two passes over the (B, M, d) block and the block the radial terms
+    filled. The grouping moves the item gradients' bytes by a few ulps
+    against a per-slot subtraction. No returned cell is -0.0: the scatter's
+    sums start each cell at +0.0 and so are never -0.0, and x - y is -0.0
+    only for x = -0.0.
+
+    The coef * u terms are an einsum, which runs faster than a broadcasting
+    multiply whose inner loop is d long. einsum gives each product's value
+    exactly, but adds it onto +0.0, so a product the multiply gave as -0.0
+    may come out +0.0. That cannot show either, since the terms feed only
+    the scatter's sums, and adding a zero of either sign to a sum that is
+    not -0.0 leaves it as it is.
     """
     c = cache
     if c.i_rep is None:
@@ -192,14 +204,14 @@ def batch_backward(
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
-    radial = np.einsum("bm,bmd->bmd", up * c.cos / c.i_norm**2, c.i_rep,
-                       out=scratch(c.ws, TERMS, c.i_rep.shape))
     d_i = np.einsum("bm,bd->bmd", coef_i, c.u_rep, out=scratch(c.ws, ROWS, c.i_rep.shape))
-    d_i -= radial
     if c.ws is not None:
         c.i_rep = None
     index = c.index or (scatter_index(c.users, enc.n_users), scatter_index(c.items, enc.n_items))
     (u_ids, u_grads), (i_ids, i_grads) = index[0].scatter(d_u), index[1].scatter(d_i, c.ws)
+    radial = np.bincount(index[1].inverse.ravel(), weights=(up * c.cos / c.i_norm**2).ravel(),
+                         minlength=len(i_ids))
+    i_grads -= radial[:, None] * c.i_unique
     if enc.layers == 0:
         return (u_ids, u_grads), (i_ids, i_grads)
 

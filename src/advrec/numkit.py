@@ -94,9 +94,9 @@ class Workspace:
     block a step keeps from one stage to the next (the forward's item rows,
     which the backward overwrites with the item-gradient terms; a hardness
     gradient's item terms until they are summed), TERMS a block that one
-    call or one forward/backward pair uses and drops (the backward's second
-    term, a hardness model's item gather, a plan sum's group gather). A
-    view is valid until its role is asked for again.
+    call or one forward/backward pair uses and drops (a hardness model's
+    item gather, a plan sum's group gather). A view is valid until its role
+    is asked for again.
 
     A workspace belongs to one TrainState and to the thread that steps it.
     Used as a context manager, it drops its buffers on exit: train_epoch

@@ -15,7 +15,7 @@ from advrec.encoder import (
     score,
     score_backward,
 )
-from advrec import numkit
+from advrec import encoder, numkit
 from advrec.errors import IdOutOfRange
 from advrec.numkit import NormAdjacency, Workspace, cosine_score, cosine_score_grad, scatter_index
 
@@ -240,19 +240,55 @@ def apply_reference(adj, x):
     return out
 
 
-def graph_backward_reference(enc, cache, upstream):
-    """The graph branch of batch_backward with its two np.add.at scatters and
-    np.add.at propagation."""
+def item_gradient_factors(enc, cache, upstream):
+    """Per slot of the item block: coef * u, the item gradient's (B, M, d)
+    first term, and r, the (B, M) scale of its radial term r * i."""
     up = upstream / enc.tau
     c = cache
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
-    d_i = coef_i[..., None] * c.u_rep[:, None, :] \
-        - (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
-    d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
+    return coef_i[..., None] * c.u_rep[:, None, :], up * c.cos / c.i_norm**2
+
+
+def user_gradient_terms(enc, cache, upstream):
+    """The (B, d) user gradient terms, one per row of the block."""
+    up = upstream / enc.tau
+    c = cache
+    coef_i = up / (c.u_norm[:, None] * c.i_norm)
+    return np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
+
+
+def item_sums_reference(enc, cache, upstream, ids, n):
+    """(n, d) item gradient sums for the block's item slots mapped to ids in
+    [0, n): np.add.at of the coef * u terms, minus each id's np.add.at sum
+    of r times its row, taken from the slots that hold it."""
+    terms, r = item_gradient_factors(enc, cache, upstream)
+    ids = ids.ravel()
+    sums = np.zeros((n, enc.dim))
+    np.add.at(sums, ids, terms.reshape(-1, enc.dim))
+    radial = np.zeros(n)
+    np.add.at(radial, ids, r.ravel())
+    rows = np.zeros((n, enc.dim))
+    rows[ids] = cache.i_rep.reshape(-1, enc.dim)
+    return sums - radial[:, None] * rows
+
+
+def item_sums_per_slot_reference(enc, cache, upstream, ids, n):
+    """item_sums_reference with the radial term taken off in every slot,
+    before the sum: np.add.at of coef * u - r * i."""
+    terms, r = item_gradient_factors(enc, cache, upstream)
+    sums = np.zeros((n, enc.dim))
+    np.add.at(sums, ids.ravel(), (terms - r[..., None] * cache.i_rep).reshape(-1, enc.dim))
+    return sums
+
+
+def graph_backward_reference(enc, cache, upstream):
+    """The graph branch of batch_backward with np.add.at scatters and
+    np.add.at propagation."""
+    c = cache
     node_grad = np.zeros((enc.n_users + enc.n_items, enc.dim))
-    np.add.at(node_grad, c.users, d_u)
-    np.add.at(node_grad, enc.n_users + c.items.ravel(), d_i.reshape(-1, enc.dim))
+    np.add.at(node_grad, c.users, user_gradient_terms(enc, c, upstream))
+    node_grad[enc.n_users:] = item_sums_reference(enc, c, upstream, c.items, enc.n_items)
     acc = current = node_grad
     for _ in range(enc.layers):  # propagate_backward, on apply_reference
         current = apply_reference(enc.adj, current)
@@ -266,21 +302,15 @@ def graph_backward_reference(enc, cache, upstream):
 
 def mf_backward_reference(enc, cache, upstream):
     """The MF branch of batch_backward as it was written with np.unique and
-    np.add.at, and with the item gradient built by one subtraction."""
-    up = upstream / enc.tau
+    np.add.at."""
     c = cache
-    coef_i = up / (c.u_norm[:, None] * c.i_norm)
-    d_i = coef_i[..., None] * c.u_rep[:, None, :] \
-        - (up * c.cos / c.i_norm**2)[..., None] * c.i_rep
-    d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
-        - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
-    out = []
-    for ids, grads in ((c.users, d_u), (c.items, d_i)):
-        unique, inverse = np.unique(ids, return_inverse=True)
-        sums = np.zeros((len(unique), enc.dim))
-        np.add.at(sums, inverse.ravel(), grads.reshape(-1, enc.dim))
-        out.append((unique, sums))
-    return tuple(out)
+    d_u = user_gradient_terms(enc, c, upstream)
+    users, user_inverse = np.unique(c.users, return_inverse=True)
+    user_sums = np.zeros((len(users), enc.dim))
+    np.add.at(user_sums, user_inverse, d_u)
+    items, item_inverse = np.unique(c.items, return_inverse=True)
+    return ((users, user_sums),
+            (items, item_sums_reference(enc, c, upstream, item_inverse, len(items))))
 
 
 class TestItemNormsOncePerItem:
@@ -316,12 +346,70 @@ class TestItemNormsOncePerItem:
         upstream = rng.normal(size=(8, 6))
         _, cache = batch_forward(enc, users, items)
         _, (ids, grads) = batch_backward(enc, cache, upstream)
-        up = upstream / enc.tau
-        d_i = (up / (cache.u_norm[:, None] * cache.i_norm))[..., None] * cache.u_rep[:, None, :] \
-            - (up * cache.cos / cache.i_norm**2)[..., None] * cache.i_rep
-        want_ids, want = scatter_index(items, enc.n_items).scatter(d_i)
+        terms, r = item_gradient_factors(enc, cache, upstream)
+        index = scatter_index(items, enc.n_items)
+        want_ids, want = index.scatter(terms)
+        radial = np.zeros(len(want_ids))
+        np.add.at(radial, index.inverse.ravel(), r.ravel())
+        want -= radial[:, None] * enc.item_table.values[want_ids]
         assert ids.tobytes() == want_ids.tobytes()
         assert grads.tobytes() == want.tobytes()
+
+
+class TestRadialTermOncePerItem:
+    """The backward takes each item's radial term off its sum once, not in
+    every slot; the per-slot formula is the oracle. The two round apart:
+    they agree to 1e-12 of the largest term an item sums, per slot it holds."""
+
+    @staticmethod
+    def spread_batch(enc, seed):
+        """(users, items, upstream) on enc, whose table rows it scales by
+        1e-5..1e100 (a norm at most 1e-12 raises ZeroNormError): item 0 sits
+        in one slot of every row, rows repeat items, and the upstream holds
+        +0.0 and -0.0 and spans 1e-100..1e100."""
+        rng = np.random.default_rng(seed)
+        for table in (enc.user_table, enc.item_table):
+            table.values *= 10.0 ** rng.uniform(-5, 100, size=(table.rows, 1))
+        users = rng.integers(0, enc.n_users, size=12)
+        items = rng.integers(1, enc.n_items, size=(12, 6))
+        items[:4, 5] = items[:4, 0]
+        items[np.arange(12), rng.integers(0, 6, size=12)] = 0
+        upstream = rng.normal(size=items.shape) * 10.0 ** rng.uniform(-100, 100, items.shape)
+        upstream[rng.random(items.shape) < 0.2] = 0.0
+        upstream[rng.random(items.shape) < 0.2] = -0.0
+        return users, items, upstream
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_item_sums_agree_with_the_per_slot_formula(self, small_dataset, monkeypatch,
+                                                       backbone, seed):
+        enc = (mf_encoder(small_dataset.n_users, small_dataset.n_items, dim=4, seed=seed)
+               if backbone == "mf" else gcn_encoder(small_dataset, dim=4, seed=seed))
+        users, items, upstream = self.spread_batch(enc, seed)
+        node_grads, real = [], encoder.propagate_backward
+
+        def record(grad, *args):  # the graph's item sums, before the propagation's backward
+            node_grads.append(grad)
+            return real(grad, *args)
+
+        monkeypatch.setattr(encoder, "propagate_backward", record)
+        _, cache = batch_forward(enc, users, items)
+        _, (ids, grads) = batch_backward(enc, cache, upstream)
+        if backbone == "mf":
+            got = np.zeros((enc.n_items, enc.dim))
+            got[ids] = grads
+        else:
+            [node_grad] = node_grads
+            got = node_grad[enc.n_users:]
+        want = item_sums_per_slot_reference(enc, cache, upstream, items, enc.n_items)
+        terms, r = item_gradient_factors(enc, cache, upstream)
+        largest = np.zeros(enc.n_items)
+        np.maximum.at(largest, items.ravel(), np.maximum(
+            np.abs(terms), np.abs(r[..., None] * cache.i_rep)).max(axis=-1).ravel())
+        bound = 1e-12 * largest * np.bincount(items.ravel(), minlength=enc.n_items)
+        assert largest[0] > 0 and np.ptp(np.log10(largest[largest > 0])) > 10
+        assert np.all(np.abs(got - want) <= bound[:, None])
+        assert not np.any(got[bound == 0])  # items outside the block
 
 
 def signed_zero_batch(n_users, n_items, seed):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from advrec import loss, numkit, trainer
-from advrec.dataio import InteractionSet, sample_negatives
+from advrec.dataio import InteractionSet, SyntheticSpec, generate_synthetic, sample_negatives
 from advrec.encoder import batch_backward, batch_forward, representations, score
 from advrec.errors import (NonFinite, NonFiniteGradient, NoNegativesError, SkippedAdvStep,
                            ZeroNormError)
@@ -791,6 +791,28 @@ class TestStepMemory:
             assert first > block  # the pass's buffers
             for peak in rest:
                 assert peak < bounds[phase], f"{phase} step: peak {peak / block:.2f} blocks"
+
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_a_min_pass_keeps_terms_to_one_plan_sum_group(self, backbone):
+        # criterion 10's data and shape: B = 1024, N = 16 and d = 32, so one
+        # (B, 1 + N, d) block is 557k cells, above CHUNK_CELLS = 131k. The
+        # item scatter's group gather is the only use of TERMS in a min step.
+        spec = SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
+                             exposure_bias_strength=1.0, train_fraction=0.6,
+                             fn_plant_rate=0.2, relevance_quantile=0.02)
+        dataset = generate_synthetic(spec).dataset
+        cfg = TrainConfig(lr=0.05, lr_adv=0.01, batch_size=1024, n_negatives=16,
+                          k_weight=16.0, tau=0.2, backbone=backbone, embed_dim=32)
+        state = init_state(dataset, cfg)
+        largest_step = 0
+        with state.workspace:
+            for batch in iter_batches(dataset, cfg, 1, "min", trainer._min_half(state)):
+                min_step(state, batch)
+                largest_step = max(largest_step, batch.score_index[1].plan.offsets[1])
+            terms = state.workspace._buffers[numkit.TERMS].size
+        block = cfg.batch_size * (1 + cfg.n_negatives) * cfg.embed_dim
+        assert terms <= max(numkit.CHUNK_CELLS, largest_step * cfg.embed_dim) < block
 
 
 class TestWorkspace:
