@@ -157,8 +157,9 @@ def cmd_train(ns) -> int:
         if getattr(ns, name) is not None or name in file_cfg:
             key, values = APPLIES_WHEN[name]
             raise EngineError(f"{name} applies only to {key} {' or '.join(values)}")
-    dataset = _load_dataset(ns)
     out = Path(ns.out or "run")
+    _require_out_dir("--out", out)
+    dataset = _load_dataset(ns)
     out.mkdir(parents=True, exist_ok=True)
 
     snapshot = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in idle}

@@ -221,8 +221,8 @@ class _TableHardness:
     model's own width, init(n_users, n_items, dim, seed, h)'s last argument,
     where 0 gives the model's default. A rank-1 entry is a one-row table.
     Each model's forward gives (probs, deltas, HardnessCache), its grad_batch
-    takes that cache, and its batch_index is the index grad_batch sums
-    through (None for dense gradients)."""
+    takes that cache, d_g and its batch_index, the index it sums through
+    (None, and ignored, for dense gradients)."""
 
     kind: str
     LAYOUT: tuple[tuple[str, tuple[str, ...]], ...]
@@ -352,8 +352,8 @@ class MlpHardness(_TableHardness):
         g = np.einsum("bl,bnl->bn", zu, zi)
         return (*softmax_hardness(g), HardnessCache((xu, xi, zu, zi), ws))
 
-    def grad_batch(self, cache: HardnessCache, d_g):
-        """Dense parameter gradients, one (arange ids, grads) per table."""
+    def grad_batch(self, cache: HardnessCache, d_g, index=None):
+        """Dense parameter gradients, one (arange ids, grads) per table; no index."""
         xu, xi, zu, zi = cache.take()
         d_zu = np.einsum("bn,bnl->bl", d_g, zi)
         d_zi = d_g[..., None] * zu[:, None, :]

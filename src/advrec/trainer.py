@@ -3,7 +3,9 @@ loss over encoder parameters, periodically maximize it over hardness
 parameters, with early stopping on validation Recall@K.
 
 Phases are strictly alternated: a minimization step never touches hardness
-parameters and an adversarial step never touches the encoder.
+parameters and an adversarial step never touches the encoder. Strategies adv
+and reverse train a hardness model by ascent and by descent; rand and none
+train none and set each delta to a uniform(-0.5, 0.5) draw or to zero.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ class Batch:
     users: np.ndarray       # (B,)
     pos_items: np.ndarray   # (B,)
     negatives: np.ndarray   # (B, N)
+    key: tuple[int, int] | None = None  # (epoch, b) from iter_batches; keys rand deltas
     # A pass's frozen half, where iter_batches attached it; valid only
-    # within that pass. Min pass: the strategy's (probs, deltas), for rand
-    # (None, random deltas). Adversarial pass: the frozen encoder's
-    # (B, 1 + N) scores.
+    # within that pass. Min pass: _batch_deltas' (probs, deltas).
+    # Adversarial pass: the frozen encoder's (B, 1 + N) scores.
     hardness: tuple[np.ndarray | None, np.ndarray] | None = None
     scores: np.ndarray | None = None
     # The scatter index iter_batches built for the pass: score_index, the
@@ -145,11 +147,10 @@ def init_state(dataset: InteractionSet, cfg: TrainConfig) -> TrainState:
 def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: str,
                  frozen=None):
     """Deterministic epoch iterator: a seeded shuffle of the train pairs,
-    and for batch b negatives from substream(seed, phase-neg, epoch, b)
-    and, in a rand min pass, deltas from substream(seed, rand-delta, epoch,
-    b). Each batch carries its pass's scatter index (Batch.score_index or
-    the hardness model's batch_index). frozen(batch), if given, returns the batch with
-    its pass's frozen half attached (_min_half, _adv_half).
+    and for batch b negatives from substream(seed, phase-neg, epoch, b).
+    Each batch carries its key (epoch, b) and its pass's scatter index
+    (Batch.score_index or the hardness model's batch_index); frozen(batch),
+    if given, attaches its pass's frozen half (_min_half, _adv_half).
 
     Batch b + 1 is prepared on one worker thread while the caller runs step
     b; the first batch of a pass is prepared in the calling thread. Each
@@ -165,7 +166,6 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
     pairs = dataset.train_pairs
     perm = substream(cfg.seed, f"{phase}-shuffle", epoch).permutation(len(pairs))
     starts = range(0, len(pairs), cfg.batch_size)
-    rand_deltas = phase == "min" and cfg.hardness_strategy == "rand"
     hardness_index = HARDNESS_MODELS[cfg.hardness_kind].batch_index
 
     def prepare(b: int) -> Batch:
@@ -173,16 +173,13 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
         rng = substream(cfg.seed, f"{phase}-neg", epoch, b)
         users, pos_items = chunk[:, 0], chunk[:, 1]
         negs = sample_negatives(dataset, users, cfg.n_negatives, rng).negatives
-        batch = Batch(users, pos_items, negs)
+        batch = Batch(users, pos_items, negs, key=(epoch, b))
         if phase == "min":
             block = np.concatenate([pos_items[:, None], negs], axis=1)
             batch.score_index = (scatter_index(users, dataset.n_users),
                                  scatter_index(block, dataset.n_items))
         else:
             batch.hardness_index = hardness_index(users, negs, dataset.n_users, dataset.n_items)
-        if rand_deltas:
-            rng = substream(cfg.seed, "rand-delta", epoch, b)
-            batch.hardness = (None, rng.uniform(-0.5, 0.5, size=negs.shape))
         return batch if frozen is None else frozen(batch)
 
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -194,14 +191,17 @@ def iter_batches(dataset: InteractionSet, cfg: TrainConfig, epoch: int, phase: s
 
 
 def _batch_deltas(state: TrainState, batch: Batch, ws: Workspace | None = None):
-    """Per-negative (probs, deltas, cache) for the configured strategy, from
-    the hardness model's forward (ws as there) if it has one; random deltas
-    come only with the batch."""
+    """Per-negative (probs, deltas, cache) for the configured strategy: the
+    hardness model's forward (ws as there); else (None, deltas, None), drawn
+    for rand from substream(seed, rand-delta, *batch.key), zeros for none."""
     if state.hardness is not None:
         return state.hardness.forward(batch.users, batch.negatives, state.encoder, ws)
-    if state.cfg.hardness_strategy == "rand":
-        raise ValueError("a rand batch carries its deltas, as iter_batches draws them")
-    return None, np.zeros(batch.negatives.shape), None
+    if state.cfg.hardness_strategy == "none":
+        return None, np.zeros(batch.negatives.shape), None
+    if batch.key is None:
+        raise ValueError("a rand batch carries its deltas' key (epoch, b), as iter_batches sets it")
+    rng = substream(state.cfg.seed, "rand-delta", *batch.key)
+    return None, rng.uniform(-0.5, 0.5, size=batch.negatives.shape), None
 
 
 def _batch_scores(state: TrainState, batch: Batch, reps=None, ws: Workspace | None = None):
@@ -214,11 +214,9 @@ def _batch_scores(state: TrainState, batch: Batch, reps=None, ws: Workspace | No
 
 def _min_half(state: TrainState):
     """iter_batches' frozen for a min pass: attaches each batch's (probs,
-    deltas) from the hardness tables, which only adversarial steps write.
-    None without a hardness model (a rand batch carries its deltas, and
-    zeros cost nothing) and where the model reads the encoder tables that
+    deltas); None where the hardness model reads the encoder tables, which
     the min steps write."""
-    if state.hardness is None or state.hardness.reads_encoder:
+    if state.hardness is not None and state.hardness.reads_encoder:
         return None
     return lambda batch: replace(batch, hardness=_batch_deltas(state, batch)[:2])
 
@@ -283,8 +281,7 @@ def adv_step(state: TrainState, batch: Batch) -> float:
     loss_vec, _, _, d_delta, probs, _, cache = _batch_loss(
         state, replace(batch, hardness=None), state.workspace)
     d_g = hardness_grad_from_delta(probs, d_delta / len(batch.users))
-    index = () if batch.hardness_index is None else (batch.hardness_index,)  # MLP: none
-    grads = state.hardness.grad_batch(cache, d_g, *index)
+    grads = state.hardness.grad_batch(cache, d_g, batch.hardness_index)
     state.hardness.apply_grads(grads, cfg.lr_adv, maximize=(cfg.hardness_strategy == "adv"))
     return float(loss_vec.mean())
 

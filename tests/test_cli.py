@@ -263,6 +263,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert flag[2:] in err and "absent.tsv" not in err
 
+    @pytest.mark.parametrize("out", ["file", "file/run"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_loading(
+            self, tmp_path, capsys, monkeypatch, out):
+        data = generate(tmp_path)
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / out
+
+        def never(*paths):
+            raise AssertionError("load_interactions ran before --out was checked")
+
+        monkeypatch.setattr(cli, "load_interactions", never)
+        capsys.readouterr()
+        assert main(["train", "--train_file", str(data / "train.tsv"),
+                     "--valid_file", str(data / "valid.tsv"),
+                     "--test_file", str(data / "test.tsv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out} is not a directory path: {tmp_path / 'file'} is not a directory" \
+            in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
     @pytest.mark.parametrize("option,given,source", [
         ("gcn_layers", {"backbone": "mf", "gcn_layers": "5"}, "flag"),
         ("gcn_layers", {"backbone": "mf", "gcn_layers": "2"}, "config"),

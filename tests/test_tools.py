@@ -51,7 +51,7 @@ def test_hashes_without_a_validation(config_hashes, monkeypatch):
 def test_rows_cover_every_engine_configuration(config_hashes, monkeypatch, capsys):
     # a backbone, strategy or hardness model added to the engine gets a row
     monkeypatch.setattr(config_hashes, "ingest_hash", lambda data: "-")
-    monkeypatch.setattr(config_hashes, "cli_hash", lambda: "-")
+    monkeypatch.setattr(config_hashes, "cli_hash", lambda: ("-", "-"))
     monkeypatch.setattr(config_hashes, "generate_hash", lambda: "-")
     monkeypatch.setattr(config_hashes, "config_hashes", lambda data, *config: ("t", "d"))
     config_hashes.main()
@@ -97,12 +97,26 @@ def test_generate_row(config_hashes, monkeypatch, capsys):
 
 
 def test_cli_row(config_hashes, monkeypatch, capsys):
-    digest = config_hashes.cli_hash()
-    assert re.fullmatch("[0-9a-f]{16}", digest)
-    assert config_hashes.cli_hash() == digest
+    run, fixed = config_hashes.cli_hash()
+    assert re.fullmatch("[0-9a-f]{16}", run) and re.fullmatch("[0-9a-f]{16}", fixed)
+    assert config_hashes.cli_hash() == (run, fixed)
     monkeypatch.setattr(config_hashes, "BACKBONES", ())
     config_hashes.main()
-    assert f"| cli | - | - | {digest} | - |" in capsys.readouterr().out.splitlines()
+    assert f"| cli | - | - | {run} | {fixed} |" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_fixed_hash_does_not_read_the_trained_run(config_hashes, monkeypatch):
+    # another train seed moves the run hash, not the fixed checkpoint's;
+    # other fixed parameters move the fixed hash alone
+    run, fixed = config_hashes.cli_hash()
+    train = list(config_hashes.CLI_TRAIN)
+    train[train.index("--seed") + 1] = "2"
+    monkeypatch.setattr(config_hashes, "CLI_TRAIN", train)
+    other_run, other_fixed = config_hashes.cli_hash()
+    assert other_run != run and other_fixed == fixed
+    monkeypatch.setattr(config_hashes, "FIXED_SCALE", 0.25)
+    scaled_run, scaled_fixed = config_hashes.cli_hash()
+    assert scaled_run == other_run and scaled_fixed != fixed
 
 
 @pytest.mark.parametrize("hardness", ["embed", "mlp"])

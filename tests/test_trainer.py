@@ -371,11 +371,11 @@ class TestFrozenHalf:
         state = trained_state(small_dataset, cfg)
         half = trainer._min_half(state)
         # only the hardness tables are frozen; MLP hardness reads the encoder
-        assert (half is None) == (state.hardness is None or kind == "mlp")
+        assert (half is None) == (state.hardness is not None and kind == "mlp")
         for batch, unfrozen in zip(iter_batches(small_dataset, cfg, 2, "min", half),
                                    iter_batches(small_dataset, cfg, 2, "min"), strict=True):
             assert batch.scores is None
-            assert (batch.hardness is None) == (half is None and strategy != "rand")
+            assert (batch.hardness is None) == (half is None)
             got = trainer._batch_loss(state, batch)
             want = trainer._batch_loss(state, unfrozen)
             assert same_arrays(got[:5], want[:5])
@@ -390,10 +390,6 @@ class TestFrozenHalf:
         for batch, unfrozen in zip(iter_batches(small_dataset, cfg, 2, "adv", half),
                                    iter_batches(small_dataset, cfg, 2, "adv"), strict=True):
             assert batch.hardness is None and batch.scores is not None
-            if strategy == "rand":  # random deltas are drawn for min-pass batches only
-                with pytest.raises(ValueError, match="carries its deltas"):
-                    trainer._batch_loss(state, batch)
-                continue
             got = trainer._batch_loss(state, batch)
             want = trainer._batch_loss(state, unfrozen)
             assert got[5] is None and same_arrays(got[:5], want[:5])
@@ -402,30 +398,52 @@ class TestFrozenHalf:
 
     @pytest.mark.parametrize("with_frozen", [False, True])
     def test_rand_batches_carry_their_deltas(self, small_dataset, with_frozen):
+        # each batch carries its key (epoch, b); the min pass's frozen half
+        # attaches the deltas drawn under it, and a step draws the same
         cfg = small_cfg(batch_size=3, hardness_strategy="rand", seed=4)
         state = init_state(small_dataset, cfg)
-        frozen = trainer._adv_half(state, representations(state.encoder)) if with_frozen else None
+        frozen = trainer._min_half(state) if with_frozen else None
         batches = list(iter_batches(small_dataset, cfg, 3, "min", frozen))
         assert len(batches) == 6
         for b, batch in enumerate(batches):
             want = substream(4, "rand-delta", 3, b).uniform(-0.5, 0.5, (len(batch.users), 4))
-            assert batch.hardness[0] is None and same_arrays([batch.hardness[1]], [want])
-            assert (batch.scores is not None) == with_frozen
+            assert batch.key == (3, b)
+            assert (batch.hardness is not None) == with_frozen
+            probs, deltas = batch.hardness or trainer._batch_deltas(state, batch)[:2]
+            assert probs is None and same_arrays([deltas], [want])
 
-    def test_mlp_hardness_runs_on_the_main_thread(self, small_dataset, monkeypatch):
-        real, threads = MlpHardness.forward, []
+    @pytest.mark.parametrize("strategy,kind", STRATEGY_KINDS)
+    def test_where_deltas_are_computed(self, small_dataset, monkeypatch, strategy, kind):
+        # a min pass's deltas are computed on the worker, except for the
+        # pass's first batch, prepared in the calling thread; MLP hardness
+        # reads the encoder tables that min steps write, so its deltas, like
+        # every adversarial step's, are computed on the main thread
+        real, threads = trainer._batch_deltas, []
 
-        def record(self, *args):
+        def record(*args):
             threads.append(threading.current_thread())
-            return real(self, *args)
+            return real(*args)
 
-        monkeypatch.setattr(MlpHardness, "forward", record)
-        cfg = small_cfg(batch_size=3, hardness_kind="mlp", t_adv_interval=1)
+        monkeypatch.setattr(trainer, "_batch_deltas", record)
+        real_forward, forwards = MlpHardness.forward, []
+
+        def record_forward(self, *args):
+            forwards.append(threading.current_thread())
+            return real_forward(self, *args)
+
+        monkeypatch.setattr(MlpHardness, "forward", record_forward)
+        cfg = small_cfg(batch_size=3, hardness_strategy=strategy, hardness_kind=kind,
+                        t_adv_interval=1)
         state = init_state(small_dataset, cfg)
         assert train_epoch(state, small_dataset) is not None
-        # 6 min steps, 6 adversarial steps and the divergence diagnostic
-        assert len(threads) == 13
-        assert all(t is threading.main_thread() for t in threads)
+        trains = strategy in trainer.HARDNESS_STRATEGIES
+        on_main = [t is threading.main_thread() for t in threads]
+        # 6 min steps, then 6 adversarial steps where a hardness model trains
+        min_pass = [True] * 6 if trains and kind == "mlp" else [True] + [False] * 5
+        assert on_main == min_pass + ([True] * 6 if trains else [])
+        # MLP: the 12 steps' forwards and the divergence diagnostic's
+        assert len(forwards) == (13 if trains and kind == "mlp" else 0)
+        assert all(t is threading.main_thread() for t in forwards)
 
 
 def same_index(got, want):
@@ -632,8 +650,8 @@ class TestBatchPrefetch:
 
         monkeypatch.setattr(trainer, "iter_batches", prepare_nothing)
         unprepared = run_training(small_dataset, cfg)
-        # rand passes have no frozen half: a rand batch carries its own deltas
-        assert dropped == ([True] * 7 if strategy == "adv" else [False] * 5)
+        # every pass has a frozen half: 5 min passes and, for adv, 2 adversarial ones
+        assert dropped == [True] * (7 if strategy == "adv" else 5)
         assert json.dumps(prepared.history, sort_keys=True) \
             == json.dumps(unprepared.history, sort_keys=True)
         assert model_bytes(prepared.state.encoder, prepared.state.hardness) \

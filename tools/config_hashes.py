@@ -30,9 +30,12 @@ raises (1 x 1 and 1e-17 have no relevant pair).
 
 One more row, cli, runs the commands on the toy dataset of tests/test_cli.py in
 a temporary directory: generate in both modes, train, evaluate with
---per_user_csv, and diagnose profile, fnrate and alignuniform. It hashes
-evaluate's standard output and every file written, except config.resolved,
-which names the temporary directory.
+--per_user_csv, and diagnose profile, fnrate and alignuniform. Its train
+column hashes evaluate's standard output and every file written, except
+config.resolved, which names the temporary directory. Its diag column hashes
+the same for evaluate and the three diagnose kinds run on a checkpoint saved
+from seeded parameters (FIXED_*), not from train's output, so it shows
+whether the scoring commands' outputs changed even where training bytes did.
 
 Two source trees whose tables are identical generate, ingest, train, diagnose
 and write their artifacts, checkpoints included, byte for byte alike on these
@@ -61,7 +64,7 @@ from advrec.checkpoint import save_checkpoint
 from advrec.cli import main as advrec_main
 from advrec.dataio import (SPLITS, SyntheticSpec, generate_synthetic, load_interactions,
                            read_pairs, write_pairs)
-from advrec.encoder import LIGHTGCN, MF
+from advrec.encoder import LIGHTGCN, MF, build_encoder
 from advrec.errors import DegenerateSpec
 from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
 from advrec.loss import HARDNESS_MODELS
@@ -90,6 +93,9 @@ CLI_GAMMA = ["--gamma", "4.0", "--n0", "10", "--groups", "5"]
 CLI_TRAIN = ["--embed_dim", "8", "--batch_size", "64", "--n_negatives", "4",
              "--k_weight", "4", "--tau", "0.2", "--lr", "0.05", "--lr_adv", "0.01",
              "--max_epochs", "3", "--t_adv_interval", "1", "--e_adv_max", "2", "--seed", "1"]
+# The cli row's fixed checkpoint: an MF encoder and embed hardness of this
+# width, every parameter drawn from uniform(-FIXED_SCALE, FIXED_SCALE).
+FIXED_DIM, FIXED_TAU, FIXED_SCALE = 8, 0.2, 0.5
 
 
 def _digest(h) -> str:
@@ -183,33 +189,77 @@ def generate_hash() -> str:
     return _digest(h)
 
 
-def cli_hash() -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        data, ckpt = tmp / "data", str(tmp / "run" / "final.ckpt")
-        files = [arg for name in SPLITS for arg in (f"--{name}_file", str(data / f"{name}.tsv"))]
-        commands = [
+def _advrec(commands) -> str:
+    """Runs each advrec command line in turn; returns their standard output."""
+    stdout = io.StringIO()
+    for argv in commands:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = advrec_main(argv)
+        if code != 0:
+            raise SystemExit(f"advrec {argv[0]} exited {code}")
+    return stdout.getvalue()
+
+
+def _split_flags(data: Path) -> list[str]:
+    return [arg for name in SPLITS for arg in (f"--{name}_file", str(data / f"{name}.tsv"))]
+
+
+def _scoring_commands(ckpt: Path, data: Path, out: Path) -> list[list[str]]:
+    """evaluate with --per_user_csv and the three diagnose kinds of ckpt on
+    data, writing into out."""
+    files = _split_flags(data)
+    return [
+        ["evaluate", "--checkpoint", str(ckpt), *files, "--per_user_csv", str(out / "users.csv")],
+        *(["diagnose", "--checkpoint", str(ckpt), *files, "--which", which,
+           "--out", str(out / f"{which}.csv"), "--planted_fn", str(data / "planted_fn.tsv"),
+           "--bins", "4", "--n_negatives", "8"]
+          for which in ("profile", "fnrate", "alignuniform")),
+    ]
+
+
+def _outputs_hash(stdout: str, root: Path) -> str:
+    """stdout and every file under root but config.resolved, by relative path."""
+    h = hashlib.sha256(stdout.encode())
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != "config.resolved":
+            h.update(str(path.relative_to(root)).encode())
+            h.update(path.read_bytes())
+    return _digest(h)
+
+
+def _save_fixed_checkpoint(path: Path, data: Path) -> None:
+    """An MF encoder and embed hardness model sized to data, with seeded
+    parameters, saved to path."""
+    dataset = load_interactions(*(data / f"{name}.tsv" for name in SPLITS))
+    rng = substream(SEED, "cli-fixed")
+
+    def draw(rows: int) -> np.ndarray:
+        return rng.uniform(-FIXED_SCALE, FIXED_SCALE, size=(rows, FIXED_DIM))
+
+    enc = build_encoder(MF, dataset.n_users, dataset.n_items, FIXED_DIM, FIXED_TAU, SEED)
+    enc.user_table.values[:] = draw(dataset.n_users)
+    enc.item_table.values[:] = draw(dataset.n_items)
+    hardness = HARDNESS_MODELS["embed"].from_arrays(adv_user=draw(dataset.n_users),
+                                                    adv_item=draw(dataset.n_items))
+    save_checkpoint(path, enc, hardness)
+
+
+def cli_hash() -> tuple[str, str]:
+    """(every command's outputs, the scoring commands' outputs on the fixed
+    checkpoint)."""
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as fixed:
+        tmp, fixed = Path(tmp), Path(fixed)
+        data = tmp / "data"
+        stdout = _advrec([
             ["generate", "--out", str(data), *CLI_GENERATE],
             ["generate", "--out", str(tmp / "gamma"), *CLI_GENERATE, *CLI_GAMMA],
-            ["train", *files, "--out", str(tmp / "run"), *CLI_TRAIN],
-            ["evaluate", "--checkpoint", ckpt, *files, "--per_user_csv", str(tmp / "users.csv")],
-            *(["diagnose", "--checkpoint", ckpt, *files, "--which", which,
-               "--out", str(tmp / f"{which}.csv"), "--planted_fn", str(data / "planted_fn.tsv"),
-               "--bins", "4", "--n_negatives", "8"]
-              for which in ("profile", "fnrate", "alignuniform")),
-        ]
-        stdout = io.StringIO()
-        for argv in commands:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = advrec_main(argv)
-            if code != 0:
-                raise SystemExit(f"advrec {argv[0]} exited {code}")
-        h = hashlib.sha256(stdout.getvalue().encode())
-        for path in sorted(tmp.rglob("*")):
-            if path.is_file() and path.name != "config.resolved":
-                h.update(str(path.relative_to(tmp)).encode())
-                h.update(path.read_bytes())
-    return _digest(h)
+            ["train", *_split_flags(data), "--out", str(tmp / "run"), *CLI_TRAIN],
+            *_scoring_commands(tmp / "run" / "final.ckpt", data, tmp),
+        ])
+        run_hash = _outputs_hash(stdout, tmp)
+        ckpt = fixed / "fixed.ckpt"
+        _save_fixed_checkpoint(ckpt, data)
+        return run_hash, _outputs_hash(_advrec(_scoring_commands(ckpt, data, fixed)), fixed)
 
 
 def main() -> None:
@@ -217,7 +267,7 @@ def main() -> None:
     print("| backbone | strategy | hardness | train | diag |")
     print("| --- | --- | --- | --- | --- |")
     print(f"| ingest | - | - | {ingest_hash(data)} | - |", flush=True)
-    print(f"| cli | - | - | {cli_hash()} | - |", flush=True)
+    print("| cli | - | - | {} | {} |".format(*cli_hash()), flush=True)
     print(f"| generate | - | - | {generate_hash()} | - |", flush=True)
     for backbone, strategy, hardness in itertools.product(BACKBONES, STRATEGIES, HARDNESS):
         t0 = time.perf_counter()
