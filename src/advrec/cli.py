@@ -1,10 +1,11 @@
 """Command-line entry point: train, evaluate, generate, diagnose.
 
-Configuration is a flat key=value file; every key is also exposed as a long
-flag of the same name (flags beat file values, file values beat defaults),
-and a file key that names no flag is rejected. Each run directory receives a
-resolved-config snapshot so that the snapshot plus the seed reproduce the run
-bit-for-bit.
+Configuration for train and generate is a flat key=value file whose keys
+are the command's config fields and path flags (train's *_file and out,
+generate's out); flags beat file values, file values beat defaults. Any
+other key, generate's gamma, groups and n0 among them, is rejected. Each
+run directory receives a resolved-config snapshot so that the snapshot plus
+the seed reproduce the run bit-for-bit.
 
 Exit codes: 0 success, 2 usage, config or path error, 3 numeric failure. Progress
 goes to stderr; stdout carries machine-readable JSON only for `evaluate`.
@@ -80,6 +81,15 @@ def load_kv_config(path, cls, extra=()) -> dict[str, str]:
     return values
 
 
+def _file_config(ns, cls, paths) -> dict[str, str]:
+    """The --config file's values; each path flag left unset takes the file's."""
+    file_cfg = load_kv_config(ns.config, cls, paths) if ns.config else {}
+    for key in paths:
+        if getattr(ns, key) is None and key in file_cfg:
+            setattr(ns, key, file_cfg[key])
+    return file_cfg
+
+
 def _resolve_dataclass(cls, file_cfg: dict, flag_ns):
     """Defaults <- config file <- explicit flags, each value parsed by the
     type of its field's default (int, float or str), as its flag is."""
@@ -146,11 +156,7 @@ def _load_dataset(ns):
 
 
 def cmd_train(ns) -> int:
-    paths = ("train_file", "valid_file", "test_file", "out")
-    file_cfg = load_kv_config(ns.config, TrainConfig, paths) if ns.config else {}
-    for key in paths:
-        if getattr(ns, key) is None and key in file_cfg:
-            setattr(ns, key, file_cfg[key])
+    file_cfg = _file_config(ns, TrainConfig, ("train_file", "valid_file", "test_file", "out"))
     cfg = _resolve_dataclass(TrainConfig, file_cfg, ns)
     idle = [name for name, (key, values) in APPLIES_WHEN.items() if getattr(cfg, key) not in values]
     for name in idle:
@@ -209,7 +215,7 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_generate(ns) -> int:
-    file_cfg = load_kv_config(ns.config, SyntheticSpec) if ns.config else {}
+    file_cfg = _file_config(ns, SyntheticSpec, ("out",))
     spec = _resolve_dataclass(SyntheticSpec, file_cfg, ns)
     if ns.gamma is None and (ns.groups is not None or ns.n0 is not None):
         raise EngineError("--groups and --n0 apply only with --gamma")

@@ -153,11 +153,12 @@ def _read_pairs(path) -> list[tuple[int, int]]:
     return pairs
 
 
-def _parse_strict(data: bytes) -> np.ndarray | None:
-    """The pairs of a file that is exactly lines of "digits<TAB>digits\n"
-    (final newline optional, 1 to STRICT_DIGITS ASCII digits per field) as
-    (k, 2) int64, parsed without a Python loop over lines; None for any
-    other file."""
+def _parse_file(path) -> np.ndarray:
+    """The pairs of a TSV file as (k, 2) int64. A file that is exactly lines
+    of "digits<TAB>digits\n" (final newline optional, 1 to STRICT_DIGITS
+    ASCII digits per field) is parsed without a Python loop over lines; any
+    other goes through the line parser, which raises a bad line's ParseError."""
+    data = Path(path).read_bytes()
     if data and not data.endswith(b"\n"):
         data += b"\n"
     b = np.frombuffer(data, dtype=np.uint8)
@@ -166,7 +167,7 @@ def _parse_strict(data: bytes) -> np.ndarray | None:
     if not (len(ends) % 2 == 0 and np.all(b[ends[0::2]] == ord("\t"))
             and np.all(b[ends[1::2]] == ord("\n"))
             and np.all((lens >= 1) & (lens <= STRICT_DIGITS))):
-        return None
+        return np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
     starts = ends - lens
     values = np.zeros(len(ends), dtype=np.int64)
     for k in range(int(lens.max(initial=0))):  # Horner's rule, one digit column at a time
@@ -175,23 +176,13 @@ def _parse_strict(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, 2)
 
 
-def _has_duplicate(pairs: np.ndarray) -> bool:
-    """Whether a pair repeats, tested on one int64 key per pair built from
-    the ranks of its user and item ids."""
-    users = np.unique(pairs[:, 0], return_inverse=True)[1]
-    item_ids, items = np.unique(pairs[:, 1], return_inverse=True)
-    keys = np.sort(users * len(item_ids) + items)
-    return bool(np.any(keys[1:] == keys[:-1]))
-
-
 def read_pairs(path) -> np.ndarray:
     """Read a TSV pair file without remapping (raw ids as written), as
-    (k, 2) int64. A strict file is parsed as one array. Any other file, and
-    a strict file that repeats a pair, is read by the line parser, which
-    gives the same pairs or raises the ParseError with its line number."""
-    pairs = _parse_strict(Path(path).read_bytes())
-    if pairs is None or _has_duplicate(pairs):
-        pairs = np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
+    (k, 2) int64; a repeated pair raises the line parser's ParseError with
+    its line number."""
+    pairs = _parse_file(path)
+    if len(np.unique(pairs, axis=0)) < len(pairs):
+        _read_pairs(path)
     return pairs
 
 
@@ -199,21 +190,17 @@ def load_interactions(train_path, valid_path, test_path) -> InteractionSet:
     """Load three TSV splits, remapping ids to dense 0-based ranges in
     first-seen order (train scanned first, then valid, then test).
 
-    Each file is parsed once: a strict file as one array, any other by the
-    line parser. Each id column is remapped by one sort, and the
-    InteractionSet constructor finds a repeated pair on the dense keys. On
-    any error the files read so far go through the line parser again, so a
-    repeated pair in a strict file raises its ParseError with its line
-    number, in file order and before any later error, as if every file had
-    been read by the line parser."""
+    Each file is parsed once (_parse_file) and each id column remapped by
+    one sort; the InteractionSet constructor finds a repeated pair on the
+    dense keys. On any error the files read so far go through the line
+    parser again, so a repeated pair in a strict file raises its ParseError
+    with its line number, in file order and before any later error, as if
+    every file had been read by the line parser."""
     paths = (train_path, valid_path, test_path)
     raw = []
     try:
         for path in paths:
-            pairs = _parse_strict(Path(path).read_bytes())
-            if pairs is None:
-                pairs = np.asarray(_read_pairs(path), dtype=np.int64).reshape(-1, 2)
-            raw.append(pairs)
+            raw.append(_parse_file(path))
         if not len(raw[0]):
             raise EmptySplitError(f"train split {train_path} has no interactions")
         pairs = np.concatenate(raw)
@@ -276,6 +263,11 @@ def _extend(stream: np.ndarray, size: int, n_items: int, rng: np.random.Generato
     return np.concatenate([stream, more]) if len(stream) else more
 
 
+def _draw_size(k: int) -> int:
+    """How many items a row that still needs k negatives draws at a time."""
+    return max(8, int(1.3 * k) + 4)
+
+
 def sample_negatives(
     dataset: InteractionSet,
     users,
@@ -288,16 +280,16 @@ def sample_negatives(
     positives cover every item, and BadParam if n < 1.
 
     The rule, row by row: a dense row (more than n_items // 2 positives)
-    draws n items from its complement. Any other row draws
-    max(8, int(1.3 * (n - filled)) + 4) items from [0, n_items) at a time
-    and keeps its non-positives until it has n. numpy's integers() gives
-    the same values and state however equal-range draws are split into
-    calls, so the draws between dense rows are one stream that the rows
-    read in order, and none is drawn past what the rule draws: a row that
-    falls short reads on into the next rows' draws, and those rows are
-    tested again. So a row expected to keep fewer than n of its first width
-    draws skips the blocks of rows tested at once against their positives,
-    and a block holds at most 64 more than twice the rows the last one kept.
+    draws n items from its complement. Any other row, while it needs k more,
+    draws _draw_size(k) items from [0, n_items) and keeps the non-positives.
+    numpy's integers() gives the same values and state however equal-range
+    draws are split into calls, so the draws between dense rows are one
+    stream that the rows read in order, and none is drawn past what the rule
+    draws: a row that falls short reads on into the next rows' draws, and
+    those rows are tested again. So a row expected to keep fewer than n of
+    its first width draws skips the blocks of rows tested at once against
+    their positives, and a block holds at most 64 more than twice the rows
+    the last one kept.
     """
     if n < 1:
         raise BadParam("n must be >= 1")
@@ -308,8 +300,9 @@ def sample_negatives(
     if np.any(n_pos >= n_items):
         raise NoNegativesError(
             f"user {rows[np.argmax(n_pos >= n_items)]} has interacted with every item")
-    width = max(8, int(1.3 * n) + 4)
-    per_row = (n_pos > n_items // 2) | ((n_items - n_pos) * width < n * n_items)
+    width = _draw_size(n)
+    dense = n_pos > n_items // 2
+    per_row = dense | ((n_items - n_pos) * width < n * n_items)
     cuts = np.append(np.flatnonzero(per_row), len(rows))
     out = np.empty((len(rows), n), dtype=np.int64)
     stream = np.empty(0, dtype=np.int64)  # drawn from [0, n_items), not yet read
@@ -332,11 +325,11 @@ def sample_negatives(
         r += k
         if r < len(rows) and (per_row[r] or r < stop):
             pos, filled = dataset.positives(int(rows[r])), 0
-            if len(pos) > n_items // 2:
+            if dense[r]:
                 cand = np.setdiff1d(np.arange(n_items, dtype=np.int64), pos, assume_unique=True)
                 out[r], filled = cand[rng.integers(0, len(cand), size=n)], n
             while filled < n:
-                size = max(8, int(1.3 * (n - filled)) + 4)
+                size = _draw_size(n - filled)
                 stream = _extend(stream, size, n_items, rng)
                 kept = stream[:size][_absent(pos, stream[:size])][:n - filled]
                 out[r, filled:filled + len(kept)] = kept

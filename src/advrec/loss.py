@@ -331,13 +331,10 @@ class MlpHardness(_TableHardness):
     @classmethod
     def init(cls, n_users: int, n_items: int, dim: int, seed: int, h: int = 0) -> "MlpHardness":
         h = h or 4
-        bound = 0.5 / np.sqrt(dim)
-        return cls.from_arrays(
-            w_user=substream(seed, "init-mlp-user").uniform(-bound, bound, size=(h, dim)),
-            b_user=np.zeros(h),
-            w_item=substream(seed, "init-mlp-item").uniform(-bound, bound, size=(h, dim)),
-            b_item=np.zeros(h),
-        )
+        return cls(EmbeddingTable.uniform_init(h, dim, substream(seed, "init-mlp-user")),
+                   EmbeddingTable.zeros(1, h),
+                   EmbeddingTable.uniform_init(h, dim, substream(seed, "init-mlp-item")),
+                   EmbeddingTable.zeros(1, h))
 
     batch_index = staticmethod(lambda *ids_and_sizes: None)  # dense gradients need none
 

@@ -220,6 +220,27 @@ class TestGenerate:
         assert "n_item" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    def test_config_out_writes_there_and_the_flag_beats_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a relative out= resolves here
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("n_users=30\nn_items=20\nout=gen_from_cfg\n")
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "gen_from_cfg" / "train.tsv").is_file()
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+        for name in ("train.tsv", "valid.tsv", "test.tsv", "planted_fn.tsv", "spec.resolved"):
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "gen_from_cfg" / name).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flag", "gen.cfg", "gen_from_cfg"]
+
+    def test_gamma_in_config_exits_2(self, tmp_path, capsys):
+        # gamma, groups and n0 are flags only
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("n_users=30\ngamma=2.0\n")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert f"{cfg}:2: unknown config key 'gamma'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestTrain:
     def test_no_train_file_exits_2(self, tmp_path, capsys):

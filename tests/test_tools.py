@@ -5,9 +5,11 @@ import importlib.util
 import itertools
 import os
 import re
+from copy import deepcopy
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from advrec import encoder, loss, trainer
@@ -49,15 +51,25 @@ def test_hashes_without_a_validation(config_hashes, monkeypatch):
 
 
 def test_rows_cover_every_engine_configuration(config_hashes, monkeypatch, capsys):
-    # a backbone, strategy or hardness model added to the engine gets a row
+    # a backbone, strategy or hardness model added to the engine gets a row; a
+    # strategy that builds no hardness model gets one row, trained with the
+    # default kind, since every kind would train the same run
+    trained = []
     monkeypatch.setattr(config_hashes, "ingest_hash", lambda data: "-")
     monkeypatch.setattr(config_hashes, "cli_hash", lambda: ("-", "-"))
     monkeypatch.setattr(config_hashes, "generate_hash", lambda: "-")
-    monkeypatch.setattr(config_hashes, "config_hashes", lambda data, *config: ("t", "d"))
+    monkeypatch.setattr(config_hashes, "config_hashes",
+                        lambda data, *config: trained.append(config) or ("t", "d"))
     config_hashes.main()
     rows = [tuple(line.strip("| ").split(" | ")) for line in capsys.readouterr().out.splitlines()]
-    want = itertools.product(encoder.BACKBONES, trainer.STRATEGIES, loss.HARDNESS_MODELS)
-    assert [row[:3] for row in rows if row[3:] == ("t", "d")] == list(want)
+    want = [(backbone, strategy, kind)
+            for backbone, strategy in itertools.product(encoder.BACKBONES, trainer.STRATEGIES)
+            for kind in (loss.HARDNESS_MODELS if strategy in trainer.HARDNESS_STRATEGIES
+                         else [None])]
+    assert [row[:3] for row in rows if row[3:] == ("t", "d")] \
+        == [(backbone, strategy, kind or "-") for backbone, strategy, kind in want]
+    assert trained == want
+    assert len(want) == 12  # adv and reverse x 2 kinds, rand and none once, per backbone
 
 
 def test_ingest_row(config_hashes, monkeypatch, capsys):
@@ -134,6 +146,59 @@ def test_train_hash_covers_the_best_hardness(config_hashes, monkeypatch, hardnes
     monkeypatch.setattr(config_hashes, "run_training", nudge_best_hardness)
     train, diag = config_hashes.config_hashes(data, "mf", "adv", hardness)
     assert train != first[0] and diag == first[1]
+
+
+@pytest.fixture(scope="module")
+def trained_runs(config_hashes):
+    """The dataset, and per hardness kind the mf adv training result and the
+    train hash the tool gives it."""
+    data = generate_synthetic(SyntheticSpec(seed=config_hashes.SEED, **config_hashes.SPEC))
+    runs = {}
+    for kind in loss.HARDNESS_MODELS:
+        results = []
+
+        def keep(dataset, cfg):
+            results.append(trainer.run_training(dataset, cfg))
+            return results[-1]
+
+        with mock.patch.object(config_hashes, "run_training", keep):
+            train, _ = config_hashes.config_hashes(data, "mf", "adv", kind)
+        runs[kind] = results[0], train
+    return data, runs
+
+
+@pytest.mark.parametrize("hardness", ["embed", "mlp"])
+@pytest.mark.parametrize("snapshot", ["final", "best"])
+def test_train_hash_moves_with_one_ulp_of_any_array(config_hashes, trained_runs, monkeypatch,
+                                                     hardness, snapshot):
+    # the checkpoint bytes cover every encoder table and hardness parameter
+    # array: one ulp more in any one element of any of them moves the hash
+    data, runs = trained_runs
+    result, train = runs[hardness]
+    assert result.state.best is not None
+
+    def arrays(result):
+        state = result.state
+        enc, model = (state.encoder, state.hardness) if snapshot == "final" else state.best
+        return {"user_table": enc.user_table.values, "item_table": enc.item_table.values,
+                **model.param_arrays()}
+
+    def run_with(nudge):
+        def run_training(dataset, cfg):
+            copy = deepcopy(result)
+            nudge(arrays(copy))
+            return copy
+        monkeypatch.setattr(config_hashes, "run_training", run_training)
+        return config_hashes.config_hashes(data, "mf", "adv", hardness)[0]
+
+    assert run_with(lambda named: None) == train
+    names = sorted(arrays(result))
+    assert len(names) == 2 + len(loss.HARDNESS_MODELS[hardness].LAYOUT)
+    for name in names:
+        def nudge(named):
+            flat = named[name].reshape(-1)
+            flat[-1] = np.nextafter(flat[-1], np.inf)
+        assert run_with(nudge) != train, name
 
 
 @pytest.mark.parametrize("which", ["final.ckpt", "best.ckpt"])

@@ -1,15 +1,18 @@
 """Training and diagnostics hashes for the engine's backbone x strategy x
-hardness configurations: the backbones x trainer.STRATEGIES x
-loss.HARDNESS_MODELS, 16 rows, in that nesting order.
+hardness configurations: per backbone and trainer.STRATEGIES, one row per
+loss.HARDNESS_MODELS kind for the strategies in trainer.HARDNESS_STRATEGIES,
+and one row with hardness "-" (trained with TrainConfig's default kind) for
+those that build no hardness model; 12 rows, in that nesting order.
 
 Trains the acceptance configuration of criteria 10/11 (synthetic dataset and
 training config of tests/test_acceptance.py, seed 0, 30 epochs) once per
 configuration and prints two hashes for each:
 
-- train: the history JSON, the final encoder tables and hardness parameters,
-  and (if a validation ran) the best snapshot's, the model best.ckpt holds;
-  then the bytes save_checkpoint writes for the final model and, if a
-  validation ran, for the best snapshot, saved to a temporary directory;
+- train: the history JSON, then the bytes save_checkpoint writes for the
+  final model and, if a validation ran, for the best snapshot, saved to a
+  temporary directory. A checkpoint holds every encoder table and hardness
+  parameter array as little-endian float64, so a change to any of them
+  moves this hash;
 - diag: test HR/Recall/NDCG@20 of the final encoder, with every user's
   triple, so that a one-ulp change for one user shows; every user's triple
   at k = 1 and at k = n_items, the two ends of the cutoff; the false-negative
@@ -39,8 +42,9 @@ whether the scoring commands' outputs changed even where training bytes did.
 
 Two source trees whose tables are identical generate, ingest, train, diagnose
 and write their artifacts, checkpoints included, byte for byte alike on these
-configurations. The table goes to standard output and the seconds per
-configuration to standard error. Run from the repository root:
+configurations. Compare tables printed by one version of this tool: another
+version may hash other bytes. The table goes to standard output and the
+seconds per configuration to standard error. Run from the repository root:
 
     PYTHONPATH=src python tools/config_hashes.py
     PYTHONPATH=path/to/other/src python tools/config_hashes.py   # to compare
@@ -69,7 +73,7 @@ from advrec.errors import DegenerateSpec
 from advrec.evaluation import evaluate_split, fn_identification_rate, hardness_popularity_profile
 from advrec.loss import HARDNESS_MODELS
 from advrec.rng import substream
-from advrec.trainer import STRATEGIES, TrainConfig, run_training
+from advrec.trainer import HARDNESS_STRATEGIES, STRATEGIES, TrainConfig, run_training
 
 SEED = 0
 SPEC = dict(n_users=2000, n_items=1000, latent_dim=32, exposure_bias_strength=1.0,
@@ -102,37 +106,23 @@ def _digest(h) -> str:
     return h.hexdigest()[:16]
 
 
-def _add_encoder(h, enc) -> None:
-    h.update(enc.user_table.values.tobytes())
-    h.update(enc.item_table.values.tobytes())
-
-
-def _add_hardness(h, model) -> None:
-    if model is not None:
-        for name, arr in sorted(model.param_arrays().items()):
-            h.update(name.encode())
-            h.update(arr.tobytes())
-
-
 def _add_checkpoint(h, path: Path, enc, hardness) -> None:
     save_checkpoint(path, enc, hardness)
     h.update(path.read_bytes())
 
 
-def config_hashes(data, backbone: str, strategy: str, hardness: str) -> tuple[str, str]:
-    cfg = TrainConfig(seed=SEED, backbone=backbone, hardness_strategy=strategy,
-                      hardness_kind=hardness, **CFG)
+def config_hashes(data, backbone: str, strategy: str,
+                  hardness: str | None = None) -> tuple[str, str]:
+    """(train, diag) of one configuration; hardness None trains TrainConfig's
+    default kind."""
+    kind = {} if hardness is None else {"hardness_kind": hardness}
+    cfg = TrainConfig(seed=SEED, backbone=backbone, hardness_strategy=strategy, **kind, **CFG)
     state = run_training(data.dataset, cfg).state
 
     train = hashlib.sha256(json.dumps(state.history, sort_keys=True).encode())
-    _add_encoder(train, state.encoder)
-    if state.best is not None:  # None when no validation ran
-        _add_encoder(train, state.best[0])
-        _add_hardness(train, state.best[1])
-    _add_hardness(train, state.hardness)
     with tempfile.TemporaryDirectory() as tmp:
         _add_checkpoint(train, Path(tmp) / "final.ckpt", state.encoder, state.hardness)
-        if state.best is not None:
+        if state.best is not None:  # None when no validation ran
             _add_checkpoint(train, Path(tmp) / "best.ckpt", *state.best)
 
     report = evaluate_split(state.encoder, data.dataset, "test", cfg.k_eval)
@@ -269,12 +259,13 @@ def main() -> None:
     print(f"| ingest | - | - | {ingest_hash(data)} | - |", flush=True)
     print("| cli | - | - | {} | {} |".format(*cli_hash()), flush=True)
     print(f"| generate | - | - | {generate_hash()} | - |", flush=True)
-    for backbone, strategy, hardness in itertools.product(BACKBONES, STRATEGIES, HARDNESS):
-        t0 = time.perf_counter()
-        train, diag = config_hashes(data, backbone, strategy, hardness)
-        print(f"| {backbone} | {strategy} | {hardness} | {train} | {diag} |", flush=True)
-        print(f"{backbone}/{strategy}/{hardness}: {time.perf_counter() - t0:.1f} s",
-              file=sys.stderr)
+    for backbone, strategy in itertools.product(BACKBONES, STRATEGIES):
+        for hardness in HARDNESS if strategy in HARDNESS_STRATEGIES else (None,):
+            t0 = time.perf_counter()
+            train, diag = config_hashes(data, backbone, strategy, hardness)
+            name = f"{backbone} | {strategy} | {hardness or '-'}"
+            print(f"| {name} | {train} | {diag} |", flush=True)
+            print(f"{name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":
