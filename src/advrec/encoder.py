@@ -24,7 +24,6 @@ from .numkit import (
     propagate_backward,
     row_norms,
     scatter_index,
-    scratch,
     take_rows,
 )
 from .rng import substream
@@ -118,7 +117,7 @@ class _ScoreCache:
     users: np.ndarray      # (B,)
     items: np.ndarray      # (B, M)
     u_rep: np.ndarray      # (B, d)
-    i_rep: np.ndarray | None  # (B, M, d); None once a backward has overwritten it
+    i_rep: np.ndarray      # (B, M, d)
     i_unique: np.ndarray   # (K, d) rows of the K distinct items, in the index's order
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
@@ -172,43 +171,27 @@ def batch_backward(
     backbone, back through propagation. Ids are unique, grads accumulated
     through the cache's scatter index, built here if the cache holds none.
 
-    With the forward's workspace, the (B, M, d) item-gradient terms and the
-    scatter's group gathers use its buffers, and the terms overwrite the
-    cache's item rows: the cache is spent, and a second backward on it
-    raises ValueError. Without one, the cache stays as it was.
-
     Slot (b, m) of item j adds coef_bm * u_b - r_bm * I_j to j's gradient,
     where I_j is j's representation row, the same in every slot that holds
-    j. So only the coef * u terms go through the scatter; R_j, the sum of
-    r_bm over j's slots (a bincount, in input order), then takes R_j * I_j
-    off j's sum once per distinct item instead of once per slot. That saves
-    two passes over the (B, M, d) block and the block the radial terms
-    filled. The grouping moves the item gradients' bytes by a few ulps
-    against a per-slot subtraction. No returned cell is -0.0: the scatter's
-    sums start each cell at +0.0 and so are never -0.0, and x - y is -0.0
-    only for x = -0.0.
-
-    The coef * u terms are an einsum, which runs faster than a broadcasting
-    multiply whose inner loop is d long. einsum gives each product's value
-    exactly, but adds it onto +0.0, so a product the multiply gave as -0.0
-    may come out +0.0. That cannot show either, since the terms feed only
-    the scatter's sums, and adding a zero of either sign to a sum that is
-    not -0.0 leaves it as it is.
+    j. The scatter sums the coef * u terms as a weighted gather of the (B,
+    d) user rows, through the forward's workspace if it had one, so no (B,
+    M, d) block of terms is built and the cache stays as it was. R_j, the
+    sum of r_bm over j's slots (a bincount, in input order), then takes R_j
+    * I_j off j's sum once per distinct item instead of once per slot. The
+    grouping moves the item gradients' bytes by a few ulps against a
+    per-slot subtraction. No returned cell is -0.0: the scatter's sums
+    start each cell at +0.0 and so are never -0.0, and x - y is -0.0 only
+    for x = -0.0.
     """
     c = cache
-    if c.i_rep is None:
-        raise ValueError("this score cache was spent by an earlier backward")
     up = np.asarray(upstream, dtype=np.float64) / enc.tau
-    # d cos / d i_rep and d cos / d u_rep, scaled by upstream. d_u reads the
-    # item rows before the item terms overwrite them.
+    # d cos / d i_rep and d cos / d u_rep, scaled by upstream
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
     d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
-    d_i = np.einsum("bm,bd->bmd", coef_i, c.u_rep, out=scratch(c.ws, ROWS, c.i_rep.shape))
-    if c.ws is not None:
-        c.i_rep = None
     index = c.index or (scatter_index(c.users, enc.n_users), scatter_index(c.items, enc.n_items))
-    (u_ids, u_grads), (i_ids, i_grads) = index[0].scatter(d_u), index[1].scatter(d_i, c.ws)
+    u_ids, u_grads = index[0].scatter(d_u)
+    i_ids, i_grads = index[1].scatter(c.u_rep, c.ws, weights=coef_i)
     radial = np.bincount(index[1].inverse.ravel(), weights=(up * c.cos / c.i_norm**2).ravel(),
                          minlength=len(i_ids))
     i_grads -= radial[:, None] * c.i_unique

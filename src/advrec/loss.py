@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDistribution, DimMismatch, NonFinite
-from .numkit import (ROWS, EmbeddingTable, ScatterIndex, Workspace, adam_step, check_row_grads,
-                     scatter_index, scratch, take_rows)
+from .numkit import (GATHER, EmbeddingTable, ScatterIndex, Workspace, adam_step,
+                     check_row_grads, scatter_index, take_rows)
 from .rng import substream
 
 # ---------------------------------------------------------------------------
@@ -166,17 +166,11 @@ def ranking_max_bound(s_pos: float, s_negs, deltas) -> tuple[float, float]:
 @dataclass
 class HardnessCache:
     """A hardness forward's arrays, kept for grad_batch. With a workspace ws
-    their (B, N, .) gather lies in its TERMS buffer, which grad_batch may
-    overwrite: it then spends the cache, and a second one raises ValueError."""
+    their (B, N, .) gather lies in its GATHER buffer, which no grad_batch
+    writes, so any number of grad_batch calls read the same cache."""
 
-    arrays: tuple[np.ndarray, ...] | None  # the model's own; None once spent
+    arrays: tuple[np.ndarray, ...]  # the model's own
     ws: Workspace | None
-
-    def take(self) -> tuple[np.ndarray, ...]:
-        if self.arrays is None:
-            raise ValueError("this hardness cache was spent by an earlier grad_batch")
-        arrays, self.arrays = self.arrays, (self.arrays if self.ws is None else None)
-        return arrays
 
 
 @dataclass
@@ -289,28 +283,23 @@ class EmbedHardness(_TableHardness):
 
     def forward(self, users, negatives, encoder=None, ws: Workspace | None = None):
         """(probs, deltas, cache) from g = <adv_user[u], adv_item[j]>; the
-        (B, N, h) item gather goes into ws's TERMS buffer if given."""
+        (B, N, h) item gather goes into ws's GATHER buffer if given."""
         u = take_rows(self.user_table.values, users)
-        v = take_rows(self.item_table.values, negatives, ws)
+        v = take_rows(self.item_table.values, negatives, ws, GATHER)
         g = np.einsum("bd,bnd->bn", u, v)
         return (*softmax_hardness(g), HardnessCache((users, negatives, u, v), ws))
 
     def grad_batch(self, cache: HardnessCache, d_g,
                    index: tuple[ScatterIndex, ScatterIndex] | None = None):
         """((user_ids, grads), (item_ids, grads)) summed through index, the
-        forward ids' batch_index, built here if not given. With the forward's
-        ws, the item terms use its ROWS and the scatter its TERMS buffer.
-
-        The item terms come from an einsum, faster than a broadcasting
-        multiply; it may write +0.0 where the multiply gave -0.0, which the
-        scatter's sums, started at +0.0, cannot show (see
-        encoder.batch_backward). The returned bytes are the multiply's."""
-        users, negatives, u, v = cache.take()
+        forward ids' batch_index, built here if not given. The item sums are
+        a weighted gather of the (B, h) user rows, d_g[b, n] * u[b] per slot,
+        through the forward's ws if given: no (B, N, h) block of terms."""
+        users, negatives, u, v = cache.arrays
         if index is None:
             index = self.batch_index(users, negatives, self.user_table.rows, self.item_table.rows)
         d_user = np.einsum("bn,bnd->bd", d_g, v)
-        d_item = np.einsum("bn,bd->bnd", d_g, u, out=scratch(cache.ws, ROWS, v.shape))
-        return index[0].scatter(d_user), index[1].scatter(d_item, cache.ws)
+        return index[0].scatter(d_user), index[1].scatter(u, cache.ws, weights=d_g)
 
 
 class MlpHardness(_TableHardness):
@@ -340,18 +329,18 @@ class MlpHardness(_TableHardness):
 
     def forward(self, users, negatives, encoder=None, ws: Workspace | None = None):
         """(probs, deltas, cache) from the encoder rows xu, xi and their
-        projections zu, zi; the (B, N, dim) gather xi goes into ws's TERMS."""
+        projections zu, zi; the (B, N, dim) gather xi goes into ws's GATHER."""
         if encoder is None:
             raise ValueError("projection hardness needs the encoder's tables")
         xu = take_rows(encoder.user_table.values, users)
-        xi = take_rows(encoder.item_table.values, negatives, ws)
+        xi = take_rows(encoder.item_table.values, negatives, ws, GATHER)
         zu, zi = xu @ self.w_user.T + self.b_user, xi @ self.w_item.T + self.b_item
         g = np.einsum("bl,bnl->bn", zu, zi)
         return (*softmax_hardness(g), HardnessCache((xu, xi, zu, zi), ws))
 
     def grad_batch(self, cache: HardnessCache, d_g, index=None):
         """Dense parameter gradients, one (arange ids, grads) per table; no index."""
-        xu, xi, zu, zi = cache.take()
+        xu, xi, zu, zi = cache.arrays
         d_zu = np.einsum("bn,bnl->bl", d_g, zi)
         d_zi = d_g[..., None] * zu[:, None, :]
         grads = (np.einsum("bl,bd->ld", d_zu, xu), d_zu.sum(axis=0)[None],
@@ -376,7 +365,9 @@ def hardness_backward(model, batch: HardnessBatch, d_delta, u: int, i: int,
                       negatives, encoder=None):
     """Gradients of the loss w.r.t. the hardness parameters, chained through
     the softmax Jacobian, as the model's grad_batch returns them from
-    batch's cache: one (ids, grads) per table."""
+    batch's cache: one (ids, grads) per table. u, i, negatives and encoder
+    are not read, since the cache holds what the gradients need; they stay
+    because criterion 4 of the acceptance tests passes them positionally."""
     d_delta = np.asarray(d_delta, dtype=np.float64)
     if d_delta.shape != batch.deltas.shape:
         raise DimMismatch("d_delta length must match the batch")

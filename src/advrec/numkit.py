@@ -1,10 +1,10 @@
 """Dense/sparse numerical kernel: embedding tables, sparse-lazy Adam,
 temperature-scaled cosine scoring, index scatter-add, and symmetric-normalized
-graph propagation. The scatter-add and the propagation both sum through one
-step-ordered plan (segment_plan) and one routine, SegmentPlan.sum_take,
-bit-identical to numpy.add.at. It gathers the summed rows one group of
-steps at a time, of at most CHUNK_CELLS cells or one step, so no array of
-every summed row is built.
+graph propagation. Every scatter-add, weighted or not, and the propagation
+sum a gather through one step-ordered plan (segment_plan) and one routine,
+SegmentPlan.sum_take, bit-identical to numpy.add.at. It gathers the summed
+rows one group of steps at a time, of at most CHUNK_CELLS cells or one
+step, so no array of every summed row is built.
 
 Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
 Row gathers use ndarray.take(ids, axis=0), which returns the same bytes as
@@ -15,12 +15,14 @@ d) for B users and N negatives, go into a Workspace that its pass keeps: a
 pass's batches share one shape, so after its first step the pass faults no
 new block memory in (freed blocks of that size otherwise go back to the OS
 and are faulted in again on the next step). Every other caller passes no
-workspace and gets fresh arrays through the same functions. A gather into a
-buffer (take_rows) uses take(out=, mode="clip") behind its own range check:
-take's default mode "raise" copies through a temporary when given out,
-which took about three times as long as a fresh gather for a (1024, 17, 32) block
-from a 5000-row table, while clip mode costs the same as a fresh gather but
-would silently read the nearest row for an id out of range.
+workspace and gets fresh arrays through the same functions. Each role holds
+one kind of block, so no step overwrites a block that a cache keeps for a
+backward. A gather into a buffer (take_rows) uses take(out=, mode="clip")
+behind its own range check: take's default mode "raise" copies through a
+temporary when given out, which took about three times as long as a fresh
+gather for a (1024, 17, 32) block from a 5000-row table, while clip mode
+costs the same as a fresh gather but would silently read the nearest row
+for an id out of range.
 """
 
 from __future__ import annotations
@@ -90,13 +92,12 @@ class EmbeddingTable:
 class Workspace:
     """Float64 buffers for a training pass's block-sized arrays, keyed by
     role and grown on demand; empty(role, shape) hands out a view of the
-    role's buffer of that shape. Two roles cover a step: ROWS holds the
-    block a step keeps from one stage to the next (the forward's item rows,
-    which the backward overwrites with the item-gradient terms; a hardness
-    gradient's item terms until they are summed), TERMS a block that one
-    call or one forward/backward pair uses and drops (a hardness model's
-    item gather, a plan sum's group gather). A view is valid until its role
-    is asked for again.
+    role's buffer of that shape. Three roles cover a step, each holding one
+    kind of block: ROWS the encoder forward's (B, 1 + N, d) item rows and
+    GATHER a hardness forward's (B, N, .) item gather, both kept in their
+    cache for the backward, and TERMS a plan sum's group gather, used and
+    dropped within the sum. A view is valid until its role is asked for
+    again.
 
     A workspace belongs to one TrainState and to the thread that steps it.
     Used as a context manager, it drops its buffers on exit: train_epoch
@@ -121,6 +122,7 @@ class Workspace:
 
 
 ROWS = "rows"
+GATHER = "gather"
 TERMS = "terms"
 
 
@@ -130,11 +132,12 @@ def scratch(ws: Workspace | None, role: str, shape) -> np.ndarray:
     return np.empty(shape) if ws is None else ws.empty(role, shape)
 
 
-def take_rows(table: np.ndarray, ids, ws: Workspace | None = None, role: str = TERMS) -> np.ndarray:
+def take_rows(table: np.ndarray, ids, ws: Workspace | None = None, role: str = GATHER) -> np.ndarray:
     """table.take(ids, axis=0) for a float64 table and ids of any shape,
-    into scratch(ws, role, ...): a fresh array without a workspace. The
-    gather runs in take's clip mode, so an id outside [0, len(table)) is
-    rejected here first (IdOutOfRange) instead of reading a clipped row."""
+    into scratch(ws, role, ...), ROWS or GATHER (never TERMS, which the
+    next plan sum overwrites): a fresh array without a workspace. The gather
+    runs in take's clip mode, so an id outside [0, len(table)) is rejected
+    here first (IdOutOfRange) instead of reading a clipped row."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
         raise IdOutOfRange(f"id outside [0, {len(table)})")
@@ -373,7 +376,7 @@ def compact_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ScatterIndex:
-    """Where scatter sends each row of an id block: the ascending distinct
+    """Where scatter sends each slot of an id block: the ascending distinct
     ids, each id's place among them (inverse, of the block's shape) and the
     SegmentPlan of those places. scatter_index builds it; it serves every
     row set laid out like its block."""
@@ -382,10 +385,23 @@ class ScatterIndex:
     inverse: np.ndarray
     plan: SegmentPlan
 
-    def scatter(self, grads, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(unique ids, summed rows) of grads, one row per id of the block;
-        the sum's group gathers go into ws's TERMS buffer if given."""
-        return self.unique, self.plan.sum(grads, ws)
+    def scatter(self, rows, ws: Workspace | None = None, *,
+                weights=None) -> tuple[np.ndarray, np.ndarray]:
+        """(unique ids, each id's sum over its slots). rows holds one d-wide
+        row per slot (any leading shape) or, with weights of the block's
+        shape, one row per block row: slot (b, m) then adds weights[b, m] *
+        rows[b], a weighted gather as NormAdjacency.apply sums, so no block
+        of the products is built. The sum's group gathers go into ws's
+        TERMS buffer if given (rows must lie elsewhere)."""
+        if weights is None:
+            return self.unique, self.plan.sum(rows, ws)
+        rows, weights = np.asarray(rows, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+        shape = self.inverse.shape
+        if weights.shape != shape or rows.ndim != 2 or len(rows) != shape[0]:
+            raise DimMismatch(f"rows {rows.shape} and weights {weights.shape} for block {shape}")
+        order = self.plan.order
+        return self.unique, self.plan.sum_take(rows, order // max(math.prod(shape[1:]), 1),
+                                               weights.ravel().take(order), ws)
 
 
 def scatter_index(ids, n: int) -> ScatterIndex:

@@ -428,9 +428,9 @@ def signed_zero_batch(n_users, n_items, seed):
 
 
 class TestSignedZeros:
-    """A product that a broadcasting multiply gives as -0.0 the backward's
-    einsum may give as +0.0; the plan sums, which start at +0.0, return the
-    same bytes either way."""
+    """The backward's item sums add products that may be -0.0 (a zero
+    upstream times a negative user entry); the plan sums start at +0.0, so
+    they return the reference's bytes and no -0.0."""
 
     @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
     def test_backward_with_a_workspace_equals_add_at(self, small_dataset, backbone):

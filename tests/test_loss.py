@@ -6,7 +6,7 @@ from mpmath import mp, exp as mexp, log as mlog, mpf
 
 from advrec.encoder import build_encoder
 from advrec.errors import BadDistribution, DimMismatch, IdOutOfRange, NonFinite
-from advrec.numkit import EmbeddingTable, Workspace
+from advrec.numkit import TERMS, EmbeddingTable, Workspace
 from advrec.loss import (
     HARDNESS_MODELS,
     EmbedHardness,
@@ -522,7 +522,7 @@ class TestHardnessInterface:
                 == [(i.tobytes(), g.tobytes()) for i, g in want]
 
     def test_embed_grad_with_zero_d_g_equals_unique_add_at(self):
-        # einsum may give +0.0 where d_g[..., None] * u gave -0.0; both sum to +0.0
+        # a -0.0 product d_g[b, n] * u[b] adds onto a sum started at +0.0
         model = make_model("embed")
         rng = np.random.default_rng(37)
         users, negatives = np.array([0, 2, 2, 3, 1]), rng.integers(1, 6, size=(5, 4))
@@ -547,21 +547,20 @@ class TestHardnessInterface:
         assert got[1][1][0].tobytes() == np.zeros(3).tobytes()
 
     @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
-    def test_a_spent_cache_raises(self, kind):
-        # through a workspace, grad_batch may overwrite the forward's gather
+    def test_a_workspace_cache_gives_two_equal_grad_batches(self, kind):
+        # the forward's gather lies in GATHER, which neither grad_batch nor a
+        # plan sum's TERMS gather writes
         enc = build_encoder("mf", 4, 6, 5, tau=0.5, seed=34)
         model = make_model(kind)
         users, negatives = np.array([0, 2, 3]), np.array([[1, 5], [0, 3], [3, 3]])
         d_g = np.random.default_rng(36).normal(size=(3, 2))
         _, _, kept = model.forward(users, negatives, enc)
-        want = model.grad_batch(kept, d_g)
-        assert [g.tobytes() for _, g in model.grad_batch(kept, d_g)] \
-            == [g.tobytes() for _, g in want]  # a cache without a workspace stays
-        _, _, cache = model.forward(users, negatives, enc, Workspace())
-        assert [g.tobytes() for _, g in model.grad_batch(cache, d_g)] \
-            == [g.tobytes() for _, g in want]
-        with pytest.raises(ValueError, match="spent"):
-            model.grad_batch(cache, d_g)
+        want = [g.tobytes() for _, g in model.grad_batch(kept, d_g)]
+        ws = Workspace()
+        _, _, cache = model.forward(users, negatives, enc, ws)
+        for _ in range(2):
+            assert [g.tobytes() for _, g in model.grad_batch(cache, d_g)] == want
+            ws.empty(TERMS, (64,)).fill(np.nan)
 
     @pytest.mark.parametrize("make", [
         lambda: EmbedHardness(EmbeddingTable.zeros(4, 3), EmbeddingTable.zeros(6, 2)),

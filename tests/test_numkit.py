@@ -395,6 +395,79 @@ class TestChunkedSum:
         assert np.asarray(got).tobytes() == add_at_reference(ids, rows, 5).tobytes()
 
 
+def product_block(rows, weights):
+    """weights[b, ...] * rows[b] for every slot of the block, the block a
+    weighted scatter does not build."""
+    return weights[..., None] * rows[(slice(None), *[None] * (weights.ndim - 1))]
+
+
+def weighted_reference(ids, rows, weights, n):
+    """np.add.at of weights[b, ...] * rows[b] into the slots' ids."""
+    return add_at_reference(ids, product_block(rows, weights), n)
+
+
+def weighted_cases():
+    """150 seeded (ids, rows, weights, n): 1-D blocks in a third of them,
+    empty ones of either axis, rows of 1e-100 to 1e100 and weights with
+    +0.0 and -0.0 entries."""
+    rng = np.random.default_rng(70)
+    for case in range(150):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        shape = tuple(int(k) for k in rng.integers(0, 8, size=1 if case % 3 == 0 else 2))
+        ids = rng.integers(0, n, size=shape)
+        rows = rng.normal(size=(shape[0], d)) * 10.0 ** rng.uniform(-100, 100, size=(shape[0], d))
+        weights = rng.normal(size=shape)
+        weights[rng.random(shape) < 0.2] = -0.0
+        weights[rng.random(shape) < 0.1] = 0.0
+        yield ids, rows, weights, n
+
+
+class TestWeightedScatter:
+    """scatter(rows, ws, weights=w) sums w[b, m] * rows[b] per slot: the
+    bytes of scattering the products' block, and of np.add.at."""
+
+    @pytest.mark.parametrize("cells", [1, 8, numkit.CHUNK_CELLS])
+    def test_bytes_equal_the_product_block_and_add_at(self, monkeypatch, cells):
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        ws = Workspace()
+        for ids, rows, weights, n in weighted_cases():
+            index = scatter_index(ids, n)
+            want = weighted_reference(index.inverse, rows, weights, len(index.unique))
+            block = product_block(rows, weights)
+            for workspace in (None, ws):
+                ws.empty(numkit.TERMS, (64,)).fill(np.nan)  # a used buffer, as a pass leaves it
+                got_ids, got = index.scatter(rows, workspace, weights=weights)
+                assert got_ids.tobytes() == index.unique.tobytes() and same_bytes(got, want)
+                assert same_bytes(index.scatter(block, workspace)[1], want)
+
+    def test_an_id_of_zero_terms_sums_to_positive_zero(self):
+        ids = np.array([[0, 1], [0, 2], [2, 0]])
+        rows = np.array([[-1.0, 2.0], [3.0, -4.0], [-5.0, 6.0]])
+        weights = np.array([[-0.0, 1.5], [0.0, -2.0], [0.5, -0.0]])  # id 0: only zero weights
+        assert np.signbit(product_block(rows, weights)).any()
+        for ws in (None, Workspace()):
+            unique, got = scatter_index(ids, 3).scatter(rows, ws, weights=weights)
+            assert same_bytes(got, weighted_reference(ids, rows, weights, 3))
+            assert unique.tolist() == [0, 1, 2] and got[0].tobytes() == np.zeros(2).tobytes()
+            assert not np.any(np.signbit(got) & (got == 0.0))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0,)])
+    def test_empty_blocks(self, shape):
+        index = scatter_index(np.zeros(shape, dtype=np.int64), 5)
+        for ws in (None, Workspace()):
+            ids, sums = index.scatter(np.ones((shape[0], 3)), ws, weights=np.ones(shape))
+            assert ids.size == 0 and sums.shape == (0, 3) and sums.dtype == np.float64
+
+    def test_rows_or_weights_that_do_not_fit_raise(self):
+        index = scatter_index(np.array([[0, 1, 1], [2, 0, 1]]), 3)
+        rows, weights = np.ones((2, 4)), np.ones((2, 3))
+        for bad_rows, bad_weights in ((rows, np.ones((2, 2))), (rows, np.ones(6)),
+                                      (np.ones((3, 4)), weights), (np.ones((2, 3, 4)), weights),
+                                      (np.ones(2), weights)):
+            with pytest.raises(DimMismatch):
+                index.scatter(bad_rows, weights=bad_weights)
+
+
 COMPACT_CASES = {
     "empty": (np.zeros(0, dtype=np.int64), 5),
     "empty-n0": (np.zeros(0, dtype=np.int64), 0),

@@ -16,14 +16,30 @@ from advrec import encoder, loss, trainer
 from advrec.dataio import SyntheticSpec, generate_synthetic
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-SCRIPT = TOOLS / "config_hashes.py"
+
+
+def load_tool(name: str):
+    """A fresh module of tools/<name>.py, with the environment restored
+    after it loads (step_faults pins the BLAS threads for itself)."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["config_hashes", "step_faults"])
+def test_tools_run_the_acceptance_configuration(name):
+    # each tool spells out criteria 10/11's dataset and training config
+    import test_acceptance
+    module = load_tool(name)
+    assert module.SPEC == test_acceptance.EXPERIMENT_SPEC
+    assert {**module.CFG, "backbone": "mf"} == test_acceptance.EXPERIMENT_CFG
 
 
 @pytest.fixture(scope="module")
 def config_hashes():
-    spec = importlib.util.spec_from_file_location("config_hashes", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tool("config_hashes")
     module.SPEC = {**module.SPEC, "n_users": 300, "n_items": 150}
     module.CFG = {**module.CFG, "max_epochs": 3, "eval_every": 1}
     return module
@@ -265,10 +281,7 @@ def test_diag_hash_covers_both_ends_of_the_cutoff(config_hashes, monkeypatch):
 
 @pytest.fixture(scope="module")
 def step_faults():
-    spec = importlib.util.spec_from_file_location("step_faults", TOOLS / "step_faults.py")
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):  # the tool pins the BLAS threads for itself
-        spec.loader.exec_module(module)
+    module = load_tool("step_faults")
     module.SPEC = {**module.SPEC, "n_users": 60, "n_items": 40, "latent_dim": 6,
                    "relevance_quantile": 0.08}
     module.CFG = {**module.CFG, "batch_size": 32, "n_negatives": 4, "embed_dim": 8,

@@ -832,6 +832,26 @@ class TestStepMemory:
         block = cfg.batch_size * (1 + cfg.n_negatives) * cfg.embed_dim
         assert terms <= max(numkit.CHUNK_CELLS, largest_step * cfg.embed_dim) < block
 
+    def test_an_adversarial_pass_requests_no_item_term_block(self, small_dataset, monkeypatch):
+        # the item sums are weighted gathers of the user rows, so neither
+        # model asks for a ROWS block; the MLP model's dense sums need no TERMS
+        real, requested = Workspace.empty, set()
+
+        def record(self, role, shape):
+            requested.add(role)
+            return real(self, role, shape)
+
+        monkeypatch.setattr(Workspace, "empty", record)
+        for kind, roles in (("embed", {numkit.GATHER, numkit.TERMS}), ("mlp", {numkit.GATHER})):
+            cfg = small_cfg(hardness_kind=kind)
+            state = init_state(small_dataset, cfg)
+            frozen = trainer._adv_half(state, representations(state.encoder))
+            requested.clear()
+            with state.workspace:
+                for batch in iter_batches(small_dataset, cfg, 1, "adv", frozen):
+                    adv_step(state, batch)
+            assert requested == roles, kind
+
 
 class TestWorkspace:
     """A workspace belongs to one TrainState and to the thread that steps it."""
@@ -905,19 +925,18 @@ class TestWorkspace:
         assert starts[0] == 0 and len(starts) == 2
         assert state.workspace._buffers == {}
 
-    def test_a_spent_score_cache_raises(self, small_dataset):
-        # the backward overwrites the forward's item rows in the workspace
+    def test_a_second_backward_on_a_workspace_cache_returns_the_same_bytes(self, small_dataset):
+        # the forward's item rows lie in ROWS, which the backward only reads
         state = init_state(small_dataset, small_cfg())
         batch = first_batch(small_dataset, small_cfg())
         items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
         upstream = np.random.default_rng(50).normal(size=items.shape)
         _, fresh = batch_forward(state.encoder, batch.users, items)
         want = batch_backward(state.encoder, fresh, upstream)
-        assert same_arrays(batch_backward(state.encoder, fresh, upstream)[1], want[1])
         _, cache = batch_forward(state.encoder, batch.users, items, ws=Workspace())
-        assert same_arrays(batch_backward(state.encoder, cache, upstream)[1], want[1])
-        with pytest.raises(ValueError, match="spent"):
-            batch_backward(state.encoder, cache, upstream)
+        for _ in range(2):
+            got = batch_backward(state.encoder, cache, upstream)
+            assert same_arrays(got[0], want[0]) and same_arrays(got[1], want[1])
 
 
 class TestTrainConfigValidation:
