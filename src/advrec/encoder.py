@@ -14,12 +14,12 @@ import numpy as np
 
 from .errors import DimMismatch
 from .numkit import (
-    ROWS,
     EmbeddingTable,
     NormAdjacency,
     ScatterIndex,
     Workspace,
     compact_ids,
+    einsum_rows,
     propagate,
     propagate_backward,
     row_norms,
@@ -114,16 +114,21 @@ def representations(enc: Encoder) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _ScoreCache:
+    """What batch_backward reads of its forward. item_reps is the table the
+    forward scored, not a copy: the backward gathers its rows again, so the
+    table must not change between the two (min_step updates it only after
+    the backward)."""
+
     users: np.ndarray      # (B,)
     items: np.ndarray      # (B, M)
     u_rep: np.ndarray      # (B, d)
-    i_rep: np.ndarray      # (B, M, d)
+    item_reps: np.ndarray  # (n_items, d), the forward's item representations
     i_unique: np.ndarray   # (K, d) rows of the K distinct items, in the index's order
     u_norm: np.ndarray     # (B,)
     i_norm: np.ndarray     # (B, M)
     cos: np.ndarray        # (B, M)
     index: tuple[ScatterIndex, ScatterIndex] | None  # batch_forward's (users, items) index
-    ws: Workspace | None   # the workspace that holds i_rep, if any
+    ws: Workspace | None   # the forward's workspace, if any, for the backward's chunks
 
 
 def batch_forward(
@@ -142,22 +147,22 @@ def batch_forward(
     over the index's item compaction, or compact_ids' without one: no plan
     is built here. The cache keeps the index, or None, for the backward.
 
-    The (B, M, d) item rows are gathered into ws's ROWS buffer if ws is
-    given, where the cache keeps them for the backward; ids out of range
-    raise IdOutOfRange."""
+    The user-item products go through einsum_rows, which gathers the item
+    rows a chunk at a time, into ws's TERMS buffer if ws is given: no (B, M,
+    d) block is built or kept. Ids out of range raise IdOutOfRange."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     user_reps, item_reps = reps if reps is not None else representations(enc)
     u_rep = take_rows(user_reps, users)
-    i_rep = take_rows(item_reps, items, ws, ROWS)
+    dots = einsum_rows("bd,bmd->bm", u_rep, item_reps, items, ws)
     unique, inverse = ((index[1].unique, index[1].inverse) if index is not None
                        else compact_ids(items, enc.n_items))
     u_norm = row_norms(u_rep)
     i_unique = item_reps.take(unique, axis=0)
     i_norm = row_norms(i_unique)[inverse]
-    cos = np.einsum("bd,bmd->bm", u_rep, i_rep) / (u_norm[:, None] * i_norm)
+    cos = dots / (u_norm[:, None] * i_norm)
     scores = cos / enc.tau
-    return scores, _ScoreCache(users, items, u_rep, i_rep, i_unique, u_norm, i_norm, cos,
+    return scores, _ScoreCache(users, items, u_rep, item_reps, i_unique, u_norm, i_norm, cos,
                                index, ws)
 
 
@@ -173,7 +178,9 @@ def batch_backward(
 
     Slot (b, m) of item j adds coef_bm * u_b - r_bm * I_j to j's gradient,
     where I_j is j's representation row, the same in every slot that holds
-    j. The scatter sums the coef * u terms as a weighted gather of the (B,
+    j. The user terms' weighted sum of item rows gathers them again from
+    the cache's item_reps, a chunk at a time, as the forward did. The
+    scatter sums the coef * u terms as a weighted gather of the (B,
     d) user rows, through the forward's workspace if it had one, so no (B,
     M, d) block of terms is built and the cache stays as it was. R_j, the
     sum of r_bm over j's slots (a bincount, in input order), then takes R_j
@@ -187,10 +194,10 @@ def batch_backward(
     up = np.asarray(upstream, dtype=np.float64) / enc.tau
     # d cos / d i_rep and d cos / d u_rep, scaled by upstream
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
-    d_u = np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
-        - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
+    d_u = einsum_rows("bm,bmd->bd", coef_i, c.item_reps, c.items, c.ws)
+    d_u -= (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
     index = c.index or (scatter_index(c.users, enc.n_users), scatter_index(c.items, enc.n_items))
-    u_ids, u_grads = index[0].scatter(d_u)
+    u_ids, u_grads = index[0].scatter(d_u, c.ws)
     i_ids, i_grads = index[1].scatter(c.u_rep, c.ws, weights=coef_i)
     radial = np.bincount(index[1].inverse.ravel(), weights=(up * c.cos / c.i_norm**2).ravel(),
                          minlength=len(i_ids))

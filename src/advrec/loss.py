@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDistribution, DimMismatch, NonFinite
-from .numkit import (GATHER, EmbeddingTable, ScatterIndex, Workspace, adam_step,
-                     check_row_grads, scatter_index, take_rows)
+from .numkit import (EmbeddingTable, ScatterIndex, Workspace, adam_step, check_row_grads,
+                     einsum_rows, scatter_index, take_rows)
 from .rng import substream
 
 # ---------------------------------------------------------------------------
@@ -165,9 +165,13 @@ def ranking_max_bound(s_pos: float, s_negs, deltas) -> tuple[float, float]:
 
 @dataclass
 class HardnessCache:
-    """A hardness forward's arrays, kept for grad_batch. With a workspace ws
-    their (B, N, .) gather lies in its GATHER buffer, which no grad_batch
-    writes, so any number of grad_batch calls read the same cache."""
+    """A hardness forward's arrays, kept for grad_batch, and its workspace
+    ws, if any. The embed model keeps its item table, not a gather: its
+    grad_batch gathers the rows again, so the table must not change
+    between the forward and its grad_batch (adv_step updates it only
+    after). The MLP model keeps its (B, N, dim) gather, in ws's GATHER
+    buffer if given, which no grad_batch writes. Either way any number of
+    grad_batch calls read the same cache."""
 
     arrays: tuple[np.ndarray, ...]  # the model's own
     ws: Workspace | None
@@ -282,11 +286,12 @@ class EmbedHardness(_TableHardness):
         return scatter_index(users, n_users), scatter_index(negatives, n_items)
 
     def forward(self, users, negatives, encoder=None, ws: Workspace | None = None):
-        """(probs, deltas, cache) from g = <adv_user[u], adv_item[j]>; the
-        (B, N, h) item gather goes into ws's GATHER buffer if given."""
+        """(probs, deltas, cache) from g = <adv_user[u], adv_item[j]>, through
+        einsum_rows: the item rows are gathered a chunk at a time, into ws's
+        TERMS buffer if given, and no (B, N, h) block is built."""
         u = take_rows(self.user_table.values, users)
-        v = take_rows(self.item_table.values, negatives, ws, GATHER)
-        g = np.einsum("bd,bnd->bn", u, v)
+        v = self.item_table.values
+        g = einsum_rows("bd,bmd->bm", u, v, negatives, ws)
         return (*softmax_hardness(g), HardnessCache((users, negatives, u, v), ws))
 
     def grad_batch(self, cache: HardnessCache, d_g,
@@ -294,11 +299,13 @@ class EmbedHardness(_TableHardness):
         """((user_ids, grads), (item_ids, grads)) summed through index, the
         forward ids' batch_index, built here if not given. The item sums are
         a weighted gather of the (B, h) user rows, d_g[b, n] * u[b] per slot,
-        through the forward's ws if given: no (B, N, h) block of terms."""
+        and the user sums gather the item rows again from the forward's
+        table v, a chunk at a time, both through the forward's ws if given:
+        no (B, N, h) block."""
         users, negatives, u, v = cache.arrays
         if index is None:
             index = self.batch_index(users, negatives, self.user_table.rows, self.item_table.rows)
-        d_user = np.einsum("bn,bnd->bd", d_g, v)
+        d_user = einsum_rows("bm,bmd->bd", d_g, v, negatives, cache.ws)
         return index[0].scatter(d_user), index[1].scatter(u, cache.ws, weights=d_g)
 
 
@@ -333,7 +340,7 @@ class MlpHardness(_TableHardness):
         if encoder is None:
             raise ValueError("projection hardness needs the encoder's tables")
         xu = take_rows(encoder.user_table.values, users)
-        xi = take_rows(encoder.item_table.values, negatives, ws, GATHER)
+        xi = take_rows(encoder.item_table.values, negatives, ws)
         zu, zi = xu @ self.w_user.T + self.b_user, xi @ self.w_item.T + self.b_item
         g = np.einsum("bl,bnl->bn", zu, zi)
         return (*softmax_hardness(g), HardnessCache((xu, xi, zu, zi), ws))

@@ -4,21 +4,26 @@ graph propagation. Every scatter-add, weighted or not, and the propagation
 sum a gather through one step-ordered plan (segment_plan) and one routine,
 SegmentPlan.sum_take, bit-identical to numpy.add.at. It gathers the summed
 rows one group of steps at a time, of at most CHUNK_CELLS cells or one
-step, so no array of every summed row is built.
+step, so no array of every summed row is built. The two contractions of a
+row block with one side, einsum("bd,bmd->bm") and einsum("bm,bmd->bd") of
+table[ids], gather it the same way (einsum_rows), and adam_step updates
+its rows in chunks: each chunk stays in cache from its gather to its last
+use, which a whole block of a training step does not.
 
 Everything is 64-bit; the test tolerances (1e-10 .. 1e-12) depend on it.
 Row gathers use ndarray.take(ids, axis=0), which returns the same bytes as
 fancy indexing table[ids] and, for narrow rows, takes about half the time.
 
-A training step's arrays whose size scales with its batch block, (B, 1 + N,
-d) for B users and N negatives, go into a Workspace that its pass keeps: a
-pass's batches share one shape, so after its first step the pass faults no
-new block memory in (freed blocks of that size otherwise go back to the OS
-and are faulted in again on the next step). Every other caller passes no
-workspace and gets fresh arrays through the same functions. Each role holds
-one kind of block, so no step overwrites a block that a cache keeps for a
-backward. A gather into a buffer (take_rows) uses take(out=, mode="clip")
-behind its own range check: take's default mode "raise" copies through a
+A training step's block-sized arrays go into a Workspace that its pass
+keeps: a pass's batches share one shape, so after its first step the pass
+faults no new buffer memory in (freed arrays of that size otherwise go
+back to the OS and are faulted in again on the next step). Every other
+caller passes no workspace and gets fresh arrays through the same
+functions. Two roles remain: TERMS, the chunk buffer of any call that
+gathers in chunks, used and dropped within the call, and GATHER, the MLP
+hardness model's (B, N, dim) item gather, which its cache keeps for the
+backward. A gather into a buffer uses take(out=, mode="clip") behind its
+own range check: take's default mode "raise" copies through a
 temporary when given out, which took about three times as long as a fresh
 gather for a (1024, 17, 32) block from a 5000-row table, while clip mode
 costs the same as a fresh gather but would silently read the nearest row
@@ -40,8 +45,12 @@ NORM_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Cells of the buffer into which a plan sum gathers one group of steps (1 MB).
-CHUNK_CELLS = 1 << 17
+# Cells (512 KB) of one chunk: of the buffer into which a plan sum gathers
+# one group of steps or einsum_rows one run of block rows, and of all the
+# arrays adam_step works on for one run of table rows. A chunk fills a
+# quarter of one core's 2 MB L2 cache, which leaves room for what it is
+# gathered from and summed into.
+CHUNK_CELLS = 1 << 16
 
 
 @dataclass
@@ -57,10 +66,12 @@ class EmbeddingTable:
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DimMismatch("embedding table must be 2-D")
+        # np.zeros, unlike zeros_like, leaves a large table's pages
+        # untouched until a row is first updated
         if self.adam_m is None:
-            self.adam_m = np.zeros_like(self.values)
+            self.adam_m = np.zeros(self.values.shape)
         if self.adam_v is None:
-            self.adam_v = np.zeros_like(self.values)
+            self.adam_v = np.zeros(self.values.shape)
 
     @property
     def rows(self) -> int:
@@ -92,12 +103,11 @@ class EmbeddingTable:
 class Workspace:
     """Float64 buffers for a training pass's block-sized arrays, keyed by
     role and grown on demand; empty(role, shape) hands out a view of the
-    role's buffer of that shape. Three roles cover a step, each holding one
-    kind of block: ROWS the encoder forward's (B, 1 + N, d) item rows and
-    GATHER a hardness forward's (B, N, .) item gather, both kept in their
-    cache for the backward, and TERMS a plan sum's group gather, used and
-    dropped within the sum. A view is valid until its role is asked for
-    again.
+    role's buffer of that shape. Two roles cover a step: TERMS, the chunk
+    buffer of any call that gathers in chunks (a plan sum, einsum_rows),
+    used and dropped within that call, and GATHER, the MLP hardness
+    forward's (B, N, dim) item gather, which its cache keeps for the
+    backward. A view is valid until its role is asked for again.
 
     A workspace belongs to one TrainState and to the thread that steps it.
     Used as a context manager, it drops its buffers on exit: train_epoch
@@ -107,11 +117,13 @@ class Workspace:
         self._buffers: dict[str, np.ndarray] = {}
 
     def empty(self, role: str, shape) -> np.ndarray:
-        """An uninitialised float64 array of shape in role's buffer."""
+        """An uninitialised float64 array of shape in role's buffer. TERMS
+        grows to at least CHUNK_CELLS cells at once, so the chunks of a
+        step's calls, which differ in shape, share one buffer."""
         size = math.prod(shape)
         buf = self._buffers.get(role)
         if buf is None or buf.size < size:
-            buf = self._buffers[role] = np.empty(size)
+            buf = self._buffers[role] = np.empty(max(size, CHUNK_CELLS) if role == TERMS else size)
         return buf[:size].reshape(shape)
 
     def __enter__(self) -> "Workspace":
@@ -121,7 +133,6 @@ class Workspace:
         self._buffers.clear()
 
 
-ROWS = "rows"
 GATHER = "gather"
 TERMS = "terms"
 
@@ -132,17 +143,58 @@ def scratch(ws: Workspace | None, role: str, shape) -> np.ndarray:
     return np.empty(shape) if ws is None else ws.empty(role, shape)
 
 
-def take_rows(table: np.ndarray, ids, ws: Workspace | None = None, role: str = GATHER) -> np.ndarray:
-    """table.take(ids, axis=0) for a float64 table and ids of any shape,
-    into scratch(ws, role, ...), ROWS or GATHER (never TERMS, which the
-    next plan sum overwrites): a fresh array without a workspace. The gather
-    runs in take's clip mode, so an id outside [0, len(table)) is rejected
-    here first (IdOutOfRange) instead of reading a clipped row."""
+def _checked_ids(ids, n: int) -> np.ndarray:
+    """ids as int64; IdOutOfRange for an id outside [0, n)."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
-        raise IdOutOfRange(f"id outside [0, {len(table)})")
-    out = scratch(ws, role, ids.shape + table.shape[1:])
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IdOutOfRange(f"id outside [0, {n})")
+    return ids
+
+
+def take_rows(table: np.ndarray, ids, ws: Workspace | None = None) -> np.ndarray:
+    """table.take(ids, axis=0) for a float64 table and ids of any shape,
+    into scratch(ws, GATHER, ...) (never TERMS, which the next chunked call
+    overwrites): a fresh array without a workspace. The gather runs in
+    take's clip mode, so an id outside [0, len(table)) is rejected here
+    first (IdOutOfRange) instead of reading a clipped row."""
+    ids = _checked_ids(ids, len(table))
+    out = scratch(ws, GATHER, ids.shape + table.shape[1:])
     return table.take(ids, axis=0, out=out, mode="clip")
+
+
+ROW_CONTRACTIONS = ("bd,bmd->bm", "bm,bmd->bd")
+
+
+def einsum_rows(subscripts: str, left, table: np.ndarray, ids,
+                ws: Workspace | None = None) -> np.ndarray:
+    """np.einsum(subscripts, left, table.take(ids, axis=0)) for (B, M) ids
+    and one of ROW_CONTRACTIONS: (B, d) left gives the (B, M) row products,
+    (B, M) left the (B, d) weighted row sums. The same bytes, without the
+    (B, M, d) block: runs of block rows of at most CHUNK_CELLS cells (or
+    one row, if it is bigger) are gathered into one buffer, ws's TERMS
+    view if given (table must lie elsewhere) or one fresh buffer per call,
+    and each run is contracted into its rows of the output. Every output
+    cell sums the same terms in the same order as the one-shot einsum,
+    since a run holds whole rows of b. Ids outside [0, len(table)) raise
+    IdOutOfRange before any gather."""
+    if subscripts not in ROW_CONTRACTIONS:
+        raise ValueError(f"subscripts must be one of {ROW_CONTRACTIONS}")
+    ids = _checked_ids(ids, len(table))
+    left = np.asarray(left, dtype=np.float64)
+    (b, m), d = ids.shape, table.shape[1]
+    shapes = [(b, d), (b, m)]
+    if subscripts == ROW_CONTRACTIONS[1]:
+        shapes.reverse()
+    if left.shape != shapes[0]:
+        raise DimMismatch(f"left {left.shape} != {shapes[0]} for ids {ids.shape}")
+    out = np.empty(shapes[1])
+    run = max(CHUNK_CELLS // max(m * d, 1), 1)
+    buf = scratch(ws, TERMS, (min(run, b), m, d))
+    for lo in range(0, b, run):
+        hi = min(lo + run, b)
+        rows = table.take(ids[lo:hi], axis=0, out=buf[:hi - lo], mode="clip")
+        np.einsum(subscripts, left[lo:hi], rows, out=out[lo:hi])
+    return out
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -235,17 +287,27 @@ def adam_step(
 
     row_grads is a (row_ids, grad_matrix) pair with unique ids, as
     ScatterIndex.scatter returns it; the grad matrix is only read. The
-    update works on the gathered rows in place, in the operation order of
-    m_hat / (sqrt(v_hat) + eps), so it builds two (rows, d) temporaries. A
-    step that updates several tables checks every block with
-    check_row_grads before the first update, and passes each block as
-    check_row_grads returned it with checked=True, so that no block is
-    checked twice.
+    update runs on consecutive chunks of the rows, each chunk's four (rows,
+    d) arrays within CHUNK_CELLS cells together (or one row), so that a
+    chunk stays in cache through its twenty-odd passes; with unique ids no
+    chunk reads a row another writes, and every cell gets the operations of
+    the unchunked update in the same order, so the bytes are the same. A
+    chunk works on its gathered rows in place, in the operation order of
+    m_hat / (sqrt(v_hat) + eps). A step that updates several tables checks
+    every block with check_row_grads before the first update, and passes
+    each block as check_row_grads returned it with checked=True, so that no
+    block is checked twice.
     """
     ids, grads = row_grads if checked else check_row_grads(table, row_grads)
     table.step_count += 1
-    if ids.size == 0:
-        return table
+    run = max(CHUNK_CELLS // (4 * table.dim), 1)
+    for lo in range(0, ids.size, run):
+        _adam_rows(table, ids[lo:lo + run], grads[lo:lo + run], lr)
+    return table
+
+
+def _adam_rows(table: EmbeddingTable, ids: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """adam_step's update of the rows ids, at step table.step_count."""
     t = table.step_count
     m = table.adam_m.take(ids, axis=0)
     m *= ADAM_BETA1
@@ -265,7 +327,6 @@ def adam_step(
     v += ADAM_EPS
     m /= v
     table.values[ids] = np.subtract(table.values.take(ids, axis=0), m, out=m)
-    return table
 
 
 @dataclass(frozen=True)
@@ -302,8 +363,8 @@ class SegmentPlan:
         in input order, as numpy.add.at does, so the result is bit-identical
         to it. A group stays in cache from its gather to its sum, which one
         gather of every row does not: on the criterion-10 graph (19,510
-        edges, d = 32, so groups of 4,096 rows) NormAdjacency.apply took
-        1.28 ms against 1.55 ms (medians, 2-vCPU Xeon guest)."""
+        edges, d = 32, in groups of 4,096 rows at 2^17 cells) NormAdjacency.apply
+        took 1.28 ms against 1.55 ms (medians, 2-vCPU Xeon guest)."""
         d = source.shape[1]
         out = np.zeros((len(self.slot), d))
         offsets = self.offsets.tolist()

@@ -254,7 +254,8 @@ def user_gradient_terms(enc, cache, upstream):
     up = upstream / enc.tau
     c = cache
     coef_i = up / (c.u_norm[:, None] * c.i_norm)
-    return np.einsum("bm,bmd->bd", coef_i, c.i_rep) \
+    i_rep = c.item_reps.take(c.items, axis=0)
+    return np.einsum("bm,bmd->bd", coef_i, i_rep) \
         - (np.sum(up * c.cos, axis=1) / c.u_norm**2)[:, None] * c.u_rep
 
 
@@ -269,7 +270,7 @@ def item_sums_reference(enc, cache, upstream, ids, n):
     radial = np.zeros(n)
     np.add.at(radial, ids, r.ravel())
     rows = np.zeros((n, enc.dim))
-    rows[ids] = cache.i_rep.reshape(-1, enc.dim)
+    rows[ids] = cache.item_reps.take(cache.items, axis=0).reshape(-1, enc.dim)
     return sums - radial[:, None] * rows
 
 
@@ -277,8 +278,9 @@ def item_sums_per_slot_reference(enc, cache, upstream, ids, n):
     """item_sums_reference with the radial term taken off in every slot,
     before the sum: np.add.at of coef * u - r * i."""
     terms, r = item_gradient_factors(enc, cache, upstream)
+    i_rep = cache.item_reps.take(cache.items, axis=0)
     sums = np.zeros((n, enc.dim))
-    np.add.at(sums, ids.ravel(), (terms - r[..., None] * cache.i_rep).reshape(-1, enc.dim))
+    np.add.at(sums, ids.ravel(), (terms - r[..., None] * i_rep).reshape(-1, enc.dim))
     return sums
 
 
@@ -323,7 +325,8 @@ class TestItemNormsOncePerItem:
         items = rng.integers(0, small_dataset.n_items, size=(9, 6))
         items[3] = items[0, 0]  # one item repeated across a row and between rows
         _, cache = batch_forward(enc, users, items)
-        assert cache.i_norm.tobytes() == np.linalg.norm(cache.i_rep, axis=-1).tobytes()
+        i_rep = cache.item_reps.take(cache.items, axis=0)
+        assert cache.i_norm.tobytes() == np.linalg.norm(i_rep, axis=-1).tobytes()
 
     def test_mf_backward_equals_unique_add_at(self):
         enc = mf_encoder(n_users=7, n_items=9, dim=4, seed=46)
@@ -403,9 +406,10 @@ class TestRadialTermOncePerItem:
             got = node_grad[enc.n_users:]
         want = item_sums_per_slot_reference(enc, cache, upstream, items, enc.n_items)
         terms, r = item_gradient_factors(enc, cache, upstream)
+        i_rep = cache.item_reps.take(cache.items, axis=0)
         largest = np.zeros(enc.n_items)
         np.maximum.at(largest, items.ravel(), np.maximum(
-            np.abs(terms), np.abs(r[..., None] * cache.i_rep)).max(axis=-1).ravel())
+            np.abs(terms), np.abs(r[..., None] * i_rep)).max(axis=-1).ravel())
         bound = 1e-12 * largest * np.bincount(items.ravel(), minlength=enc.n_items)
         assert largest[0] > 0 and np.ptp(np.log10(largest[largest > 0])) > 10
         assert np.all(np.abs(got - want) <= bound[:, None])

@@ -548,8 +548,9 @@ class TestHardnessInterface:
 
     @pytest.mark.parametrize("kind", sorted(HARDNESS_MODELS))
     def test_a_workspace_cache_gives_two_equal_grad_batches(self, kind):
-        # the forward's gather lies in GATHER, which neither grad_batch nor a
-        # plan sum's TERMS gather writes
+        # embed gathers its item rows again from its table, and the MLP
+        # forward's gather lies in GATHER, which neither grad_batch nor a
+        # chunked call's TERMS gather writes
         enc = build_encoder("mf", 4, 6, 5, tau=0.5, seed=34)
         model = make_model(kind)
         users, negatives = np.array([0, 2, 3]), np.array([[1, 5], [0, 3], [3, 3]])

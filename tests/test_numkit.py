@@ -17,6 +17,7 @@ from advrec.numkit import (
     compact_ids,
     cosine_score,
     cosine_score_grad,
+    einsum_rows,
     propagate,
     propagate_backward,
     scatter_index,
@@ -466,6 +467,133 @@ class TestWeightedScatter:
                                       (np.ones(2), weights)):
             with pytest.raises(DimMismatch):
                 index.scatter(bad_rows, weights=bad_weights)
+
+
+class Recorded(np.ndarray):
+    """A table that records the id count of every take from it."""
+
+    def take(self, ids, *args, **kwargs):
+        taken.append(np.size(ids))
+        return super().take(ids, *args, **kwargs)
+
+
+taken = []
+
+
+def contraction_cases():
+    """Seeded (table, ids, (B, d) left, (B, M) left) with +-0.0 and
+    magnitudes 1e-100..1e100: blocks of several chunks at 64 cells whose
+    row count is no multiple of the chunk's, rows larger than 64 cells,
+    and empty blocks of either axis."""
+    rng = np.random.default_rng(80)
+    for b, m, d in [(13, 3, 4), (9, 2, 5), (7, 5, 20), (3, 40, 2), (1, 3, 4),
+                    (0, 3, 4), (5, 0, 4), (0, 0, 2), *rng.integers(1, 9, size=(30, 3)).tolist()]:
+        table = rng.normal(size=(11, d)) * 10.0 ** rng.uniform(-100, 100, size=(11, d))
+        table[rng.random(table.shape) < 0.1] = -0.0
+        ids = rng.integers(0, 11, size=(b, m))
+        left_d, left_m = rng.normal(size=(b, d)), rng.normal(size=(b, m))
+        left_m[rng.random(left_m.shape) < 0.2] = -0.0
+        yield table, ids, left_d, left_m
+
+
+class TestEinsumRows:
+    """einsum_rows(subscripts, left, table, ids) returns the bytes of the
+    one-shot np.einsum over table.take(ids, axis=0), gathering runs of
+    block rows of at most CHUNK_CELLS cells (or one row)."""
+
+    @pytest.mark.parametrize("cells", [1, 64, numkit.CHUNK_CELLS])
+    def test_bytes_equal_the_one_shot_einsum(self, monkeypatch, cells):
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        ws = Workspace()
+        for table, ids, left_d, left_m in contraction_cases():
+            rows = table.take(ids, axis=0)
+            for subscripts, left in (("bd,bmd->bm", left_d), ("bm,bmd->bd", left_m)):
+                want = np.einsum(subscripts, left, rows)
+                for workspace in (None, ws):
+                    ws.empty(numkit.TERMS, (256,)).fill(np.nan)  # a used buffer
+                    got = einsum_rows(subscripts, left, table, ids, workspace)
+                    assert same_bytes(got, want), (subscripts, ids.shape, table.shape)
+
+    @pytest.mark.parametrize("cells,runs", [(64, [15, 15, 6]), (24, [6] * 6), (7, [3] * 12),
+                                            (1 << 16, [36])])
+    def test_rows_are_gathered_in_runs(self, monkeypatch, cells, runs):
+        # 12 block rows of 3 ids, d = 4: a row is 12 cells, so 64 cells hold
+        # 5 rows and 7 cells none, which gathers one row at a time
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(81)
+        table, ids = rng.normal(size=(6, 4)), rng.integers(0, 6, size=(12, 3))
+        for subscripts, left in (("bd,bmd->bm", rng.normal(size=(12, 4))),
+                                 ("bm,bmd->bd", rng.normal(size=(12, 3)))):
+            taken.clear()
+            got = einsum_rows(subscripts, left, table.view(Recorded), ids)
+            assert taken == runs
+            assert same_bytes(np.asarray(got), np.einsum(subscripts, left, table[ids]))
+
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_an_id_out_of_range_raises_before_any_gather(self, bad):
+        table = np.ones((11, 2)).view(Recorded)
+        ids = np.zeros((3, 2), dtype=np.int64)
+        ids[2, 1] = bad
+        for workspace in (None, Workspace()):
+            for subscripts, left in (("bd,bmd->bm", np.ones((3, 2))),
+                                     ("bm,bmd->bd", np.ones((3, 2)))):
+                taken.clear()
+                with pytest.raises(IdOutOfRange):
+                    einsum_rows(subscripts, left, table, ids, workspace)
+                assert taken == []
+
+    def test_other_subscripts_or_a_left_that_does_not_fit_raise(self):
+        table, ids = np.ones((4, 3)), np.zeros((2, 5), dtype=np.int64)
+        with pytest.raises(ValueError):
+            einsum_rows("bd,bmd->bd", np.ones((2, 3)), table, ids)
+        for subscripts, left in (("bd,bmd->bm", np.ones((2, 5))), ("bm,bmd->bd", np.ones((2, 3))),
+                                 ("bm,bmd->bd", np.ones((3, 5)))):
+            with pytest.raises(DimMismatch):
+                einsum_rows(subscripts, left, table, ids)
+
+
+class TestChunkedAdam:
+    """adam_step updates its rows in chunks whose four (rows, d) arrays fit
+    CHUNK_CELLS cells; each cell gets the unchunked update's bytes."""
+
+    @pytest.mark.parametrize("cells", [1, 40, 200, numkit.CHUNK_CELLS])
+    def test_bytes_equal_the_unchunked_update(self, monkeypatch, cells):
+        # d = 5: 40 cells give chunks of 2 rows, 200 of 10, 1 of one row
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(82)
+        table = EmbeddingTable.uniform_init(37, 5, rng)
+        ref = table.copy()
+        run = max(cells // (4 * 5), 1)
+        for step in range(6):
+            ids = rng.permutation(37)[:int(rng.integers(23, 37))]  # unsorted, unique
+            grads = rng.normal(size=(ids.size, 5)) * 10.0 ** rng.uniform(-8, 4, size=(ids.size, 5))
+            assert ids.size > 2 * run or cells == numkit.CHUNK_CELLS  # three chunks or more
+            adam_step(table, (ids, grads), 0.03)
+            # the unchunked update, as one expression per moment
+            ref.step_count += 1
+            t = ref.step_count
+            m = ADAM_BETA1 * ref.adam_m[ids] + (1.0 - ADAM_BETA1) * grads
+            v = ADAM_BETA2 * ref.adam_v[ids] + (1.0 - ADAM_BETA2) * (grads * grads)
+            ref.values[ids] -= lr_step(m, v, t, 0.03)
+            ref.adam_m[ids], ref.adam_v[ids] = m, v
+            assert table_bytes(table) == table_bytes(ref), step
+            assert table.step_count == step + 1
+
+    def test_a_rejected_block_leaves_the_table_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(numkit, "CHUNK_CELLS", 20)  # one row of d = 5 per chunk
+        table = EmbeddingTable.uniform_init(6, 5, np.random.default_rng(83))
+        adam_step(table, ([1, 4, 0], np.full((3, 5), 0.5)), 1e-3)
+        before = table_bytes(table)
+        grads = np.ones((4, 5))
+        grads[3, 2] = np.nan  # in the last chunk
+        with pytest.raises(NonFiniteGradient):
+            adam_step(table, ([0, 1, 2, 3], grads), 1e-3)
+        assert table_bytes(table) == before
+
+
+def lr_step(m, v, t, lr):
+    """lr * m_hat / (sqrt(v_hat) + eps) at step t, in adam_step's order."""
+    return lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
 
 
 COMPACT_CASES = {

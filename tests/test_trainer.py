@@ -201,9 +201,29 @@ class TestAdvStep:
 
     @pytest.mark.parametrize("kind", ["embed", "mlp"])
     def test_each_hardness_block_is_gathered_once(self, small_dataset, monkeypatch, kind):
-        # grad_batch reads the forward's cache instead of gathering again
+        # mlp: grad_batch reads the forward's cache instead of gathering again.
+        # embed: no block is kept; the forward and grad_batch each gather every
+        # negative's row once, in chunks of at most CHUNK_CELLS cells
         cfg = small_cfg(batch_size=5, hardness_kind=kind)
         state = trained_state(small_dataset, cfg)
+        if kind == "embed":
+            class Table(np.ndarray):
+                def take(self, ids, *args, **kwargs):
+                    if np.ndim(ids) == 2:  # block rows; Adam takes 1-D rows
+                        chunks.append(np.size(ids))
+                    return super().take(ids, *args, **kwargs)
+
+            monkeypatch.setattr(numkit, "CHUNK_CELLS", 32)  # 2 rows of 4 negatives, h = 4
+            table = state.hardness.item_table
+            table.values = table.values.view(Table)
+            frozen = trainer._adv_half(state, representations(state.encoder))
+            for batch in iter_batches(small_dataset, cfg, 2, "adv", frozen):
+                chunks = []
+                adv_step(state, batch)
+                assert sum(chunks) == 2 * batch.negatives.size
+                assert len(chunks) == 2 * -(-len(batch.users) // 2)
+                assert max(chunks) * cfg.embed_dim <= numkit.CHUNK_CELLS
+            return
         owner = state.hardness if kind == "embed" else state.encoder
         tables = [owner.user_table.values, owner.item_table.values]
         real, gathered = loss.take_rows, []
@@ -769,9 +789,11 @@ def traced_peak(step, state, batch):
 
 
 class TestStepMemory:
-    """A pass's steps share one shape, so only its first step allocates the
-    (B, 1 + N, d) blocks: they stay in the state's workspace until the pass
-    ends."""
+    """The encoder and the embed hardness model gather item rows a chunk at
+    a time, so no step of theirs allocates a (B, 1 + N, d) block. The MLP
+    model's (B, N, dim) gather is a block: a pass's steps share one shape,
+    so only its first step allocates it, and it stays in the state's
+    workspace until the pass ends."""
 
     @pytest.mark.parametrize("backbone,kind", [("mf", "embed"), ("mf", "mlp"),
                                                ("lightgcn", "embed"), ("lightgcn", "mlp")])
@@ -780,6 +802,8 @@ class TestStepMemory:
         # 1.2 MB, more than everything else a step allocates. A LightGCN min
         # step also propagates the graph forward and back, whose own arrays
         # (their peak, measured alone, about half a block) join the bound.
+        # With embed hardness every step stays below the bound, the first
+        # one included, and an adversarial step below one (B, N, h) block.
         dataset = tiny_dataset(n_users=200, n_items=60, seed=1)
         batch_size = -(-len(dataset.train_pairs) // 2)
         cfg = small_cfg(backbone=backbone, hardness_kind=kind, batch_size=batch_size,
@@ -804,18 +828,20 @@ class TestStepMemory:
             tracemalloc.stop()
         assert (propagation > 0) == (backbone == "lightgcn")
         assert [len(b.users) for b in min_batches + adv_batches] == [batch_size] * 4
-        bounds = {"min": block + propagation, "adv": block}
+        hardness_block = batch_size * cfg.n_negatives * cfg.embed_dim * 8  # (B, N, h), h = d
+        bounds = {"min": block + propagation, "adv": block if kind == "mlp" else hardness_block}
         for phase, (first, *rest) in peaks.items():
-            assert first > block  # the pass's buffers
-            for peak in rest:
+            if kind == "mlp":
+                assert first > block  # the pass's buffers
+            for peak in rest if kind == "mlp" else [first, *rest]:
                 assert peak < bounds[phase], f"{phase} step: peak {peak / block:.2f} blocks"
 
 
     @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
     def test_a_min_pass_keeps_terms_to_one_plan_sum_group(self, backbone):
         # criterion 10's data and shape: B = 1024, N = 16 and d = 32, so one
-        # (B, 1 + N, d) block is 557k cells, above CHUNK_CELLS = 131k. The
-        # item scatter's group gather is the only use of TERMS in a min step.
+        # (B, 1 + N, d) block is 557k cells, above CHUNK_CELLS = 65k. TERMS
+        # holds the score chunks and the scatters' group gathers.
         spec = SyntheticSpec(n_users=2000, n_items=1000, latent_dim=32,
                              exposure_bias_strength=1.0, train_fraction=0.6,
                              fn_plant_rate=0.2, relevance_quantile=0.02)
@@ -833,8 +859,9 @@ class TestStepMemory:
         assert terms <= max(numkit.CHUNK_CELLS, largest_step * cfg.embed_dim) < block
 
     def test_an_adversarial_pass_requests_no_item_term_block(self, small_dataset, monkeypatch):
-        # the item sums are weighted gathers of the user rows, so neither
-        # model asks for a ROWS block; the MLP model's dense sums need no TERMS
+        # the embed model's item rows are gathered in chunks, and its item
+        # sums are weighted gathers of the user rows, all in TERMS; the MLP
+        # model keeps its GATHER block, and its dense sums need no TERMS
         real, requested = Workspace.empty, set()
 
         def record(self, role, shape):
@@ -842,7 +869,7 @@ class TestStepMemory:
             return real(self, role, shape)
 
         monkeypatch.setattr(Workspace, "empty", record)
-        for kind, roles in (("embed", {numkit.GATHER, numkit.TERMS}), ("mlp", {numkit.GATHER})):
+        for kind, roles in (("embed", {numkit.TERMS}), ("mlp", {numkit.GATHER})):
             cfg = small_cfg(hardness_kind=kind)
             state = init_state(small_dataset, cfg)
             frozen = trainer._adv_half(state, representations(state.encoder))
@@ -926,7 +953,7 @@ class TestWorkspace:
         assert state.workspace._buffers == {}
 
     def test_a_second_backward_on_a_workspace_cache_returns_the_same_bytes(self, small_dataset):
-        # the forward's item rows lie in ROWS, which the backward only reads
+        # the backward gathers the forward's item rows again, from its table
         state = init_state(small_dataset, small_cfg())
         batch = first_batch(small_dataset, small_cfg())
         items = np.concatenate([batch.pos_items[:, None], batch.negatives], axis=1)
@@ -937,6 +964,7 @@ class TestWorkspace:
         for _ in range(2):
             got = batch_backward(state.encoder, cache, upstream)
             assert same_arrays(got[0], want[0]) and same_arrays(got[1], want[1])
+            cache.ws.empty(numkit.TERMS, (64,)).fill(np.nan)  # a used chunk buffer
 
 
 class TestTrainConfigValidation:

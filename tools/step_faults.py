@@ -14,8 +14,9 @@ For each backbone and hardness model it prints the run's wall seconds and
 main-thread minor faults; per min step and per adversarial step, the median
 wall milliseconds; per min pass and per adversarial pass, the median of the
 pass's main-thread minor faults summed over its steps (getrusage with
-RUSAGE_THREAD, Linux only; a pass faults its block memory in on its first
-step, which a per-step median would leave out); and the number of
+RUSAGE_THREAD, Linux only; a pass faults its workspace buffers in on its
+first step, the MLP model's gather block and the chunk buffer, which a
+per-step median would leave out); and the number of
 trainer.sample_negatives calls with their median wall milliseconds, timed
 on the thread that runs each (the prefetch worker, or the main thread for a
 pass's first batch); and the number of trainer.representations calls (one
