@@ -7,6 +7,7 @@ from .dataio import (
     NegativeSample,
     SyntheticSpec,
     gamma_quotas,
+    gamma_resplit,
     gamma_split,
     generate_synthetic,
     load_interactions,

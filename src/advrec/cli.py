@@ -19,14 +19,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from .dataio import (
     SPLITS,
     SyntheticSpec,
     gamma_quotas,
-    gamma_split,
+    gamma_resplit,
     generate_synthetic,
     load_interactions,
     read_pairs,
@@ -225,19 +223,13 @@ def cmd_generate(ns) -> int:
     out = Path(ns.out or "dataset")
     _require_out_dir("--out", out)
     result = generate_synthetic(spec)
-
-    files = {name: result.dataset.pairs(name) for name in SPLITS}
-    files["planted_fn"] = result.planted_fn
     manifest = {"mode": "biased-exposure", "spec": dataclasses.asdict(spec)}
     if ns.gamma is not None:
-        # Re-split the observed pool with popularity-quota test construction.
-        pool = np.concatenate([files["train"], files["valid"]])
-        split = gamma_split(pool, spec.n_items, ns.gamma, n0,
-                            substream(spec.seed, "gamma-split"), groups=groups)
-        files = {"train": split.train_pairs, "valid": split.valid_pairs,
-                 "test": split.test_pairs, "planted_fn": np.zeros((0, 2), dtype=np.int64)}
+        result, split = gamma_resplit(result, ns.gamma, n0, groups, spec.seed)
         manifest.update(mode="gamma", gamma=ns.gamma, groups=groups, n0=n0,
                         quotas=split.quotas.tolist(), drawn=split.drawn.tolist())
+    files = {name: result.dataset.pairs(name) for name in SPLITS}
+    files["planted_fn"] = result.planted_fn
     write_dataset(out, files)
 
     _write_snapshot(out / "spec.resolved", dataclasses.asdict(spec))

@@ -461,6 +461,23 @@ class SyntheticResult:
     exposure_weight: np.ndarray   # per-item relative exposure weight used for biasing
 
 
+def gamma_resplit(data: SyntheticResult, gamma: float, n0: int, groups: int,
+                  seed: int) -> tuple[SyntheticResult, GammaSplitResult]:
+    """The popularity-shift protocol on a generated dataset, as
+    `advrec generate --gamma` writes it: the observed pool (train, then
+    valid) re-split by gamma_split with substream(seed, "gamma-split"),
+    seed being the spec's. The returned dataset holds the three new splits
+    and no planted false negatives; the GammaSplitResult gives the quotas
+    and the per-group counts drawn. Raises gamma_split's errors."""
+    ds = data.dataset
+    pool = np.concatenate([ds.train_pairs, ds.valid_pairs])
+    split = gamma_split(pool, ds.n_items, gamma, n0, substream(seed, "gamma-split"),
+                        groups=groups)
+    resplit = InteractionSet(ds.n_users, ds.n_items, split.train_pairs, split.valid_pairs,
+                             split.test_pairs)
+    return SyntheticResult(resplit, np.zeros((0, 2), dtype=np.int64), data.exposure_weight), split
+
+
 def _linear_quantile(x: np.ndarray, q: float) -> np.float64:
     """np.quantile(x, q) of a 1-D float array x, bit for bit, found with one
     single-kth partition of x in place (x's order is lost).

@@ -17,11 +17,12 @@ from .numkit import check_finite_norms, cosine_scores, row_norms
 # Hardness diagnostics score at most this many sampled rows at once, which
 # bounds their memory whatever the number of planted pairs or anchors.
 BLOCK_ROWS = 1024
-# evaluate_split holds at most this many float64 scores (2 MB) in its user
-# block, and at most as many again, first in the copy of the rows that can hold
-# a hit, partitioned in place, and then in the score rows gathered for one
-# chunk of candidate positives (a single row when n_items alone exceeds it),
-# which bounds its memory whatever the users.
+# evaluate_split holds at most this many float64 values (2 MB) in its user
+# block: first its cosines, then the exact scores of the rows that can hold a
+# hit. It holds at most as many again, first in the copy of those rows,
+# partitioned in place, and then in the score rows gathered for one chunk of
+# candidate positives (a single row when n_items alone exceeds it), which
+# bounds its memory whatever the users.
 SCORE_CELLS = 1 << 18
 
 
@@ -147,42 +148,100 @@ def _kth_largest(rows: np.ndarray, k: int) -> np.ndarray:
     return rows[:, -k]
 
 
+def _screen_margin(dim: int) -> float:
+    """MARGIN, in cosine units, for representations of width dim: 8 (dim + 3)
+    float64 eps. _hit_ranks derives it."""
+    return 8.0 * (dim + 3) * np.finfo(np.float64).eps
+
+
+def _screen(unit_users: np.ndarray, unit_items: np.ndarray, block: np.ndarray,
+            dataset: InteractionSet, split: str, k_eval: int) -> np.ndarray:
+    """Indices in block of the rows that can still hold a hit: those with
+    fewer than k_eval non-train candidates whose cosine exceeds the cosine of
+    the row's best split positive by more than MARGIN. unit_users holds the
+    block's unit user rows. See _hit_ranks."""
+    cos = unit_users @ unit_items.T
+    items, owner = dataset.positives_of(block, split)
+    best = np.maximum.reduceat(cos[owner, items], np.searchsorted(owner, np.arange(len(block))))
+    train_items, train_owner = dataset.positives_of(block, "train")
+    cos[train_owner, train_items] = -np.inf
+    limit = best + _screen_margin(unit_items.shape[1])
+    # an int32 row sum of the mask is about twice as fast as count_nonzero's
+    above = np.sum(cos > limit[:, None], axis=1, dtype=np.int32)
+    return np.flatnonzero(above < k_eval)
+
+
 def _hit_ranks(enc: Encoder, dataset: InteractionSet, split: str, k_eval: int):
     """Yield (block, ranks, owner, n_pos) per block of users with positives
     in the split, in user order: the ranks <= k_eval of the hits, by owner
     (index in block) and then rank, and each user's positive count. See
-    evaluate_split."""
+    evaluate_split.
+
+    Below k_eval = n_items - 1 each block is first screened (_screen) on
+    cosines of unit rows: the item rows i / |i|, divided once per call, and
+    the block's user rows u / |u|, in one float64 matmul. A row with k_eval
+    or more non-train candidates whose cosine is above its best split
+    positive's by more than MARGIN holds no hit and is finished. Only the
+    other rows are scored exactly, x / (|u| |i| tau) with x = u . i, in
+    cosine_scores' expression.
+
+    MARGIN = 8 (d + 3) eps at width d; let r = eps / 2, float64's unit
+    roundoff, and c the exact cosine of a user and an item. In any summation
+    order a length-d dot product x . y is computed within d r |x| |y|, and
+    a norm within (d/2 + 1) r of its value, relatively (Higham, "Accuracy
+    and Stability of Numerical Algorithms", ch. 3). To first order in r:
+    - the screen's cosine is within (2 d + 4) r of c: d r for its dot
+      product, and (d + 4) r for the two unit rows, whose entries are
+      rounded once after a division by a computed norm;
+    - tau times an exact score is within (2 d + 5) r of c: d r for the dot
+      product, (d + 2) r for the two norms, and 3 r for the roundings of
+      |u| |i|, of its product with tau and of the quotient.
+    A counted candidate's cosine exceeds the computed best + MARGIN, which
+    is at least best + MARGIN - r, so its c exceeds each positive's by more
+    than MARGIN - (4 d + 9) r, and tau times its exact score exceeds each
+    positive's by more than MARGIN - (8 d + 19) r. MARGIN is (16 d + 48) r,
+    over twice (8 d + 19) r, which also covers the second-order terms. So
+    each counted candidate scores strictly above every positive of its row
+    in the exact scores too: a screened-out row has k_eval or more
+    candidates above its best positive there, which evaluate_split shows
+    leaves no hit. No row with a hit is skipped, and a row the screen keeps
+    is ranked as if nothing were screened. The bounds hold while |u| |i|,
+    |u| |i| tau and 1 / tau are normal float64 numbers: row_norms' floor
+    keeps |u| and |i| at least 1e-12, and check_finite_norms keeps them
+    below the overflow of their squares."""
     user_reps, item_reps = representations(enc)
     users = dataset.users_with_positives(split)
     u_norm = row_norms(user_reps[users])
     i_norm = row_norms(item_reps)
     check_finite_norms(u_norm, i_norm)
+    # at k >= n_items - 1 no row can be skipped, so nothing is screened
+    screened = k_eval < dataset.n_items - 1
+    if screened:
+        unit_items = item_reps / i_norm[:, None]
     step = max(1, SCORE_CELLS // dataset.n_items)
     for start in range(0, len(users), step):
-        block = users[start:start + step]
-        scores = user_reps[block] @ item_reps.T
-        scores /= u_norm[start:start + step, None] * i_norm * enc.tau
-        train_items, train_owner = dataset.positives_of(block, "train")
+        block, norms = users[start:start + step], u_norm[start:start + step]
+        n_pos = np.bincount(dataset.positives_of(block, split)[1], minlength=len(block))
+        rows = np.arange(len(block))
+        if screened:
+            rows = _screen(user_reps[block] / norms[:, None], unit_items, block,
+                           dataset, split, k_eval)
+        live = block[rows]
+        scores = user_reps[live] @ item_reps.T
+        scores /= norms[rows, None] * i_norm * enc.tau
+        train_items, train_owner = dataset.positives_of(live, "train")
         scores[train_owner, train_items] = -np.inf
-        items, owner = dataset.positives_of(block, split)
-        n_pos = np.bincount(owner, minlength=len(block))
-        s_pos = scores[owner, items]
-        if k_eval >= dataset.n_items - 1:  # no row to skip, nothing to partition
-            kth = np.full(len(block), -np.inf)
-        else:
-            best = np.maximum.reduceat(s_pos, np.cumsum(n_pos) - n_pos)
-            # a row with k_eval candidates above its best positive holds no hit;
-            # an int32 row sum of the mask is about twice as fast as count_nonzero's
-            above = np.sum(scores > best[:, None], axis=1, dtype=np.int32)
-            live = np.flatnonzero(above < k_eval)
-            kth = np.full(len(block), np.inf)
-            kth[live] = _kth_largest(scores[live], k_eval)  # the copy is freed here
-        reach = s_pos >= kth[owner]
+        items, owner = dataset.positives_of(live, split)
+        kth = np.full(len(live), -np.inf)
+        if screened:
+            # assigned into kth, so that no view keeps the partitioned copy alive
+            kth[:] = _kth_largest(scores.copy(), k_eval)
+        reach = scores[owner, items] >= kth[owner]
         items, owner = items[reach], owner[reach]
         ranks = _block_ranks(scores, items, owner, step)
         order = np.lexsort((ranks, owner))
         order = order[ranks[order] <= k_eval]
-        yield block, ranks[order], owner[order], n_pos
+        yield block, ranks[order], rows[owner[order]], n_pos
 
 
 def evaluate_split(
@@ -194,25 +253,31 @@ def evaluate_split(
     """Top-k metrics of an all-item ranking for every user that has
     positives in the split, equal to topk_metrics over rank_all's results.
 
-    Users are scored in blocks of max(1, SCORE_CELLS // n_items) rows
-    against every item with one matmul, in cosine_scores' expression, and
-    each user's train positives are set to -inf. Every positive of a user
-    ranks past the candidates scoring strictly above the user's best
-    positive, so a row with k or more of them holds no hit and is skipped.
-    The other rows are gathered and partitioned in place, which gives each
-    one's k-th largest score (-inf if the user has fewer than k
-    candidates); a positive scoring below it ranks past k. Each other
-    positive p scoring s ranks 1 + #(score > s) + #(score == s and id < p),
-    rank_all's stable order counted on its score row, gathered in chunks of
-    the block's size. At the peak the block and at most one more array of
-    its size are live: the gathered rows while they are partitioned, or one
-    chunk of score rows with its boolean masks while positives are ranked.
+    Users go in blocks of max(1, SCORE_CELLS // n_items) rows. Every
+    positive of a user ranks past the candidates scoring strictly above the
+    user's best positive, so a row with k or more of them holds no hit. Each
+    block is first screened on cosines of unit vectors, in one matmul: a row
+    with k or more non-train candidates whose cosine exceeds its best
+    positive's by more than a margin (_hit_ranks derives it from the width
+    and float64 eps) is finished, since each of them also scores above every
+    positive of the row exactly. Only the other rows are scored against
+    every item with one matmul, in cosine_scores' expression, and their
+    user's train positives set to -inf. A copy of those scores is
+    partitioned in place, which gives each row's k-th largest score (-inf if
+    the user has fewer than k candidates); a positive scoring below it
+    ranks past k. Each other positive p scoring s ranks 1 + #(score > s) +
+    #(score == s and id < p), rank_all's stable order counted on its score
+    row, gathered in chunks of the block's size. At the peak the unit item
+    rows, one array of the block's size (its cosines, then the exact
+    scores) and at most one more are live: the copy while it is
+    partitioned, or one chunk of score rows with its boolean masks while
+    positives are ranked.
 
     At k >= n_items - 1 no row can be skipped (a positive never scores above
     itself, so at most n_items - 1 candidates score above the best one), and
     a partition could drop only a positive that the rank filter drops
-    anyway. So such a k neither counts nor partitions: every positive is
-    ranked, and the ranks <= k are kept.
+    anyway. So such a k neither screens nor partitions: every row is scored
+    exactly, every positive is ranked, and the ranks <= k are kept.
 
     Raises ValueError if k_eval < 1, before any work. Raises ZeroNormError
     if the representation of an evaluated user or of any item (every item is

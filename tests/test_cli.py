@@ -8,7 +8,8 @@ import pytest
 from advrec import cli
 from advrec.checkpoint import load_checkpoint, save_checkpoint
 from advrec.cli import main
-from advrec.dataio import gamma_quotas, load_interactions, read_pairs
+from advrec.dataio import (SyntheticSpec, gamma_quotas, gamma_resplit, generate_synthetic,
+                           load_interactions, read_pairs)
 from advrec.encoder import build_encoder
 from advrec.evaluation import (
     alignment_uniformity,
@@ -165,6 +166,21 @@ class TestGenerate:
         assert sum(map(len, split)) == sum(map(len, pool))
         assert set(map(tuple, np.concatenate(split).tolist())) == \
             set(map(tuple, np.concatenate(pool).tolist()))
+
+    def test_gamma_resplit_equals_the_written_files(self, tmp_path):
+        gamma = generate(tmp_path, "gamma",
+                         extra=["--gamma", "4.0", "--n0", "10", "--groups", "5"])
+        spec = SyntheticSpec(n_users=60, n_items=40, latent_dim=6, relevance_quantile=0.08,
+                             train_fraction=0.55, fn_plant_rate=0.3,
+                             exposure_bias_strength=1.0, seed=3)  # GEN_ARGS
+        data, split = gamma_resplit(generate_synthetic(spec), 4.0, 10, 5, spec.seed)
+        for name in ("train", "valid", "test"):
+            np.testing.assert_array_equal(data.dataset.pairs(name),
+                                          read_pairs(gamma / f"{name}.tsv"))
+        assert data.planted_fn.shape == (0, 2)
+        manifest = json.loads((gamma / "manifest.json").read_text())
+        assert (manifest["quotas"], manifest["drawn"]) == \
+            (split.quotas.tolist(), split.drawn.tolist())
 
     @pytest.mark.parametrize("cfg_text,line", [("n_users=50\nn_users=60\n", 2),
                                                ("n_users=50\n# note\n\n n_users = 50\n", 4)])

@@ -682,11 +682,15 @@ class TestEvaluateSplit:
             assert_equals_rank_all(enc, ds, "test", k_eval=k)
 
     def test_k_of_n_items_minus_one_or_more_partitions_nothing(self, monkeypatch):
-        # No row can be skipped there, so every positive is ranked
-        # unpartitioned; test_equals_rank_all_on_palette_ties checks the metrics.
+        # No row can be skipped there, so nothing is screened and every
+        # positive is ranked unpartitioned; test_equals_rank_all_on_palette_ties
+        # checks the metrics.
         ds, enc = palette_tie_case(0)
+        assert exactly_scored(monkeypatch, enc, ds, "test", ds.n_items - 2)
         monkeypatch.setattr(evaluation, "_kth_largest",
                             lambda rows, k_eval: pytest.fail(f"partitioned at k={k_eval}"))
+        monkeypatch.setattr(evaluation, "_screen",
+                            lambda *args: pytest.fail("screened at k >= n_items - 1"))
         for k in (ds.n_items - 1, ds.n_items, ds.n_items + 2):
             evaluate_split(enc, ds, "test", k)
 
@@ -782,18 +786,20 @@ class TestEvaluateSplit:
     def test_peak_memory_bounded_by_score_cells(self):
         # The acceptance-sized dataset: a block of 262 users has about 880
         # test positives, whose 7 MB of score rows must not be gathered at
-        # once. While the rows of a block that can hold a hit are
-        # partitioned, at most two arrays of SCORE_CELLS 8-byte cells are
-        # live (the score block and the gathered copy of those rows, freed
-        # before any positive is ranked); while candidates are ranked, two
-        # (the score block and one chunk of gathered score rows), with the
-        # chunk's boolean masks and the index arrays. The bound allows two
-        # more. MF representations are views of the tables.
+        # once. While a block is screened, one array of SCORE_CELLS 8-byte
+        # cells is live (its cosines, freed before any row is scored
+        # exactly) with its boolean mask; while the rows that can hold a hit
+        # are partitioned, at most two (their exact scores and the gathered
+        # copy, freed before any positive is ranked); while candidates are
+        # ranked, two (the exact scores and one chunk of gathered score
+        # rows), with the chunk's boolean masks and the index arrays. The
+        # unit item rows (1,000 x 32) are live throughout. The bound allows
+        # two more arrays. MF representations are views of the tables.
         peak, bound = acceptance_sized_peak(k_eval=20), 4 * SCORE_CELLS * 8
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_peak_memory_when_every_positive_is_a_candidate(self):
-        # At k = n_items - 1 no row is counted or partitioned: almost every
+        # At k = n_items - 1 no row is screened or partitioned: almost every
         # test positive is ranked, in full chunks of score rows. Each chunk
         # must be freed before the next is gathered;
         # test_peak_memory_ranks_one_chunk_at_a_time holds that to a tighter
@@ -810,13 +816,14 @@ class TestEvaluateSplit:
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
     def test_peak_memory_frees_the_partitioned_copy_before_ranking(self):
-        # At k = n_items - 2 almost no row can be skipped: nearly the whole
-        # block is gathered and partitioned, and then almost every test
-        # positive is ranked, in full chunks of score rows. Three arrays of
-        # SCORE_CELLS 8-byte cells (the score block, one chunk of score rows
-        # and their masks) fit; the partitioned copy kept alive while
-        # positives are ranked, or a chunk gathered beside the one before
-        # it, does not.
+        # At k = n_items - 2 almost no row can be skipped: nearly every row
+        # passes the screen, whose cosine block is freed before those rows
+        # are scored exactly, gathered and partitioned, and then almost
+        # every test positive is ranked, in full chunks of score rows. Three
+        # arrays of SCORE_CELLS 8-byte cells (the exact scores, one chunk of
+        # score rows and their masks) fit; the partitioned copy kept alive
+        # while positives are ranked, or a chunk gathered beside the one
+        # before it, does not.
         peak, bound = acceptance_sized_peak(k_eval=-2), 3 * SCORE_CELLS * 8
         assert peak < bound, f"peak {peak / 2**20:.2f} MB >= bound {bound / 2**20:.2f} MB"
 
@@ -830,3 +837,131 @@ class TestEvaluateSplit:
         enc = make_encoder(small_dataset, seed=27)
         with pytest.raises(BadParam, match="never ranking candidates"):
             evaluate_split(enc, small_dataset, "train")
+
+
+def exact_counts(enc, ds, split):
+    """For each user with positives in the split, the number of non-train
+    candidates whose exact score x / (|u| |i| tau), computed for all those
+    users in one matmul, is strictly above the user's best positive's: the
+    count by which ranking skipped rows before it screened them."""
+    user_reps, item_reps = representations(enc)
+    users = ds.users_with_positives(split)
+    scores = user_reps[users] @ item_reps.T
+    scores /= np.linalg.norm(user_reps[users], axis=1)[:, None] \
+        * np.linalg.norm(item_reps, axis=1) * enc.tau
+    train_items, train_owner = ds.positives_of(users, "train")
+    scores[train_owner, train_items] = -np.inf
+    items, owner = ds.positives_of(users, split)
+    best = np.full(len(users), -np.inf)
+    np.maximum.at(best, owner, scores[owner, items])
+    return dict(zip(users.tolist(), np.sum(scores > best[:, None], axis=1).tolist()))
+
+
+def exactly_scored(monkeypatch, enc, ds, split, k):
+    """The users, in order, whose rows evaluate_split scores exactly at k
+    after the screen."""
+    kept, real = [], evaluation._screen
+
+    def spy(unit_users, unit_items, block, *args):
+        rows = real(unit_users, unit_items, block, *args)
+        kept.extend(block[rows].tolist())
+        return rows
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "_screen", spy)
+        evaluate_split(enc, ds, split, k)
+    return kept
+
+
+def assert_screen_is_safe(monkeypatch, enc, ds, k):
+    """The screen skips a test row only where the exact count is at least k,
+    and the metrics equal rank_all's."""
+    kept, counts = exactly_scored(monkeypatch, enc, ds, "test", k), exact_counts(enc, ds, "test")
+    assert [u for u in counts if u not in kept and counts[u] < k] == []
+    assert_equals_rank_all(enc, ds, "test", k_eval=k)
+    return kept, counts
+
+
+def random_case(n_users, n_items, dim, seed):
+    """Random MF tables over users with three test and three train
+    positives each."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([[(u, int(i)) for i in rng.choice(n_items, size=6, replace=False)]
+                      for u in range(n_users)])
+    ds = InteractionSet(n_users, n_items, pairs[:, :3].reshape(-1, 2),
+                        np.zeros((0, 2)), pairs[:, 3:].reshape(-1, 2))
+    enc = make_encoder(ds, dim=dim, tau=0.5)
+    enc.user_table.values[:] = rng.normal(size=(n_users, dim))
+    enc.item_table.values[:] = rng.normal(size=(n_items, dim))
+    return ds, enc, rng
+
+
+class TestScreen:
+    @pytest.mark.parametrize("scale", [(1.0, 1.0), (1e100, 1e100), (1e-10, 1e100)])
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @pytest.mark.parametrize("above,train_above,k,live", [
+        ((0.5,), (), 1, True),          # best + MARGIN/2 does not count
+        ((2.0,), (), 1, False),         # best + 2 MARGIN does
+        ((0.5, 2.0), (), 2, True),
+        ((2.0, 3.0), (), 2, False),
+        ((), (2.0, 3.0), 1, True),      # only train positives above: a hit
+        ((0.5,), (2.0, 3.0), 1, True),
+    ])
+    def test_planted_cosines_at_the_margin(self, monkeypatch, dim, scale, above, train_above,
+                                           k, live):
+        # One user with test positives 0 (cosine 0.6) and 1 (0.1), planted
+        # items at 0.6 + m MARGIN, and 12 items at cosines -0.9 to 0, all in
+        # one plane turned by a seeded rotation, so every coordinate is dense.
+        margin = evaluation._screen_margin(dim)
+        planted = [0.6 + m * margin for m in (*above, *train_above)]
+        cosines = np.array([0.6, 0.1, *planted, *np.linspace(-0.9, 0.0, 12)])
+        rotation = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))[0]
+        plane = np.zeros((len(cosines), dim))
+        plane[:, 0], plane[:, 1] = cosines, np.sqrt(1.0 - cosines ** 2)
+        train = [[0, 2 + len(above) + j] for j in range(len(train_above))]
+        ds = InteractionSet(1, len(cosines), np.array(train).reshape(-1, 2), np.zeros((0, 2)),
+                            np.array([[0, 0], [0, 1]]))
+        enc = make_encoder(ds, dim=dim, tau=0.5)
+        enc.user_table.values[0] = scale[0] * rotation[:, 0]
+        enc.item_table.values[:] = scale[1] * plane @ rotation.T
+        kept, counts = assert_screen_is_safe(monkeypatch, enc, ds, k)
+        assert kept == ([0] if live else [])
+        assert counts[0] == sum(m > 0 for m in above)
+        hit = rank_all(enc, 0, ds).positions[0] <= k
+        assert hit == (not above)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_magnitudes_from_1e_minus_110_to_1e100(self, monkeypatch, dim):
+        # Rows scaled by 1e-10, 1 or 1e100, and for d > 1 a third of the
+        # other coordinates by 1e-100 more. At d = 1 every cosine is +-1, so
+        # scores tie in groups.
+        ds, enc, rng = random_case(40, 50, dim, seed=50 + dim)
+        for table in (enc.user_table.values, enc.item_table.values):
+            table *= 10.0 ** rng.choice([-10, 0, 100], size=(len(table), 1))
+            table[:, 1:] *= np.where(rng.random(size=table[:, 1:].shape) < 1 / 3, 1e-100, 1.0)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 7 * ds.n_items)
+        skipped = 0
+        for k in (1, 3, 10, ds.n_items - 2):
+            kept, _ = assert_screen_is_safe(monkeypatch, enc, ds, k)
+            skipped += ds.n_users - len(kept)
+        assert skipped > 0
+
+    def test_rows_below_the_norm_floor_are_rejected_before_any_screen(self, monkeypatch):
+        ds, enc, _ = random_case(10, 20, 3, seed=53)
+        monkeypatch.setattr(evaluation, "_screen", lambda *args: pytest.fail("screened"))
+        for table in (enc.user_table.values, enc.item_table.values):
+            saved = table[0].copy()
+            table[0] *= 1e-100
+            with pytest.raises(ZeroNormError):
+                evaluate_split(enc, ds, "test", 3)
+            table[0] = saved
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_exact_scoring_gets_exactly_the_rows_the_exact_count_keeps(self, monkeypatch, k):
+        # Random scores have no near-ties, so the screen counts what the
+        # exact scores count, over several blocks.
+        ds, enc, _ = random_case(60, 50, 6, seed=54)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 7 * ds.n_items)
+        kept, counts = assert_screen_is_safe(monkeypatch, enc, ds, k)
+        assert kept == [u for u in counts if counts[u] < k]
+        assert 0 < len(kept) < ds.n_users
